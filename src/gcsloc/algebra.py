@@ -78,6 +78,10 @@ class AlgebraRep:
         The uniform trace norm lam = tr(X_i^2).
     casimir_matrix : (d, d) complex ndarray
         The matrix sum_j X_j^2, kept for cheap expectation values.
+    moment_stack : (d, (K + 1) d) complex ndarray
+        X_1^T .. X_K^T and casimir_matrix^T side by side, so that for a
+        batch of row states psi the single product psi @ moment_stack holds
+        every X_k psi and then C psi (the moment kernel in ``dynamics``).
     """
 
     generators: np.ndarray
@@ -87,6 +91,7 @@ class AlgebraRep:
     adjoint_casimir: float
     normalization: float
     casimir_matrix: np.ndarray
+    moment_stack: np.ndarray
 
     @property
     def dim_algebra(self) -> int:
@@ -261,7 +266,9 @@ def algebra_from_generators(generators) -> AlgebraRep:
     cas = np.einsum("jab,jbc->ac", gens, gens)
 
     gens = np.ascontiguousarray(gens)
-    for arr in (gens, f, gram, cas):
+    d = gens.shape[1]
+    stack = np.concatenate([gens, cas[None]]).transpose(2, 0, 1).reshape(d, -1)
+    for arr in (gens, f, gram, cas, stack):
         arr.flags.writeable = False
     return AlgebraRep(
         generators=gens,
@@ -271,6 +278,7 @@ def algebra_from_generators(generators) -> AlgebraRep:
         adjoint_casimir=c_adj,
         normalization=lam,
         casimir_matrix=cas,
+        moment_stack=stack,
     )
 
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraRep
+from .algebra import AlgebraRep, _max_abs
+from .dynamics import _moments
 
 __all__ = [
     "CartanData",
@@ -47,11 +48,6 @@ PAIRING_TOL = 1e-6
 ALIGNMENT_TOL = 1e-10
 
 _PROBE_KEY = 0x6C6F63  # fixed Philox key: extraction is deterministic
-
-
-def _max_abs(a):
-    a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -381,10 +377,8 @@ def _decompose_with_kernel(rep, kernel, rank, rng):
             f"(hw, hw + root sum) = {c_pair:.12g} vs invariant "
             f"{rep.casimir_eigenvalue:.12g}"
         )
-    v = weight_basis[:, hw_index]
-    expect = np.real(np.einsum("a,kab,b->k", v.conj(), gens, v))
-    second = np.real(np.einsum("a,kab,kbc,c->", v.conj(), gens, gens, v))
-    delta_state = second - float(expect @ expect)
+    mom = _moments(weight_basis[None, :, hw_index], rep)
+    delta_state = float(mom.second[0] - mom.purity[0])
     delta_pair = float(np.dot(highest, pos_sum))
     if abs(delta_state - delta_pair) > PAIRING_TOL * max(1.0, abs(delta_pair)):
         raise RuntimeError(
@@ -491,8 +485,8 @@ def weight_string(cartan: CartanData, state_index: int, root_index: int):
     return j, m
 
 
-def _expectations(psi, gens):
-    return np.real(np.einsum("a,kab,b->k", psi.conj(), gens, psi))
+def _expectations(psi, rep):
+    return _moments(psi[None, :], rep).v[0]
 
 
 def _root_component_norm(v, cartan):
@@ -518,7 +512,7 @@ def align_expectation_to_cartan(
         on the root-plane components.
     """
     psi = np.asarray(psi, dtype=complex)
-    v = _expectations(psi, rep.generators)
+    v = _expectations(psi, rep)
     vnorm = float(np.linalg.norm(v))
     if vnorm < 1e-12:
         return psi.copy()
@@ -533,7 +527,7 @@ def align_expectation_to_cartan(
     else:
         out = _align_newton(psi, v, rep, cartan, tol)
 
-    resid = _root_component_norm(_expectations(out, rep.generators), cartan)
+    resid = _root_component_norm(_expectations(out, rep), cartan)
     if resid > max(tol, 1e-10 * vnorm):
         raise RuntimeError(
             f"Cartan alignment failed: residual root component {resid:.3e}"
@@ -568,7 +562,7 @@ def _align_axis_angle(psi, v, rep, cartan):
     gen = np.tensordot(axis, rep.generators, axes=(0, 0))
     u = scipy.linalg.expm(-1j * (theta / scale) * gen)
     out = u @ psi
-    if _root_component_norm(_expectations(out, rep.generators), cartan) > 1e-9:
+    if _root_component_norm(_expectations(out, rep), cartan) > 1e-9:
         u = scipy.linalg.expm(1j * (theta / scale) * gen)
         out = u @ psi
     return out / np.linalg.norm(out)
@@ -620,7 +614,7 @@ def _align_newton(psi, v, rep, cartan, tol, max_iter=200):
             b = np.tensordot(step * theta, adapted, axes=(0, 0))
             cand = scipy.linalg.expm(1j * b) @ out
             cand /= np.linalg.norm(cand)
-            v_cand = _expectations(cand, gens)
+            v_cand = _expectations(cand, rep)
             resid_cand = _root_component_norm(v_cand, cartan)
             if resid_cand < resid:
                 out, v, resid = cand, v_cand, resid_cand

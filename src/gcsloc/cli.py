@@ -36,6 +36,7 @@ from .algebra import AlgebraRep, build_su2_irrep, build_sun_fundamental, rep_deb
 from .cartan import cartan_debug_dict, cartan_decompose, highest_weight_state
 from .dynamics import (
     NoiseConfig,
+    _moments,
     ensemble_average,
     haar_state,
     lindblad_expm_evolve,
@@ -283,20 +284,9 @@ def cmd_theorem_scan(args) -> int:
     cartan = cartan_decompose(rep)
 
     states = scan_states(rep.dim_hilbert, n, args.seed)
-    y = np.einsum("kab,nb->nka", rep.generators, states)
-    v = np.real(np.einsum("na,nka->nk", states.conj(), y))
-    purity = np.einsum("nk,nk->n", v, v)
-    m = 2.0 * np.real(np.einsum("nka,nla->nkl", y.conj(), y)) - 2.0 * np.einsum(
-        "nk,nl->nkl", v, v
-    )
-    tnorm = np.einsum("nkl,nkl->n", m, m)
-    drift = 2.0 * gamma * (rep.adjoint_casimir * purity - tnorm)
-
-    hw = highest_weight_state(cartan)
-    y0 = np.einsum("kab,b->ka", rep.generators, hw)
-    v0 = np.real(y0 @ hw.conj())
-    m0 = 2.0 * np.real(np.conj(y0) @ y0.T) - 2.0 * np.outer(v0, v0)
-    gcs_value = float(np.sum(m0 * m0))
+    mom = _moments(states, rep, cov=True)
+    tnorm, drift = mom.tnorm, mom.drift(rep, gamma)
+    gcs_value = float(_moments(highest_weight_state(cartan)[None], rep, cov=True).tnorm[0])
 
     tmin_idx = int(np.argmin(tnorm))
     dmax_idx = int(np.argmax(drift))

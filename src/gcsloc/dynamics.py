@@ -15,6 +15,11 @@ splitting keeps purely Hamiltonian motion exact (the uncertainty functional
 is then conserved to rounding, not to O(dt)), while the measurement update
 is the standard order-1/2 strong scheme.
 
+The step, the records, the theorem scan and ``observables`` share one
+moment kernel, ``_moments``: a single product with the stacked generators,
+then real batched products.  Without a Hamiltonian the step reuses the
+moments a record took of the same states.
+
 Ensemble counterpart:
 
     drho/dt = -1j [H, rho] - gamma sum_k [X_k, [X_k, rho]],
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -73,13 +79,13 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def haar_states(dim: int, n: int, seed: int) -> np.ndarray:
+def haar_states(dim: int, n: int, seed: int, stream: int = INIT_STREAM) -> np.ndarray:
     """n Haar-random state vectors, rows of an (n, dim) array.
 
-    Drawn as normalized i.i.d. complex Gaussians on the initial-state
-    stream of `seed`.
+    Drawn as normalized i.i.d. complex Gaussians on `stream` of `seed`,
+    by default the initial-state stream.
     """
-    rng = stream_rng(seed, INIT_STREAM)
+    rng = stream_rng(seed, stream)
     z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
@@ -91,9 +97,7 @@ def haar_state(dim: int, seed: int) -> np.ndarray:
 
 def scan_states(dim: int, n: int, seed: int) -> np.ndarray:
     """Haar-random states on the scan stream (kept apart from initial states)."""
-    rng = stream_rng(seed, SCAN_STREAM)
-    z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    return haar_states(dim, n, seed, SCAN_STREAM)
 
 
 class Hamiltonian:
@@ -213,63 +217,112 @@ def _validate_state(psi, dim):
     if psi.shape != (dim,):
         raise ValueError(f"state must have shape ({dim},), got {psi.shape}")
     nrm = np.linalg.norm(psi)
+    if not np.isfinite(nrm):
+        raise ValueError(f"state norm is not finite: |psi| = {nrm}")
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"state is not normalized: |psi| = {nrm:.12g}")
     return psi / nrm
 
 
-def _observe_batch(psi, rep, gamma):
-    """Per-state localization functionals for a batch of rows.
+class _Moments(NamedTuple):
+    """Moments of a batch of n states; see ``_moments``."""
 
-    Returns (uncertainty, purity, cov_trace_norm, drift, expectations); the
-    quadratic-invariant expectation is verified against its constant on
-    the way through.
+    pf: np.ndarray  # (n, 2d) the states as interleaved real and imaginary parts
+    z: np.ndarray  # (n, K + 1, 2d) X_1 psi .. X_K psi, then C psi, likewise
+    v: np.ndarray  # (n, K) <X_k>
+    second: np.ndarray  # (n,) <C>
+    purity: np.ndarray  # (n,) sum_k <X_k>^2
+    cov: np.ndarray | None  # (n, K, K) M_kl, if requested
+    tnorm: np.ndarray | None  # (n,) sum_kl M_kl^2, if requested
+
+    def drift(self, rep, gamma):
+        """Localization drift 2 gamma (c_adj P - T); needs cov."""
+        return 2.0 * gamma * (rep.adjoint_casimir * self.purity - self.tnorm)
+
+
+def _moments(psi, rep, cov=False):
+    """Moments of n normalized states, the rows of an (n, d) array psi.
+
+    One product with ``rep.moment_stack`` gives y_k = X_k psi and C psi
+    (C = sum_k X_k^2).  Read as interleaved real and imaginary parts,
+    Re <a|b> is a real dot product, so the rest are real batched products:
+
+        v_k = Re <psi|y_k>,   <C> = Re <psi|C psi>,   P = sum_k v_k^2,
+        M_kl = 2 Re <u_k|u_l>,  u_k = (X_k - v_k) psi,   T = sum_kl M_kl^2.
+
+    For normalized states this M is <{X_k, X_l}> - 2 v_k v_l; M and T are
+    formed only when cov is set.
     """
-    gens = rep.generators
-    y = np.einsum("kab,nb->nka", gens, psi)
-    v = np.real(np.einsum("na,nka->nk", psi.conj(), y))
+    psi = np.ascontiguousarray(psi, dtype=complex)
+    n, d = psi.shape
+    k = rep.dim_algebra
+    pf = psi.view(np.float64)
+    z = (psi @ rep.moment_stack).view(np.float64).reshape(n, k + 1, 2 * d)
+    w = np.matmul(z, pf[:, :, None])[:, :, 0]
+    v = w[:, :k]
     purity = np.einsum("nk,nk->n", v, v)
-    second = np.real(np.einsum("na,ab,nb->n", psi.conj(), rep.casimir_matrix, psi))
-    if np.max(np.abs(second - rep.casimir_eigenvalue)) > 1e-10 * max(
-        1.0, abs(rep.casimir_eigenvalue)
-    ):
-        raise RuntimeError(
-            "quadratic invariant drifted beyond 1e-10 along the trajectory"
-        )
-    delta = second - purity
-    m = 2.0 * np.real(np.einsum("nka,nla->nkl", y.conj(), y)) - 2.0 * np.einsum(
-        "nk,nl->nkl", v, v
+    m = tnorm = None
+    if cov:
+        u = z[:, :k] - v[:, :, None] * pf[:, None, :]
+        m = np.matmul(u, u.transpose(0, 2, 1))
+        m *= 2.0
+        tnorm = np.einsum("nkl,nkl->n", m, m)
+    return _Moments(pf, z, v, w[:, k], purity, m, tnorm)
+
+
+def _observe_batch(mom, rep, gamma):
+    """Per-state rows (uncertainty, purity, cov_trace_norm, drift, <X_1..X_K>)
+    from moments taken with cov; the quadratic-invariant expectation is
+    verified against its constant on the way through."""
+    c = rep.casimir_eigenvalue
+    if np.max(np.abs(mom.second - c)) > 1e-10 * max(1.0, abs(c)):
+        raise RuntimeError("quadratic invariant drifted beyond 1e-10 along the trajectory")
+    return np.column_stack(
+        [mom.second - mom.purity, mom.purity, mom.tnorm, mom.drift(rep, gamma), mom.v]
     )
-    tnorm = np.einsum("nkl,nkl->n", m, m)
-    drift = 2.0 * gamma * (rep.adjoint_casimir * purity - tnorm)
-    return delta, purity, tnorm, drift, v
 
 
-def _measurement_update(psi, rep, gamma, dt, noise):
-    """Euler-Maruyama measurement substep for a batch; returns the
-    unnormalized update.  noise holds the realized increments dxi (n, K)."""
-    gens = rep.generators
-    y = np.einsum("kab,nb->nka", gens, psi)
-    v = np.real(np.einsum("na,nka->nk", psi.conj(), y))
-    purity = np.einsum("nk,nk->n", v, v)
-    gdt = gamma * dt
-    coef = 2.0 * gdt * v + noise
-    scal = gdt * purity + np.einsum("nk,nk->n", noise, v)
-    out = psi + np.einsum("nk,nka->na", coef, y) - scal[:, None] * psi
-    out -= gdt * np.einsum("ab,nb->na", rep.casimir_matrix, psi)
-    return out
+class _BlowUp(RuntimeError):
+    """Raised by ``_step_batch``; rows are the batch rows whose state norm
+    left (0, inf)."""
+
+    def __init__(self, rows):
+        super().__init__("integration blow-up: state norm left (0, inf); reduce dt")
+        self.rows = rows
 
 
-def _step_batch(psi, rep, gamma, dt, noise, prop=None):
+def _step_batch(psi, rep, gamma, dt, noise, prop=None, mom=None):
     """One split step for a batch of states: exact Hamiltonian flow, then
-    the measurement update, then renormalization."""
+    the Euler-Maruyama measurement update, then renormalization.  With the
+    realized increments dxi (n, K) in noise, the update is
+
+        psi + sum_k (2 gamma dt v_k + dxi_k) X_k psi - gamma dt C psi
+            - (gamma dt P + sum_k dxi_k v_k) psi,
+
+    one real product of the coefficients with the moment kernel's stacked
+    X_k psi and C psi.  mom may carry the moments of psi from a record of
+    the same states; they are recomputed when a propagator moves them.
+    """
     if prop is not None:
         psi = psi @ prop.T
-    out = _measurement_update(psi, rep, gamma, dt, noise)
-    nrm = np.sqrt(np.real(np.einsum("na,na->n", out.conj(), out)))
-    if not np.all(np.isfinite(nrm)) or np.any(nrm <= 0):
-        raise RuntimeError("integration blow-up: state norm left (0, inf); reduce dt")
-    return out / nrm[:, None]
+        mom = None
+    if mom is None:
+        mom = _moments(psi, rep)
+    gdt = gamma * dt
+    n, k = noise.shape
+    coef = np.empty((n, k + 1))
+    np.multiply(mom.v, 2.0 * gdt, out=coef[:, :k])
+    coef[:, :k] += noise
+    coef[:, k] = -gdt
+    keep = 1.0 - gdt * mom.purity - np.einsum("nk,nk->n", noise, mom.v)
+    out = np.matmul(coef[:, None, :], mom.z)[:, 0, :]
+    out += keep[:, None] * mom.pf
+    nrm = np.sqrt(np.einsum("nj,nj->n", out, out))
+    bad = ~(np.isfinite(nrm) & (nrm > 0))
+    if np.any(bad):
+        raise _BlowUp(np.flatnonzero(bad))
+    out /= nrm[:, None]
+    return out.view(complex)
 
 
 def snlse_step(psi, h, rep: AlgebraRep, gamma: float, dt: float, increments):
@@ -325,50 +378,28 @@ def simulate_trajectory(
     """Integrate one measurement trajectory and record its functionals.
 
     The trajectory is a deterministic function of (initial, h, rep,
-    cfg.seed): noise comes from the Philox stream (cfg.seed, stream 0),
-    drawn as one (steps, K) block up front.
+    cfg.seed): noise comes from the Philox stream (cfg.seed, stream 0).
     """
     psi = _validate_state(initial, rep.dim_hilbert)
-    ham = _as_hamiltonian(h, rep)
-    prop = None if ham.is_zero else ham.propagator(cfg.dt)
     n_rec, times = _record_grid(cfg.steps, record_stride, cfg.dt)
-
-    amp = np.sqrt(2.0 * cfg.gamma * cfg.dt)
-    noise = amp * stream_rng(cfg.seed, NOISE_STREAM).standard_normal(
-        (cfg.steps, rep.dim_algebra)
-    )
-
-    rows = np.empty((5, n_rec))
-    expect = np.empty((n_rec, rep.dim_algebra))
+    table = np.empty((n_rec, 4 + rep.dim_algebra))
     snaps = np.empty((n_rec, rep.dim_hilbert), dtype=complex) if store_states else None
 
-    batch = psi[None, :]
-
-    def record(k):
-        delta, purity, tnorm, drift, v = _observe_batch(batch, rep, cfg.gamma)
-        rows[0, k], rows[1, k], rows[2, k], rows[3, k] = (
-            delta[0],
-            purity[0],
-            tnorm[0],
-            drift[0],
-        )
-        expect[k] = v[0]
+    def record(k, batch):
+        mom = _moments(batch, rep, cov=True)
+        table[k] = _observe_batch(mom, rep, cfg.gamma)[0]
         if snaps is not None:
             snaps[k] = batch[0]
+        return mom
 
-    record(0)
-    for s in range(cfg.steps):
-        batch = _step_batch(batch, rep, cfg.gamma, cfg.dt, noise[s : s + 1], prop)
-        if (s + 1) % record_stride == 0:
-            record((s + 1) // record_stride)
-
+    _integrate(psi[None, :], _as_hamiltonian(h, rep), rep, cfg, 0, record_stride, record)
     return TrajectoryRecord(
         times=times,
-        uncertainty=rows[0].copy(),
-        purity=rows[1].copy(),
-        cov_trace_norm=rows[2].copy(),
-        drift=rows[3].copy(),
-        expectations=expect,
+        uncertainty=table[:, 0].copy(),
+        purity=table[:, 1].copy(),
+        cov_trace_norm=table[:, 2].copy(),
+        drift=table[:, 3].copy(),
+        expectations=table[:, 4:].copy(),
         seed=cfg.seed,
         states=snaps,
     )
@@ -383,68 +414,44 @@ def _thread_count() -> int:
     return max(1, n)
 
 
-def _ensemble_blocks(n_traj, block_size):
-    starts = list(range(0, n_traj, block_size))
-    return [(s, min(s + block_size, n_traj)) for s in starts]
-
-
-def _run_block(initials, rep, ham, cfg, lo, hi, record_stride, collect):
-    """Evolve trajectories lo..hi-1 and return their record-time reduction.
-
-    initials holds one row per trajectory of the whole ensemble.  collect =
-    "projector": sum of |psi><psi| per record time, shape (n_rec, d, d).
-    collect = "expectations": per-trajectory generator expectations, shape
-    (hi - lo, n_rec, K).  collect = "observables": per-trajectory rows
-    (uncertainty, purity, cov_trace_norm, drift, <X_1..X_K>), shape
-    (hi - lo, n_rec, 4 + K).
+def _integrate(batch, ham, rep, cfg, lo, record_stride, record):
+    """Evolve the rows of batch as trajectories lo, lo + 1, ..; trajectory
+    i draws its noise from the Philox stream (cfg.seed + i, stream 0).
+    record(k, batch) is called at record time k (0 is the initial batch)
+    and may return the moments it took, which the next step then reuses.
     """
-    n = hi - lo
-    d = rep.dim_hilbert
+    n, K = len(batch), rep.dim_algebra
     prop = None if ham.is_zero else ham.propagator(cfg.dt)
-    n_rec, _ = _record_grid(cfg.steps, record_stride, cfg.dt)
     amp = np.sqrt(2.0 * cfg.gamma * cfg.dt)
-    gens_rng = [stream_rng(cfg.seed + i, NOISE_STREAM) for i in range(lo, hi)]
-
-    batch = initials[lo:hi].copy()
-    if collect == "projector":
-        acc = np.zeros((n_rec, d, d), dtype=complex)
-    elif collect == "expectations":
-        acc = np.empty((n, n_rec, rep.dim_algebra))
-    else:
-        acc = np.empty((n, n_rec, 4 + rep.dim_algebra))
-
-    def record(k):
-        if collect == "projector":
-            acc[k] += np.einsum("na,nb->ab", batch, batch.conj())
-        elif collect == "expectations":
-            _, _, _, _, v = _observe_batch(batch, rep, cfg.gamma)
-            acc[:, k, :] = v
-        else:
-            delta, purity, tnorm, drift, v = _observe_batch(batch, rep, cfg.gamma)
-            acc[:, k, 0] = delta
-            acc[:, k, 1] = purity
-            acc[:, k, 2] = tnorm
-            acc[:, k, 3] = drift
-            acc[:, k, 4:] = v
-
-    record(0)
-    time_chunk = max(1, min(cfg.steps, (1 << 22) // max(1, n * rep.dim_algebra)))
+    rngs = [stream_rng(cfg.seed + lo + i, NOISE_STREAM) for i in range(n)]
+    mom = record(0, batch)
+    time_chunk = max(1, min(cfg.steps, (1 << 22) // max(1, n * K)))
     s = 0
     while s < cfg.steps:
         span = min(time_chunk, cfg.steps - s)
-        noise = np.empty((n, span, rep.dim_algebra))
-        for i, rng in enumerate(gens_rng):
-            noise[i] = rng.standard_normal((span, rep.dim_algebra))
+        noise = np.empty((span, n, K))  # one contiguous slab per step
+        for i, rng in enumerate(rngs):
+            noise[:, i] = rng.standard_normal((span, K))
         noise *= amp
         for u in range(span):
-            batch = _step_batch(batch, rep, cfg.gamma, cfg.dt, noise[:, u, :], prop)
-            if (s + u + 1) % record_stride == 0:
-                record((s + u + 1) // record_stride)
+            step = s + u + 1
+            try:
+                batch = _step_batch(batch, rep, cfg.gamma, cfg.dt, noise[u], prop, mom)
+            except _BlowUp as err:
+                i = lo + int(err.rows[0])
+                raise RuntimeError(
+                    f"{err} (step {step}, trajectory {i}, seed {cfg.seed + i})"
+                ) from None
+            mom = None
+            if step % record_stride == 0:
+                mom = record(step // record_stride, batch)
         s += span
-    return acc
 
 
 def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, collect):
+    """Integrate n_traj trajectories in blocks of block_size; collect is
+    "projector" (mean |psi><psi|), "observables" (per-trajectory
+    ``_observe_batch`` rows) or "expectations" (their last K columns)."""
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     initial = np.asarray(initial, dtype=complex)
@@ -459,28 +466,39 @@ def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, colle
             )
         initials = np.stack([_validate_state(row, rep.dim_hilbert) for row in initial])
     ham = _as_hamiltonian(h, rep)
-    blocks = _ensemble_blocks(n_traj, block_size)
-    n_threads = _thread_count()
+    n_rec, times = _record_grid(cfg.steps, record_stride, cfg.dt)
+    d = rep.dim_hilbert
+    width = rep.dim_algebra + (4 if collect == "observables" else 0)
 
-    if n_threads > 1 and len(blocks) > 1:
+    def run_block(lo):
+        batch = initials[lo : lo + block_size].copy()
+        if collect == "projector":
+            acc = np.zeros((n_rec, d, d), dtype=complex)
+
+            def record(k, batch):
+                acc[k] += np.einsum("na,nb->ab", batch, batch.conj())
+
+        else:
+            acc = np.empty((len(batch), n_rec, width))
+
+            def record(k, batch):
+                mom = _moments(batch, rep, cov=True)
+                acc[:, k] = _observe_batch(mom, rep, cfg.gamma)[:, -width:]
+                return mom
+
+        _integrate(batch, ham, rep, cfg, lo, record_stride, record)
+        return acc
+
+    starts = range(0, n_traj, block_size)
+    n_threads = _thread_count()
+    if n_threads > 1 and len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(
-                pool.map(
-                    lambda b: _run_block(
-                        initials, rep, ham, cfg, b[0], b[1], record_stride, collect
-                    ),
-                    blocks,
-                )
-            )
+            results = list(pool.map(run_block, starts))
     else:
-        results = [
-            _run_block(initials, rep, ham, cfg, lo, hi, record_stride, collect)
-            for lo, hi in blocks
-        ]
+        results = [run_block(lo) for lo in starts]
 
-    n_rec, times = _record_grid(cfg.steps, record_stride, cfg.dt)
     if collect == "projector":
         total = np.zeros_like(results[0])
         for r in results:  # fixed block order keeps the reduction deterministic

@@ -32,6 +32,7 @@ import numpy as np
 
 from .algebra import AlgebraRep
 from .cartan import CartanData
+from .dynamics import _moments, _validate_state
 
 __all__ = [
     "CartanSplit",
@@ -51,49 +52,35 @@ __all__ = [
 BOUNDS_CONSISTENCY_TOL = 1e-6
 
 
-def _as_state(psi):
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1:
-        raise ValueError(f"expected a state vector, got shape {psi.shape}")
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"state is not normalized: |psi| = {nrm:.12g}")
-    return psi
+def _state_moments(psi, rep, cov=False):
+    """Moments of one state through the batched kernel, as a batch of one."""
+    return _moments(_validate_state(psi, rep.dim_hilbert)[None, :], rep, cov)
 
 
 def expectation_vector(psi, rep: AlgebraRep) -> np.ndarray:
     """<X_k> for every generator, a real vector of length K."""
-    psi = _as_state(psi)
-    return np.real(np.einsum("a,kab,b->k", psi.conj(), rep.generators, psi))
+    return _state_moments(psi, rep).v[0]
 
 
 def generalized_purity(psi, rep: AlgebraRep) -> float:
     """Squared Euclidean length of the expectation vector."""
-    v = expectation_vector(psi, rep)
-    return float(v @ v)
+    return float(_state_moments(psi, rep).purity[0])
 
 
 def total_uncertainty(psi, rep: AlgebraRep) -> float:
     """sum_k <X_k^2> - sum_k <X_k>^2, the basis-invariant variance sum."""
-    psi = _as_state(psi)
-    second = float(np.real(np.einsum("a,ab,b->", psi.conj(), rep.casimir_matrix, psi)))
-    v = np.real(np.einsum("a,kab,b->k", psi.conj(), rep.generators, psi))
-    return second - float(v @ v)
+    mom = _state_moments(psi, rep)
+    return float(mom.second[0] - mom.purity[0])
 
 
 def covariance_matrix(psi, rep: AlgebraRep) -> np.ndarray:
     """Symmetrized covariance M_kl = <{X_k, X_l}> - 2 <X_k><X_l>."""
-    psi = _as_state(psi)
-    y = np.einsum("kab,b->ka", rep.generators, psi)
-    v = np.real(y @ psi.conj())
-    m = 2.0 * np.real(np.conj(y) @ y.T) - 2.0 * np.outer(v, v)
-    return m
+    return _state_moments(psi, rep, cov=True).cov[0]
 
 
 def covariance_trace_norm(psi, rep: AlgebraRep) -> float:
     """Squared Frobenius norm sum_kl M_kl^2 of the covariance matrix."""
-    m = covariance_matrix(psi, rep)
-    return float(np.sum(m * m))
+    return float(_state_moments(psi, rep, cov=True).tnorm[0])
 
 
 def localization_drift(psi, rep: AlgebraRep, gamma: float) -> float:
@@ -104,9 +91,7 @@ def localization_drift(psi, rep: AlgebraRep, gamma: float) -> float:
     """
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    p = generalized_purity(psi, rep)
-    t = covariance_trace_norm(psi, rep)
-    return 2.0 * gamma * (rep.adjoint_casimir * p - t)
+    return float(_state_moments(psi, rep, cov=True).drift(rep, gamma)[0])
 
 
 @dataclass(frozen=True)
@@ -224,7 +209,7 @@ def root_pair_closed_form(psi, cartan: CartanData) -> float:
     The caller is responsible for the gauge (see
     ``align_expectation_to_cartan``); without it the identity fails.
     """
-    psi = _as_state(psi)
+    psi = _validate_state(psi, cartan.weight_basis.shape[0])
     out = 0.0
     for E in cartan.raising_ops:
         e2 = complex(psi.conj() @ (E @ (E @ psi)))

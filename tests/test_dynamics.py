@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from gcsloc import dynamics
 from gcsloc.algebra import build_su2_irrep, build_sun_fundamental
 from gcsloc.cartan import cartan_decompose, highest_weight_state
 from gcsloc.dynamics import (
@@ -109,6 +110,15 @@ def test_simulate_rejects_unnormalized(spin1):
         simulate_trajectory(np.array([1.0, 1.0, 0.0]), None, spin1, cfg)
 
 
+def test_non_finite_state_rejected(spin1):
+    bad = np.array([np.nan, 0.0, 0.0], dtype=complex)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5, seed=0)
+    with pytest.raises(ValueError, match="not finite"):
+        simulate_trajectory(bad, None, spin1, cfg)
+    with pytest.raises(ValueError, match="not finite"):
+        snlse_step(bad, None, spin1, 0.1, 1e-3, np.zeros(3))
+
+
 def test_record_stride_must_divide(spin1):
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=0)
     with pytest.raises(ValueError, match="stride"):
@@ -152,6 +162,68 @@ def test_step_blow_up_detected(spin1):
     psi = haar_state(3, 25)
     with pytest.raises(RuntimeError, match="blow-up"):
         snlse_step(psi, None, spin1, 0.1, 1e-3, np.array([1e200, 1e200, 1e200]))
+
+
+def test_blow_up_names_step_trajectory_and_seed(spin1, monkeypatch):
+    # the noise of the trajectory seeded 72 is spiked at its fourth step
+    real_rng = dynamics.stream_rng
+
+    class Spiked:
+        def __init__(self, seed, stream):
+            self.seed, self.rng = seed, real_rng(seed, stream)
+
+        def standard_normal(self, shape):
+            z = self.rng.standard_normal(shape)
+            if self.seed == 72:
+                z[3] = 1e200
+            return z
+
+    monkeypatch.setattr(dynamics, "stream_rng", Spiked)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=72)
+    with pytest.raises(RuntimeError, match="step 4, trajectory 0, seed 72"):
+        simulate_trajectory(haar_state(3, 26), None, spin1, cfg)
+    # trajectory 3 is row 1 of the second block
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=69)
+    with pytest.raises(RuntimeError, match="step 4, trajectory 3, seed 72"):
+        ensemble_observables(haar_state(3, 26), None, spin1, cfg, n_traj=5, block_size=2)
+
+
+def brute_moments(psi, rep):
+    """Per-state reference: v_k = <X_k> and <X_k X_l + X_l X_k> - 2 v_k v_l
+    from explicit anticommutators, one state at a time."""
+    gens = rep.generators
+    anti = np.einsum("kab,lbc->klac", gens, gens)
+    anti = anti + anti.transpose(1, 0, 2, 3)
+    vs, ms = [], []
+    for row in psi:
+        v = np.array([np.vdot(row, x @ row).real for x in gens])
+        second = np.einsum("a,klab,b->kl", row.conj(), anti, row).real
+        vs.append(v)
+        ms.append(second - 2.0 * np.outer(v, v))
+    return np.array(vs), np.array(ms)
+
+
+@pytest.mark.parametrize("n", [1, 257])
+@pytest.mark.parametrize("builder,arg", [
+    (build_su2_irrep, 1),
+    (build_su2_irrep, 2),
+    (build_su2_irrep, 4),
+    (build_su2_irrep, 8),
+    (build_sun_fundamental, 3),
+    (build_sun_fundamental, 6),
+])
+def test_moment_kernel_matches_brute_force(builder, arg, n):
+    rep = builder(arg)
+    psi = haar_states(rep.dim_hilbert, n, seed=arg + n)
+    mom = dynamics._moments(psi, rep, cov=True)
+    v, m = brute_moments(psi, rep)
+    c = rep.casimir_eigenvalue
+    tol = 1e-12
+    assert np.max(np.abs(mom.v - v)) <= tol * c
+    assert np.max(np.abs(mom.purity - np.sum(v * v, axis=1))) <= tol * c**2
+    assert np.max(np.abs(mom.second - c)) <= tol * c
+    assert np.max(np.abs(mom.cov - m)) <= tol * c
+    assert np.max(np.abs(mom.tnorm - np.sum(m * m, axis=(1, 2)))) <= tol * c**2
 
 
 def test_coherent_state_one_step_deviation_scales_quadratically():
@@ -302,6 +374,40 @@ def test_ensemble_observables_match_single_runs(spin1):
         rec = simulate_trajectory(initials[i], None, spin1, cfg_i, record_stride=50)
         assert np.max(np.abs(rows[i, :, 0] - rec.uncertainty)) < 1e-12
         assert np.max(np.abs(rows[i, :, 4:] - rec.expectations)) < 1e-12
+
+
+def test_hamiltonian_trajectory_matches_ensemble_rows(spin1):
+    # with a propagator the step recomputes the moments a record took
+    h = Hamiltonian(spin1, [0.4, -0.2, 0.7])
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=50, seed=91)
+    initials = haar_states(3, 3, seed=801)
+    _, rows = ensemble_observables(initials, h, spin1, cfg, n_traj=3, record_stride=1)
+    for i in range(3):
+        cfg_i = NoiseConfig(gamma=0.1, dt=1e-3, steps=50, seed=91 + i)
+        rec = simulate_trajectory(initials[i], h, spin1, cfg_i, record_stride=1)
+        ref = np.column_stack(
+            [rec.uncertainty, rec.purity, rec.cov_trace_norm, rec.drift, rec.expectations]
+        )
+        assert np.max(np.abs(rows[i] - ref)) < 1e-12
+    # the single-step API never reuses moments: replay trajectory 0 through it
+    rec = simulate_trajectory(initials[0], h, spin1, cfg, record_stride=1, store_states=True)
+    noise = np.sqrt(2 * cfg.gamma * cfg.dt) * stream_rng(cfg.seed, 0).standard_normal((50, 3))
+    cur = initials[0]
+    for s in range(50):
+        cur = snlse_step(cur, h, spin1, cfg.gamma, cfg.dt, noise[s])
+    assert np.max(np.abs(rec.states[-1] - cur)) < 1e-12
+
+
+def test_ensemble_thread_count_invariance_su6(monkeypatch):
+    # three default-size blocks (256, 256, 88) through the GEMM kernel
+    rep = build_sun_fundamental(6)
+    psi = haar_state(6, 52)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=20, seed=62)
+    monkeypatch.setenv("GCSLOC_THREADS", "1")
+    _, ref = ensemble_average(psi, None, rep, cfg, n_traj=600, record_stride=5)
+    monkeypatch.setenv("GCSLOC_THREADS", "2")
+    _, par = ensemble_average(psi, None, rep, cfg, n_traj=600, record_stride=5)
+    assert np.array_equal(ref, par)
 
 
 def test_ensemble_initial_shape_errors(spin1):

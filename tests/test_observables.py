@@ -245,3 +245,12 @@ def test_rejects_unnormalized_state():
         total_uncertainty(bad, rep)
     with pytest.raises(ValueError, match="normal"):
         covariance_matrix(bad, rep)
+
+
+def test_rejects_non_finite_state():
+    rep = build_su2_irrep(2)
+    bad = np.array([np.nan, 0.0, 0.0], dtype=complex)
+    with pytest.raises(ValueError, match="not finite"):
+        covariance_trace_norm(bad, rep)
+    with pytest.raises(ValueError, match="not finite"):
+        expectation_vector(bad, rep)
