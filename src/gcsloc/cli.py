@@ -35,12 +35,14 @@ import numpy as np
 from .algebra import AlgebraRep, build_su2_irrep, build_sun_fundamental, rep_debug_dict
 from .cartan import cartan_debug_dict, cartan_decompose, highest_weight_state
 from .dynamics import (
+    DEFAULT_BLOCK,
     NoiseConfig,
+    _check_gamma,
     _moments,
+    _record_grid,
     ensemble_average,
     haar_state,
     lindblad_expm_evolve,
-    lindblad_evolve,
     scan_states,
     simulate_trajectory,
 )
@@ -235,14 +237,10 @@ def cmd_ensemble(args) -> int:
     psi0 = _initial_state(args, rep)
     bound = args.bound if args.bound is not None else 0.05
 
-    times, rho_mc = ensemble_average(psi0, ham, rep, cfg, args.traj, record_stride=stride)
-    rho0 = np.outer(psi0, psi0.conj())
-    if rep.dim_hilbert**2 <= 64:
-        rho_ref = lindblad_expm_evolve(rho0, ham, rep, cfg.gamma, times)
-    else:
-        _, rho_ref = lindblad_evolve(
-            rho0, ham, rep, cfg.gamma, cfg.dt, steps, record_stride=stride
-        )
+    # the reference first: past the superoperator budget it fails at once
+    _, times = _record_grid(steps, stride, cfg.dt)
+    rho_ref = lindblad_expm_evolve(np.outer(psi0, psi0.conj()), ham, rep, cfg.gamma, times)
+    _, rho_mc = ensemble_average(psi0, ham, rep, cfg, args.traj, record_stride=stride)
     dist = np.linalg.norm(
         (rho_mc - rho_ref).reshape(len(times), -1), axis=1
     )
@@ -276,16 +274,25 @@ def cmd_ensemble(args) -> int:
     return 0 if max_dist <= bound else 2
 
 
+def _scan_functionals(states, rep, gamma):
+    """T and the drift of each row of states, in blocks of bounded memory."""
+    out = np.empty((2, len(states)))
+    for lo in range(0, len(states), DEFAULT_BLOCK):
+        mom = _moments(states[lo : lo + DEFAULT_BLOCK], rep, cov=True)
+        out[:, lo : lo + DEFAULT_BLOCK] = mom.tnorm, mom.drift(rep, gamma)
+    return out
+
+
 def cmd_theorem_scan(args) -> int:
     rep = parse_algebra(args.algebra)
     _require(args, ["seed", "out"])
     gamma = args.gamma if args.gamma is not None else 0.1
+    _check_gamma(gamma)
     n = args.samples if args.samples is not None else 10000
     cartan = cartan_decompose(rep)
 
     states = scan_states(rep.dim_hilbert, n, args.seed)
-    mom = _moments(states, rep, cov=True)
-    tnorm, drift = mom.tnorm, mom.drift(rep, gamma)
+    tnorm, drift = _scan_functionals(states, rep, gamma)
     gcs_value = float(_moments(highest_weight_state(cartan)[None], rep, cov=True).tnorm[0])
 
     tmin_idx = int(np.argmin(tnorm))

@@ -24,8 +24,8 @@ Ensemble counterpart:
 
     drho/dt = -1j [H, rho] - gamma sum_k [X_k, [X_k, rho]],
 
-integrated with classic fixed-step RK4, plus an exact superoperator
-exponential for cross-checks at small dimension.
+solved exactly, with one superoperator exponential per distinct gap between
+record times; ``lindblad_step`` is one classic RK4 step of the same flow.
 
 Randomness is counter-based (Philox) with key = [seed, stream]; stream 0
 feeds trajectory noise, stream 1 initial-state sampling, stream 2 scan
@@ -146,14 +146,23 @@ class Hamiltonian:
         return self._propagators[key]
 
 
-def _as_hamiltonian(h, rep: AlgebraRep) -> Hamiltonian:
-    if h is None:
-        return Hamiltonian.zero(rep)
-    if isinstance(h, Hamiltonian):
-        if h.matrix.shape[0] != rep.dim_hilbert:
-            raise ValueError("Hamiltonian dimension does not match the representation")
-        return h
-    return Hamiltonian(rep, h)
+def _as_hamiltonian(h, rep: AlgebraRep) -> Hamiltonian | None:
+    """h as a Hamiltonian, or None when it has no H term (None or zero)."""
+    if h is not None and not isinstance(h, Hamiltonian):
+        h = Hamiltonian(rep, h)
+    elif h is not None and h.matrix.shape[0] != rep.dim_hilbert:
+        raise ValueError("Hamiltonian dimension does not match the representation")
+    return None if h is None or h.is_zero else h
+
+
+def _check_gamma(gamma):
+    if not np.isfinite(gamma) or gamma < 0:
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
+
+
+def _check_dt(dt):
+    if not np.isfinite(dt) or dt <= 0:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
 
 
 @dataclass(frozen=True)
@@ -171,10 +180,8 @@ class NoiseConfig:
     seed: int
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma) or self.gamma < 0:
-            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
-        if not np.isfinite(self.dt) or self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        _check_gamma(self.gamma)
+        _check_dt(self.dt)
         if int(self.steps) != self.steps or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps}")
         if int(self.seed) != self.seed:
@@ -340,8 +347,8 @@ def snlse_step(psi, h, rep: AlgebraRep, gamma: float, dt: float, increments):
     -------
     (d,) complex ndarray, normalized.
     """
-    if gamma < 0 or dt <= 0:
-        raise ValueError("gamma must be >= 0 and dt > 0")
+    _check_gamma(gamma)
+    _check_dt(dt)
     if gamma * dt > STABILITY_LIMIT * (1 + 1e-12):
         raise ValueError(
             f"gamma * dt = {gamma * dt:.3g} exceeds the stability guard {STABILITY_LIMIT}"
@@ -353,7 +360,7 @@ def snlse_step(psi, h, rep: AlgebraRep, gamma: float, dt: float, increments):
         raise ValueError(
             f"increments must have shape ({rep.dim_algebra},), got {increments.shape}"
         )
-    prop = None if ham.is_zero else ham.propagator(dt)
+    prop = None if ham is None else ham.propagator(dt)
     out = _step_batch(psi[None, :], rep, gamma, dt, increments[None, :], prop)
     return out[0]
 
@@ -421,7 +428,7 @@ def _integrate(batch, ham, rep, cfg, lo, record_stride, record):
     and may return the moments it took, which the next step then reuses.
     """
     n, K = len(batch), rep.dim_algebra
-    prop = None if ham.is_zero else ham.propagator(cfg.dt)
+    prop = None if ham is None else ham.propagator(cfg.dt)
     amp = np.sqrt(2.0 * cfg.gamma * cfg.dt)
     rngs = [stream_rng(cfg.seed + lo + i, NOISE_STREAM) for i in range(n)]
     mom = record(0, batch)
@@ -591,96 +598,97 @@ def validate_density(rho, dim=None, herm_tol=1e-10, trace_tol=1e-10, eig_floor=-
     return rho
 
 
-def _lindblad_rhs(rho, hmat, gens, cas, gamma, have_h):
-    out = -gamma * (
-        cas @ rho + rho @ cas - 2.0 * np.einsum("kab,bc,kdc->ad", gens, rho, gens.conj())
-    )
-    if have_h:
-        out = out - 1j * (hmat @ rho - rho @ hmat)
+def _checked_flow(out, rho, where):
+    """Symmetrize out, the flow of the density matrix rho, and check that
+    its trace moved by at most 1e-12 and its eigenvalues stay above -1e-6."""
+    out = 0.5 * (out + out.conj().T)
+    tr_drift = abs(complex(np.trace(out)) - complex(np.trace(rho)))
+    if tr_drift > 1e-12:
+        raise RuntimeError(f"trace drifted by {tr_drift:.3e} {where}")
+    low = float(np.min(np.linalg.eigvalsh(out)))
+    if low < -1e-6:
+        raise RuntimeError(f"density matrix negativity {low:.3e} {where}: positivity lost")
     return out
 
 
 def lindblad_step(rho, h, rep: AlgebraRep, gamma: float, dt: float):
-    """One RK4 step of the double-commutator master equation.
-
-    The output is symmetrized; trace preservation is checked to 1e-12 and
-    the most negative eigenvalue must stay above -1e-6, otherwise the step
-    is rejected as too large.
-    """
+    """One RK4 step of the double-commutator master equation, as four
+    products with ``lindblad_superoperator``.  The output is symmetrized and
+    the step rejected as too large if the trace moved by over 1e-12 or an
+    eigenvalue fell below -1e-6."""
+    _check_dt(dt)
     rho = np.asarray(rho, dtype=complex)
-    ham = _as_hamiltonian(h, rep)
-    gens = rep.generators
-    cas = rep.casimir_matrix
-    have_h = not ham.is_zero
-    hmat = ham.matrix
-
-    k1 = _lindblad_rhs(rho, hmat, gens, cas, gamma, have_h)
-    k2 = _lindblad_rhs(rho + 0.5 * dt * k1, hmat, gens, cas, gamma, have_h)
-    k3 = _lindblad_rhs(rho + 0.5 * dt * k2, hmat, gens, cas, gamma, have_h)
-    k4 = _lindblad_rhs(rho + dt * k3, hmat, gens, cas, gamma, have_h)
-    out = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    out = 0.5 * (out + out.conj().T)
-
-    tr_drift = abs(complex(np.trace(out)) - complex(np.trace(rho)))
-    if tr_drift > 1e-12:
-        raise RuntimeError(f"trace drifted by {tr_drift:.3e} in one step")
-    low = float(np.min(np.linalg.eigvalsh(out)))
-    if low < -1e-6:
-        raise RuntimeError(
-            f"density matrix negativity {low:.3e}: step too large for positivity"
-        )
-    return out
+    sup = lindblad_superoperator(h, rep, gamma)
+    vec = rho.reshape(-1)
+    k1 = sup @ vec
+    k2 = sup @ (vec + 0.5 * dt * k1)
+    k3 = sup @ (vec + 0.5 * dt * k2)
+    k4 = sup @ (vec + dt * k3)
+    out = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _checked_flow(out.reshape(rho.shape), rho, "in one step")
 
 
 def lindblad_evolve(
     rho0, h, rep: AlgebraRep, gamma: float, dt: float, steps: int, record_stride: int = 1
 ):
-    """RK4 evolution of the master equation on a uniform record grid.
+    """Exact master-equation flow sampled on the uniform record grid
+    k * record_stride * dt, k = 0..steps // record_stride.
 
     Returns (times, rhos) with rhos of shape (n_rec, d, d), row 0 the
-    initial matrix.
+    initial matrix; iterating ``lindblad_step`` gives the same up to RK4's
+    truncation error.
     """
-    rho = validate_density(rho0, rep.dim_hilbert)
-    n_rec, times = _record_grid(steps, record_stride, dt)
-    out = np.empty((n_rec, rep.dim_hilbert, rep.dim_hilbert), dtype=complex)
-    out[0] = rho
-    for s in range(steps):
-        rho = lindblad_step(rho, h, rep, gamma, dt)
-        if (s + 1) % record_stride == 0:
-            out[(s + 1) // record_stride] = rho
-    return times, out
+    _, times = _record_grid(steps, record_stride, dt)
+    return times, lindblad_expm_evolve(rho0, h, rep, gamma, times)
 
 
 def lindblad_superoperator(h, rep: AlgebraRep, gamma: float) -> np.ndarray:
     """Dense (d^2, d^2) generator of the master equation flow.
 
-    Uses the row-major vectorization vec(rho)[i*d + j] = rho[i, j], under
-    which A rho B maps to (A kron B^T) vec(rho).
+    L rho = 2 gamma sum_k X_k rho X_k - (A rho + rho A^dagger), A = gamma C
+    + 1j H, in the row-major vectorization vec(rho)[i*d + j] = rho[i, j],
+    under which A rho B maps to (A kron B^T) vec(rho).  Its d^4 complex
+    entries must fit in 64 MiB, so d <= 45.
     """
+    _check_gamma(gamma)
     d = rep.dim_hilbert
-    if d * d > 64:
-        raise ValueError(
-            f"superoperator construction is limited to d^2 <= 64, got d = {d}"
-        )
+    if 16 * d**4 > 64 << 20:
+        raise ValueError(f"superoperator of d^2 = {d * d} is over its 64 MiB budget")
     ham = _as_hamiltonian(h, rep)
+    a = gamma * rep.casimir_matrix
+    if ham is not None:
+        a = a + 1j * ham.matrix
+    gens = rep.generators
+    sup = np.tensordot(gens, gens, axes=(0, 0)).transpose(0, 3, 1, 2).reshape(d * d, d * d)
+    sup *= 2.0 * gamma
     eye = np.eye(d)
-    sup = np.zeros((d * d, d * d), dtype=complex)
-    if not ham.is_zero:
-        sup -= 1j * (np.kron(ham.matrix, eye) - np.kron(eye, ham.matrix.T))
-    cas = rep.casimir_matrix
-    sup -= gamma * (np.kron(cas, eye) + np.kron(eye, cas.T))
-    for x in rep.generators:
-        sup += 2.0 * gamma * np.kron(x, x.T)
+    sup -= np.kron(a, eye) + np.kron(eye, a.conj())
     return sup
 
 
 def lindblad_expm_evolve(rho0, h, rep: AlgebraRep, gamma: float, times):
-    """Exact master-equation flow rho(t) = expm(L t) rho0 at the given times."""
-    rho0 = validate_density(rho0, rep.dim_hilbert)
-    d = rep.dim_hilbert
-    sup = lindblad_superoperator(h, rep, gamma)
+    """Exact master-equation flow rho(t) = expm(L t) rho0 at the given
+    finite nonnegative times, returned in their given order.
+
+    In time order, each record is the one before times expm(L gap), with
+    one expm per distinct gap (gaps equal to 1e-12 of the record time are
+    one: a uniform grid costs one expm), checked by ``_checked_flow``.
+    """
+    rho = validate_density(rho0, rep.dim_hilbert)
     times = np.asarray(times, dtype=float)
-    out = np.empty((len(times), d, d), dtype=complex)
-    for i, t in enumerate(times):
-        out[i] = (scipy.linalg.expm(sup * t) @ rho0.reshape(-1)).reshape(d, d)
+    if times.ndim != 1 or not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError("record times must be a 1d array of finite nonnegative values")
+    sup = lindblad_superoperator(h, rep, gamma)
+    props, now = {}, 0.0
+    out = np.empty((len(times),) + rho.shape, dtype=complex)
+    for i in np.argsort(times, kind="stable"):
+        gap, tol = times[i] - now, 1e-12 * times[i]
+        if gap > tol:
+            key = next((g for g in props if abs(g - gap) <= tol), gap)
+            if key not in props:
+                props[key] = scipy.linalg.expm(sup * key)
+            nxt = (props[key] @ rho.reshape(-1)).reshape(rho.shape)
+            rho = _checked_flow(nxt, rho, "between records")
+            now += key
+        out[i] = rho
     return out

@@ -32,7 +32,7 @@ import numpy as np
 
 from .algebra import AlgebraRep
 from .cartan import CartanData
-from .dynamics import _moments, _validate_state
+from .dynamics import _check_gamma, _moments, _validate_state
 
 __all__ = [
     "CartanSplit",
@@ -89,8 +89,7 @@ def localization_drift(psi, rep: AlgebraRep, gamma: float) -> float:
     Nonpositive for every pure state; zero exactly on the coherent-state
     orbit.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    _check_gamma(gamma)
     return float(_state_moments(psi, rep, cov=True).drift(rep, gamma)[0])
 
 

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from gcsloc.cli import main, parse_algebra
+from gcsloc.cli import _scan_functionals, main, parse_algebra
+from gcsloc.dynamics import _moments, scan_states
 
 
 def read_csv(path):
@@ -206,6 +207,16 @@ def test_ensemble_single_unitary_trajectory_is_exact(tmp_path):
     assert summary["max_distance"] < 1e-10
 
 
+def test_ensemble_past_superoperator_budget_exits_1(tmp_path, capsys):
+    rc = main([
+        "ensemble", "--algebra", "su2:two_j=64", "--gamma", "0.1", "--dt", "1e-3",
+        "--time", "0.01", "--seed", "3", "--traj", "4", "--out", str(tmp_path / "big"),
+    ])
+    assert rc == 1
+    assert "d^2" in capsys.readouterr().err
+    assert not (tmp_path / "big.csv").exists()
+
+
 # ------------------------------------------------------------- theorem-scan
 
 
@@ -236,6 +247,26 @@ def test_theorem_scan_su3(tmp_path):
     report = json.loads(out.read_text())
     assert report["cov_trace_norm_at_extremal"] == pytest.approx(1.0, abs=1e-10)
     assert report["cov_trace_norm_min"] >= 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("gamma", ["nan", "-0.1"])
+def test_theorem_scan_bad_gamma_exits_1(tmp_path, gamma):
+    rc = main([
+        "theorem-scan", "--algebra", "su2:two_j=2", "--samples", "10", "--seed", "1",
+        "--gamma", gamma, "--out", str(tmp_path / "scan.json"),
+    ])
+    assert rc == 1
+
+
+def test_theorem_scan_blocks_agree_with_one_batch():
+    rep = parse_algebra("suN:n=6")
+    states = scan_states(rep.dim_hilbert, 600, 29)
+    tnorm, drift = _scan_functionals(states, rep, 0.1)
+    mom = _moments(states, rep, cov=True)
+    assert np.max(np.abs(tnorm - mom.tnorm)) <= 1e-12
+    assert np.max(np.abs(drift - mom.drift(rep, 0.1))) <= 1e-12
+    assert np.argmin(tnorm) == np.argmin(mom.tnorm)
+    assert np.argmax(drift) == np.argmax(mom.drift(rep, 0.1))
 
 
 # ----------------------------------------------------------------- config

@@ -150,6 +150,20 @@ def test_step_output_normalized(spin1):
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_step_none_hamiltonian_equals_zero_hamiltonian(spin1):
+    psi = haar_state(3, 25)
+    inc = np.sqrt(2 * 0.1 * 1e-3) * np.random.default_rng(6).standard_normal(3)
+    a = snlse_step(psi, None, spin1, 0.1, 1e-3, inc)
+    b = snlse_step(psi, Hamiltonian.zero(spin1), spin1, 0.1, 1e-3, inc)
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("gamma, dt", [(np.nan, 1e-3), (0.1, np.nan), (np.inf, 1e-3), (0.1, -np.inf)])
+def test_step_rejects_non_finite_gamma_or_dt(spin1, gamma, dt):
+    with pytest.raises(ValueError, match="finite"):
+        snlse_step(haar_state(3, 26), None, spin1, gamma, dt, np.zeros(3))
+
+
 def test_step_guard_and_shape_errors(spin1):
     psi = haar_state(3, 24)
     with pytest.raises(ValueError, match="stability"):
@@ -466,6 +480,73 @@ def test_lindblad_fixed_point_is_maximally_mixed(spin1):
     assert np.max(np.abs(rhos[-1] - np.eye(3) / 3.0)) < 1e-3
 
 
+@pytest.mark.parametrize("gamma, dt", [(np.nan, 1e-3), (0.1, np.nan), (-np.inf, 1e-3), (0.1, np.inf)])
+def test_lindblad_step_rejects_non_finite_gamma_or_dt(spin1, gamma, dt):
+    with pytest.raises(ValueError, match="finite"):
+        lindblad_step(projector(haar_state(3, 75)), None, spin1, gamma, dt)
+
+
+def test_lindblad_flow_rejects_non_finite_input(spin1):
+    rho0 = projector(haar_state(3, 76))
+    with pytest.raises(ValueError, match="finite"):
+        lindblad_expm_evolve(rho0, None, spin1, np.nan, [0.0, 0.1])
+    for times in ([0.0, np.nan], [0.0, np.inf], [0.1, -0.1]):
+        with pytest.raises(ValueError, match="finite nonnegative"):
+            lindblad_expm_evolve(rho0, None, spin1, 0.1, times)
+    with pytest.raises(ValueError, match="finite"):
+        lindblad_evolve(rho0, None, spin1, 0.1, np.nan, 10)
+
+
+def _rk4_records(rho, h, rep, gamma, dt, steps, stride):
+    out = [rho]
+    for s in range(steps):
+        rho = lindblad_step(rho, h, rep, gamma, dt)
+        if (s + 1) % stride == 0:
+            out.append(rho)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("two_j, coeffs", [(8, None), (2, [0.4, -0.3, 0.7])])
+def test_exact_flow_matches_iterated_rk4(two_j, coeffs):
+    # su2:two_j=8 has d^2 = 81, past the superoperator's former d^2 <= 64 cap
+    rep = build_su2_irrep(two_j)
+    rho0 = projector(haar_state(rep.dim_hilbert, 77))
+    _, rhos = lindblad_evolve(rho0, coeffs, rep, 0.1, 1e-3, 1000, record_stride=250)
+    ref = _rk4_records(rho0, coeffs, rep, 0.1, 1e-3, 1000, 250)
+    assert np.max(np.abs(rhos - ref)) < 1e-10
+
+
+def test_exact_flow_on_non_uniform_times(spin1):
+    h = Hamiltonian(spin1, [0.2, -0.5, 0.3])
+    rho0 = projector(haar_state(3, 78))
+    times = np.array([0.7, 0.0, 0.05, 1.3, 0.05, 0.31])
+    out = lindblad_expm_evolve(rho0, h, spin1, 0.3, times)
+    sup = lindblad_superoperator(h, spin1, 0.3)
+    for t, rho in zip(times, out):
+        ref = (scipy.linalg.expm(sup * t) @ rho0.reshape(-1)).reshape(3, 3)
+        assert np.max(np.abs(rho - ref)) < 1e-12
+
+
+def test_exact_flow_one_expm_per_distinct_gap(spin1, monkeypatch):
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counted(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    rho0 = projector(haar_state(3, 79))
+    lindblad_evolve(rho0, None, spin1, 0.1, 1e-3, 5000, record_stride=10)
+    assert len(calls) == 1
+    calls.clear()
+    lindblad_expm_evolve(rho0, None, spin1, 0.1, np.arange(1, 401) * 0.0123)
+    assert len(calls) == 1
+    calls.clear()
+    lindblad_expm_evolve(rho0, None, spin1, 0.1, [0.1, 0.2, 0.5, 0.8])
+    assert len(calls) == 2  # gaps 0.1 and 0.3
+
+
 def test_superoperator_matches_rhs(spin1):
     rng = np.random.default_rng(16)
     h = Hamiltonian(spin1, rng.uniform(-1, 1, 3))
@@ -481,7 +562,7 @@ def test_superoperator_matches_rhs(spin1):
 
 
 def test_superoperator_dimension_guard():
-    rep = build_su2_irrep(16)  # d = 17, d^2 = 289 > 64
+    rep = build_su2_irrep(64)  # d = 65: 16 d^4 bytes are past the 64 MiB budget
     with pytest.raises(ValueError, match="d\\^2"):
         lindblad_superoperator(None, rep, 0.1)
 

@@ -138,6 +138,11 @@ def test_drift_negative_gamma_rejected():
         localization_drift(psi, rep, gamma=-0.1)
 
 
+def test_drift_non_finite_gamma_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        localization_drift(haar_state(3, 0), build_su2_irrep(2), gamma=float("nan"))
+
+
 @pytest.mark.parametrize("builder,arg,expected", [
     (build_su2_irrep, 2, (1.0, 2.0)),
     (build_su2_irrep, 3, (1.5, 3.75)),
