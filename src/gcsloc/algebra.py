@@ -39,6 +39,7 @@ __all__ = [
     "killing_normalized",
     "rescaled",
     "rep_debug_dict",
+    "unitary_exp",
 ]
 
 # Construction-time tolerances.  Hermiticity and gram uniformity are
@@ -109,6 +110,18 @@ class AlgebraRep:
         )
 
 
+def unitary_exp(h, t=1.0):
+    """exp(1j * t * h) for a Hermitian matrix h, exact up to rounding.
+
+    Computed from one eigendecomposition h = V diag(w) V^dagger as
+    (V * exp(1j t w)) @ V^dagger, so the result is unitary.  t may be an
+    array of times; the result then stacks one (d, d) matrix per entry.
+    """
+    w, v = np.linalg.eigh(h)
+    phase = np.exp(1j * np.asarray(t, dtype=float)[..., None, None] * w)
+    return (v * phase) @ v.conj().T
+
+
 def _check_hermitian(gens):
     resid = _max_abs(gens - np.conj(np.swapaxes(gens, -1, -2)))
     if resid > HERMITICITY_TOL:
@@ -168,9 +181,13 @@ def compute_structure_constants(generators, normalization=None):
     if normalization is None:
         normalization = _uniform_norm(_gram_matrix(gens))
 
-    prod = np.einsum("iab,jbc->ijac", gens, gens)
+    K, d = gens.shape[0], gens.shape[1]
+    prod = np.matmul(gens[:, None], gens[None, :])
     comm = prod - prod.transpose(1, 0, 2, 3)
-    f_complex = np.einsum("ijab,kba->ijk", comm, gens) * (-1j / normalization)
+    # f_ijk = -1j tr([X_i, X_j] X_k) / lam, one (K^2, d^2) @ (d^2, K) product
+    gens_t = gens.transpose(0, 2, 1).reshape(K, d * d)
+    f_complex = (comm.reshape(K * K, d * d) @ gens_t.T).reshape(K, K, K)
+    f_complex *= -1j / normalization
 
     imag_resid = _max_abs(f_complex.imag)
     scale = max(_max_abs(f_complex), 1.0)
@@ -182,7 +199,7 @@ def compute_structure_constants(generators, normalization=None):
 
     # Closure: the commutators must be reproduced by the extracted constants,
     # otherwise the generator span is not a closed algebra.
-    recon = 1j * np.einsum("ijk,kab->ijab", f, gens)
+    recon = 1j * np.tensordot(f, gens, axes=(2, 0))
     closure_resid = _max_abs(comm - recon)
     comm_scale = max(_max_abs(comm), 1.0)
     if closure_resid > CLOSURE_TOL * comm_scale:

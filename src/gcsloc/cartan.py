@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .algebra import AlgebraRep, _max_abs
+from .algebra import AlgebraRep, _max_abs, unitary_exp
 from .dynamics import _moments
 
 __all__ = [
@@ -429,7 +428,7 @@ def generate_gcs(rep: AlgebraRep, cartan: CartanData, params) -> np.ndarray:
         raise ValueError(
             f"params must have shape ({rep.dim_algebra},), got {params.shape}"
         )
-    u = scipy.linalg.expm(1j * np.tensordot(params, rep.generators, axes=(0, 0)))
+    u = unitary_exp(np.tensordot(params, rep.generators, axes=(0, 0)))
     psi = u @ highest_weight_state(cartan)
     return psi / np.linalg.norm(psi)
 
@@ -560,11 +559,10 @@ def _align_axis_angle(psi, v, rep, cartan):
     # 3d Levi-Civita symbol times their uniform scale).
     scale = rep.structure_constants[0, 1, 2]
     gen = np.tensordot(axis, rep.generators, axes=(0, 0))
-    u = scipy.linalg.expm(-1j * (theta / scale) * gen)
+    u = unitary_exp(gen, -theta / scale)
     out = u @ psi
     if _root_component_norm(_expectations(out, rep), cartan) > 1e-9:
-        u = scipy.linalg.expm(1j * (theta / scale) * gen)
-        out = u @ psi
+        out = u.conj().T @ psi
     return out / np.linalg.norm(out)
 
 
@@ -612,7 +610,7 @@ def _align_newton(psi, v, rep, cartan, tol, max_iter=200):
         step = 1.0
         for _ in range(30):
             b = np.tensordot(step * theta, adapted, axes=(0, 0))
-            cand = scipy.linalg.expm(1j * b) @ out
+            cand = unitary_exp(b) @ out
             cand /= np.linalg.norm(cand)
             v_cand = _expectations(cand, rep)
             resid_cand = _root_component_norm(v_cand, cartan)

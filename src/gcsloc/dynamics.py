@@ -24,8 +24,9 @@ Ensemble counterpart:
 
     drho/dt = -1j [H, rho] - gamma sum_k [X_k, [X_k, rho]],
 
-solved exactly, with one superoperator exponential per distinct gap between
-record times; ``lindblad_step`` is one classic RK4 step of the same flow.
+solved exactly at every record time from one eigendecomposition of the
+Hermitian dissipator and one of H; ``lindblad_step`` is one classic RK4
+step of the same flow.
 
 Randomness is counter-based (Philox) with key = [seed, stream]; stream 0
 feeds trajectory noise, stream 1 initial-state sampling, stream 2 scan
@@ -40,9 +41,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
-from .algebra import AlgebraRep
+from .algebra import AlgebraRep, unitary_exp
 
 __all__ = [
     "Hamiltonian",
@@ -142,7 +142,7 @@ class Hamiltonian:
         """exp(-1j H dt), cached per time step."""
         key = float(dt)
         if key not in self._propagators:
-            self._propagators[key] = scipy.linalg.expm(-1j * key * self.matrix)
+            self._propagators[key] = unitary_exp(self.matrix, -key)
         return self._propagators[key]
 
 
@@ -670,25 +670,28 @@ def lindblad_expm_evolve(rho0, h, rep: AlgebraRep, gamma: float, times):
     """Exact master-equation flow rho(t) = expm(L t) rho0 at the given
     finite nonnegative times, returned in their given order.
 
-    In time order, each record is the one before times expm(L gap), with
-    one expm per distinct gap (gaps equal to 1e-12 of the record time are
-    one: a uniform grid costs one expm), checked by ``_checked_flow``.
+    The dissipator D = -gamma sum_k [X_k, [X_k, .]] is a Hermitian
+    superoperator, so one ``eigh`` D = V diag(lam) V^dagger gives
+    expm(D t) rho0 = V (exp(lam t) * V^dagger vec(rho0)) at every time.
+    Because the generators are trace-orthonormal (``AlgebraRep``), sum_k
+    X_k (x) X_k is invariant under the adjoint action of the group, so D
+    commutes with conjugation by U(t) = exp(-1j H t) for any H in the
+    generator span (``Hamiltonian``), and rho(t) = U(t) expm(D t)(rho0)
+    U(t)^dagger exactly, with U from one ``eigh`` of H.  In time order,
+    each record is checked against the one before by ``_checked_flow``.
     """
     rho = validate_density(rho0, rep.dim_hilbert)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not np.all(np.isfinite(times) & (times >= 0)):
         raise ValueError("record times must be a 1d array of finite nonnegative values")
-    sup = lindblad_superoperator(h, rep, gamma)
-    props, now = {}, 0.0
-    out = np.empty((len(times),) + rho.shape, dtype=complex)
+    lam, vecs = np.linalg.eigh(lindblad_superoperator(None, rep, gamma))
+    coef = vecs.conj().T @ rho.reshape(-1)
+    flows = (vecs @ (np.exp(np.multiply.outer(lam, times)) * coef[:, None])).T
+    flows = flows.reshape((len(times),) + rho.shape)
+    ham = _as_hamiltonian(h, rep)
+    if ham is not None:
+        u = unitary_exp(ham.matrix, -times)
+        flows = u @ flows @ u.conj().transpose(0, 2, 1)
     for i in np.argsort(times, kind="stable"):
-        gap, tol = times[i] - now, 1e-12 * times[i]
-        if gap > tol:
-            key = next((g for g in props if abs(g - gap) <= tol), gap)
-            if key not in props:
-                props[key] = scipy.linalg.expm(sup * key)
-            nxt = (props[key] @ rho.reshape(-1)).reshape(rho.shape)
-            rho = _checked_flow(nxt, rho, "between records")
-            now += key
-        out[i] = rho
-    return out
+        rho = flows[i] = _checked_flow(flows[i], rho, "between records")
+    return flows

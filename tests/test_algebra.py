@@ -11,6 +11,7 @@ from gcsloc.algebra import (
     killing_normalized,
     rep_debug_dict,
     rescaled,
+    unitary_exp,
 )
 
 PAULI = {
@@ -108,6 +109,35 @@ def test_structure_constants_total_antisymmetry():
     assert np.max(np.abs(f + f.transpose(1, 0, 2))) < 1e-12
     assert np.max(np.abs(f + f.transpose(0, 2, 1))) < 1e-12
     assert np.max(np.abs(f - f.transpose(1, 2, 0))) < 1e-12
+
+
+@pytest.mark.parametrize("rep", [build_su2_irrep(3), build_sun_fundamental(4)],
+                         ids=["su2-3", "su4"])
+def test_structure_constants_match_trace_loop(rep):
+    gens = rep.generators
+    K = rep.dim_algebra
+    ref = np.empty((K, K, K))
+    for i in range(K):
+        for j in range(K):
+            comm = gens[i] @ gens[j] - gens[j] @ gens[i]
+            for k in range(K):
+                ref[i, j, k] = np.real(-1j * np.trace(comm @ gens[k])) / rep.normalization
+    assert np.max(np.abs(rep.structure_constants - ref)) < 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 5, 9])
+def test_unitary_exp_matches_scipy(d):
+    rng = np.random.default_rng(d)
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = 0.5 * (z + z.conj().T)
+    times = np.array([0.0, -0.3, 1.7])
+    stack = unitary_exp(h, times)
+    assert stack.shape == (3, d, d)
+    for t, u in zip(times, stack):
+        assert np.max(np.abs(u - scipy.linalg.expm(1j * t * h))) < 1e-13
+        assert np.max(np.abs(u @ u.conj().T - np.eye(d))) < 1e-13
+        assert np.max(np.abs(unitary_exp(h, t) - u)) < 1e-14
+    assert np.max(np.abs(unitary_exp(h) - scipy.linalg.expm(1j * h))) < 1e-13
 
 
 def test_casimir_matrix_is_scalar():

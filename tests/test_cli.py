@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,3 +340,31 @@ def test_installed_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(out.read_text())
     assert payload["delta_min"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_runtime_does_not_import_scipy(tmp_path):
+    # pytest itself has scipy loaded, so the check runs in a fresh interpreter
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = str(tmp_path / "o")
+    script = f"""
+import sys
+import gcsloc, gcsloc.cli
+runs = [
+    ["bounds", "--algebra", "suN:n=3"],
+    ["theorem-scan", "--algebra", "su2:two_j=4", "--samples", "50", "--seed", "1"],
+    ["simulate", "--algebra", "su2:two_j=2", "--gamma", "0.1", "--dt", "1e-3",
+     "--time", "0.01", "--seed", "2", "--ham", "0.3,-0.2,0.5"],
+    ["ensemble", "--algebra", "suN:n=3", "--gamma", "0.1", "--dt", "1e-3",
+     "--time", "0.01", "--seed", "3", "--traj", "20", "--stride", "10",
+     "--ham", "0.1,0,0,0,0,0,0,0.2"],
+]
+for argv in runs:
+    assert gcsloc.cli.main(argv + ["--out", {out!r}]) == 0, argv
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -441,8 +441,9 @@ def test_lindblad_rk4_matches_expm_oracle(spin1):
     rho0 = projector(haar_state(3, 70))
     gamma, dt, steps = 0.2, 1e-3, 100
     times, rhos = lindblad_evolve(rho0, h, spin1, gamma, dt, steps, record_stride=25)
-    ref = lindblad_expm_evolve(rho0, h, spin1, gamma, times)
-    assert np.max(np.abs(rhos - ref)) < 1e-10
+    sup = lindblad_superoperator(h, spin1, gamma)
+    ref = [(scipy.linalg.expm(sup * t) @ rho0.reshape(-1)).reshape(3, 3) for t in times]
+    assert np.max(np.abs(rhos - np.array(ref))) < 1e-10
 
 
 def test_lindblad_preserves_density_structure(spin1):
@@ -527,24 +528,56 @@ def test_exact_flow_on_non_uniform_times(spin1):
         assert np.max(np.abs(rho - ref)) < 1e-12
 
 
-def test_exact_flow_one_expm_per_distinct_gap(spin1, monkeypatch):
+def test_exact_flow_one_eigh_per_call(spin1, monkeypatch):
     calls = []
-    expm = scipy.linalg.expm
+    eigh = np.linalg.eigh
 
     def counted(a):
         calls.append(a.shape)
-        return expm(a)
+        return eigh(a)
 
-    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     rho0 = projector(haar_state(3, 79))
+    h = Hamiltonian(spin1, [0.2, -0.5, 0.3])
     lindblad_evolve(rho0, None, spin1, 0.1, 1e-3, 5000, record_stride=10)
-    assert len(calls) == 1
-    calls.clear()
-    lindblad_expm_evolve(rho0, None, spin1, 0.1, np.arange(1, 401) * 0.0123)
-    assert len(calls) == 1
-    calls.clear()
-    lindblad_expm_evolve(rho0, None, spin1, 0.1, [0.1, 0.2, 0.5, 0.8])
-    assert len(calls) == 2  # gaps 0.1 and 0.3
+    assert calls == [(9, 9)]
+    for times in ([0.1, 0.2, 0.5, 0.8], np.arange(1, 401) * 0.0123):
+        calls.clear()
+        lindblad_expm_evolve(rho0, None, spin1, 0.1, times)
+        assert calls == [(9, 9)]
+        calls.clear()
+        lindblad_expm_evolve(rho0, h, spin1, 0.1, times)
+        assert sorted(calls) == [(3, 3), (9, 9)]
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [build_su2_irrep(1), build_su2_irrep(4), build_su2_irrep(8),
+     build_sun_fundamental(3), build_sun_fundamental(6)],
+    ids=["su2-1", "su2-4", "su2-8", "su3", "su6"],
+)
+def test_spectral_flow_matches_scipy_expm(rep):
+    rng = np.random.default_rng(80)
+    h = Hamiltonian(rep, rng.uniform(-1, 1, rep.dim_algebra))
+    d = rep.dim_hilbert
+    rho0 = projector(haar_state(d, 81))
+    times = np.array([0.4, 3.0, 0.0, 1.1, 0.4, 0.02])
+    out = lindblad_expm_evolve(rho0, h, rep, 0.2, times)
+    sup = lindblad_superoperator(h, rep, 0.2)
+    for t, rho in zip(times, out):
+        ref = (scipy.linalg.expm(sup * t) @ rho0.reshape(-1)).reshape(d, d)
+        assert np.max(np.abs(rho - ref)) < 1e-12
+
+
+def test_flow_without_measurement_is_unitary_conjugation():
+    rep = build_su2_irrep(4)
+    h = Hamiltonian(rep, [0.3, -0.8, 0.5])
+    rho0 = projector(haar_state(5, 82))
+    times = np.array([2.5, 0.0, 0.7])
+    out = lindblad_expm_evolve(rho0, h, rep, 0.0, times)
+    for t, rho in zip(times, out):
+        u = scipy.linalg.expm(-1j * t * h.matrix)
+        assert np.max(np.abs(rho - u @ rho0 @ u.conj().T)) < 1e-13
 
 
 def test_superoperator_matches_rhs(spin1):
