@@ -35,10 +35,9 @@ import numpy as np
 from .algebra import AlgebraRep, build_su2_irrep, build_sun_fundamental, rep_debug_dict
 from .cartan import cartan_debug_dict, cartan_decompose, highest_weight_state
 from .dynamics import (
-    DEFAULT_BLOCK,
     NoiseConfig,
     _check_gamma,
-    _moments,
+    _observe_batch,
     _record_grid,
     ensemble_average,
     haar_state,
@@ -62,10 +61,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % float(x)
 
 
 def parse_algebra(spec: str) -> AlgebraRep:
@@ -191,6 +186,19 @@ def _write_json(path, payload):
             fh.close()
 
 
+def _write_csv(path, cols, table):
+    """A header of column names, then one FLOAT_FMT line per row of table."""
+    fmt = ",".join([FLOAT_FMT] * len(cols)) + "\n"
+    fh, close = _open_out(path)
+    try:
+        fh.write(",".join(cols) + "\n")
+        for row in table.tolist():
+            fh.write(fmt % tuple(row))
+    finally:
+        if close:
+            fh.close()
+
+
 def _serialize_state(psi):
     return [[float(z.real), float(z.imag)] for z in np.asarray(psi, dtype=complex)]
 
@@ -206,24 +214,13 @@ def cmd_simulate(args) -> int:
     psi0 = _initial_state(args, rep, cartan)
     rec = simulate_trajectory(psi0, ham, rep, cfg, record_stride=stride)
 
-    fh, close = _open_out(args.out)
-    try:
-        cols = ["t", "uncertainty", "purity", "cov_trace_norm", "drift"] + [
-            f"x{k + 1}" for k in range(rep.dim_algebra)
-        ]
-        fh.write(",".join(cols) + "\n")
-        for i in range(len(rec.times)):
-            row = [
-                rec.times[i],
-                rec.uncertainty[i],
-                rec.purity[i],
-                rec.cov_trace_norm[i],
-                rec.drift[i],
-            ] + list(rec.expectations[i])
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
-    finally:
-        if close:
-            fh.close()
+    cols = ["t", "uncertainty", "purity", "cov_trace_norm", "drift"] + [
+        f"x{k + 1}" for k in range(rep.dim_algebra)
+    ]
+    table = np.column_stack(
+        [rec.times, rec.uncertainty, rec.purity, rec.cov_trace_norm, rec.drift, rec.expectations]
+    )
+    _write_csv(args.out, cols, table)
     return 0
 
 
@@ -246,14 +243,7 @@ def cmd_ensemble(args) -> int:
     )
 
     csv_path = args.out + ".csv" if args.out != "-" else "-"
-    fh, close = _open_out(csv_path)
-    try:
-        fh.write("t,frobenius_distance\n")
-        for t, x in zip(times, dist):
-            fh.write(f"{_fmt(t)},{_fmt(x)}\n")
-    finally:
-        if close:
-            fh.close()
+    _write_csv(csv_path, ["t", "frobenius_distance"], np.column_stack([times, dist]))
 
     max_dist = float(np.max(dist))
     summary = {
@@ -274,15 +264,6 @@ def cmd_ensemble(args) -> int:
     return 0 if max_dist <= bound else 2
 
 
-def _scan_functionals(states, rep, gamma):
-    """T and the drift of each row of states, in blocks of bounded memory."""
-    out = np.empty((2, len(states)))
-    for lo in range(0, len(states), DEFAULT_BLOCK):
-        mom = _moments(states[lo : lo + DEFAULT_BLOCK], rep, cov=True)
-        out[:, lo : lo + DEFAULT_BLOCK] = mom.tnorm, mom.drift(rep, gamma)
-    return out
-
-
 def cmd_theorem_scan(args) -> int:
     rep = parse_algebra(args.algebra)
     _require(args, ["seed", "out"])
@@ -292,8 +273,8 @@ def cmd_theorem_scan(args) -> int:
     cartan = cartan_decompose(rep)
 
     states = scan_states(rep.dim_hilbert, n, args.seed)
-    tnorm, drift = _scan_functionals(states, rep, gamma)
-    gcs_value = float(_moments(highest_weight_state(cartan)[None], rep, cov=True).tnorm[0])
+    tnorm, drift = _observe_batch(states, rep, gamma)[:, 2:4].T
+    gcs_value = float(_observe_batch(highest_weight_state(cartan)[None], rep, gamma)[0, 2])
 
     tmin_idx = int(np.argmin(tnorm))
     dmax_idx = int(np.argmax(drift))

@@ -17,8 +17,9 @@ is the standard order-1/2 strong scheme.
 
 The step, the records, the theorem scan and ``observables`` share one
 moment kernel, ``_moments``: a single product with the stacked generators,
-then real batched products.  Without a Hamiltonian the step reuses the
-moments a record took of the same states.
+then real batched products.  The step takes only the moments it needs;
+records are buffered and observed DEFAULT_BLOCK states at a time, with
+the covariance.
 
 Ensemble counterpart:
 
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -277,28 +279,35 @@ def _moments(psi, rep, cov=False):
     return _Moments(pf, z, v, w[:, k], purity, m, tnorm)
 
 
-def _observe_batch(mom, rep, gamma):
-    """Per-state rows (uncertainty, purity, cov_trace_norm, drift, <X_1..X_K>)
-    from moments taken with cov; the quadratic-invariant expectation is
-    verified against its constant on the way through."""
-    c = rep.casimir_eigenvalue
-    if np.max(np.abs(mom.second - c)) > 1e-10 * max(1.0, abs(c)):
-        raise RuntimeError("quadratic invariant drifted beyond 1e-10 along the trajectory")
-    return np.column_stack(
-        [mom.second - mom.purity, mom.purity, mom.tnorm, mom.drift(rep, gamma), mom.v]
-    )
+class _RowFault(RuntimeError):
+    """A numerical check that failed on some rows of a batch; rows are
+    their indices, the first of which ``_integrate`` names in its error."""
 
-
-class _BlowUp(RuntimeError):
-    """Raised by ``_step_batch``; rows are the batch rows whose state norm
-    left (0, inf)."""
-
-    def __init__(self, rows):
-        super().__init__("integration blow-up: state norm left (0, inf); reduce dt")
+    def __init__(self, message, rows):
+        super().__init__(message)
         self.rows = rows
 
 
-def _step_batch(psi, rep, gamma, dt, noise, prop=None, mom=None):
+def _observe_batch(states, rep, gamma):
+    """Rows (uncertainty, purity, cov_trace_norm, drift, <X_1..X_K>) of the
+    states, an (..., d) array, with moments taken DEFAULT_BLOCK states at a
+    time so memory stays bounded; the quadratic-invariant expectation is
+    verified against its constant on the way through."""
+    flat = states.reshape(-1, states.shape[-1])
+    out = np.empty((len(flat), 4 + rep.dim_algebra))
+    c = rep.casimir_eigenvalue
+    for lo in range(0, len(flat), DEFAULT_BLOCK):
+        mom = _moments(flat[lo : lo + DEFAULT_BLOCK], rep, cov=True)
+        off = np.abs(mom.second - c) > 1e-10 * max(1.0, abs(c))
+        if np.any(off):
+            raise _RowFault("quadratic invariant drifted beyond 1e-10", lo + np.flatnonzero(off))
+        out[lo : lo + DEFAULT_BLOCK] = np.column_stack(
+            [mom.second - mom.purity, mom.purity, mom.tnorm, mom.drift(rep, gamma), mom.v]
+        )
+    return out.reshape(states.shape[:-1] + out.shape[-1:])
+
+
+def _step_batch(psi, rep, gamma, dt, noise, prop=None):
     """One split step for a batch of states: exact Hamiltonian flow, then
     the Euler-Maruyama measurement update, then renormalization.  With the
     realized increments dxi (n, K) in noise, the update is
@@ -307,14 +316,11 @@ def _step_batch(psi, rep, gamma, dt, noise, prop=None, mom=None):
             - (gamma dt P + sum_k dxi_k v_k) psi,
 
     one real product of the coefficients with the moment kernel's stacked
-    X_k psi and C psi.  mom may carry the moments of psi from a record of
-    the same states; they are recomputed when a propagator moves them.
+    X_k psi and C psi.
     """
     if prop is not None:
         psi = psi @ prop.T
-        mom = None
-    if mom is None:
-        mom = _moments(psi, rep)
+    mom = _moments(psi, rep)
     gdt = gamma * dt
     n, k = noise.shape
     coef = np.empty((n, k + 1))
@@ -327,7 +333,9 @@ def _step_batch(psi, rep, gamma, dt, noise, prop=None, mom=None):
     nrm = np.sqrt(np.einsum("nj,nj->n", out, out))
     bad = ~(np.isfinite(nrm) & (nrm > 0))
     if np.any(bad):
-        raise _BlowUp(np.flatnonzero(bad))
+        raise _RowFault(
+            "integration blow-up: state norm left (0, inf); reduce dt", np.flatnonzero(bad)
+        )
     out /= nrm[:, None]
     return out.view(complex)
 
@@ -392,12 +400,10 @@ def simulate_trajectory(
     table = np.empty((n_rec, 4 + rep.dim_algebra))
     snaps = np.empty((n_rec, rep.dim_hilbert), dtype=complex) if store_states else None
 
-    def record(k, batch):
-        mom = _moments(batch, rep, cov=True)
-        table[k] = _observe_batch(mom, rep, cfg.gamma)[0]
+    def record(k0, states):
+        table[k0 : k0 + len(states)] = _observe_batch(states[:, 0], rep, cfg.gamma)
         if snaps is not None:
-            snaps[k] = batch[0]
-        return mom
+            snaps[k0 : k0 + len(states)] = states[:, 0]
 
     _integrate(psi[None, :], _as_hamiltonian(h, rep), rep, cfg, 0, record_stride, record)
     return TrajectoryRecord(
@@ -424,17 +430,36 @@ def _thread_count() -> int:
 def _integrate(batch, ham, rep, cfg, lo, record_stride, record):
     """Evolve the rows of batch as trajectories lo, lo + 1, ..; trajectory
     i draws its noise from the Philox stream (cfg.seed + i, stream 0).
-    record(k, batch) is called at record time k (0 is the initial batch)
-    and may return the moments it took, which the next step then reuses.
+    The batch at each record time (0 is the initial batch) is copied into a
+    buffer of max(1, DEFAULT_BLOCK // n) record times; record(k0, states)
+    gets each full buffer, and the last, as the (m, n, d) states of record
+    times k0 .. k0 + m - 1.  A ``_RowFault`` of the step or of record is
+    raised again naming its step or record time, trajectory and seed.
     """
     n, K = len(batch), rep.dim_algebra
     prop = None if ham is None else ham.propagator(cfg.dt)
     amp = np.sqrt(2.0 * cfg.gamma * cfg.dt)
     rngs = [stream_rng(cfg.seed + lo + i, NOISE_STREAM) for i in range(n)]
-    mom = record(0, batch)
+    n_rec = cfg.steps // record_stride + 1
+    buf = np.empty((min(n_rec, max(1, DEFAULT_BLOCK // n)),) + batch.shape, dtype=complex)
+
+    def located(err, where, first):
+        r = int(err.rows[0])
+        i = lo + r % n
+        return RuntimeError(f"{err} ({where} {first + r // n}, trajectory {i}, seed {cfg.seed + i})")
+
+    def keep(k, batch):
+        j = k % len(buf)
+        buf[j] = batch
+        if j == len(buf) - 1 or k == n_rec - 1:
+            try:
+                record(k - j, buf[: j + 1])
+            except _RowFault as err:
+                raise located(err, "record", k - j) from None
+
+    keep(0, batch)
     time_chunk = max(1, min(cfg.steps, (1 << 22) // max(1, n * K)))
-    s = 0
-    while s < cfg.steps:
+    for s in range(0, cfg.steps, time_chunk):
         span = min(time_chunk, cfg.steps - s)
         noise = np.empty((span, n, K))  # one contiguous slab per step
         for i, rng in enumerate(rngs):
@@ -443,16 +468,11 @@ def _integrate(batch, ham, rep, cfg, lo, record_stride, record):
         for u in range(span):
             step = s + u + 1
             try:
-                batch = _step_batch(batch, rep, cfg.gamma, cfg.dt, noise[u], prop, mom)
-            except _BlowUp as err:
-                i = lo + int(err.rows[0])
-                raise RuntimeError(
-                    f"{err} (step {step}, trajectory {i}, seed {cfg.seed + i})"
-                ) from None
-            mom = None
+                batch = _step_batch(batch, rep, cfg.gamma, cfg.dt, noise[u], prop)
+            except _RowFault as err:
+                raise located(err, "step", step) from None
             if step % record_stride == 0:
-                mom = record(step // record_stride, batch)
-        s += span
+                keep(step // record_stride, batch)
 
 
 def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, collect):
@@ -474,44 +494,43 @@ def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, colle
         initials = np.stack([_validate_state(row, rep.dim_hilbert) for row in initial])
     ham = _as_hamiltonian(h, rep)
     n_rec, times = _record_grid(cfg.steps, record_stride, cfg.dt)
-    d = rep.dim_hilbert
-    width = rep.dim_algebra + (4 if collect == "observables" else 0)
+    starts = range(0, n_traj, block_size)
+    if collect == "projector":
+        acc = np.zeros((len(starts), n_rec, rep.dim_hilbert, rep.dim_hilbert), dtype=complex)
+
+        def observe(lo, k0, states):
+            acc[lo // block_size, k0 : k0 + len(states)] += np.einsum(
+                "mna,mnb->mab", states, states.conj()
+            )
+
+        def result():  # block sums added in fixed order, so deterministic
+            return sum(acc) / n_traj
+
+    else:
+        first = 0 if collect == "observables" else 4
+        acc = np.empty((n_traj, n_rec, 4 + rep.dim_algebra - first))
+
+        def observe(lo, k0, states):
+            rows = _observe_batch(states, rep, cfg.gamma)[:, :, first:]
+            acc[lo : lo + rows.shape[1], k0 : k0 + len(states)] = rows.transpose(1, 0, 2)
+
+        def result():
+            return acc
 
     def run_block(lo):
         batch = initials[lo : lo + block_size].copy()
-        if collect == "projector":
-            acc = np.zeros((n_rec, d, d), dtype=complex)
+        _integrate(batch, ham, rep, cfg, lo, record_stride, partial(observe, lo))
 
-            def record(k, batch):
-                acc[k] += np.einsum("na,nb->ab", batch, batch.conj())
-
-        else:
-            acc = np.empty((len(batch), n_rec, width))
-
-            def record(k, batch):
-                mom = _moments(batch, rep, cov=True)
-                acc[:, k] = _observe_batch(mom, rep, cfg.gamma)[:, -width:]
-                return mom
-
-        _integrate(batch, ham, rep, cfg, lo, record_stride, record)
-        return acc
-
-    starts = range(0, n_traj, block_size)
     n_threads = _thread_count()
     if n_threads > 1 and len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(run_block, starts))
+            list(pool.map(run_block, starts))  # reading the results raises their errors
     else:
-        results = [run_block(lo) for lo in starts]
-
-    if collect == "projector":
-        total = np.zeros_like(results[0])
-        for r in results:  # fixed block order keeps the reduction deterministic
-            total += r
-        return times, total / n_traj
-    return times, np.concatenate(results, axis=0)
+        for lo in starts:
+            run_block(lo)
+    return times, result()
 
 
 def ensemble_average(

@@ -7,8 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gcsloc.cli import _scan_functionals, main, parse_algebra
-from gcsloc.dynamics import _moments, scan_states
+from gcsloc import dynamics
+from gcsloc.cli import FLOAT_FMT, main, parse_algebra
+from gcsloc.dynamics import (
+    NoiseConfig,
+    _moments,
+    _observe_batch,
+    haar_state,
+    scan_states,
+    simulate_trajectory,
+)
 
 
 def read_csv(path):
@@ -108,6 +116,26 @@ def test_simulate_byte_determinism(tmp_path):
     c = tmp_path / "c.csv"
     assert main(SIM_ARGS[:-1] + ["4", "--out", str(c)]) == 0
     assert a.read_bytes() != c.read_bytes()
+
+
+@pytest.mark.parametrize("ham", [None, "0.3,-0.2,0.5"])
+def test_simulate_csv_formats_the_record(tmp_path, ham):
+    # 301 records at stride 1 cross a record-buffer flush
+    out = tmp_path / "traj.csv"
+    argv = [
+        "simulate", "--algebra", "su2:two_j=2", "--gamma", "0.1", "--dt", "1e-3",
+        "--time", "0.3", "--seed", "3", "--stride", "1", "--out", str(out),
+    ]
+    assert main(argv + (["--ham", ham] if ham else [])) == 0
+    rep = parse_algebra("su2:two_j=2")
+    coeffs = None if ham is None else [float(x) for x in ham.split(",")]
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=300, seed=3)
+    rec = simulate_trajectory(haar_state(3, 3), coeffs, rep, cfg)
+    lines = ["t,uncertainty,purity,cov_trace_norm,drift,x1,x2,x3"]
+    for i, t in enumerate(rec.times):
+        row = [t, rec.uncertainty[i], rec.purity[i], rec.cov_trace_norm[i], rec.drift[i]]
+        lines.append(",".join(FLOAT_FMT % float(x) for x in row + list(rec.expectations[i])))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_simulate_stride(tmp_path):
@@ -263,12 +291,28 @@ def test_theorem_scan_bad_gamma_exits_1(tmp_path, gamma):
 def test_theorem_scan_blocks_agree_with_one_batch():
     rep = parse_algebra("suN:n=6")
     states = scan_states(rep.dim_hilbert, 600, 29)
-    tnorm, drift = _scan_functionals(states, rep, 0.1)
+    tnorm, drift = _observe_batch(states, rep, 0.1)[:, 2:4].T
     mom = _moments(states, rep, cov=True)
     assert np.max(np.abs(tnorm - mom.tnorm)) <= 1e-12
     assert np.max(np.abs(drift - mom.drift(rep, 0.1))) <= 1e-12
     assert np.argmin(tnorm) == np.argmin(mom.tnorm)
     assert np.argmax(drift) == np.argmax(mom.drift(rep, 0.1))
+
+
+def test_theorem_scan_checks_the_quadratic_invariant(tmp_path, monkeypatch, capsys):
+    real = dynamics._moments
+
+    def bumped(psi, rep, cov=False):
+        mom = real(psi, rep, cov)
+        return mom._replace(second=mom.second + 1e-6) if cov else mom
+
+    monkeypatch.setattr(dynamics, "_moments", bumped)
+    rc = main([
+        "theorem-scan", "--algebra", "su2:two_j=2", "--samples", "10", "--seed", "1",
+        "--out", str(tmp_path / "scan.json"),
+    ])
+    assert rc == 2
+    assert "quadratic invariant drifted" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- config

@@ -27,6 +27,7 @@ from gcsloc.observables import (
     covariance_trace_norm,
     expectation_vector,
     generalized_purity,
+    localization_drift,
     total_uncertainty,
 )
 
@@ -302,6 +303,74 @@ def test_trajectory_snapshots_follow_steps(spin1):
         assert np.max(np.abs(rec.states[s + 1] - cur)) < 1e-12
 
 
+@pytest.mark.parametrize("steps, stride", [(600, 1), (2100, 7)])
+def test_buffered_records_match_state_functionals(spin1, steps, stride):
+    # 601 or 301 records: buffer flushes of 256 + 256 + 89, or 256 + 45
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=steps, seed=17)
+    rec = simulate_trajectory(
+        haar_state(3, 32), None, spin1, cfg, record_stride=stride, store_states=True
+    )
+    assert len(rec.times) == steps // stride + 1
+    for k, psi in enumerate(rec.states):
+        ref = [
+            total_uncertainty(psi, spin1),
+            generalized_purity(psi, spin1),
+            covariance_trace_norm(psi, spin1),
+            localization_drift(psi, spin1, cfg.gamma),
+        ]
+        got = [rec.uncertainty[k], rec.purity[k], rec.cov_trace_norm[k], rec.drift[k]]
+        assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12
+        assert np.max(np.abs(rec.expectations[k] - expectation_vector(psi, spin1))) <= 1e-12
+
+
+def test_records_take_covariance_moments_once_per_block(spin1, monkeypatch):
+    calls = []
+    real = dynamics._moments
+
+    def counting(psi, rep, cov=False):
+        if cov:
+            calls.append(len(psi))
+        return real(psi, rep, cov)
+
+    monkeypatch.setattr(dynamics, "_moments", counting)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=1000, seed=18)
+    simulate_trajectory(haar_state(3, 33), None, spin1, cfg)
+    assert calls == [256, 256, 256, 233]
+
+
+def _bump_second(monkeypatch, call, row):
+    """Shift <C> of one row in the call-th covariance moment call."""
+    real = dynamics._moments
+    calls = []
+
+    def bumped(psi, rep, cov=False):
+        mom = real(psi, rep, cov)
+        if cov:
+            calls.append(None)
+            if len(calls) == call:
+                second = mom.second.copy()
+                second[row] += 1e-6
+                mom = mom._replace(second=second)
+        return mom
+
+    monkeypatch.setattr(dynamics, "_moments", bumped)
+
+
+def test_invariant_drift_names_record_trajectory_and_seed(spin1, monkeypatch):
+    monkeypatch.setenv("GCSLOC_THREADS", "1")
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=600, seed=40)
+    # row 44 of the second flush is record 256 + 44
+    _bump_second(monkeypatch, 2, 44)
+    with pytest.raises(RuntimeError, match=r"drifted .*\(record 300, trajectory 0, seed 40\)"):
+        simulate_trajectory(haar_state(3, 34), None, spin1, cfg)
+    # blocks of two trajectories: row 7 of the second block's one flush is
+    # record 3 of its row 1, trajectory 3
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=41)
+    _bump_second(monkeypatch, 2, 7)
+    with pytest.raises(RuntimeError, match=r"drifted .*\(record 3, trajectory 3, seed 44\)"):
+        ensemble_observables(haar_state(3, 34), None, spin1, cfg, n_traj=5, block_size=2)
+
+
 def test_gamma_zero_conserves_invariants(spin1):
     rng = np.random.default_rng(41)
     h = Hamiltonian(spin1, rng.uniform(-1, 1, 3))
@@ -361,7 +430,9 @@ def test_unraveling_mean_projector(spin1):
 
 def test_ensemble_block_size_independence(spin1):
     psi = haar_state(3, 50)
-    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=50, seed=60)
+    # 301 records: flushes every 85 record times of a 3-row block, every 25
+    # of the 10-row one
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=300, seed=60)
     _, a = ensemble_average(psi, None, spin1, cfg, n_traj=10, block_size=3)
     _, b = ensemble_average(psi, None, spin1, cfg, n_traj=10, block_size=256)
     assert np.max(np.abs(a - b)) < 1e-12
@@ -377,21 +448,26 @@ def test_ensemble_thread_count_invariance(spin1, monkeypatch):
 
 
 def test_ensemble_observables_match_single_runs(spin1):
-    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=50, seed=90)
     initials = haar_states(3, 3, seed=800)
-    times, rows = ensemble_observables(
-        initials, None, spin1, cfg, n_traj=3, record_stride=50
-    )
-    assert rows.shape == (3, 2, 7)
-    for i in range(3):
-        cfg_i = NoiseConfig(gamma=0.1, dt=1e-3, steps=50, seed=90 + i)
-        rec = simulate_trajectory(initials[i], None, spin1, cfg_i, record_stride=50)
-        assert np.max(np.abs(rows[i, :, 0] - rec.uncertainty)) < 1e-12
-        assert np.max(np.abs(rows[i, :, 4:] - rec.expectations)) < 1e-12
+    # at stride 1 the 301 records of the 3-row block flush every 85 record
+    # times, those of each single run every 256
+    for steps, stride in [(50, 50), (300, 1)]:
+        cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=steps, seed=90)
+        times, rows = ensemble_observables(
+            initials, None, spin1, cfg, n_traj=3, record_stride=stride
+        )
+        assert rows.shape == (3, steps // stride + 1, 7)
+        for i in range(3):
+            cfg_i = NoiseConfig(gamma=0.1, dt=1e-3, steps=steps, seed=90 + i)
+            rec = simulate_trajectory(initials[i], None, spin1, cfg_i, record_stride=stride)
+            ref = np.column_stack(
+                [rec.uncertainty, rec.purity, rec.cov_trace_norm, rec.drift, rec.expectations]
+            )
+            assert np.max(np.abs(rows[i] - ref)) < 1e-12
 
 
 def test_hamiltonian_trajectory_matches_ensemble_rows(spin1):
-    # with a propagator the step recomputes the moments a record took
+    # with a propagator, the buffered records of a 3-row block against single runs
     h = Hamiltonian(spin1, [0.4, -0.2, 0.7])
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=50, seed=91)
     initials = haar_states(3, 3, seed=801)
@@ -403,7 +479,7 @@ def test_hamiltonian_trajectory_matches_ensemble_rows(spin1):
             [rec.uncertainty, rec.purity, rec.cov_trace_norm, rec.drift, rec.expectations]
         )
         assert np.max(np.abs(rows[i] - ref)) < 1e-12
-    # the single-step API never reuses moments: replay trajectory 0 through it
+    # replay trajectory 0 through the public single-step API
     rec = simulate_trajectory(initials[0], h, spin1, cfg, record_stride=1, store_states=True)
     noise = np.sqrt(2 * cfg.gamma * cfg.dt) * stream_rng(cfg.seed, 0).standard_normal((50, 3))
     cur = initials[0]
