@@ -493,9 +493,7 @@ def _root_component_norm(v, cartan):
     return float(np.linalg.norm(rotated[cartan.rank:]))
 
 
-def align_expectation_to_cartan(
-    psi, rep: AlgebraRep, cartan: CartanData, tol: float = ALIGNMENT_TOL, method: str = "auto"
-):
+def align_expectation_to_cartan(psi, rep: AlgebraRep, cartan: CartanData):
     """Rotate a state by a group element so <X> lies in the Cartan span.
 
     Returns the rotated state (the input is unchanged).  The rotation is a
@@ -504,30 +502,30 @@ def align_expectation_to_cartan(
     unchanged; only the decomposition of <X> into Cartan and root
     components is gauged away.
 
-    method : {"auto", "newton"}
-        "auto" uses an exact axis-angle rotation when K = 3 and an exact
-        eigenbasis rotation for the fundamental representation (d^2 - 1
-        generators); otherwise, and for "newton", a damped Newton iteration
-        on the root-plane components.
+    The path follows the algebra: an exact axis-angle rotation when K = 3,
+    an exact eigenbasis rotation for the fundamental representation
+    (d^2 - 1 generators), and a damped Newton iteration on the root-plane
+    components otherwise.  The residual root component is held to
+    ALIGNMENT_TOL.
     """
     psi = np.asarray(psi, dtype=complex)
     v = _expectations(psi, rep)
     vnorm = float(np.linalg.norm(v))
     if vnorm < 1e-12:
         return psi.copy()
-    if _root_component_norm(v, cartan) <= tol * max(1.0, vnorm):
+    if _root_component_norm(v, cartan) <= ALIGNMENT_TOL * max(1.0, vnorm):
         return psi.copy()
 
     K, d = rep.dim_algebra, rep.dim_hilbert
-    if method == "auto" and K == 3:
+    if K == 3:
         out = _align_axis_angle(psi, v, rep, cartan)
-    elif method == "auto" and K == d * d - 1:
+    elif K == d * d - 1:
         out = _align_eigenbasis(psi, v, rep, cartan)
     else:
-        out = _align_newton(psi, v, rep, cartan, tol)
+        out = _align_newton(psi, v, rep, cartan)
 
     resid = _root_component_norm(_expectations(out, rep), cartan)
-    if resid > max(tol, 1e-10 * vnorm):
+    if resid > max(ALIGNMENT_TOL, 1e-10 * vnorm):
         raise RuntimeError(
             f"Cartan alignment failed: residual root component {resid:.3e}"
         )
@@ -579,7 +577,7 @@ def _align_eigenbasis(psi, v, rep, cartan):
     return out / np.linalg.norm(out)
 
 
-def _align_newton(psi, v, rep, cartan, tol, max_iter=200):
+def _align_newton(psi, v, rep, cartan, max_iter=200):
     """Damped Newton iteration zeroing the root-plane components of <X>.
 
     Each update is a group rotation exp(1j sum theta_a Y_a) over the
@@ -597,7 +595,7 @@ def _align_newton(psi, v, rep, cartan, tol, max_iter=200):
     v = v.copy()
     resid = _root_component_norm(v, cartan)
     for _ in range(max_iter):
-        if resid <= tol:
+        if resid <= ALIGNMENT_TOL:
             return out
         a_mat = np.tensordot(v, gens, axes=(0, 0))
         jac = np.zeros((K - r, K - r))

@@ -18,8 +18,10 @@ bounds
 
 Exit codes: 0 success, 1 usage/config error, 2 scientific-assertion
 failure.  Floats in CSV output carry 17 significant digits; identical
-configuration and seed reproduce identical bytes.  A key=value config file
-can seed any long flag (``--config``); explicit flags win.  The
+configuration and seed reproduce identical bytes.  Each subcommand takes
+only the flags it reads.  A key=value config file (``--config``) can give any
+of them that takes a value: each line becomes a ``--key=value`` flag read
+before the explicit ones, so explicit flags win.  The
 GCSLOC_THREADS environment variable sets the ensemble worker count
 (results are reduced in fixed order, so the value never changes output).
 """
@@ -79,60 +81,36 @@ def parse_algebra(spec: str) -> AlgebraRep:
     )
 
 
-def _read_config_file(path: str) -> dict:
-    """Parse a key=value config file; '#' starts a comment."""
-    out = {}
+def _config_tokens(argv):
+    """The lines of the file named by --config in argv, as --key=value flags.
+
+    '#' starts a comment.  The ``=`` form keeps a value that starts with '-'
+    (a negative --ham coefficient) attached to its flag.
+    """
+    path = None
+    for i, arg in enumerate(argv):
+        if arg == "--config":
+            if i + 1 == len(argv):
+                raise UsageError("argument --config: expected one argument")
+            path = argv[i + 1]
+        elif arg.startswith("--config="):
+            path = arg.partition("=")[2]
+    if path is None:
+        return []
+    tokens = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for ln, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if "=" not in line:
+                key, eq, val = line.partition("=")
+                if not eq:
                     raise UsageError(f"{path}:{ln}: expected key=value, got {raw!r}")
-                key, _, val = line.partition("=")
-                out[key.strip().replace("-", "_")] = val.strip()
+                tokens.append(f"--{key.strip()}={val.strip()}")
     except OSError as err:
         raise UsageError(f"cannot read config file {path}: {err}") from err
-    return out
-
-
-_CONFIG_CASTS = {
-    "algebra": str,
-    "gamma": float,
-    "dt": float,
-    "time": float,
-    "seed": int,
-    "traj": int,
-    "samples": int,
-    "stride": int,
-    "out": str,
-    "ham": str,
-    "bound": float,
-    "init": str,
-}
-
-
-def _apply_config_file(args):
-    """Fill unset flags from the config file; explicit flags take precedence."""
-    if not getattr(args, "config", None):
-        return args
-    raw = _read_config_file(args.config)
-    for key, text in raw.items():
-        if key not in _CONFIG_CASTS:
-            raise UsageError(f"unknown config key {key!r}")
-        if getattr(args, key, None) is None:
-            try:
-                setattr(args, key, _CONFIG_CASTS[key](text))
-            except ValueError as err:
-                raise UsageError(f"bad value for config key {key!r}: {text!r}") from err
-    return args
-
-
-def _require(args, names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise UsageError(f"missing required option --{name.replace('_', '-')}")
+    return tokens
 
 
 def _steps_from(args) -> int:
@@ -159,15 +137,10 @@ def _parse_ham(text, rep):
     return coeffs
 
 
-def _initial_state(args, rep, cartan=None):
-    mode = args.init or "haar"
-    if mode == "haar":
-        return haar_state(rep.dim_hilbert, args.seed)
-    if mode == "highest":
-        if cartan is None:
-            cartan = cartan_decompose(rep)
-        return highest_weight_state(cartan)
-    raise UsageError(f"--init must be 'haar' or 'highest', got {mode!r}")
+def _initial_state(args, rep):
+    if args.init == "highest":
+        return highest_weight_state(cartan_decompose(rep))
+    return haar_state(rep.dim_hilbert, args.seed)
 
 
 def _open_out(path):
@@ -205,14 +178,10 @@ def _serialize_state(psi):
 
 def cmd_simulate(args) -> int:
     rep = parse_algebra(args.algebra)
-    _require(args, ["gamma", "dt", "time", "seed", "out"])
-    steps = _steps_from(args)
-    cfg = NoiseConfig(gamma=args.gamma, dt=args.dt, steps=steps, seed=args.seed)
-    stride = args.stride or 1
+    cfg = NoiseConfig(gamma=args.gamma, dt=args.dt, steps=_steps_from(args), seed=args.seed)
     ham = _parse_ham(args.ham, rep)
-    cartan = cartan_decompose(rep) if (args.init == "highest") else None
-    psi0 = _initial_state(args, rep, cartan)
-    rec = simulate_trajectory(psi0, ham, rep, cfg, record_stride=stride)
+    psi0 = _initial_state(args, rep)
+    rec = simulate_trajectory(psi0, ham, rep, cfg, record_stride=args.stride)
 
     cols = ["t", "uncertainty", "purity", "cov_trace_norm", "drift"] + [
         f"x{k + 1}" for k in range(rep.dim_algebra)
@@ -226,13 +195,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_ensemble(args) -> int:
     rep = parse_algebra(args.algebra)
-    _require(args, ["gamma", "dt", "time", "seed", "traj", "out"])
     steps = _steps_from(args)
     cfg = NoiseConfig(gamma=args.gamma, dt=args.dt, steps=steps, seed=args.seed)
-    stride = args.stride or 1
+    stride, bound = args.stride, args.bound
     ham = _parse_ham(args.ham, rep)
     psi0 = _initial_state(args, rep)
-    bound = args.bound if args.bound is not None else 0.05
 
     # the reference first: past the superoperator budget it fails at once
     _, times = _record_grid(steps, stride, cfg.dt)
@@ -266,10 +233,10 @@ def cmd_ensemble(args) -> int:
 
 def cmd_theorem_scan(args) -> int:
     rep = parse_algebra(args.algebra)
-    _require(args, ["seed", "out"])
-    gamma = args.gamma if args.gamma is not None else 0.1
+    gamma, n = args.gamma, args.samples
     _check_gamma(gamma)
-    n = args.samples if args.samples is not None else 10000
+    if n < 1:
+        raise UsageError(f"--samples must be at least 1, got {n}")
     cartan = cartan_decompose(rep)
 
     states = scan_states(rep.dim_hilbert, n, args.seed)
@@ -309,7 +276,6 @@ def cmd_theorem_scan(args) -> int:
 
 def cmd_bounds(args) -> int:
     rep = parse_algebra(args.algebra)
-    _require(args, ["out"])
     cartan = cartan_decompose(rep)
     delta_min, c = uncertainty_bounds(rep, cartan)
     payload = {
@@ -339,58 +305,49 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, traj=False, samples=False, bound=False, dump=False):
-        p.add_argument(
-            "--algebra",
-            required=True,
-            help="algebra spec: su2:two_j=N or suN:n=N",
-        )
-        p.add_argument("--gamma", type=float, default=None, help="measurement strength (default from config file, else required/0.1 for scans)")
-        p.add_argument("--dt", type=float, default=None, help="integration step")
-        p.add_argument("--time", type=float, default=None, help="total time T; T/dt must be integral")
-        p.add_argument("--seed", type=int, default=None, help="base RNG seed")
-        p.add_argument("--stride", type=int, default=None, help="record every this many steps (default 1)")
-        p.add_argument("--ham", default=None, help="comma-separated Hamiltonian coefficients a1,..,aK (default: no Hamiltonian)")
-        p.add_argument("--init", default=None, choices=["haar", "highest"], help="initial state: Haar-random (default) or the extremal weight state")
-        p.add_argument("--out", default=None, help="output path ('-' for stdout)")
-        p.add_argument("--config", default=None, help="key=value config file; explicit flags win")
-        if traj:
-            p.add_argument("--traj", type=int, default=None, help="number of trajectories")
-        if samples:
-            p.add_argument("--samples", type=int, default=None, help="number of Haar samples (default 10000)")
-        if bound:
-            p.add_argument("--bound", type=float, default=None, help="max allowed Frobenius distance (default 0.05)")
-        if dump:
-            p.add_argument("--dump-algebra", action="store_true", help="include generators and structure constants in the JSON")
+    def command(name, func, help):
+        # full flag names only: a config key is a flag name, never a prefix of one
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        p.add_argument("--algebra", required=True, help="algebra spec: su2:two_j=N or suN:n=N")
+        p.add_argument("--out", required=True, help="output path ('-' for stdout)")
+        p.add_argument("--config", help="key=value file of flags read before the explicit ones, which win")
+        return p
 
-    p_sim = sub.add_parser("simulate", help="single stochastic trajectory -> CSV")
-    common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
+    def trajectory(p):
+        p.add_argument("--gamma", type=float, required=True, help="measurement strength")
+        p.add_argument("--dt", type=float, required=True, help="integration step")
+        p.add_argument("--time", type=float, required=True, help="total time T; T/dt must be integral")
+        p.add_argument("--seed", type=int, required=True, help="base RNG seed")
+        p.add_argument("--stride", type=int, default=1, help="record every this many steps (default %(default)s)")
+        p.add_argument("--ham", help="comma-separated Hamiltonian coefficients a1,..,aK (default: no Hamiltonian)")
+        p.add_argument("--init", default="haar", choices=["haar", "highest"], help="initial state: Haar-random or the extremal weight state (default %(default)s)")
+        return p
 
-    p_ens = sub.add_parser("ensemble", help="trajectory average vs master equation -> CSV + JSON")
-    common(p_ens, traj=True, bound=True)
-    p_ens.set_defaults(func=cmd_ensemble)
+    trajectory(command("simulate", cmd_simulate, "single stochastic trajectory -> CSV"))
 
-    p_scan = sub.add_parser("theorem-scan", help="Haar scan of covariance norm and drift -> JSON")
-    common(p_scan, samples=True)
-    p_scan.set_defaults(func=cmd_theorem_scan)
+    p_ens = trajectory(command("ensemble", cmd_ensemble, "trajectory average vs master equation -> CSV + JSON"))
+    p_ens.add_argument("--traj", type=int, required=True, help="number of trajectories")
+    p_ens.add_argument("--bound", type=float, default=0.05, help="max allowed Frobenius distance (default %(default)s)")
 
-    p_bounds = sub.add_parser("bounds", help="invariant constants and root data -> JSON")
-    common(p_bounds, dump=True)
-    p_bounds.set_defaults(func=cmd_bounds)
+    p_scan = command("theorem-scan", cmd_theorem_scan, "Haar scan of covariance norm and drift -> JSON")
+    p_scan.add_argument("--gamma", type=float, default=0.1, help="measurement strength in the drift (default %(default)s)")
+    p_scan.add_argument("--seed", type=int, required=True, help="RNG seed of the scan states")
+    p_scan.add_argument("--samples", type=int, default=10000, help="number of Haar samples (default %(default)s)")
+
+    p_bounds = command("bounds", cmd_bounds, "invariant constants and root data -> JSON")
+    p_bounds.add_argument("--dump-algebra", action="store_true", help="include generators and structure constants in the JSON")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config_file(args)
+        # file flags go first, so argparse's last-one-wins lets explicit flags win
+        argv[1:1] = _config_tokens(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
+    except (UsageError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except RuntimeError as err:

@@ -116,6 +116,8 @@ class Hamiltonian:
             raise ValueError(
                 f"coefficients must have shape ({rep.dim_algebra},), got {coeff.shape}"
             )
+        if not np.all(np.isfinite(coeff)):
+            raise ValueError(f"Hamiltonian coefficients must be finite, got {coeff}")
         matrix = np.tensordot(coeff, rep.generators, axes=(0, 0))
         herm = np.max(np.abs(matrix - matrix.conj().T)) if matrix.size else 0.0
         if herm > 1e-12 * max(1.0, float(np.max(np.abs(matrix)))):
@@ -167,6 +169,13 @@ def _check_dt(dt):
         raise ValueError(f"dt must be finite and positive, got {dt}")
 
 
+def _check_stability(gamma, dt):
+    if gamma * dt > STABILITY_LIMIT * (1 + 1e-12):
+        raise ValueError(
+            f"gamma * dt = {gamma * dt:.3g} exceeds the stability guard {STABILITY_LIMIT}"
+        )
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Measurement strength and integration grid.
@@ -188,11 +197,7 @@ class NoiseConfig:
             raise ValueError(f"steps must be a positive integer, got {self.steps}")
         if int(self.seed) != self.seed:
             raise ValueError(f"seed must be an integer, got {self.seed}")
-        if self.gamma * self.dt > STABILITY_LIMIT * (1 + 1e-12):
-            raise ValueError(
-                f"gamma * dt = {self.gamma * self.dt:.3g} exceeds the stability "
-                f"guard {STABILITY_LIMIT}"
-            )
+        _check_stability(self.gamma, self.dt)
 
 
 @dataclass(frozen=True)
@@ -357,10 +362,7 @@ def snlse_step(psi, h, rep: AlgebraRep, gamma: float, dt: float, increments):
     """
     _check_gamma(gamma)
     _check_dt(dt)
-    if gamma * dt > STABILITY_LIMIT * (1 + 1e-12):
-        raise ValueError(
-            f"gamma * dt = {gamma * dt:.3g} exceeds the stability guard {STABILITY_LIMIT}"
-        )
+    _check_stability(gamma, dt)
     psi = _validate_state(psi, rep.dim_hilbert)
     ham = _as_hamiltonian(h, rep)
     increments = np.asarray(increments, dtype=float)
@@ -481,6 +483,8 @@ def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, colle
     ``_observe_batch`` rows) or "expectations" (their last K columns)."""
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
+    if not isinstance(block_size, (int, np.integer)) or block_size < 1:
+        raise ValueError(f"block_size must be a positive integer, got {block_size!r}")
     initial = np.asarray(initial, dtype=complex)
     if initial.ndim == 1:
         psi = _validate_state(initial, rep.dim_hilbert)

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from gcsloc import cartan as cartan_module
 from gcsloc.algebra import (
     algebra_from_generators,
     build_su2_irrep,
@@ -225,18 +226,35 @@ def root_component_norm(psi, rep, cartan):
     return float(np.linalg.norm((cartan.basis_rotation @ v)[cartan.rank:]))
 
 
-@pytest.mark.parametrize("builder,arg,method", [
-    (build_su2_irrep, 3, "auto"),      # axis-angle path (K = 3)
-    (build_sun_fundamental, 3, "auto"),  # eigenbasis path (K = d^2 - 1)
-    (build_su2_irrep, 4, "newton"),
-    (build_sun_fundamental, 4, "newton"),
+def build_sun_adjoint(n):
+    """The adjoint irrep of su(n): d = K = n^2 - 1, so neither exact path applies."""
+    return algebra_from_generators(-1j * build_sun_fundamental(n).structure_constants)
+
+
+@pytest.mark.parametrize("builder,arg,path", [
+    pytest.param(build_su2_irrep, 3, "_align_axis_angle", id="build_su2_irrep-3-auto"),  # K = 3
+    pytest.param(build_sun_fundamental, 3, "_align_eigenbasis", id="build_sun_fundamental-3-auto"),  # K = d^2 - 1
+    pytest.param(build_sun_adjoint, 3, "_align_newton", id="build_sun_adjoint-3-auto"),  # rank 2, d = K = 8
 ])
-def test_alignment_paths(builder, arg, method):
+def test_alignment_paths(builder, arg, path, monkeypatch):
     rep = builder(arg)
     cartan = cartan_decompose(rep)
+    taken = set()
+
+    def spy(name):
+        real = getattr(cartan_module, name)
+
+        def wrapper(*args):
+            taken.add(name)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("_align_axis_angle", "_align_eigenbasis", "_align_newton"):
+        monkeypatch.setattr(cartan_module, name, spy(name))
     for seed in range(6):
         psi = haar_state(rep.dim_hilbert, 1000 + seed)
-        out = align_expectation_to_cartan(psi, rep, cartan, method=method)
+        out = align_expectation_to_cartan(psi, rep, cartan)
         assert root_component_norm(out, rep, cartan) < 1e-8
         # group rotations preserve the uncertainty and the expectation norm
         assert total_uncertainty(out, rep) == pytest.approx(
@@ -247,6 +265,7 @@ def test_alignment_paths(builder, arg, method):
         assert np.linalg.norm(v_out) == pytest.approx(
             np.linalg.norm(v_in), abs=1e-9
         )
+    assert taken == {path}
 
 
 def test_alignment_noop_when_already_aligned(su2_j1):

@@ -360,6 +360,49 @@ def test_unknown_config_key_exits_1(tmp_path):
     assert rc == 1
 
 
+def test_config_line_matches_flag_for_negative_values(tmp_path):
+    cfg = tmp_path / "ham.cfg"
+    cfg.write_text("algebra = su2:two_j=2\nham = -0.3,0.2,0.5\n")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(SIM_ARGS + ["--ham=-0.3,0.2,0.5", "--out", str(a)]) == 0
+    assert main(["simulate", "--config", str(cfg)] + SIM_ARGS[3:] + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_config_flag_without_value_exits_1(capsys):
+    assert main(SIM_ARGS + ["--out", "-", "--config"]) == 1
+    assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["bounds", "--algebra", "su2:two_j=2", "--gamma", "0.1"], None),
+    (["theorem-scan", "--algebra", "su2:two_j=2", "--seed", "1", "--ham", "1,2,3"], None),
+    (SIM_ARGS, "samples = 10\n"),  # a theorem-scan key
+    (["bounds", "--algebra", "su2:two_j=2"], "seed = 3\n"),
+], ids=["bounds-gamma", "scan-ham", "simulate-samples-key", "bounds-seed-key"])
+def test_flags_a_command_does_not_read_exit_1(tmp_path, argv, config):
+    extra = []
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        extra = ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv + extra + ["--out", str(tmp_path / "x")]) == 1
+    assert not (tmp_path / "x").exists()
+
+
+def test_simulate_zero_stride_exits_1(tmp_path):
+    assert main(SIM_ARGS + ["--stride", "0", "--out", str(tmp_path / "x.csv")]) == 1
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_theorem_scan_samples_below_one_exits_1(tmp_path, capsys, samples):
+    rc = main([
+        "theorem-scan", "--algebra", "su2:two_j=2", "--samples", samples, "--seed", "1",
+        "--out", str(tmp_path / "scan.json"),
+    ])
+    assert rc == 1
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_1():
     rc = main(["simulate", "--algebra", "su2:two_j=2",
                "--config", "/nonexistent/path.cfg", "--out", "-"])

@@ -105,6 +105,13 @@ def test_hamiltonian_validation(spin1):
     assert h.propagator(1e-3) is u
 
 
+@pytest.mark.parametrize("coeffs", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]])
+def test_hamiltonian_rejects_non_finite_coefficients(spin1, coeffs):
+    # NaN passes the Hermiticity and project-back comparisons, so it needs its own check
+    with pytest.raises(ValueError, match="finite"):
+        Hamiltonian(spin1, coeffs)
+
+
 def test_simulate_rejects_unnormalized(spin1):
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5, seed=0)
     with pytest.raises(ValueError, match="normalized"):
@@ -506,6 +513,14 @@ def test_ensemble_initial_shape_errors(spin1):
         ensemble_average(haar_states(3, 2, 0), None, spin1, cfg, n_traj=3)
     with pytest.raises(ValueError):
         ensemble_average(haar_state(3, 0), None, spin1, cfg, n_traj=0)
+
+
+@pytest.mark.parametrize("block_size", [0, -2, 2.5])
+@pytest.mark.parametrize("run", [ensemble_average, ensemble_observables])
+def test_ensemble_rejects_bad_block_size(spin1, run, block_size):
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5, seed=0)
+    with pytest.raises(ValueError, match="block_size"):
+        run(haar_state(3, 0), None, spin1, cfg, n_traj=3, block_size=block_size)
 
 
 # ---------------------------------------------------------- master equation
