@@ -32,13 +32,11 @@ from .dynamics import (
     NoiseConfig,
     TrajectoryRecord,
     ensemble_average,
-    ensemble_expectations,
     ensemble_observables,
     haar_state,
     haar_states,
     lindblad_evolve,
     lindblad_expm_evolve,
-    lindblad_step,
     lindblad_superoperator,
     simulate_trajectory,
     snlse_step,
@@ -81,7 +79,6 @@ __all__ = [
     "covariance_matrix",
     "covariance_trace_norm",
     "ensemble_average",
-    "ensemble_expectations",
     "ensemble_observables",
     "expectation_vector",
     "generalized_purity",
@@ -92,7 +89,6 @@ __all__ = [
     "killing_normalized",
     "lindblad_evolve",
     "lindblad_expm_evolve",
-    "lindblad_step",
     "lindblad_superoperator",
     "localization_drift",
     "rescaled",

@@ -101,9 +101,6 @@ class CartanData:
     def n_positive(self) -> int:
         return self.positive_roots.shape[0]
 
-    def lowering_ops(self) -> np.ndarray:
-        return np.conj(np.swapaxes(self.raising_ops, -1, -2))
-
 
 def _probe_rng():
     return np.random.Generator(np.random.Philox(key=_PROBE_KEY))
@@ -256,7 +253,7 @@ def _decompose_with_kernel(rep, kernel, rank, rng):
         mix = 1.0 + rng.random(rank)
         combo = np.tensordot(mix, ad, axes=(0, 0))
         vals, vecs = np.linalg.eigh(combo)
-        scale = max(np.max(np.abs(vals)), 1.0)
+        scale = max(_max_abs(vals), 1.0)
         zero = np.abs(vals) < KERNEL_TOL * scale
         if int(np.sum(zero)) == rank:
             gap = np.min(np.abs(vals[~zero])) if np.any(~zero) else 0.0
@@ -533,34 +530,23 @@ def align_expectation_to_cartan(psi, rep: AlgebraRep, cartan: CartanData):
 
 
 def _align_axis_angle(psi, v, rep, cartan):
-    """Exact rotation for rank-1 K=3 algebras: take v to the Cartan axis."""
+    """Exact rotation for rank-1 K=3 algebras: take v to the Cartan axis.
+
+    v has a root component (the caller returns early otherwise), so it is
+    not parallel to the axis c and v x c is a rotation axis."""
     c = cartan.basis_rotation[0]
     vhat = v / np.linalg.norm(v)
-    dot = float(np.clip(vhat @ c, -1.0, 1.0))
     axis = np.cross(vhat, c)
-    axis_norm = np.linalg.norm(axis)
-    if axis_norm < 1e-14:
-        if dot > 0:
-            return psi.copy()
-        # Antipodal: rotate by pi about any axis orthogonal to c.
-        probe = np.array([1.0, 0.0, 0.0])
-        if abs(probe @ c) > 0.9:
-            probe = np.array([0.0, 1.0, 0.0])
-        axis = np.cross(c, probe)
-        axis /= np.linalg.norm(axis)
-        theta = np.pi
-    else:
-        axis = axis / axis_norm
-        theta = float(np.arccos(dot))
-    # The adjoint action of exp(-1j theta n.X) on expectation vectors is the
-    # right-handed rotation by theta about n (structure constants are the
-    # 3d Levi-Civita symbol times their uniform scale).
+    axis /= np.linalg.norm(axis)
+    theta = float(np.arccos(np.clip(vhat @ c, -1.0, 1.0)))
+    # The adjoint action of exp(-1j theta n.X / s) on expectation vectors is
+    # the right-handed rotation by theta about n: the structure constants
+    # are s times the 3d Levi-Civita symbol, s = f[0, 1, 2], so X / s obey
+    # the standard su(2) relations for either sign of s (either basis
+    # orientation).
     scale = rep.structure_constants[0, 1, 2]
     gen = np.tensordot(axis, rep.generators, axes=(0, 0))
-    u = unitary_exp(gen, -theta / scale)
-    out = u @ psi
-    if _root_component_norm(_expectations(out, rep), cartan) > 1e-9:
-        out = u.conj().T @ psi
+    out = unitary_exp(gen, -theta / scale) @ psi
     return out / np.linalg.norm(out)
 
 

@@ -198,6 +198,8 @@ def cmd_ensemble(args) -> int:
     steps = _steps_from(args)
     cfg = NoiseConfig(gamma=args.gamma, dt=args.dt, steps=steps, seed=args.seed)
     stride, bound = args.stride, args.bound
+    if args.traj < 1:
+        raise UsageError(f"--traj must be at least 1, got {args.traj}")
     ham = _parse_ham(args.ham, rep)
     psi0 = _initial_state(args, rep)
 

@@ -26,8 +26,9 @@ Ensemble counterpart:
     drho/dt = -1j [H, rho] - gamma sum_k [X_k, [X_k, rho]],
 
 solved exactly at every record time from one eigendecomposition of the
-Hermitian dissipator and one of H; ``lindblad_step`` is one classic RK4
-step of the same flow.
+Hermitian dissipator and one of H.  Its unraveling is the ensemble: the
+mean projector of ``ensemble_average`` tracks it, and one trajectory
+(``simulate_trajectory``) is an ensemble of one.
 
 Randomness is counter-based (Philox) with key = [seed, stream]; stream 0
 feeds trajectory noise, stream 1 initial-state sampling, stream 2 scan
@@ -38,26 +39,24 @@ subset of trajectories is reproducible in isolation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraRep, unitary_exp
+from .algebra import AlgebraRep, _max_abs, unitary_exp
 
 __all__ = [
     "Hamiltonian",
     "NoiseConfig",
     "TrajectoryRecord",
     "ensemble_average",
-    "ensemble_expectations",
     "ensemble_observables",
     "haar_state",
     "haar_states",
     "lindblad_evolve",
     "lindblad_expm_evolve",
-    "lindblad_step",
     "lindblad_superoperator",
     "simulate_trajectory",
     "snlse_step",
@@ -119,14 +118,14 @@ class Hamiltonian:
         if not np.all(np.isfinite(coeff)):
             raise ValueError(f"Hamiltonian coefficients must be finite, got {coeff}")
         matrix = np.tensordot(coeff, rep.generators, axes=(0, 0))
-        herm = np.max(np.abs(matrix - matrix.conj().T)) if matrix.size else 0.0
-        if herm > 1e-12 * max(1.0, float(np.max(np.abs(matrix)))):
+        herm = _max_abs(matrix - matrix.conj().T)
+        if herm > 1e-12 * max(1.0, _max_abs(matrix)):
             raise ValueError(f"Hamiltonian is not Hermitian: residual {herm:.3e}")
         back = np.real(
             np.einsum("ab,kba->k", matrix, rep.generators)
         ) / rep.normalization
-        resid = float(np.max(np.abs(back - coeff))) if coeff.size else 0.0
-        if resid > 1e-10 * max(1.0, float(np.max(np.abs(coeff))) if coeff.size else 1.0):
+        resid = _max_abs(back - coeff)
+        if resid > 1e-10 * max(1.0, _max_abs(coeff)):
             raise ValueError(
                 f"Hamiltonian does not project back onto its coefficients: {resid:.3e}"
             )
@@ -206,7 +205,7 @@ class TrajectoryRecord:
 
     times are k * stride * dt for k = 0..n_rec-1 (the initial state is row
     zero); expectations has one row per record time and one column per
-    generator.  states is None unless snapshot storage was requested.
+    generator.
     """
 
     times: np.ndarray
@@ -216,13 +215,12 @@ class TrajectoryRecord:
     drift: np.ndarray
     expectations: np.ndarray
     seed: int
-    states: np.ndarray | None = None
 
     def __post_init__(self):
         dt = np.diff(self.times)
         if self.times.ndim != 1 or len(self.times) < 1:
             raise ValueError("record grid must be a nonempty 1d array")
-        if dt.size and (np.any(dt <= 0) or np.max(np.abs(dt - dt[0])) > 1e-9 * dt[0]):
+        if dt.size and (np.any(dt <= 0) or _max_abs(dt - dt[0]) > 1e-9 * dt[0]):
             raise ValueError("record times must increase uniformly")
 
 
@@ -390,24 +388,16 @@ def simulate_trajectory(
     rep: AlgebraRep,
     cfg: NoiseConfig,
     record_stride: int = 1,
-    store_states: bool = False,
 ) -> TrajectoryRecord:
     """Integrate one measurement trajectory and record its functionals.
 
     The trajectory is a deterministic function of (initial, h, rep,
     cfg.seed): noise comes from the Philox stream (cfg.seed, stream 0).
+    It is the one-trajectory ``ensemble_observables``; its states, up to a
+    global phase, are the projectors of the one-trajectory
+    ``ensemble_average``.
     """
-    psi = _validate_state(initial, rep.dim_hilbert)
-    n_rec, times = _record_grid(cfg.steps, record_stride, cfg.dt)
-    table = np.empty((n_rec, 4 + rep.dim_algebra))
-    snaps = np.empty((n_rec, rep.dim_hilbert), dtype=complex) if store_states else None
-
-    def record(k0, states):
-        table[k0 : k0 + len(states)] = _observe_batch(states[:, 0], rep, cfg.gamma)
-        if snaps is not None:
-            snaps[k0 : k0 + len(states)] = states[:, 0]
-
-    _integrate(psi[None, :], _as_hamiltonian(h, rep), rep, cfg, 0, record_stride, record)
+    times, (table,) = ensemble_observables(initial, h, rep, cfg, 1, record_stride)
     return TrajectoryRecord(
         times=times,
         uncertainty=table[:, 0].copy(),
@@ -416,7 +406,6 @@ def simulate_trajectory(
         drift=table[:, 3].copy(),
         expectations=table[:, 4:].copy(),
         seed=cfg.seed,
-        states=snaps,
     )
 
 
@@ -477,10 +466,10 @@ def _integrate(batch, ham, rep, cfg, lo, record_stride, record):
                 keep(step // record_stride, batch)
 
 
-def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, collect):
-    """Integrate n_traj trajectories in blocks of block_size; collect is
-    "projector" (mean |psi><psi|), "observables" (per-trajectory
-    ``_observe_batch`` rows) or "expectations" (their last K columns)."""
+def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, projector):
+    """Integrate n_traj trajectories in blocks of block_size and collect the
+    mean |psi><psi| if projector is set, else the per-trajectory
+    ``_observe_batch`` rows."""
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     if not isinstance(block_size, (int, np.integer)) or block_size < 1:
@@ -499,7 +488,7 @@ def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, colle
     ham = _as_hamiltonian(h, rep)
     n_rec, times = _record_grid(cfg.steps, record_stride, cfg.dt)
     starts = range(0, n_traj, block_size)
-    if collect == "projector":
+    if projector:
         acc = np.zeros((len(starts), n_rec, rep.dim_hilbert, rep.dim_hilbert), dtype=complex)
 
         def observe(lo, k0, states):
@@ -511,11 +500,10 @@ def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, colle
             return sum(acc) / n_traj
 
     else:
-        first = 0 if collect == "observables" else 4
-        acc = np.empty((n_traj, n_rec, 4 + rep.dim_algebra - first))
+        acc = np.empty((n_traj, n_rec, 4 + rep.dim_algebra))
 
         def observe(lo, k0, states):
-            rows = _observe_batch(states, rep, cfg.gamma)[:, :, first:]
+            rows = _observe_batch(states, rep, cfg.gamma)
             acc[lo : lo + rows.shape[1], k0 : k0 + len(states)] = rows.transpose(1, 0, 2)
 
         def result():
@@ -554,30 +542,7 @@ def ensemble_average(
     together and reduced in fixed order, so the result does not depend on
     the thread count (GCSLOC_THREADS).
     """
-    return _run_ensemble(
-        initial, h, rep, cfg, n_traj, record_stride, block_size, "projector"
-    )
-
-
-def ensemble_expectations(
-    initial,
-    h,
-    rep: AlgebraRep,
-    cfg: NoiseConfig,
-    n_traj: int,
-    record_stride: int = 1,
-    block_size: int = DEFAULT_BLOCK,
-):
-    """Per-trajectory generator expectations at the record times.
-
-    Returns (times, values) with values of shape (n_traj, n_rec, K); used
-    for unraveling statistics (means and standard errors across
-    trajectories).  `initial` may be one state vector shared by all
-    trajectories or an (n_traj, d) array of per-trajectory starts.
-    """
-    return _run_ensemble(
-        initial, h, rep, cfg, n_traj, record_stride, block_size, "expectations"
-    )
+    return _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, True)
 
 
 def ensemble_observables(
@@ -593,13 +558,12 @@ def ensemble_observables(
 
     Returns (times, rows) with rows of shape (n_traj, n_rec, 4 + K):
     uncertainty, purity, squared covariance norm, drift, then the K
-    generator expectations.  `initial` may be one state vector or an
-    (n_traj, d) array of per-trajectory starts; trajectory i draws noise
-    from seed cfg.seed + i either way.
+    generator expectations, ``rows[..., 4:]``, whose means and standard
+    errors across trajectories are the unraveling statistics.  `initial`
+    may be one state vector or an (n_traj, d) array of per-trajectory
+    starts; trajectory i draws noise from seed cfg.seed + i either way.
     """
-    return _run_ensemble(
-        initial, h, rep, cfg, n_traj, record_stride, block_size, "observables"
-    )
+    return _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, False)
 
 
 def validate_density(rho, dim=None, herm_tol=1e-10, trace_tol=1e-10, eig_floor=-1e-8):
@@ -609,7 +573,7 @@ def validate_density(rho, dim=None, herm_tol=1e-10, trace_tol=1e-10, eig_floor=-
         raise ValueError(f"density matrix must be square, got {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
         raise ValueError(f"density matrix must be {dim} x {dim}, got {rho.shape}")
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
+    herm = _max_abs(rho - rho.conj().T)
     if herm > herm_tol:
         raise ValueError(f"density matrix not Hermitian: residual {herm:.3e}")
     tr = complex(np.trace(rho))
@@ -621,34 +585,18 @@ def validate_density(rho, dim=None, herm_tol=1e-10, trace_tol=1e-10, eig_floor=-
     return rho
 
 
-def _checked_flow(out, rho, where):
-    """Symmetrize out, the flow of the density matrix rho, and check that
-    its trace moved by at most 1e-12 and its eigenvalues stay above -1e-6."""
+def _checked_flow(out, rho):
+    """Symmetrize out, the flow of the density matrix rho to the next
+    record, and check that its trace moved by at most 1e-12 and its
+    eigenvalues stay above -1e-6."""
     out = 0.5 * (out + out.conj().T)
     tr_drift = abs(complex(np.trace(out)) - complex(np.trace(rho)))
     if tr_drift > 1e-12:
-        raise RuntimeError(f"trace drifted by {tr_drift:.3e} {where}")
+        raise RuntimeError(f"trace drifted by {tr_drift:.3e} between records")
     low = float(np.min(np.linalg.eigvalsh(out)))
     if low < -1e-6:
-        raise RuntimeError(f"density matrix negativity {low:.3e} {where}: positivity lost")
+        raise RuntimeError(f"density matrix negativity {low:.3e} between records: positivity lost")
     return out
-
-
-def lindblad_step(rho, h, rep: AlgebraRep, gamma: float, dt: float):
-    """One RK4 step of the double-commutator master equation, as four
-    products with ``lindblad_superoperator``.  The output is symmetrized and
-    the step rejected as too large if the trace moved by over 1e-12 or an
-    eigenvalue fell below -1e-6."""
-    _check_dt(dt)
-    rho = np.asarray(rho, dtype=complex)
-    sup = lindblad_superoperator(h, rep, gamma)
-    vec = rho.reshape(-1)
-    k1 = sup @ vec
-    k2 = sup @ (vec + 0.5 * dt * k1)
-    k3 = sup @ (vec + 0.5 * dt * k2)
-    k4 = sup @ (vec + dt * k3)
-    out = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return _checked_flow(out.reshape(rho.shape), rho, "in one step")
 
 
 def lindblad_evolve(
@@ -658,9 +606,9 @@ def lindblad_evolve(
     k * record_stride * dt, k = 0..steps // record_stride.
 
     Returns (times, rhos) with rhos of shape (n_rec, d, d), row 0 the
-    initial matrix; iterating ``lindblad_step`` gives the same up to RK4's
-    truncation error.
+    initial matrix: ``lindblad_expm_evolve`` at the grid times.
     """
+    _check_dt(dt)
     _, times = _record_grid(steps, record_stride, dt)
     return times, lindblad_expm_evolve(rho0, h, rep, gamma, times)
 
@@ -716,5 +664,5 @@ def lindblad_expm_evolve(rho0, h, rep: AlgebraRep, gamma: float, times):
         u = unitary_exp(ham.matrix, -times)
         flows = u @ flows @ u.conj().transpose(0, 2, 1)
     for i in np.argsort(times, kind="stable"):
-        rho = flows[i] = _checked_flow(flows[i], rho, "between records")
+        rho = flows[i] = _checked_flow(flows[i], rho)
     return flows

@@ -1,0 +1,30 @@
+"""The public names: what the package exports and what the benchmark calls."""
+
+import re
+from pathlib import Path
+
+import gcsloc
+import gcsloc.cli  # perfbench reaches the CLI as gcsloc.cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _resolves(dotted):
+    obj = gcsloc
+    for attr in dotted.split(".")[1:]:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in gcsloc.__all__ if not hasattr(gcsloc, name)] == []
+
+
+def test_every_name_perfbench_references_exists():
+    refs = set()
+    for path in PERFBENCH.glob("*.py"):
+        refs.update(re.findall(r"\bgcsloc(?:\.[A-Za-z_]\w*)+", path.read_text()))
+    assert "gcsloc.simulate_trajectory" in refs  # the scan sees the benchmark's calls
+    assert sorted(d for d in refs if not _resolves(d)) == []

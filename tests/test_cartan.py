@@ -226,6 +226,11 @@ def root_component_norm(psi, rep, cartan):
     return float(np.linalg.norm((cartan.basis_rotation @ v)[cartan.rank:]))
 
 
+def build_su2_reflected(two_j):
+    """The spin two_j/2 irrep in the orientation-reversing order (Jx, Jz, Jy)."""
+    return algebra_from_generators(build_su2_irrep(two_j).generators[[0, 2, 1]])
+
+
 def build_sun_adjoint(n):
     """The adjoint irrep of su(n): d = K = n^2 - 1, so neither exact path applies."""
     return algebra_from_generators(-1j * build_sun_fundamental(n).structure_constants)
@@ -233,6 +238,7 @@ def build_sun_adjoint(n):
 
 @pytest.mark.parametrize("builder,arg,path", [
     pytest.param(build_su2_irrep, 3, "_align_axis_angle", id="build_su2_irrep-3-auto"),  # K = 3
+    pytest.param(build_su2_reflected, 3, "_align_axis_angle", id="build_su2_reflected-3-auto"),
     pytest.param(build_sun_fundamental, 3, "_align_eigenbasis", id="build_sun_fundamental-3-auto"),  # K = d^2 - 1
     pytest.param(build_sun_adjoint, 3, "_align_newton", id="build_sun_adjoint-3-auto"),  # rank 2, d = K = 8
 ])
@@ -270,9 +276,10 @@ def test_alignment_paths(builder, arg, path, monkeypatch):
 
 def test_alignment_noop_when_already_aligned(su2_j1):
     rep, cartan = su2_j1
-    hw = highest_weight_state(cartan)
-    out = align_expectation_to_cartan(hw, rep, cartan)
-    assert np.allclose(out, hw, atol=1e-12)
+    # <X> along the Cartan axis, and antiparallel to it
+    for psi in (highest_weight_state(cartan), cartan.weight_basis[:, -1]):
+        out = align_expectation_to_cartan(psi, rep, cartan)
+        assert np.allclose(out, psi, atol=1e-12)
 
 
 def test_decompose_in_conjugated_basis():

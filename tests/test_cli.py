@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gcsloc import dynamics
+from gcsloc import cli, dynamics
 from gcsloc.cli import FLOAT_FMT, main, parse_algebra
 from gcsloc.dynamics import (
     NoiseConfig,
@@ -245,6 +245,21 @@ def test_ensemble_past_superoperator_budget_exits_1(tmp_path, capsys):
     assert rc == 1
     assert "d^2" in capsys.readouterr().err
     assert not (tmp_path / "big.csv").exists()
+
+
+@pytest.mark.parametrize("traj", ["0", "-3"])
+def test_ensemble_traj_below_one_exits_1(tmp_path, capsys, monkeypatch, traj):
+    def flow(*args):
+        raise AssertionError("the reference flow ran before --traj was checked")
+
+    monkeypatch.setattr(cli, "lindblad_expm_evolve", flow)
+    rc = main([
+        "ensemble", "--algebra", "su2:two_j=2", "--gamma", "0.1", "--dt", "1e-3",
+        "--time", "0.01", "--seed", "3", "--traj", traj, "--out", str(tmp_path / "ens"),
+    ])
+    assert rc == 1
+    assert "--traj" in capsys.readouterr().err
+    assert not (tmp_path / "ens.csv").exists()
 
 
 # ------------------------------------------------------------- theorem-scan
