@@ -78,11 +78,10 @@ class AlgebraRep:
     normalization : float
         The uniform trace norm lam = tr(X_i^2).
     casimir_matrix : (d, d) complex ndarray
-        The matrix sum_j X_j^2, kept for cheap expectation values.
-    moment_stack : (d, (K + 1) d) complex ndarray
-        X_1^T .. X_K^T and casimir_matrix^T side by side, so that for a
-        batch of row states psi the single product psi @ moment_stack holds
-        every X_k psi and then C psi (the moment kernel in ``dynamics``).
+        The matrix sum_j X_j^2; only the master-equation generator reads it.
+    moment_stack : (d, K d) complex ndarray
+        X_1^T .. X_K^T side by side: for row states psi, the one product
+        psi @ moment_stack holds every X_k psi (``dynamics._moments``).
     """
 
     generators: np.ndarray
@@ -284,7 +283,7 @@ def algebra_from_generators(generators) -> AlgebraRep:
 
     gens = np.ascontiguousarray(gens)
     d = gens.shape[1]
-    stack = np.concatenate([gens, cas[None]]).transpose(2, 0, 1).reshape(d, -1)
+    stack = gens.transpose(2, 0, 1).reshape(d, -1)
     for arr in (gens, f, gram, cas, stack):
         arr.flags.writeable = False
     return AlgebraRep(

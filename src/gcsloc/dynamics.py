@@ -17,9 +17,9 @@ is the standard order-1/2 strong scheme.
 
 The step, the records, the theorem scan and ``observables`` share one
 moment kernel, ``_moments``: a single product with the stacked generators,
-then real batched products.  The step takes only the moments it needs;
-records are buffered and observed DEFAULT_BLOCK states at a time, with
-the covariance.
+then real batched products.  The step reads only X_k psi and <X_k>, and
+takes C = sum_k X_k^2 as the scalar c; records are buffered and observed
+DEFAULT_BLOCK states at a time, with the covariance and <C>.
 
 Ensemble counterpart:
 
@@ -228,7 +228,7 @@ def _validate_state(psi, dim):
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (dim,):
         raise ValueError(f"state must have shape ({dim},), got {psi.shape}")
-    nrm = np.linalg.norm(psi)
+    nrm = np.sqrt(np.vdot(psi, psi).real)
     if not np.isfinite(nrm):
         raise ValueError(f"state norm is not finite: |psi| = {nrm}")
     if abs(nrm - 1.0) > 1e-8:
@@ -239,8 +239,6 @@ def _validate_state(psi, dim):
 class _Moments(NamedTuple):
     """Moments of a batch of n states; see ``_moments``."""
 
-    pf: np.ndarray  # (n, 2d) the states as interleaved real and imaginary parts
-    z: np.ndarray  # (n, K + 1, 2d) X_1 psi .. X_K psi, then C psi, likewise
     v: np.ndarray  # (n, K) <X_k>
     second: np.ndarray  # (n,) <C>
     purity: np.ndarray  # (n,) sum_k <X_k>^2
@@ -252,34 +250,41 @@ class _Moments(NamedTuple):
         return 2.0 * gamma * (rep.adjoint_casimir * self.purity - self.tnorm)
 
 
+def _generator_action(psi, rep):
+    """(pf, z, v) for an (n, d) complex psi with contiguous rows: psi and
+    X_k psi as interleaved real and imaginary parts, and <X_k>."""
+    n, d = psi.shape
+    pf = psi.view(np.float64)
+    z = (psi @ rep.moment_stack).view(np.float64).reshape(n, rep.dim_algebra, 2 * d)
+    v = np.matmul(z, pf[:, :, None])[:, :, 0]
+    return pf, z, v
+
+
 def _moments(psi, rep, cov=False):
     """Moments of n normalized states, the rows of an (n, d) array psi.
 
-    One product with ``rep.moment_stack`` gives y_k = X_k psi and C psi
-    (C = sum_k X_k^2).  Read as interleaved real and imaginary parts,
-    Re <a|b> is a real dot product, so the rest are real batched products:
+    One product with ``rep.moment_stack`` gives y_k = X_k psi.  Read as
+    interleaved real and imaginary parts, Re <a|b> is a real dot product,
+    so the rest are real batched products:
 
-        v_k = Re <psi|y_k>,   <C> = Re <psi|C psi>,   P = sum_k v_k^2,
+        v_k = Re <psi|y_k>,   <C> = sum_k |y_k|^2,   P = sum_k v_k^2,
         M_kl = 2 Re <u_k|u_l>,  u_k = (X_k - v_k) psi,   T = sum_kl M_kl^2.
 
+    <C> = <psi|sum_k X_k^2|psi> is formed without C, for the callers that
+    read it; the step, which does not, calls ``_generator_action`` alone.
     For normalized states this M is <{X_k, X_l}> - 2 v_k v_l; M and T are
     formed only when cov is set.
     """
-    psi = np.ascontiguousarray(psi, dtype=complex)
-    n, d = psi.shape
-    k = rep.dim_algebra
-    pf = psi.view(np.float64)
-    z = (psi @ rep.moment_stack).view(np.float64).reshape(n, k + 1, 2 * d)
-    w = np.matmul(z, pf[:, :, None])[:, :, 0]
-    v = w[:, :k]
+    pf, z, v = _generator_action(np.ascontiguousarray(psi, dtype=complex), rep)
+    second = np.einsum("nkj,nkj->n", z, z)
     purity = np.einsum("nk,nk->n", v, v)
     m = tnorm = None
     if cov:
-        u = z[:, :k] - v[:, :, None] * pf[:, None, :]
+        u = z - v[:, :, None] * pf[:, None, :]
         m = np.matmul(u, u.transpose(0, 2, 1))
         m *= 2.0
         tnorm = np.einsum("nkl,nkl->n", m, m)
-    return _Moments(pf, z, v, w[:, k], purity, m, tnorm)
+    return _Moments(v, second, purity, m, tnorm)
 
 
 class _RowFault(RuntimeError):
@@ -315,31 +320,28 @@ def _step_batch(psi, rep, gamma, dt, noise, prop=None):
     the Euler-Maruyama measurement update, then renormalization.  With the
     realized increments dxi (n, K) in noise, the update is
 
-        psi + sum_k (2 gamma dt v_k + dxi_k) X_k psi - gamma dt C psi
-            - (gamma dt P + sum_k dxi_k v_k) psi,
+        sum_k (2 gamma dt v_k + dxi_k) X_k psi
+            + (1 - gamma dt c - gamma dt P - sum_k dxi_k v_k) psi,
 
-    one real product of the coefficients with the moment kernel's stacked
-    X_k psi and C psi.
+    one real product with the stacked X_k psi and one scaled add of psi,
+    since C = sum_k X_k^2 = c 1 on an irreducible representation (checked
+    by ``algebra_from_generators``).  psi's rows must be contiguous.
     """
     if prop is not None:
         psi = psi @ prop.T
-    mom = _moments(psi, rep)
+    pf, z, v = _generator_action(psi, rep)
     gdt = gamma * dt
-    n, k = noise.shape
-    coef = np.empty((n, k + 1))
-    np.multiply(mom.v, 2.0 * gdt, out=coef[:, :k])
-    coef[:, :k] += noise
-    coef[:, k] = -gdt
-    keep = 1.0 - gdt * mom.purity - np.einsum("nk,nk->n", noise, mom.v)
-    out = np.matmul(coef[:, None, :], mom.z)[:, 0, :]
-    out += keep[:, None] * mom.pf
-    nrm = np.sqrt(np.einsum("nj,nj->n", out, out))
-    bad = ~(np.isfinite(nrm) & (nrm > 0))
-    if np.any(bad):
-        raise _RowFault(
-            "integration blow-up: state norm left (0, inf); reduce dt", np.flatnonzero(bad)
-        )
-    out /= nrm[:, None]
+    gv = v * gdt
+    coef = gv + noise
+    keep = 1.0 - gdt * rep.casimir_eigenvalue - np.matmul(coef[:, None, :], v[:, :, None])[:, 0]
+    coef += gv
+    out = np.matmul(coef[:, None, :], z)[:, 0, :]
+    out += keep * pf
+    nrm2 = np.einsum("nj,nj->n", out, out)[:, None]  # overflows to inf silently
+    if not (nrm2.min() > 0 and nrm2.max() < np.inf):  # NaN fails the first test
+        bad = np.flatnonzero(~(np.isfinite(nrm2) & (nrm2 > 0)))
+        raise _RowFault("integration blow-up: state norm left (0, inf); reduce dt", bad)
+    out /= np.sqrt(nrm2)
     return out.view(complex)
 
 
@@ -369,8 +371,7 @@ def snlse_step(psi, h, rep: AlgebraRep, gamma: float, dt: float, increments):
             f"increments must have shape ({rep.dim_algebra},), got {increments.shape}"
         )
     prop = None if ham is None else ham.propagator(dt)
-    out = _step_batch(psi[None, :], rep, gamma, dt, increments[None, :], prop)
-    return out[0]
+    return _step_batch(psi[None, :], rep, gamma, dt, increments[None, :], prop)[0]
 
 
 def _record_grid(steps, stride, dt):

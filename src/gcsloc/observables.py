@@ -32,7 +32,7 @@ import numpy as np
 
 from .algebra import AlgebraRep
 from .cartan import CartanData
-from .dynamics import _check_gamma, _moments, _validate_state
+from .dynamics import _check_gamma, _generator_action, _moments, _validate_state
 
 __all__ = [
     "CartanSplit",
@@ -59,7 +59,7 @@ def _state_moments(psi, rep, cov=False):
 
 def expectation_vector(psi, rep: AlgebraRep) -> np.ndarray:
     """<X_k> for every generator, a real vector of length K."""
-    return _state_moments(psi, rep).v[0]
+    return _generator_action(_validate_state(psi, rep.dim_hilbert)[None, :], rep)[2][0]
 
 
 def generalized_purity(psi, rep: AlgebraRep) -> float:

@@ -1,9 +1,13 @@
+import dataclasses
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from gcsloc import dynamics
-from gcsloc.algebra import build_su2_irrep, build_sun_fundamental
+from gcsloc.algebra import algebra_from_generators, build_su2_irrep, build_sun_fundamental
 from gcsloc.cartan import cartan_decompose, highest_weight_state
 from gcsloc.dynamics import (
     Hamiltonian,
@@ -206,6 +210,139 @@ def test_blow_up_names_step_trajectory_and_seed(spin1, monkeypatch):
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=69)
     with pytest.raises(RuntimeError, match="step 4, trajectory 3, seed 72"):
         ensemble_observables(haar_state(3, 26), None, spin1, cfg, n_traj=5, block_size=2)
+
+
+@pytest.mark.parametrize("row", [0, 1, 2])
+@pytest.mark.parametrize("fault", ["nan", "inf", "zero"])
+def test_step_blow_up_names_the_failing_row(spin1, fault, row):
+    psi = haar_states(3, 3, seed=27)
+    noise = np.full((3, 3), 1e-3)
+    if fault == "nan":
+        psi[row] = np.nan
+    elif fault == "inf":
+        noise[row] = 1e200  # the norm overflows to +inf
+    else:
+        psi[row] = 0.0
+    with pytest.raises(dynamics._RowFault, match="blow-up") as err:
+        dynamics._step_batch(psi, spin1, 0.1, 1e-3, noise)
+    assert list(err.value.rows) == [row]
+
+
+def test_step_blow_up_names_every_failing_row(spin1):
+    psi = haar_states(3, 4, seed=28)
+    noise = np.full((4, 3), 1e-3)
+    psi[0] = np.nan
+    noise[2] = 1e200
+    psi[3] = 0.0
+    with pytest.raises(dynamics._RowFault, match="blow-up") as err:
+        dynamics._step_batch(psi, spin1, 0.1, 1e-3, noise)
+    assert list(err.value.rows) == [0, 2, 3]
+
+
+def test_nan_noise_names_step_trajectory_and_seed(spin1, monkeypatch):
+    # the noise of the trajectory seeded 83 is NaN at its sixth step
+    real_rng = dynamics.stream_rng
+
+    class Spiked:
+        def __init__(self, seed, stream):
+            self.seed, self.rng = seed, real_rng(seed, stream)
+
+        def standard_normal(self, shape):
+            z = self.rng.standard_normal(shape)
+            if self.seed == 83:
+                z[5, 1] = np.nan
+            return z
+
+    monkeypatch.setattr(dynamics, "stream_rng", Spiked)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=83)
+    with pytest.raises(RuntimeError, match=r"blow-up.*\(step 6, trajectory 0, seed 83\)"):
+        simulate_trajectory(haar_state(3, 29), None, spin1, cfg)
+    # trajectory 4 is row 0 of the third block
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=79)
+    with pytest.raises(RuntimeError, match=r"blow-up.*\(step 6, trajectory 4, seed 83\)"):
+        ensemble_observables(haar_state(3, 29), None, spin1, cfg, n_traj=6, block_size=2)
+
+
+@lru_cache(maxsize=None)
+def step_algebra(name):
+    kind, arg = name.split(":")
+    if kind == "su2":
+        return build_su2_irrep(int(arg))
+    if kind == "suN":
+        return build_sun_fundamental(int(arg))
+    # the su(N) adjoint irrep from the structure constants: d = K = N^2 - 1
+    return algebra_from_generators(-1j * build_sun_fundamental(int(arg)).structure_constants)
+
+
+def reference_step(psi, rep, gamma, dt, noise, prop):
+    """The split step with the d x d Casimir matrix, written as the update
+
+        psi + sum_k (2 gamma dt v_k + dxi_k) X_k psi - gamma dt C psi
+            - (gamma dt P + sum_k dxi_k v_k) psi
+
+    with its K + 1 coefficients against X_1 psi .. X_K psi and C psi."""
+    if prop is not None:
+        psi = psi @ prop.T
+    n, k = noise.shape
+    y = np.concatenate(
+        [np.einsum("kab,nb->nka", rep.generators, psi), (psi @ rep.casimir_matrix.T)[:, None]],
+        axis=1,
+    )
+    v = np.einsum("na,nka->nk", psi.conj(), y[:, :k]).real
+    gdt = gamma * dt
+    coef = np.empty((n, k + 1))
+    coef[:, :k] = 2.0 * gdt * v + noise
+    coef[:, k] = -gdt
+    keep = 1.0 - gdt * np.sum(v * v, axis=1) - np.sum(noise * v, axis=1)
+    out = np.einsum("nk,nka->na", coef, y) + keep[:, None] * psi
+    return out / np.linalg.norm(out, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("with_h", [False, True])
+@pytest.mark.parametrize("n", [1, 257])
+@pytest.mark.parametrize(
+    "name", ["su2:1", "su2:2", "su2:4", "su2:8", "suN:3", "suN:6", "adj:3"]
+)
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dt=st.floats(1e-5, 1e-2),
+    frac=st.floats(0.0, 1.0),
+)
+def test_step_matches_casimir_matrix_reference(name, n, with_h, seed, dt, frac):
+    rep = step_algebra(name)
+    gamma = frac * dynamics.STABILITY_LIMIT / dt
+    rng = np.random.default_rng(seed)
+    psi = haar_states(rep.dim_hilbert, n, seed)
+    noise = np.sqrt(2.0 * gamma * dt) * rng.standard_normal((n, rep.dim_algebra))
+    prop = None
+    if with_h:
+        prop = Hamiltonian(rep, rng.uniform(-1.0, 1.0, rep.dim_algebra)).propagator(dt)
+    got = dynamics._step_batch(psi, rep, gamma, dt, noise, prop)
+    ref = reference_step(psi, rep, gamma, dt, noise, prop)
+    assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+def test_trajectories_never_read_the_casimir_matrix(monkeypatch):
+    # the d x d Casimir matrix is read only by the master-equation
+    # superoperator: replacing it with NaN leaves every trajectory record
+    # unchanged, bit for bit
+    monkeypatch.setenv("GCSLOC_THREADS", "1")
+    rep = build_su2_irrep(4)
+    d, k = rep.dim_hilbert, rep.dim_algebra
+    blind = dataclasses.replace(rep, casimir_matrix=np.full((d, d), np.nan))
+    assert rep.moment_stack.shape == (d, k * d)
+    assert np.array_equal(rep.moment_stack, rep.generators.transpose(2, 0, 1).reshape(d, -1))
+    assert np.isnan(lindblad_superoperator(None, blind, 0.1)).any()
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=300, seed=91)
+    psi = haar_state(d, 35)
+    for coeffs in (None, [0.3, -0.2, 0.5]):
+        a, b = (simulate_trajectory(psi, coeffs, r, cfg, record_stride=3) for r in (rep, blind))
+        for field in ("times", "uncertainty", "purity", "cov_trace_norm", "drift", "expectations"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        for run in (ensemble_observables, ensemble_average):
+            ra, rb = (run(psi, coeffs, r, cfg, 5, 3, block_size=2)[1] for r in (rep, blind))
+            assert np.array_equal(ra, rb)
 
 
 def brute_moments(psi, rep):
