@@ -77,8 +77,6 @@ class AlgebraRep:
         Scalar c_adj with sum_j [X_j, [X_j, X_i]] = c_adj * X_i.
     normalization : float
         The uniform trace norm lam = tr(X_i^2).
-    casimir_matrix : (d, d) complex ndarray
-        The matrix sum_j X_j^2; only the master-equation generator reads it.
     moment_stack : (d, K d) complex ndarray
         X_1^T .. X_K^T side by side: for row states psi, the one product
         psi @ moment_stack holds every X_k psi (``dynamics._moments``).
@@ -90,7 +88,6 @@ class AlgebraRep:
     casimir_eigenvalue: float
     adjoint_casimir: float
     normalization: float
-    casimir_matrix: np.ndarray
     moment_stack: np.ndarray
 
     @property
@@ -279,12 +276,11 @@ def algebra_from_generators(generators) -> AlgebraRep:
     lam = _uniform_norm(gram)
     f = compute_structure_constants(gens, normalization=lam)
     c, c_adj = casimir_constants(gens, f, lam)
-    cas = np.einsum("jab,jbc->ac", gens, gens)
 
     gens = np.ascontiguousarray(gens)
     d = gens.shape[1]
     stack = gens.transpose(2, 0, 1).reshape(d, -1)
-    for arr in (gens, f, gram, cas, stack):
+    for arr in (gens, f, gram, stack):
         arr.flags.writeable = False
     return AlgebraRep(
         generators=gens,
@@ -293,7 +289,6 @@ def algebra_from_generators(generators) -> AlgebraRep:
         casimir_eigenvalue=c,
         adjoint_casimir=c_adj,
         normalization=lam,
-        casimir_matrix=cas,
         moment_stack=stack,
     )
 

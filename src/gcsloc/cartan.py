@@ -3,8 +3,11 @@
 Given an AlgebraRep this module extracts a maximal commuting set of
 generators (the Cartan subalgebra), the root system of the adjoint action,
 ladder operators normalized so that [E_a, E_a^dag] = a . H, the weight
-basis of the Hilbert space, and the highest-weight state.  Generalized
-coherent states are group orbits of the highest-weight state,
+basis of the Hilbert space, and the highest-weight state.  Roots and
+weights come from one routine, the common eigenbasis of commuting
+Hermitian matrices (``_joint_eigenbasis``): of the adjoint actions of the
+H_i for the roots, of the H_i for the weights.  Generalized coherent
+states are group orbits of the highest-weight state,
 exp(1j * sum_k params_k X_k) |hw>.
 
 Conventions
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraRep, _max_abs, unitary_exp
-from .dynamics import _moments
+from .dynamics import _generator_action, _moments
 
 __all__ = [
     "CartanData",
@@ -138,100 +141,94 @@ def _diagonal_generator_indices(gens):
     return idx
 
 
-def _kernel_basis(t, K):
-    """Orthonormal real basis of the null space of the probe adjoint."""
-    u, s, vt = np.linalg.svd(t)
+def _kernel_basis(t):
+    """Orthonormal real rows spanning the null space of the probe adjoint."""
+    _, s, vt = np.linalg.svd(t)
     smax = max(s[0], 1.0) if s.size else 1.0
-    null = s < KERNEL_TOL * smax
-    return vt[null].T, int(np.sum(null))
+    return vt[s < KERNEL_TOL * smax]
 
 
-def _simultaneous_weights(cartan_gens, mix_weights, tol):
-    """Diagonalize a generic combination of commuting Hermitian matrices and
-    return (unitary, per-matrix eigenvalue columns); verifies that every
-    matrix is diagonal in the common basis."""
-    combo = np.tensordot(mix_weights, cartan_gens, axes=(0, 0))
-    _, vecs = np.linalg.eigh(combo)
-    vals = []
-    for h in cartan_gens:
-        rotated = vecs.conj().T @ h @ vecs
-        off = _max_abs(rotated - np.diag(np.diag(rotated)))
-        if off > tol * max(_max_abs(rotated), 1.0):
-            return None, None
-        vals.append(np.real(np.diag(rotated)))
-    return vecs, np.array(vals).T
+def _joint_eigenbasis(mats, rng, tol):
+    """Common eigenbasis of r commuting Hermitian (n, n) matrices.
+
+    Returns (vecs, vals): the unitary vecs from the ``eigh`` of a generic
+    positive combination sum_i (1 + u_i) M_i, u_i uniform from rng, and
+    vals[s, i] = (vecs^dag M_i vecs)[s, s], the eigenvalue of column s
+    under M_i.  A new combination is drawn, up to 8 times, while any
+    rotated M_i keeps an off-diagonal entry above tol * max(1, |vals|).
+    """
+    n = mats.shape[1]
+    for _ in range(8):
+        combo = np.tensordot(1.0 + rng.random(len(mats)), mats, axes=(0, 0))
+        _, vecs = np.linalg.eigh(combo)
+        rotated = vecs.conj().T @ mats @ vecs
+        diag = np.diagonal(rotated, axis1=1, axis2=2)
+        vals = np.real(diag).T
+        if _max_abs(rotated - diag[:, :, None] * np.eye(n)) <= tol * max(1.0, _max_abs(vals)):
+            return vecs, vals
+    raise RuntimeError("no common eigenbasis: the matrices are not simultaneously diagonal")
+
+
+def _cartan_candidates(rep, rng):
+    """Coefficient rows (r, K) of candidate Cartan subalgebras, in order:
+    the diagonal generators, when they span the kernel of the adjoint
+    action of a generic combination of themselves, then the kernels of
+    four random probes."""
+    K = rep.dim_algebra
+    f = rep.structure_constants
+    diag_idx = _diagonal_generator_indices(rep.generators)
+    if diag_idx:
+        coeff = np.zeros(K)
+        coeff[diag_idx] = 1.0 + rng.random(len(diag_idx))
+        if len(_kernel_basis(_adjoint_matrix(coeff, f))) == len(diag_idx):
+            # the diagonal generators themselves are a clean kernel basis;
+            # keep them instead of the SVD mixture
+            yield np.eye(K)[diag_idx]
+    for _ in range(4):
+        yield _kernel_basis(_adjoint_matrix(rng.standard_normal(K), f))
 
 
 def cartan_decompose(rep: AlgebraRep) -> CartanData:
     """Extract Cartan subalgebra, roots, ladder operators, and weights.
 
-    The Cartan subalgebra is found as the kernel of the adjoint action of a
-    generic algebra element (a deterministic pseudo-random combination;
-    when some generators are already diagonal matrices, a generic
-    combination of those is preferred so the extracted basis is the
-    standard one).  Root vectors are eigenvectors of the commuting adjoint
-    actions of the H_i; their eigenvalue tuples are the roots.
+    The Cartan subalgebra is the kernel of the adjoint action of a generic
+    algebra element (a deterministic pseudo-random combination; when some
+    generators are already diagonal matrices, a generic combination of
+    those is tried first so the extracted basis is the standard one).  One
+    routine, ``_joint_eigenbasis``, then gives both the roots, as the
+    eigenvalue tuples of the commuting adjoint actions of the H_i, and the
+    weights, as those of the H_i themselves.
 
     Raises
     ------
     RuntimeError
-        If extraction fails (degenerate probe after retries, broken root
-        pairing, or inconsistent pairings between root space and states).
+        If extraction fails (no common eigenbasis after retries, broken
+        root pairing, or inconsistent pairings between root space and
+        states).
     ValueError
         If the highest weight is degenerate ("highest weight not unique").
     """
-    gens = rep.generators
-    f = rep.structure_constants
     K = rep.dim_algebra
-    lam = rep.normalization
     rng = _probe_rng()
-
-    diag_idx = _diagonal_generator_indices(gens)
-    attempts = []
-    if diag_idx:
-        attempts.append("diagonal")
-    attempts += ["random"] * 4
-
     last_err = None
-    for mode in attempts:
-        if mode == "diagonal":
-            coeff = np.zeros(K)
-            coeff[diag_idx] = 1.0 + rng.random(len(diag_idx))
-        else:
-            coeff = rng.standard_normal(K)
-        t = _adjoint_matrix(coeff, f)
-        kernel, rank = _kernel_basis(t, K)
-        if mode == "diagonal":
-            if rank == len(diag_idx):
-                # The diagonal generators themselves are a clean kernel
-                # basis; keep them instead of the SVD mixture.
-                kernel = np.zeros((K, rank))
-                for col, i in enumerate(diag_idx):
-                    kernel[i, col] = 1.0
-            else:
-                last_err = (
-                    f"diagonal probe kernel rank {rank} != {len(diag_idx)}"
-                )
-                continue
-        if (K - rank) % 2 != 0 or rank < 1:
+    for cartan_coeff in _cartan_candidates(rep, rng):
+        rank = len(cartan_coeff)
+        if rank < 1 or (K - rank) % 2 != 0:
             last_err = f"kernel rank {rank} leaves an odd number of roots"
             continue
         try:
-            return _decompose_with_kernel(rep, kernel, rank, rng)
+            return _decompose_with_kernel(rep, cartan_coeff, rng)
         except RuntimeError as err:
             last_err = str(err)
-            continue
     raise RuntimeError(f"Cartan extraction failed: {last_err}")
 
 
-def _decompose_with_kernel(rep, kernel, rank, rng):
+def _decompose_with_kernel(rep, cartan_coeff, rng):
     gens = rep.generators
     f = rep.structure_constants
     K = rep.dim_algebra
     d = rep.dim_hilbert
-    lam = rep.normalization
-
-    cartan_coeff = kernel.T  # (r, K) orthonormal rows
+    rank = len(cartan_coeff)  # orthonormal rows
     cartan_gens = np.tensordot(cartan_coeff, gens, axes=(1, 0))
 
     comm_resid = 0.0
@@ -244,60 +241,19 @@ def _decompose_with_kernel(rep, kernel, rank, rng):
     if comm_resid > 1e-10 * max(1.0, _max_abs(cartan_gens)):
         raise RuntimeError(f"extracted Cartan set does not commute: {comm_resid:.3e}")
 
-    # Adjoint actions of the H_i on coefficient space, Hermitian K x K.
+    # Adjoint actions of the H_i on coefficient space, Hermitian K x K and
+    # purely imaginary, so the conjugate of a root vector of a is one of -a.
     ad = np.array([1j * _adjoint_matrix(c, f).T for c in cartan_coeff])
+    vecs, vals = _joint_eigenbasis(ad, rng, ROOT_TOL)
+    signs = np.array([_lex_sign(a) for a in vals])
+    n_zero = int(np.sum(signs == 0.0))
+    if n_zero != rank:
+        raise RuntimeError(f"{n_zero} zero roots, expected the rank {rank}")
 
-    # A generic real combination separates the root values; retry with new
-    # mixing weights if eigenvalues cluster ambiguously.
-    for _ in range(8):
-        mix = 1.0 + rng.random(rank)
-        combo = np.tensordot(mix, ad, axes=(0, 0))
-        vals, vecs = np.linalg.eigh(combo)
-        scale = max(_max_abs(vals), 1.0)
-        zero = np.abs(vals) < KERNEL_TOL * scale
-        if int(np.sum(zero)) == rank:
-            gap = np.min(np.abs(vals[~zero])) if np.any(~zero) else 0.0
-            spacing = np.min(np.diff(np.sort(vals[~zero]))) if np.sum(~zero) > 1 else gap
-            if gap > 1e-6 * scale and (np.sum(~zero) <= 1 or spacing > 1e-6 * scale):
-                break
-    else:
-        raise RuntimeError("could not separate root values with a generic probe")
-
-    n_pos = (K - rank) // 2
-    pos_entries = []
-    used = np.zeros(K, dtype=bool)
-    order = np.argsort(-vals)
-    for idx in order:
-        if zero[idx] or used[idx]:
-            continue
-        if vals[idx] < 0:
-            continue
-        e = vecs[:, idx]
-        root = np.array([float(np.real(e.conj() @ adh @ e)) for adh in ad])
-        resid = max(_max_abs(adh @ e - comp * e) for adh, comp in zip(ad, root))
-        if resid > ROOT_TOL * max(1.0, _max_abs(root)):
-            raise RuntimeError(
-                f"root eigenvector is not simultaneous: residual {resid:.3e}"
-            )
-        sign = _lex_sign(root)
-        if sign == 0.0:
-            raise RuntimeError("root with vanishing components")
-        if sign < 0:
-            root = -root
-            e = np.conj(e)
-        e = _canonical_phase(e)
-        pos_entries.append((root, e))
-        used[idx] = True
-
-    if len(pos_entries) != n_pos:
-        raise RuntimeError(
-            f"found {len(pos_entries)} positive roots, expected {n_pos}"
-        )
-
-    # Deterministic ordering: lexicographically descending roots.
-    pos_entries.sort(key=lambda item: tuple(-item[0]))
-    positive_roots = np.array([item[0] for item in pos_entries])
-    root_vectors = [item[1] for item in pos_entries]
+    # Deterministic ordering: lexicographically descending positive roots.
+    order = sorted(np.flatnonzero(signs > 0.0), key=lambda s: tuple(-vals[s]))
+    positive_roots = vals[order]
+    root_vectors = [_canonical_phase(vecs[:, s]) for s in order]
     raising = np.array(
         [np.tensordot(e, gens, axes=(0, 0)) for e in root_vectors]
     )
@@ -332,11 +288,7 @@ def _decompose_with_kernel(rep, kernel, rank, rng):
             f"adapted basis is not orthogonal: residual {ortho_resid:.3e}"
         )
 
-    mix = 1.0 + rng.random(rank)
-    weight_basis, weights = _simultaneous_weights(cartan_gens, mix, WEIGHT_TOL)
-    if weight_basis is None:
-        raise RuntimeError("weight basis extraction failed: H_i not simultaneously diagonal")
-
+    weight_basis, weights = _joint_eigenbasis(cartan_gens, rng, WEIGHT_TOL)
     order = sorted(range(d), key=lambda s: tuple(-weights[s]))
     weight_basis = weight_basis[:, order]
     weights = weights[order]
@@ -399,7 +351,7 @@ def _decompose_with_kernel(rep, kernel, rank, rng):
         highest_weight=highest,
         highest_weight_index=hw_index,
         positive_root_sum=pos_sum,
-        normalization=lam,
+        normalization=rep.normalization,
     )
 
 
@@ -482,7 +434,7 @@ def weight_string(cartan: CartanData, state_index: int, root_index: int):
 
 
 def _expectations(psi, rep):
-    return _moments(psi[None, :], rep).v[0]
+    return _generator_action(np.ascontiguousarray(psi)[None, :], rep)[2][0]
 
 
 def _root_component_norm(v, cartan):
@@ -554,12 +506,15 @@ def _align_eigenbasis(psi, v, rep, cartan):
     """Exact rotation for fundamental representations: diagonalize <X>.X.
 
     In the fundamental representation every special unitary is a group
-    element, so the eigenbasis rotation of A = sum v_k X_k is an adjoint
-    rotation taking <X> into the diagonal (Cartan) span.
+    element, up to a global phase.  With A = sum v_k X_k = V D V^dagger,
+    V^dagger takes the traceless part of |psi><psi|, which is A / lam, to
+    a diagonal matrix, and the weight basis W then takes it to one
+    diagonal in W, that is into the Cartan span: the state W V^dagger psi
+    has <X> in the Cartan span in any basis of the representation.
     """
     a = np.tensordot(v, rep.generators, axes=(0, 0))
     _, vecs = np.linalg.eigh(a)
-    out = vecs.conj().T @ psi
+    out = cartan.weight_basis @ (vecs.conj().T @ psi)
     return out / np.linalg.norm(out)
 
 
@@ -567,15 +522,16 @@ def _align_newton(psi, v, rep, cartan, max_iter=200):
     """Damped Newton iteration zeroing the root-plane components of <X>.
 
     Each update is a group rotation exp(1j sum theta_a Y_a) over the
-    adapted root-plane directions Y_a, with the Jacobian of the root
-    components assembled from commutators at the current point.
+    adapted root-plane directions Y_a = sum_j R_aj X_j, R the root rows of
+    ``basis_rotation``.  Its first-order change of <X> is -theta R t with
+    t_jl = sum_k f_jkl v_k, so the Jacobian of the root components comes
+    from the structure constants: jac = -R (R t)^T.
     """
-    gens = rep.generators
     rot = cartan.basis_rotation
     r = cartan.rank
-    K = rep.dim_algebra
-    lam = rep.normalization
-    adapted = np.tensordot(rot[r:], gens, axes=(1, 0))  # root-plane directions
+    f = rep.structure_constants
+    root_rows = rot[r:]
+    adapted = np.tensordot(root_rows, rep.generators, axes=(1, 0))  # root-plane directions
 
     out = psi.copy()
     v = v.copy()
@@ -583,13 +539,8 @@ def _align_newton(psi, v, rep, cartan, max_iter=200):
     for _ in range(max_iter):
         if resid <= ALIGNMENT_TOL:
             return out
-        a_mat = np.tensordot(v, gens, axes=(0, 0))
-        jac = np.zeros((K - r, K - r))
-        for col, y in enumerate(adapted):
-            comm = 1j * (y @ a_mat - a_mat @ y)
-            coeff = np.real(np.einsum("ab,kba->k", comm, gens)) / lam
-            jac[:, col] = (rot @ coeff)[r:]
-        target = -(rot @ v)[r:]
+        jac = -root_rows @ (root_rows @ np.tensordot(f, v, axes=(1, 0))).T
+        target = -(root_rows @ v)
         theta, *_ = np.linalg.lstsq(jac, target, rcond=None)
         step = 1.0
         for _ in range(30):

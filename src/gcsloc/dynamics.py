@@ -617,17 +617,18 @@ def lindblad_evolve(
 def lindblad_superoperator(h, rep: AlgebraRep, gamma: float) -> np.ndarray:
     """Dense (d^2, d^2) generator of the master equation flow.
 
-    L rho = 2 gamma sum_k X_k rho X_k - (A rho + rho A^dagger), A = gamma C
-    + 1j H, in the row-major vectorization vec(rho)[i*d + j] = rho[i, j],
-    under which A rho B maps to (A kron B^T) vec(rho).  Its d^4 complex
-    entries must fit in 64 MiB, so d <= 45.
+    L rho = 2 gamma sum_k X_k rho X_k - (A rho + rho A^dagger), A = gamma c
+    + 1j H (the Casimir C = sum_k X_k^2 is c 1 on an irrep), in the
+    row-major vectorization vec(rho)[i*d + j] = rho[i, j], under which
+    A rho B maps to (A kron B^T) vec(rho).  Its d^4 complex entries must
+    fit in 64 MiB, so d <= 45.
     """
     _check_gamma(gamma)
     d = rep.dim_hilbert
     if 16 * d**4 > 64 << 20:
         raise ValueError(f"superoperator of d^2 = {d * d} is over its 64 MiB budget")
     ham = _as_hamiltonian(h, rep)
-    a = gamma * rep.casimir_matrix
+    a = gamma * rep.casimir_eigenvalue * np.eye(d)
     if ham is not None:
         a = a + 1j * ham.matrix
     gens = rep.generators

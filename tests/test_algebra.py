@@ -143,7 +143,12 @@ def test_unitary_exp_matches_scipy(d):
 def test_casimir_matrix_is_scalar():
     for rep in (build_su2_irrep(3), build_sun_fundamental(4)):
         target = rep.casimir_eigenvalue * np.eye(rep.dim_hilbert)
-        assert np.max(np.abs(rep.casimir_matrix - target)) < 1e-12
+        cas = np.einsum("kab,kbc->ac", rep.generators, rep.generators)
+        assert np.max(np.abs(cas - target)) < 1e-12
+        # C = c 1 is applied as the scalar c: the moment stack holds
+        # X_1^T .. X_K^T and no Casimir block
+        d, k = rep.dim_hilbert, rep.dim_algebra
+        assert np.array_equal(rep.moment_stack, rep.generators.transpose(2, 0, 1).reshape(d, k * d))
 
 
 def test_adjoint_casimir_contraction_route():

@@ -75,17 +75,7 @@ def test_su2_raising_op_is_jplus(su2_j1):
 
 def test_su3_rank_roots_weights(su3):
     rep, cartan = su3
-    assert cartan.rank == 2
-    assert cartan.n_positive == 3
     assert cartan.roots.shape == (6, 2)
-
-    # roots come in opposite pairs and all have squared length 1
-    root_set = {tuple(np.round(r, 9)) for r in cartan.roots}
-    for r in cartan.roots:
-        assert tuple(np.round(-r, 9)) in root_set
-    assert np.allclose(np.sum(cartan.roots, axis=0), [0.0, 0.0], atol=1e-9)
-    assert np.allclose(np.einsum("ai,ai->a", cartan.roots, cartan.roots), 1.0,
-                       atol=1e-9)
 
     # weight set of the defining representation, order-insensitive
     s3 = np.sqrt(3.0)
@@ -97,15 +87,55 @@ def test_su3_rank_roots_weights(su3):
     assert np.allclose(cartan.highest_weight, [0.5, 1 / (2 * s3)], atol=1e-9)
     assert np.allclose(cartan.positive_root_sum, [2.0, 0.0], atol=1e-9)
 
+
+def rounded_set(rows):
+    return {tuple(np.round(row, 9) + 0.0) for row in rows}
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_sun_rank_roots_weights(n):
+    rep = build_sun_fundamental(n)
+    cartan = cartan_decompose(rep)
+    assert cartan.rank == n - 1
+    assert cartan.n_positive == n * (n - 1) // 2
+    assert cartan.weights.shape == (n, n - 1)
+
+    # roots come in opposite pairs and all have squared length 1
+    assert rounded_set(cartan.roots) == rounded_set(-cartan.roots)
+    assert np.allclose(np.sum(cartan.roots, axis=0), 0.0, atol=1e-9)
+    assert np.allclose(np.einsum("ai,ai->a", cartan.roots, cartan.roots), 1.0,
+                       atol=1e-9)
+
     # roots are exactly the differences of distinct weights
-    diffs = {
-        tuple(np.round(wa - wb, 9))
-        for i, wa in enumerate(cartan.weights)
-        for k, wb in enumerate(cartan.weights)
-        if i != k
-    }
-    got_roots = {tuple(np.round(r, 9)) for r in cartan.roots}
-    assert got_roots == diffs
+    diffs = [wa - wb for i, wa in enumerate(cartan.weights)
+             for k, wb in enumerate(cartan.weights) if i != k]
+    assert len(rounded_set(diffs)) == len(diffs) == len(cartan.roots)
+    assert rounded_set(cartan.roots) == rounded_set(diffs)
+
+
+def test_adjoint_weights_are_roots_and_zeros():
+    # the su(3) adjoint: d = 8 weights, the 6 roots and a doubly degenerate
+    # zero weight, whose common eigenspace the weight basis must still split
+    rep = build_sun_adjoint(3)
+    cartan = cartan_decompose(rep)
+    assert cartan.rank == 2
+    zero = np.all(np.abs(cartan.weights) < 1e-9, axis=1)
+    assert int(np.sum(zero)) == cartan.rank
+    assert rounded_set(cartan.weights[~zero]) == rounded_set(cartan.roots)
+    assert len(cartan.weights[~zero]) == len(cartan.roots)
+    assert np.allclose(cartan.highest_weight, cartan.positive_roots[0], atol=1e-9)
+    w = cartan.weight_basis
+    assert np.max(np.abs(w.conj().T @ w - np.eye(rep.dim_hilbert))) < 1e-12
+    for i, h in enumerate(cartan.cartan_generators):
+        assert np.max(np.abs(h @ w - w * cartan.weights[:, i])) < 1e-10
+
+
+def test_joint_eigenbasis_rejects_non_commuting_pair():
+    sx = np.array([[0, 1], [1, 0]], dtype=complex) / 2
+    sz = np.array([[1, 0], [0, -1]], dtype=complex) / 2
+    rng = np.random.default_rng(0)
+    with pytest.raises(RuntimeError, match="common eigenbasis"):
+        cartan_module._joint_eigenbasis(np.array([sx, sz]), rng, cartan_module.WEIGHT_TOL)
 
 
 @pytest.mark.parametrize("builder,arg", [
@@ -236,11 +266,29 @@ def build_sun_adjoint(n):
     return algebra_from_generators(-1j * build_sun_fundamental(n).structure_constants)
 
 
+def conjugated(base, seed=99):
+    """base with every generator conjugated by one generic group element,
+    so that no generator is diagonal."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-1, 1, base.dim_algebra)
+    u = scipy.linalg.expm(1j * np.tensordot(theta, base.generators, axes=(0, 0)))
+    gens = np.einsum("ab,kbc,cd->kad", u.conj().T, base.generators, u)
+    gens = 0.5 * (gens + np.conj(np.swapaxes(gens, -1, -2)))
+    return algebra_from_generators(gens)
+
+
+def build_sun_conjugated(n):
+    """The defining su(n) irrep in a basis where its Cartan is not diagonal."""
+    return conjugated(build_sun_fundamental(n))
+
+
 @pytest.mark.parametrize("builder,arg,path", [
     pytest.param(build_su2_irrep, 3, "_align_axis_angle", id="build_su2_irrep-3-auto"),  # K = 3
     pytest.param(build_su2_reflected, 3, "_align_axis_angle", id="build_su2_reflected-3-auto"),
     pytest.param(build_sun_fundamental, 3, "_align_eigenbasis", id="build_sun_fundamental-3-auto"),  # K = d^2 - 1
     pytest.param(build_sun_adjoint, 3, "_align_newton", id="build_sun_adjoint-3-auto"),  # rank 2, d = K = 8
+    pytest.param(build_sun_conjugated, 3, "_align_eigenbasis", id="build_sun_conjugated-3-auto"),
+    pytest.param(build_sun_conjugated, 4, "_align_eigenbasis", id="build_sun_conjugated-4-auto"),
 ])
 def test_alignment_paths(builder, arg, path, monkeypatch):
     rep = builder(arg)
@@ -282,17 +330,12 @@ def test_alignment_noop_when_already_aligned(su2_j1):
         assert np.allclose(out, psi, atol=1e-12)
 
 
-def test_decompose_in_conjugated_basis():
+def check_conjugated_decomposition(base):
     # no generator is diagonal after a generic rotation, which forces the
     # random-probe path; the invariant data must not change
-    base = build_sun_fundamental(3)
     ref = cartan_decompose(base)
-    rng = np.random.default_rng(99)
-    theta = rng.uniform(-1, 1, base.dim_algebra)
-    u = scipy.linalg.expm(1j * np.tensordot(theta, base.generators, axes=(0, 0)))
-    gens = np.einsum("ab,kbc,cd->kad", u.conj().T, base.generators, u)
-    gens = 0.5 * (gens + np.conj(np.swapaxes(gens, -1, -2)))
-    rep = algebra_from_generators(gens)
+    rep = conjugated(base)
+    assert not cartan_module._diagonal_generator_indices(rep.generators)
     cartan = cartan_decompose(rep)
 
     assert cartan.rank == ref.rank
@@ -309,6 +352,19 @@ def test_decompose_in_conjugated_basis():
     got_min, got_c = uncertainty_bounds(rep, cartan)
     assert got_min == pytest.approx(ref_min, abs=1e-8)
     assert got_c == pytest.approx(ref_c, abs=1e-8)
+
+
+def test_decompose_in_conjugated_basis():
+    check_conjugated_decomposition(build_sun_fundamental(3))
+
+
+@pytest.mark.parametrize("builder,arg", [
+    (build_sun_fundamental, 4),
+    (build_su2_irrep, 3),
+    (build_sun_adjoint, 3),
+])
+def test_decompose_in_other_conjugated_bases(builder, arg):
+    check_conjugated_decomposition(builder(arg))
 
 
 def test_debug_dict_keys(su3):
