@@ -8,7 +8,8 @@ weights come from one routine, the common eigenbasis of commuting
 Hermitian matrices (``_joint_eigenbasis``): of the adjoint actions of the
 H_i for the roots, of the H_i for the weights.  Generalized coherent
 states are group orbits of the highest-weight state,
-exp(1j * sum_k params_k X_k) |hw>.
+exp(1j * sum_k params_k X_k) |hw>.  <X> and the check of the root data
+against the states (``uncertainty_bounds``) come from ``observables``.
 
 Conventions
 -----------
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraRep, _max_abs, unitary_exp
-from .dynamics import _generator_action, _moments
+from .observables import expectation_vector, uncertainty_bounds
 
 __all__ = [
     "CartanData",
@@ -46,7 +47,6 @@ WEIGHT_TOL = 1e-10
 KERNEL_TOL = 1e-8
 DIAGONAL_TOL = 1e-12
 ANNIHILATION_TOL = 1e-9
-PAIRING_TOL = 1e-6
 ALIGNMENT_TOL = 1e-10
 
 _PROBE_KEY = 0x6C6F63  # fixed Philox key: extraction is deterministic
@@ -116,19 +116,19 @@ def _adjoint_matrix(coeff, f):
     return np.tensordot(coeff, f, axes=(0, 0))
 
 
-def _canonical_phase(vec, tol=1e-12):
+def _canonical_phase(vec):
     """Rotate a complex vector's global phase so its largest entry is real
     positive; deterministic up to ties broken by the first maximal index."""
     idx = int(np.argmax(np.abs(vec)))
     pivot = vec[idx]
-    if abs(pivot) < tol:
+    if abs(pivot) < 1e-12:
         return vec
     return vec * (np.conj(pivot) / abs(pivot))
 
 
-def _lex_sign(vec, tol=1e-10):
+def _lex_sign(vec):
     for x in vec:
-        if abs(x) > tol:
+        if abs(x) > 1e-10:
             return 1.0 if x > 0 else -1.0
     return 0.0
 
@@ -202,11 +202,12 @@ def cartan_decompose(rep: AlgebraRep) -> CartanData:
     Raises
     ------
     RuntimeError
-        If extraction fails (no common eigenbasis after retries, broken
-        root pairing, or inconsistent pairings between root space and
-        states).
+        If extraction fails (for example, no common eigenbasis after retries,
+        or broken ladder relations) for every candidate Cartan subalgebra.
     ValueError
-        If the highest weight is degenerate ("highest weight not unique").
+        If the highest weight is degenerate ("highest weight not unique"),
+        or from ``uncertainty_bounds`` if the root-space pairings disagree
+        with the highest-weight state ("normalization inconsistency").
     """
     K = rep.dim_algebra
     rng = _probe_rng()
@@ -313,33 +314,11 @@ def _decompose_with_kernel(rep, cartan_coeff, rng):
     highest = weights[hw_index].copy()
     pos_sum = positive_roots.sum(axis=0)
 
-    # Consistency between root-space pairings and state-level moments:
-    # (hw, hw + pos_sum) must reproduce the quadratic invariant and
-    # (hw, pos_sum) the uncertainty of the highest-weight state.
-    c_pair = float(np.dot(highest, highest + pos_sum))
-    if abs(c_pair - rep.casimir_eigenvalue) > PAIRING_TOL * max(
-        1.0, abs(rep.casimir_eigenvalue)
-    ):
-        raise RuntimeError(
-            "normalization inconsistency between root space and generators: "
-            f"(hw, hw + root sum) = {c_pair:.12g} vs invariant "
-            f"{rep.casimir_eigenvalue:.12g}"
-        )
-    mom = _moments(weight_basis[None, :, hw_index], rep)
-    delta_state = float(mom.second[0] - mom.purity[0])
-    delta_pair = float(np.dot(highest, pos_sum))
-    if abs(delta_state - delta_pair) > PAIRING_TOL * max(1.0, abs(delta_pair)):
-        raise RuntimeError(
-            "normalization inconsistency between root space and generators: "
-            f"state uncertainty {delta_state:.12g} vs (hw, root sum) "
-            f"{delta_pair:.12g}"
-        )
-
     roots = np.vstack([positive_roots, -positive_roots])
     for arr in (cartan_gens, rotation, positive_roots, roots, raising,
                 weight_basis, weights, highest, pos_sum):
         arr.flags.writeable = False
-    return CartanData(
+    data = CartanData(
         rank=rank,
         cartan_generators=cartan_gens,
         basis_rotation=rotation,
@@ -353,6 +332,8 @@ def _decompose_with_kernel(rep, cartan_coeff, rng):
         positive_root_sum=pos_sum,
         normalization=rep.normalization,
     )
+    uncertainty_bounds(rep, data)  # no other Cartan choice changes the pairings
+    return data
 
 
 def highest_weight_state(cartan: CartanData) -> np.ndarray:
@@ -433,10 +414,6 @@ def weight_string(cartan: CartanData, state_index: int, root_index: int):
     return j, m
 
 
-def _expectations(psi, rep):
-    return _generator_action(np.ascontiguousarray(psi)[None, :], rep)[2][0]
-
-
 def _root_component_norm(v, cartan):
     rotated = cartan.basis_rotation @ v
     return float(np.linalg.norm(rotated[cartan.rank:]))
@@ -455,10 +432,10 @@ def align_expectation_to_cartan(psi, rep: AlgebraRep, cartan: CartanData):
     an exact eigenbasis rotation for the fundamental representation
     (d^2 - 1 generators), and a damped Newton iteration on the root-plane
     components otherwise.  The residual root component is held to
-    ALIGNMENT_TOL.
+    ALIGNMENT_TOL.  An unnormalized or non-finite psi raises ValueError.
     """
     psi = np.asarray(psi, dtype=complex)
-    v = _expectations(psi, rep)
+    v = expectation_vector(psi, rep)
     vnorm = float(np.linalg.norm(v))
     if vnorm < 1e-12:
         return psi.copy()
@@ -473,7 +450,7 @@ def align_expectation_to_cartan(psi, rep: AlgebraRep, cartan: CartanData):
     else:
         out = _align_newton(psi, v, rep, cartan)
 
-    resid = _root_component_norm(_expectations(out, rep), cartan)
+    resid = _root_component_norm(expectation_vector(out, rep), cartan)
     if resid > max(ALIGNMENT_TOL, 1e-10 * vnorm):
         raise RuntimeError(
             f"Cartan alignment failed: residual root component {resid:.3e}"
@@ -518,7 +495,7 @@ def _align_eigenbasis(psi, v, rep, cartan):
     return out / np.linalg.norm(out)
 
 
-def _align_newton(psi, v, rep, cartan, max_iter=200):
+def _align_newton(psi, v, rep, cartan):
     """Damped Newton iteration zeroing the root-plane components of <X>.
 
     Each update is a group rotation exp(1j sum theta_a Y_a) over the
@@ -534,9 +511,8 @@ def _align_newton(psi, v, rep, cartan, max_iter=200):
     adapted = np.tensordot(root_rows, rep.generators, axes=(1, 0))  # root-plane directions
 
     out = psi.copy()
-    v = v.copy()
     resid = _root_component_norm(v, cartan)
-    for _ in range(max_iter):
+    for _ in range(200):
         if resid <= ALIGNMENT_TOL:
             return out
         jac = -root_rows @ (root_rows @ np.tensordot(f, v, axes=(1, 0))).T
@@ -547,7 +523,7 @@ def _align_newton(psi, v, rep, cartan, max_iter=200):
             b = np.tensordot(step * theta, adapted, axes=(0, 0))
             cand = unitary_exp(b) @ out
             cand /= np.linalg.norm(cand)
-            v_cand = _expectations(cand, rep)
+            v_cand = expectation_vector(cand, rep)
             resid_cand = _root_component_norm(v_cand, cartan)
             if resid_cand < resid:
                 out, v, resid = cand, v_cand, resid_cand

@@ -38,6 +38,7 @@ from .algebra import AlgebraRep, build_su2_irrep, build_sun_fundamental, rep_deb
 from .cartan import cartan_debug_dict, cartan_decompose, highest_weight_state
 from .dynamics import (
     NoiseConfig,
+    _check_dt,
     _check_gamma,
     _observe_batch,
     _record_grid,
@@ -114,6 +115,9 @@ def _config_tokens(argv):
 
 
 def _steps_from(args) -> int:
+    _check_dt(args.dt)
+    if not np.isfinite(args.time):
+        raise UsageError(f"--time must be finite, got {args.time}")
     ratio = args.time / args.dt
     steps = round(ratio)
     if steps < 1 or abs(ratio - steps) > 1e-9 * max(1.0, abs(ratio)):

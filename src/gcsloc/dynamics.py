@@ -567,22 +567,22 @@ def ensemble_observables(
     return _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, False)
 
 
-def validate_density(rho, dim=None, herm_tol=1e-10, trace_tol=1e-10, eig_floor=-1e-8):
-    """Check Hermiticity, unit trace, and near-positivity of a density matrix."""
+def validate_density(rho, dim=None):
+    """Check a density matrix: Hermitian and unit trace to 1e-10, no eigenvalue below -1e-8."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
         raise ValueError(f"density matrix must be {dim} x {dim}, got {rho.shape}")
     herm = _max_abs(rho - rho.conj().T)
-    if herm > herm_tol:
+    if herm > 1e-10:
         raise ValueError(f"density matrix not Hermitian: residual {herm:.3e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"density matrix trace {tr:.12g} != 1")
     low = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-    if low < eig_floor:
-        raise ValueError(f"density matrix negativity {low:.3e} below {eig_floor:.0e}")
+    if low < -1e-8:
+        raise ValueError(f"density matrix negativity {low:.3e} below -1e-08")
     return rho
 
 

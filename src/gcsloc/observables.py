@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraRep
-from .cartan import CartanData
 from .dynamics import _check_gamma, _generator_action, _moments, _validate_state
 
 __all__ = [

@@ -1,5 +1,6 @@
 """The public names: what the package exports and what the benchmark calls."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import gcsloc
 import gcsloc.cli  # perfbench reaches the CLI as gcsloc.cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(gcsloc.__file__).resolve().parent
 
 
 def _resolves(dotted):
@@ -28,3 +30,22 @@ def test_every_name_perfbench_references_exists():
         refs.update(re.findall(r"\bgcsloc(?:\.[A-Za-z_]\w*)+", path.read_text()))
     assert "gcsloc.simulate_trajectory" in refs  # the scan sees the benchmark's calls
     assert sorted(d for d in refs if not _resolves(d)) == []
+
+
+def _package_imports(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return {
+        node.module for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+
+
+def test_modules_import_one_way():
+    # algebra <- dynamics <- observables <- cartan <- cli
+    allowed = {
+        "algebra": set(),
+        "dynamics": {"algebra"},
+        "observables": {"algebra", "dynamics"},
+        "cartan": {"algebra", "observables"},
+    }
+    assert {m: _package_imports(m) - ok for m, ok in allowed.items()} == {m: set() for m in allowed}

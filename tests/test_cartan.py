@@ -330,6 +330,17 @@ def test_alignment_noop_when_already_aligned(su2_j1):
         assert np.allclose(out, psi, atol=1e-12)
 
 
+@pytest.mark.parametrize("builder,arg", [(build_su2_irrep, 2), (build_sun_fundamental, 3)])
+def test_alignment_rejects_unnormalized_and_nonfinite_states(builder, arg):
+    rep = builder(arg)
+    cartan = cartan_decompose(rep)
+    psi = haar_state(rep.dim_hilbert, 7)
+    with pytest.raises(ValueError, match="not normalized"):
+        align_expectation_to_cartan(2.0 * psi, rep, cartan)
+    with pytest.raises(ValueError, match="not finite"):
+        align_expectation_to_cartan(np.full(rep.dim_hilbert, np.nan + 0j), rep, cartan)
+
+
 def check_conjugated_decomposition(base):
     # no generator is diagonal after a generic rotation, which forces the
     # random-probe path; the invariant data must not change

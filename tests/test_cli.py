@@ -262,6 +262,20 @@ def test_ensemble_traj_below_one_exits_1(tmp_path, capsys, monkeypatch, traj):
     assert not (tmp_path / "ens.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "ensemble"])
+@pytest.mark.parametrize("dt, time", [("0", "0.01"), ("nan", "0.01"), ("1e-3", "inf")])
+def test_degenerate_time_grid_exits_1(tmp_path, capsys, command, dt, time):
+    extra = ["--traj", "2"] if command == "ensemble" else []
+    rc = main([
+        command, "--algebra", "su2:two_j=2", "--gamma", "0.1", "--dt", dt,
+        "--time", time, "--seed", "3", "--out", str(tmp_path / "x"), *extra,
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert ("dt must be finite" if time != "inf" else "--time must be finite") in err
+
+
 # ------------------------------------------------------------- theorem-scan
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcsloc.algebra import build_su2_irrep, build_sun_fundamental
+from gcsloc.algebra import build_su2_irrep, build_sun_fundamental, rescaled
 from gcsloc.cartan import (
     align_expectation_to_cartan,
     cartan_decompose,
@@ -166,6 +166,13 @@ def test_uncertainty_range_on_haar_states():
     for seed in range(300):
         d = total_uncertainty(haar_state(4, seed), rep)
         assert delta_min - 1e-10 <= d <= c + 1e-10
+
+
+@pytest.mark.parametrize("builder,arg", [(build_su2_irrep, 2), (build_sun_fundamental, 3)])
+def test_uncertainty_bounds_reject_root_data_of_another_normalization(builder, arg):
+    rep = builder(arg)
+    with pytest.raises(ValueError, match="normalization inconsistency"):
+        uncertainty_bounds(rescaled(rep, 2.0), cartan_decompose(rep))
 
 
 @pytest.mark.parametrize("builder,arg", [
