@@ -487,10 +487,14 @@ def _align_eigenbasis(psi, v, rep, cartan):
     V^dagger takes the traceless part of |psi><psi|, which is A / lam, to
     a diagonal matrix, and the weight basis W then takes it to one
     diagonal in W, that is into the Cartan span: the state W V^dagger psi
-    has <X> in the Cartan span in any basis of the representation.
+    has <X> in the Cartan span in any basis of the representation.  Each
+    column of V gets ``_canonical_phase``'s phase, so the result does not
+    depend on the phases ``eigh`` happens to return.
     """
     a = np.tensordot(v, rep.generators, axes=(0, 0))
     _, vecs = np.linalg.eigh(a)
+    pivot = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vecs))]
+    vecs = vecs * (pivot.conj() / np.abs(pivot))
     out = cartan.weight_basis @ (vecs.conj().T @ psi)
     return out / np.linalg.norm(out)
 

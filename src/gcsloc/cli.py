@@ -29,6 +29,7 @@ GCSLOC_THREADS environment variable sets the ensemble worker count
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -53,6 +54,7 @@ from .observables import uncertainty_bounds
 __all__ = ["main"]
 
 FLOAT_FMT = "%.17g"
+CSV_BLOCK = 4096  # rows formatted by one % operation
 
 
 class UsageError(Exception):
@@ -164,13 +166,15 @@ def _write_json(path, payload):
 
 
 def _write_csv(path, cols, table):
-    """A header of column names, then one FLOAT_FMT line per row of table."""
+    """A header of column names, then one FLOAT_FMT line per row of table,
+    formatted CSV_BLOCK rows at a time."""
     fmt = ",".join([FLOAT_FMT] * len(cols)) + "\n"
     fh, close = _open_out(path)
     try:
         fh.write(",".join(cols) + "\n")
-        for row in table.tolist():
-            fh.write(fmt % tuple(row))
+        for lo in range(0, len(table), CSV_BLOCK):
+            block = table[lo : lo + CSV_BLOCK]
+            fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
     finally:
         if close:
             fh.close()
@@ -300,7 +304,11 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and each subcommand's function reads its helpers from this
+    module at call time."""
     parser = _Parser(
         prog="gcsloc",
         description=(

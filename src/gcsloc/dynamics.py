@@ -33,7 +33,10 @@ mean projector of ``ensemble_average`` tracks it, and one trajectory
 Randomness is counter-based (Philox) with key = [seed, stream]; stream 0
 feeds trajectory noise, stream 1 initial-state sampling, stream 2 scan
 sampling.  Trajectory i of an ensemble uses seed + i on stream 0, so any
-subset of trajectories is reproducible in isolation.
+subset of trajectories is reproducible in isolation.  Each trajectory's
+noise is drawn in order, in chunks of steps sized so one block's noise
+holds at most 2^19 doubles (4 MiB); the numbers are those of one draw of
+the whole history.
 """
 
 from __future__ import annotations
@@ -421,7 +424,9 @@ def _thread_count() -> int:
 
 def _integrate(batch, ham, rep, cfg, lo, record_stride, record):
     """Evolve the rows of batch as trajectories lo, lo + 1, ..; trajectory
-    i draws its noise from the Philox stream (cfg.seed + i, stream 0).
+    i draws its noise from the Philox stream (cfg.seed + i, stream 0), in
+    order, a chunk of steps at a time into one reused (n, chunk, K) slab
+    of at most max(2^19, n K) doubles; the chunking changes no number.
     The batch at each record time (0 is the initial batch) is copied into a
     buffer of max(1, DEFAULT_BLOCK // n) record times; record(k0, states)
     gets each full buffer, and the last, as the (m, n, d) states of record
@@ -450,17 +455,18 @@ def _integrate(batch, ham, rep, cfg, lo, record_stride, record):
                 raise located(err, "record", k - j) from None
 
     keep(0, batch)
-    time_chunk = max(1, min(cfg.steps, (1 << 22) // max(1, n * K)))
+    time_chunk = max(1, min(cfg.steps, (1 << 19) // max(1, n * K)))
+    slab = np.empty((n, time_chunk, K))  # reused by every chunk of steps
     for s in range(0, cfg.steps, time_chunk):
         span = min(time_chunk, cfg.steps - s)
-        noise = np.empty((span, n, K))  # one contiguous slab per step
+        noise = slab[:, :span]
         for i, rng in enumerate(rngs):
-            noise[:, i] = rng.standard_normal((span, K))
+            rng.standard_normal((span, K), out=slab[i, :span])
         noise *= amp
         for u in range(span):
             step = s + u + 1
             try:
-                batch = _step_batch(batch, rep, cfg.gamma, cfg.dt, noise[u], prop)
+                batch = _step_batch(batch, rep, cfg.gamma, cfg.dt, noise[:, u], prop)
             except _RowFault as err:
                 raise located(err, "step", step) from None
             if step % record_stride == 0:

@@ -341,6 +341,26 @@ def test_alignment_rejects_unnormalized_and_nonfinite_states(builder, arg):
         align_expectation_to_cartan(np.full(rep.dim_hilbert, np.nan + 0j), rep, cartan)
 
 
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_eigenbasis_alignment_ignores_eigenvector_phases(n, monkeypatch):
+    # eigh may return each eigenvector times any unit phase
+    rep = build_sun_fundamental(n)
+    cartan = cartan_decompose(rep)
+    states = [haar_state(n, 2000 + seed) for seed in range(20)]
+    plain = [align_expectation_to_cartan(psi, rep, cartan) for psi in states]
+    real_eigh = np.linalg.eigh
+    rng = np.random.default_rng(n)
+
+    def rephased(a):
+        vals, vecs = real_eigh(a)
+        return vals, vecs * np.exp(2j * np.pi * rng.uniform(size=vecs.shape[1]))
+
+    monkeypatch.setattr(np.linalg, "eigh", rephased)
+    for psi, ref in zip(states, plain):
+        out = align_expectation_to_cartan(psi, rep, cartan)
+        assert np.max(np.abs(out - ref)) < 1e-12
+
+
 def check_conjugated_decomposition(base):
     # no generator is diagonal after a generic rotation, which forces the
     # random-probe path; the invariant data must not change

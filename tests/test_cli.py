@@ -443,6 +443,51 @@ def test_usage_error_exits_1():
     assert main(["frobnicate"]) == 1  # unknown subcommand
 
 
+def test_cached_parser_matches_fresh_parsers(tmp_path, monkeypatch):
+    (tmp_path / "flags.cfg").write_text("gamma=0.2\ndt=1e-3\ntime=0.02\nseed=5\nham=0.1,-0.3,0.2\n")
+    traj = ["--algebra", "su2:two_j=2", "--gamma", "0.1", "--dt", "1e-3", "--time", "0.02", "--seed", "3"]
+    runs = [
+        ["simulate", *traj, "--ham=0.3,-0.2,0.5"],
+        ["bounds", "--algebra", "suN:n=3"],
+        ["simulate", "--algebra", "su2:two_j=2"],  # usage error: exit 1, no output
+        ["simulate", "--algebra", "su2:two_j=2", "--config", "../flags.cfg", "--seed", "6"],
+        ["theorem-scan", "--algebra", "su2:two_j=2", "--seed", "4", "--samples", "50"],
+        ["ensemble", *traj, "--traj", "4", "--stride", "10", "--bound", "1"],
+        ["simulate", *traj],
+    ]
+
+    def run_all(fresh):
+        (tmp_path / fresh).mkdir()
+        monkeypatch.chdir(tmp_path / fresh)
+        out = []
+        for j, argv in enumerate(runs):
+            if fresh == "fresh":
+                cli.build_parser.cache_clear()
+            rc = main([*argv, "--out", f"o{j}"])
+            out.append((rc, {p.name: p.read_bytes() for p in sorted(Path().glob(f"o{j}*"))}))
+        return out
+
+    cached = run_all("cached")
+    assert [rc for rc, _ in cached] == [0, 0, 1, 0, 0, 0, 0]
+    assert cached == run_all("fresh")
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_write_csv_matches_per_row_formatting(tmp_path, order):
+    rng = np.random.default_rng(41)
+    table = rng.standard_normal((10_000, 5)) * 10.0 ** rng.integers(-300, 300, (10_000, 5))
+    table[[0, 17, 4095, 4096, 9999], [0, 1, 2, 3, 4]] = [np.nan, np.inf, -np.inf, -0.0, 1e-300]
+    table = np.asarray(table, order=order)
+    cols = ["a", "b", "c", "d", "e"]
+    expected = "a,b,c,d,e\n" + "".join(
+        ",".join(FLOAT_FMT % x for x in row) + "\n" for row in table.tolist()
+    )
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), cols, table)
+    assert path.read_bytes() == expected.encode()
+
+
 # ------------------------------------------------------------- entry point
 
 

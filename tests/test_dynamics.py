@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -195,8 +196,8 @@ def test_blow_up_names_step_trajectory_and_seed(spin1, monkeypatch):
         def __init__(self, seed, stream):
             self.seed, self.rng = seed, real_rng(seed, stream)
 
-        def standard_normal(self, shape):
-            z = self.rng.standard_normal(shape)
+        def standard_normal(self, shape, out=None):
+            z = self.rng.standard_normal(shape, out=out)
             if self.seed == 72:
                 z[3] = 1e200
             return z
@@ -246,8 +247,8 @@ def test_nan_noise_names_step_trajectory_and_seed(spin1, monkeypatch):
         def __init__(self, seed, stream):
             self.seed, self.rng = seed, real_rng(seed, stream)
 
-        def standard_normal(self, shape):
-            z = self.rng.standard_normal(shape)
+        def standard_normal(self, shape, out=None):
+            z = self.rng.standard_normal(shape, out=out)
             if self.seed == 83:
                 z[5, 1] = np.nan
             return z
@@ -260,6 +261,101 @@ def test_nan_noise_names_step_trajectory_and_seed(spin1, monkeypatch):
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=79)
     with pytest.raises(RuntimeError, match=r"blow-up.*\(step 6, trajectory 4, seed 83\)"):
         ensemble_observables(haar_state(3, 29), None, spin1, cfg, n_traj=6, block_size=2)
+
+
+@pytest.fixture(scope="module")
+def su6():
+    return build_sun_fundamental(6)
+
+
+def chunked_cfg(seed):
+    # a 256-trajectory su(6) block draws its noise in chunks of 58 steps, so
+    # 126 steps take three chunks, and stride 7 does not divide the chunk
+    return NoiseConfig(gamma=0.1, dt=1e-3, steps=126, seed=seed)
+
+
+def reference_record_states(initials, h, rep, cfg, stride):
+    """The (n_rec, n_traj, d) states at the record times, stepping blocks of
+    DEFAULT_BLOCK trajectories whose noise is drawn in one call for each
+    trajectory's whole history."""
+    ham = dynamics._as_hamiltonian(h, rep)
+    prop = None if ham is None else ham.propagator(cfg.dt)
+    amp = np.sqrt(2.0 * cfg.gamma * cfg.dt)
+    blocks = []
+    for lo in range(0, len(initials), dynamics.DEFAULT_BLOCK):
+        batch = initials[lo : lo + dynamics.DEFAULT_BLOCK].copy()
+        noise = amp * np.stack(
+            [
+                stream_rng(cfg.seed + lo + i, 0).standard_normal((cfg.steps, rep.dim_algebra))
+                for i in range(len(batch))
+            ],
+            axis=1,
+        )
+        states = [batch]
+        for u in range(cfg.steps):
+            batch = dynamics._step_batch(batch, rep, cfg.gamma, cfg.dt, noise[u], prop)
+            if (u + 1) % stride == 0:
+                states.append(batch)
+        blocks.append(np.stack(states))
+    return np.concatenate(blocks, axis=1)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_chunked_noise_matches_one_draw_per_trajectory(su6, monkeypatch, threads):
+    monkeypatch.setenv("GCSLOC_THREADS", threads)
+    cfg, stride, n_traj = chunked_cfg(311), 7, 2 * dynamics.DEFAULT_BLOCK
+    h = Hamiltonian(su6, np.linspace(-0.5, 0.5, su6.dim_algebra))
+    initials = haar_states(6, n_traj, seed=312)
+    states = reference_record_states(
+        np.stack([dynamics._validate_state(row, 6) for row in initials]), h, su6, cfg, stride
+    )
+    # the ensembles observe one record time of one block at a time
+    rows = dynamics._observe_batch(states, su6, cfg.gamma).transpose(1, 0, 2)
+    _, got = ensemble_observables(initials, h, su6, cfg, n_traj, stride)
+    assert np.array_equal(got, rows)
+    blocks = np.split(states, n_traj // dynamics.DEFAULT_BLOCK, axis=1)
+    acc = np.array(
+        [
+            [np.einsum("mna,mnb->mab", b[k : k + 1], b[k : k + 1].conj())[0] for k in range(len(b))]
+            for b in blocks
+        ]
+    )
+    _, rho = ensemble_average(initials, h, su6, cfg, n_traj, stride)
+    assert np.array_equal(rho, sum(acc) / n_traj)
+
+
+def test_blow_up_past_the_first_chunk_names_its_step(su6, monkeypatch):
+    # the trajectory seeded 500 gets a NaN draw at global step 70, in the
+    # second chunk, with the rows counted across the generator's calls
+    real_rng = dynamics.stream_rng
+
+    class Spiked:
+        def __init__(self, seed, stream):
+            self.seed, self.rng, self.rows = seed, real_rng(seed, stream), 0
+
+        def standard_normal(self, shape, out=None):
+            z = self.rng.standard_normal(shape, out=out)
+            if self.seed == 500 and self.rows <= 69 < self.rows + len(z):
+                z[69 - self.rows, 2] = np.nan
+            self.rows += len(z)
+            return z
+
+    monkeypatch.setattr(dynamics, "stream_rng", Spiked)
+    with pytest.raises(RuntimeError, match=r"blow-up.*\(step 70, trajectory 200, seed 500\)"):
+        ensemble_observables(haar_state(6, 31), None, su6, chunked_cfg(300), 256, 7)
+
+
+def test_ensemble_noise_memory_is_bounded(su6, monkeypatch):
+    # one history slab of this block would be 126 * 256 * 35 doubles, 8.6 MiB
+    monkeypatch.setenv("GCSLOC_THREADS", "1")
+    psi = haar_state(6, 32)
+    tracemalloc.start()
+    try:
+        ensemble_average(psi, None, su6, chunked_cfg(313), 256, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 @lru_cache(maxsize=None)
