@@ -15,7 +15,6 @@ from .algebra import (
     build_sun_fundamental,
     casimir_constants,
     compute_structure_constants,
-    killing_normalized,
     rescaled,
 )
 from .cartan import (
@@ -24,7 +23,6 @@ from .cartan import (
     cartan_decompose,
     generate_gcs,
     highest_weight_state,
-    su2_triple_for_root,
     weight_string,
 )
 from .dynamics import (
@@ -45,7 +43,6 @@ from .dynamics import (
 )
 from .observables import (
     CartanSplit,
-    UncertaintyReport,
     cartan_split_sums,
     covariance_matrix,
     covariance_trace_norm,
@@ -55,7 +52,6 @@ from .observables import (
     root_pair_closed_form,
     total_uncertainty,
     uncertainty_bounds,
-    uncertainty_report,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +63,6 @@ __all__ = [
     "Hamiltonian",
     "NoiseConfig",
     "TrajectoryRecord",
-    "UncertaintyReport",
     "algebra_from_generators",
     "align_expectation_to_cartan",
     "build_su2_irrep",
@@ -86,7 +81,6 @@ __all__ = [
     "haar_state",
     "haar_states",
     "highest_weight_state",
-    "killing_normalized",
     "lindblad_evolve",
     "lindblad_expm_evolve",
     "lindblad_superoperator",
@@ -96,10 +90,8 @@ __all__ = [
     "simulate_trajectory",
     "snlse_step",
     "stream_rng",
-    "su2_triple_for_root",
     "total_uncertainty",
     "uncertainty_bounds",
-    "uncertainty_report",
     "validate_density",
     "weight_string",
 ]

@@ -15,7 +15,9 @@ irreducible representation the sum of squared generators is a multiple of
 the identity (the quadratic invariant), and the double-commutator sum
 sum_j [X_j, [X_j, X_i]] acts as a fixed multiple of every generator (the
 adjoint-representation invariant).  Both scalars are extracted and
-cross-checked when a representation is constructed.
+cross-checked when a representation is constructed.  sum_j X_j^2 = c I is
+what the measurement step needs; a direct sum of irreps with one common c
+passes it, and ``cartan_decompose`` rejects such sums.
 
 Builders are provided for the spin-j representations of su(2) and for the
 fundamental representation of su(N) in a generalized Gell-Mann basis.
@@ -36,7 +38,6 @@ __all__ = [
     "build_sun_fundamental",
     "casimir_constants",
     "compute_structure_constants",
-    "killing_normalized",
     "rescaled",
     "rep_debug_dict",
     "unitary_exp",
@@ -61,7 +62,8 @@ def _max_abs(a):
 
 @dataclass(frozen=True)
 class AlgebraRep:
-    """An irreducible Hermitian representation of a compact semisimple algebra.
+    """A Hermitian representation of a compact semisimple algebra with
+    sum_j X_j^2 = c I: an irrep, or a direct sum of irreps with one common c.
 
     Attributes
     ----------
@@ -264,7 +266,8 @@ def algebra_from_generators(generators) -> AlgebraRep:
     """Validate a Hermitian generator set and package it as an AlgebraRep.
 
     The generators must be Hermitian to 1e-12, trace-orthogonal with a
-    uniform positive norm, closed under commutation, and irreducible.
+    uniform positive norm, closed under commutation, and satisfy
+    sum_j X_j^2 = c I, which direct sums of irreps with one common c pass.
     """
     gens = np.asarray(generators, dtype=complex)
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
@@ -378,11 +381,6 @@ def rescaled(rep: AlgebraRep, scale: float) -> AlgebraRep:
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
     return algebra_from_generators(rep.generators * scale)
-
-
-def killing_normalized(rep: AlgebraRep) -> AlgebraRep:
-    """Rescale so the adjoint invariant is 1 (Killing-orthonormal basis)."""
-    return rescaled(rep, 1.0 / np.sqrt(rep.adjoint_casimir))
 
 
 def rep_debug_dict(rep: AlgebraRep) -> dict:

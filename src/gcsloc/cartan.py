@@ -38,7 +38,6 @@ __all__ = [
     "cartan_debug_dict",
     "generate_gcs",
     "highest_weight_state",
-    "su2_triple_for_root",
     "weight_string",
 ]
 
@@ -83,8 +82,6 @@ class CartanData:
         Column of weight_basis carrying the highest weight.
     positive_root_sum : (r,) real ndarray
         Sum of the positive roots.
-    normalization : float
-        Copy of the generator trace norm lam.
     """
 
     rank: int
@@ -98,7 +95,6 @@ class CartanData:
     highest_weight: np.ndarray
     highest_weight_index: int
     positive_root_sum: np.ndarray
-    normalization: float
 
     @property
     def n_positive(self) -> int:
@@ -116,14 +112,19 @@ def _adjoint_matrix(coeff, f):
     return np.tensordot(coeff, f, axes=(0, 0))
 
 
-def _canonical_phase(vec):
-    """Rotate a complex vector's global phase so its largest entry is real
-    positive; deterministic up to ties broken by the first maximal index."""
-    idx = int(np.argmax(np.abs(vec)))
-    pivot = vec[idx]
-    if abs(pivot) < 1e-12:
-        return vec
-    return vec * (np.conj(pivot) / abs(pivot))
+def _canonical_phase(vecs):
+    """Rotate each unit column's phase so its first entry within a relative
+    1e-8 of the largest modulus is real positive: rounding cannot pick
+    between equal entries (a defining su(N) root vector has two)."""
+    mag = np.abs(vecs)
+    first = np.argmax(mag >= (1.0 - 1e-8) * mag.max(axis=0), axis=0)
+    pivot = vecs[first, np.arange(vecs.shape[1])]
+    return vecs * (pivot.conj() / np.abs(pivot))
+
+
+def _lex_order(vals, idx):
+    """idx by lexicographically descending rows of vals rounded to 9 decimals."""
+    return sorted(idx, key=lambda s: tuple(-np.round(vals[s], 9)))
 
 
 def _lex_sign(vec):
@@ -252,9 +253,9 @@ def _decompose_with_kernel(rep, cartan_coeff, rng):
         raise RuntimeError(f"{n_zero} zero roots, expected the rank {rank}")
 
     # Deterministic ordering: lexicographically descending positive roots.
-    order = sorted(np.flatnonzero(signs > 0.0), key=lambda s: tuple(-vals[s]))
+    order = _lex_order(vals, np.flatnonzero(signs > 0.0))
     positive_roots = vals[order]
-    root_vectors = [_canonical_phase(vecs[:, s]) for s in order]
+    root_vectors = _canonical_phase(vecs[:, order]).T
     raising = np.array(
         [np.tensordot(e, gens, axes=(0, 0)) for e in root_vectors]
     )
@@ -280,9 +281,8 @@ def _decompose_with_kernel(rep, cartan_coeff, rng):
     # Adapted orthogonal basis: Cartan rows then (re, im) pair per root.
     rotation = np.zeros((K, K))
     rotation[:rank] = cartan_coeff
-    for m, e in enumerate(root_vectors):
-        rotation[rank + 2 * m] = np.sqrt(2.0) * np.real(e)
-        rotation[rank + 2 * m + 1] = np.sqrt(2.0) * np.imag(e)
+    rotation[rank::2] = np.sqrt(2.0) * root_vectors.real
+    rotation[rank + 1::2] = np.sqrt(2.0) * root_vectors.imag
     ortho_resid = _max_abs(rotation @ rotation.T - np.eye(K))
     if ortho_resid > 1e-10:
         raise RuntimeError(
@@ -290,12 +290,9 @@ def _decompose_with_kernel(rep, cartan_coeff, rng):
         )
 
     weight_basis, weights = _joint_eigenbasis(cartan_gens, rng, WEIGHT_TOL)
-    order = sorted(range(d), key=lambda s: tuple(-weights[s]))
-    weight_basis = weight_basis[:, order]
+    order = _lex_order(weights, range(d))
+    weight_basis = _canonical_phase(weight_basis[:, order])
     weights = weights[order]
-    weight_basis = np.column_stack(
-        [_canonical_phase(weight_basis[:, s]) for s in range(d)]
-    )
 
     # Highest weight: the unique weight vector killed by every raising op.
     annihilated = []
@@ -330,7 +327,6 @@ def _decompose_with_kernel(rep, cartan_coeff, rng):
         highest_weight=highest,
         highest_weight_index=hw_index,
         positive_root_sum=pos_sum,
-        normalization=rep.normalization,
     )
     uncertainty_bounds(rep, data)  # no other Cartan choice changes the pairings
     return data
@@ -361,20 +357,6 @@ def generate_gcs(rep: AlgebraRep, cartan: CartanData, params) -> np.ndarray:
     u = unitary_exp(np.tensordot(params, rep.generators, axes=(0, 0)))
     psi = u @ highest_weight_state(cartan)
     return psi / np.linalg.norm(psi)
-
-
-def su2_triple_for_root(cartan: CartanData, root_index: int):
-    """Normalized spin triple (E3, Eplus, Eminus) of one positive root.
-
-    E3 = (a . H)/|a|^2 and Eplus/Eminus = E_{+a}/|a|, E_{-a}/|a| satisfy
-    [E3, E+-] = +-E+- and [E+, E-] = E3.
-    """
-    a = cartan.positive_roots[root_index]
-    norm2 = float(a @ a)
-    e3 = np.tensordot(a, cartan.cartan_generators, axes=(0, 0)) / norm2
-    ep = cartan.raising_ops[root_index] / np.sqrt(norm2)
-    em = ep.conj().T
-    return e3, ep, em
 
 
 def weight_string(cartan: CartanData, state_index: int, root_index: int):
@@ -493,8 +475,7 @@ def _align_eigenbasis(psi, v, rep, cartan):
     """
     a = np.tensordot(v, rep.generators, axes=(0, 0))
     _, vecs = np.linalg.eigh(a)
-    pivot = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vecs))]
-    vecs = vecs * (pivot.conj() / np.abs(pivot))
+    vecs = _canonical_phase(vecs)
     out = cartan.weight_basis @ (vecs.conj().T @ psi)
     return out / np.linalg.norm(out)
 
@@ -549,5 +530,4 @@ def cartan_debug_dict(cartan: CartanData) -> dict:
         "weights": cartan.weights.tolist(),
         "highest_weight": cartan.highest_weight.tolist(),
         "positive_root_sum": cartan.positive_root_sum.tolist(),
-        "normalization": cartan.normalization,
     }

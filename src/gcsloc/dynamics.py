@@ -136,10 +136,6 @@ class Hamiltonian:
         self.matrix = matrix
         self._propagators: dict[float, np.ndarray] = {}
 
-    @classmethod
-    def zero(cls, rep: AlgebraRep) -> "Hamiltonian":
-        return cls(rep, np.zeros(rep.dim_algebra))
-
     @property
     def is_zero(self) -> bool:
         return not np.any(self.coefficients)

@@ -12,9 +12,11 @@ quantities are
 
 D is the ensemble-average time derivative of Delta under pure measurement
 dynamics; it is nonpositive everywhere and vanishes exactly on the
-coherent-state orbit of the highest weight, where T attains its global
-minimum over pure states.  ``uncertainty_bounds`` exposes the two
-root-space constants that bracket Delta:
+coherent-state orbit of the highest weight, which minimizes the trace norm
+tr M = 2 Delta over pure states.  The orbit minimizes T on the su(2) and
+defining su(N) algebras the CLI builds, but not on Sym^3 of su(3), where a
+pure state has T = 8.8993 < T_hw = 9.  ``uncertainty_bounds`` exposes the
+two root-space constants that bracket Delta:
 
     delta_min = (hw, root sum)   <=  Delta  <=  c = (hw, hw + root sum).
 
@@ -35,7 +37,6 @@ from .dynamics import _check_gamma, _generator_action, _moments, _validate_state
 
 __all__ = [
     "CartanSplit",
-    "UncertaintyReport",
     "covariance_matrix",
     "covariance_trace_norm",
     "cartan_split_sums",
@@ -45,7 +46,6 @@ __all__ = [
     "root_pair_closed_form",
     "total_uncertainty",
     "uncertainty_bounds",
-    "uncertainty_report",
 ]
 
 BOUNDS_CONSISTENCY_TOL = 1e-6
@@ -92,33 +92,7 @@ def localization_drift(psi, rep: AlgebraRep, gamma: float) -> float:
     return float(_state_moments(psi, rep, cov=True).drift(rep, gamma)[0])
 
 
-@dataclass(frozen=True)
-class UncertaintyReport:
-    """Snapshot of the localization functionals for one state."""
-
-    uncertainty: float
-    purity: float
-    casimir_eigenvalue: float
-    delta_min: float
-    cov_trace_norm: float
-    drift: float
-
-
-def uncertainty_report(
-    psi, rep: AlgebraRep, cartan: CartanData, gamma: float = 0.0
-) -> UncertaintyReport:
-    delta_min, _ = uncertainty_bounds(rep, cartan)
-    return UncertaintyReport(
-        uncertainty=total_uncertainty(psi, rep),
-        purity=generalized_purity(psi, rep),
-        casimir_eigenvalue=rep.casimir_eigenvalue,
-        delta_min=delta_min,
-        cov_trace_norm=covariance_trace_norm(psi, rep),
-        drift=localization_drift(psi, rep, gamma),
-    )
-
-
-def uncertainty_bounds(rep: AlgebraRep, cartan: CartanData):
+def uncertainty_bounds(rep: AlgebraRep, cartan):
     """(delta_min, c): the invariant range of the total uncertainty.
 
     delta_min = (hw, root sum) is the uncertainty of the extremal state and
@@ -170,7 +144,7 @@ class CartanSplit:
     total: float
 
 
-def cartan_split_sums(psi, rep: AlgebraRep, cartan: CartanData) -> CartanSplit:
+def cartan_split_sums(psi, rep: AlgebraRep, cartan) -> CartanSplit:
     """Partition the squared covariance norm by adapted-basis sectors."""
     m = covariance_matrix(psi, rep)
     o = cartan.basis_rotation
@@ -197,7 +171,7 @@ def cartan_split_sums(psi, rep: AlgebraRep, cartan: CartanData) -> CartanSplit:
     )
 
 
-def root_pair_closed_form(psi, cartan: CartanData) -> float:
+def root_pair_closed_form(psi, cartan) -> float:
     """Ladder-moment value of the same-line block in the Cartan gauge.
 
     For a state whose expectation vector lies in the Cartan span,

@@ -8,7 +8,6 @@ from gcsloc.algebra import (
     build_su2_irrep,
     build_sun_fundamental,
     compute_structure_constants,
-    killing_normalized,
     rep_debug_dict,
     rescaled,
     unitary_exp,
@@ -186,7 +185,8 @@ def test_unitary_conjugation_preserves_structure():
 
 
 def test_killing_normalized_unit_adjoint():
-    rep = killing_normalized(build_sun_fundamental(3))
+    base = build_sun_fundamental(3)
+    rep = rescaled(base, 1.0 / np.sqrt(base.adjoint_casimir))
     assert rep.adjoint_casimir == pytest.approx(1.0, rel=1e-10)
 
 

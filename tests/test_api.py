@@ -1,7 +1,9 @@
 """The public names: what the package exports and what the benchmark calls."""
 
 import ast
+import inspect
 import re
+import typing
 from pathlib import Path
 
 import gcsloc
@@ -22,6 +24,27 @@ def _resolves(dotted):
 
 def test_every_exported_name_resolves():
     assert [name for name in gcsloc.__all__ if not hasattr(gcsloc, name)] == []
+
+
+def _annotated(obj):
+    """obj itself and, for a class, its methods and property getters."""
+    yield obj
+    if inspect.isclass(obj):
+        for attr in vars(obj).values():
+            attr = attr.fget if isinstance(attr, property) else attr
+            if inspect.isfunction(attr):
+                yield attr
+
+
+def test_every_exported_annotation_resolves():
+    unresolved = []
+    for name in gcsloc.__all__:
+        for obj in _annotated(getattr(gcsloc, name)):
+            try:
+                typing.get_type_hints(obj)
+            except NameError as err:
+                unresolved.append(f"{obj.__qualname__}: {err}")
+    assert unresolved == []
 
 
 def test_every_name_perfbench_references_exists():

@@ -15,7 +15,6 @@ from gcsloc.cartan import (
     cartan_decompose,
     generate_gcs,
     highest_weight_state,
-    su2_triple_for_root,
     weight_string,
 )
 from gcsloc.observables import total_uncertainty, uncertainty_bounds
@@ -211,8 +210,11 @@ def test_gcs_bad_params_shape(su2_j1):
 def test_su2_triples(builder, arg):
     rep = builder(arg)
     cartan = cartan_decompose(rep)
-    for m in range(cartan.n_positive):
-        e3, ep, em = su2_triple_for_root(cartan, m)
+    for a, e in zip(cartan.positive_roots, cartan.raising_ops):
+        norm2 = float(a @ a)
+        e3 = np.tensordot(a, cartan.cartan_generators, axes=(0, 0)) / norm2
+        ep = e / np.sqrt(norm2)
+        em = ep.conj().T
         assert np.max(np.abs(comm(e3, ep) - ep)) < 1e-9
         assert np.max(np.abs(comm(e3, em) + em)) < 1e-9
         assert np.max(np.abs(comm(ep, em) - e3)) < 1e-8
@@ -341,24 +343,58 @@ def test_alignment_rejects_unnormalized_and_nonfinite_states(builder, arg):
         align_expectation_to_cartan(np.full(rep.dim_hilbert, np.nan + 0j), rep, cartan)
 
 
+def rephased_eigh(seed):
+    """np.linalg.eigh returning each eigenvector times a random unit phase,
+    which eigh is free to do."""
+    real_eigh = np.linalg.eigh
+    rng = np.random.default_rng(seed)
+
+    def eigh(a):
+        vals, vecs = real_eigh(a)
+        return vals, vecs * np.exp(2j * np.pi * rng.uniform(size=vecs.shape[1]))
+
+    return eigh
+
+
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_eigenbasis_alignment_ignores_eigenvector_phases(n, monkeypatch):
-    # eigh may return each eigenvector times any unit phase
     rep = build_sun_fundamental(n)
     cartan = cartan_decompose(rep)
     states = [haar_state(n, 2000 + seed) for seed in range(20)]
     plain = [align_expectation_to_cartan(psi, rep, cartan) for psi in states]
-    real_eigh = np.linalg.eigh
-    rng = np.random.default_rng(n)
-
-    def rephased(a):
-        vals, vecs = real_eigh(a)
-        return vals, vecs * np.exp(2j * np.pi * rng.uniform(size=vecs.shape[1]))
-
-    monkeypatch.setattr(np.linalg, "eigh", rephased)
+    monkeypatch.setattr(np.linalg, "eigh", rephased_eigh(n))
     for psi, ref in zip(states, plain):
         out = align_expectation_to_cartan(psi, rep, cartan)
         assert np.max(np.abs(out - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("builder,arg", [
+    (build_su2_irrep, 4),
+    (build_sun_fundamental, 3),
+    (build_sun_fundamental, 6),
+    (build_sun_adjoint, 3),
+])
+def test_decomposition_ignores_eigenvector_phases(builder, arg, monkeypatch):
+    rep = builder(arg)
+    ref = cartan_decompose(rep)
+    monkeypatch.setattr(np.linalg, "eigh", rephased_eigh(arg))
+    got = cartan_decompose(rep)
+    for field in ("weight_basis", "raising_ops", "basis_rotation"):
+        assert np.max(np.abs(getattr(got, field) - getattr(ref, field))) < 1e-12, field
+
+
+@pytest.mark.parametrize("builder,arg", [
+    (build_su2_irrep, 1),
+    (build_su2_irrep, 2),
+    (build_sun_fundamental, 3),
+])
+def test_equal_irrep_sum_rejected_by_decomposition(builder, arg):
+    # two copies of one irrep keep sum X^2 = c 1, so construction accepts
+    # the sum; its highest weight appears twice
+    gens = builder(arg).generators
+    rep = algebra_from_generators([scipy.linalg.block_diag(g, g) for g in gens])
+    with pytest.raises(ValueError, match="highest weight not unique"):
+        cartan_decompose(rep)
 
 
 def check_conjugated_decomposition(base):

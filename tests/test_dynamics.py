@@ -98,7 +98,7 @@ def test_hamiltonian_validation(spin1):
     h = Hamiltonian(spin1, [0.3, -0.2, 1.0])
     assert np.max(np.abs(h.matrix - h.matrix.conj().T)) < 1e-14
     assert not h.is_zero
-    assert Hamiltonian.zero(spin1).is_zero
+    assert Hamiltonian(spin1, np.zeros(3)).is_zero
     with pytest.raises(ValueError, match="shape"):
         Hamiltonian(spin1, [0.1, 0.2])
     # propagator is unitary and cached
@@ -164,7 +164,7 @@ def test_step_none_hamiltonian_equals_zero_hamiltonian(spin1):
     psi = haar_state(3, 25)
     inc = np.sqrt(2 * 0.1 * 1e-3) * np.random.default_rng(6).standard_normal(3)
     a = snlse_step(psi, None, spin1, 0.1, 1e-3, inc)
-    b = snlse_step(psi, Hamiltonian.zero(spin1), spin1, 0.1, 1e-3, inc)
+    b = snlse_step(psi, Hamiltonian(spin1, np.zeros(3)), spin1, 0.1, 1e-3, inc)
     assert a.tobytes() == b.tobytes()
 
 

@@ -1,8 +1,12 @@
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from gcsloc.algebra import build_su2_irrep, build_sun_fundamental, rescaled
+from gcsloc.algebra import algebra_from_generators, build_su2_irrep, build_sun_fundamental, rescaled
 from gcsloc.cartan import (
     align_expectation_to_cartan,
     cartan_decompose,
@@ -18,7 +22,6 @@ from gcsloc.observables import (
     localization_drift,
     total_uncertainty,
     uncertainty_bounds,
-    uncertainty_report,
 )
 
 
@@ -233,23 +236,6 @@ def test_extremal_split_is_pure_cartan():
     assert split.cross_line_block == pytest.approx(0.0, abs=1e-12)
 
 
-def test_report_fields_consistent():
-    rep = build_su2_irrep(2)
-    cartan = cartan_decompose(rep)
-    psi = haar_state(3, 5)
-    rpt = uncertainty_report(psi, rep, cartan, gamma=0.2)
-    assert rpt.uncertainty == pytest.approx(total_uncertainty(psi, rep), rel=1e-14)
-    assert rpt.purity == pytest.approx(generalized_purity(psi, rep), rel=1e-14)
-    assert rpt.delta_min == pytest.approx(1.0, abs=1e-10)
-    assert rpt.casimir_eigenvalue == pytest.approx(2.0, abs=1e-12)
-    assert rpt.cov_trace_norm == pytest.approx(
-        covariance_trace_norm(psi, rep), rel=1e-14
-    )
-    assert rpt.drift == pytest.approx(
-        localization_drift(psi, rep, 0.2), rel=1e-14
-    )
-
-
 def test_rejects_unnormalized_state():
     rep = build_su2_irrep(2)
     bad = np.array([1.0, 1.0, 0.0], dtype=complex)
@@ -266,3 +252,44 @@ def test_rejects_non_finite_state():
         covariance_trace_norm(bad, rep)
     with pytest.raises(ValueError, match="not finite"):
         expectation_vector(bad, rep)
+
+
+def build_sun_symmetric(n, p):
+    """Sym^p of the defining su(n): the p-fold tensor action of each
+    generator on the symmetric subspace of (C^n)^(x p)."""
+    cols = []
+    for combo in itertools.combinations_with_replacement(range(n), p):
+        col = np.zeros(n**p)
+        for perm in set(itertools.permutations(combo)):
+            col[np.ravel_multi_index(perm, (n,) * p)] = 1.0
+        cols.append(col / np.linalg.norm(col))
+    iso = np.array(cols).T
+    eye = np.eye(n)
+    gens = [
+        iso.T @ sum(reduce(np.kron, [x if t == s else eye for t in range(p)]) for s in range(p)) @ iso
+        for x in build_sun_fundamental(n).generators
+    ]
+    return algebra_from_generators(gens)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_orbit_minimizes_trace_norm_not_squared_norm_on_sym3_su3(seed):
+    # Sym^3 of su(3), d = 10: a pure state lies below the orbit value of
+    # T = sum M^2, while tr M = 2 Delta >= 2 delta_min and the drift <= 0
+    # still hold there, as the paper claims
+    rep = build_sun_symmetric(3, 3)
+    d = rep.dim_hilbert
+    cartan = cartan_decompose(rep)
+    delta_min, _ = uncertainty_bounds(rep, cartan)
+    t_hw = covariance_trace_norm(highest_weight_state(cartan), rep)
+
+    def state(x):
+        psi = x[:d] + 1j * x[d:]
+        return psi / np.linalg.norm(psi)
+
+    x0 = np.random.default_rng(seed).standard_normal(2 * d)
+    res = scipy.optimize.minimize(lambda x: covariance_trace_norm(state(x), rep), x0, method="BFGS")
+    psi = state(res.x)
+    assert covariance_trace_norm(psi, rep) < t_hw - 0.05
+    assert total_uncertainty(psi, rep) >= delta_min - 1e-9
+    assert localization_drift(psi, rep, 0.1) <= 1e-9
