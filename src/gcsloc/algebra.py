@@ -79,9 +79,11 @@ class AlgebraRep:
         Scalar c_adj with sum_j [X_j, [X_j, X_i]] = c_adj * X_i.
     normalization : float
         The uniform trace norm lam = tr(X_i^2).
-    moment_stack : (d, K d) complex ndarray
-        X_1^T .. X_K^T side by side: for row states psi, the one product
-        psi @ moment_stack holds every X_k psi (``dynamics._moments``).
+    moment_stack : (2d, 2K d) real ndarray
+        ``_real_form`` of X_1^T .. X_K^T side by side: for row states psi
+        with contiguous rows, psi.view(float) @ moment_stack holds every
+        X_k psi as interleaved real and imaginary parts
+        (``dynamics._generator_action``).
     """
 
     generators: np.ndarray
@@ -106,6 +108,18 @@ class AlgebraRep:
             f"lam={self.normalization:.6g}, c={self.casimir_eigenvalue:.6g}, "
             f"c_adj={self.adjoint_casimir:.6g})"
         )
+
+
+def _real_form(m):
+    """The real (2a, 2b) matrix R acting like the complex (a, b) matrix m on
+    interleaved rows: (psi @ m).view(float) == psi.view(float) @ R.  Each
+    complex entry x + iy becomes the 2x2 block [[x, y], [-y, x]]."""
+    a, b = m.shape
+    r = np.empty((a, 2, b, 2))
+    r[:, 0, :, 0] = r[:, 1, :, 1] = m.real
+    r[:, 0, :, 1] = m.imag
+    r[:, 1, :, 0] = -m.imag
+    return r.reshape(2 * a, 2 * b)
 
 
 def unitary_exp(h, t=1.0):
@@ -282,7 +296,7 @@ def algebra_from_generators(generators) -> AlgebraRep:
 
     gens = np.ascontiguousarray(gens)
     d = gens.shape[1]
-    stack = gens.transpose(2, 0, 1).reshape(d, -1)
+    stack = _real_form(gens.transpose(2, 0, 1).reshape(d, -1))
     for arr in (gens, f, gram, stack):
         arr.flags.writeable = False
     return AlgebraRep(

@@ -16,10 +16,14 @@ is then conserved to rounding, not to O(dt)), while the measurement update
 is the standard order-1/2 strong scheme.
 
 The step, the records, the theorem scan and ``observables`` share one
-moment kernel, ``_moments``: a single product with the stacked generators,
-then real batched products.  The step reads only X_k psi and <X_k>, and
-takes C = sum_k X_k^2 as the scalar c; records are buffered and observed
-DEFAULT_BLOCK states at a time, with the covariance and <C>.
+moment kernel, ``_generator_action``: states are read as interleaved real
+and imaginary parts, and one real product with the real generator stack
+``AlgebraRep.moment_stack`` gives every X_k psi in the same layout, so
+<X_k> and the rest are real batched contractions.  The step keeps its
+batch in that real form from one record to the next, reads only X_k psi
+and <X_k>, and takes C = sum_k X_k^2 as the scalar c; records are buffered
+as complex states and observed DEFAULT_BLOCK at a time by ``_moments``,
+with the covariance and <C>.
 
 Ensemble counterpart:
 
@@ -48,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraRep, _max_abs, unitary_exp
+from .algebra import AlgebraRep, _max_abs, _real_form, unitary_exp
 
 __all__ = [
     "Hamiltonian",
@@ -174,13 +178,25 @@ def _check_stability(gamma, dt):
         )
 
 
+def _integral(name, value):
+    """value as a Python int; ValueError naming the field if it is not a
+    finite integral number."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Measurement strength and integration grid.
 
     gamma >= 0, dt > 0, steps >= 1; gamma * dt <= 0.01 is enforced here
     (and therefore at every simulation entry point) as the explicit-scheme
-    stability guard.
+    stability guard.  steps and seed may be given as any integral numbers
+    and are stored as Python ints.
     """
 
     gamma: float
@@ -191,10 +207,11 @@ class NoiseConfig:
     def __post_init__(self):
         _check_gamma(self.gamma)
         _check_dt(self.dt)
-        if int(self.steps) != self.steps or self.steps < 1:
-            raise ValueError(f"steps must be a positive integer, got {self.steps}")
-        if int(self.seed) != self.seed:
-            raise ValueError(f"seed must be an integer, got {self.seed}")
+        steps = _integral("steps", self.steps)
+        if steps < 1:
+            raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "seed", _integral("seed", self.seed))
         _check_stability(self.gamma, self.dt)
 
 
@@ -249,22 +266,20 @@ class _Moments(NamedTuple):
         return 2.0 * gamma * (rep.adjoint_casimir * self.purity - self.tnorm)
 
 
-def _generator_action(psi, rep):
-    """(pf, z, v) for an (n, d) complex psi with contiguous rows: psi and
-    X_k psi as interleaved real and imaginary parts, and <X_k>."""
-    n, d = psi.shape
-    pf = psi.view(np.float64)
-    z = (psi @ rep.moment_stack).view(np.float64).reshape(n, rep.dim_algebra, 2 * d)
-    v = np.matmul(z, pf[:, :, None])[:, :, 0]
-    return pf, z, v
+def _generator_action(pf, rep):
+    """(z, v) for n states given as an (n, 2d) real array pf of interleaved
+    real and imaginary parts: z (n, K, 2d) holds X_k psi in the same
+    layout, and v (n, K) is <X_k> = Re <psi|X_k psi>, a real dot product."""
+    z = (pf @ rep.moment_stack).reshape(len(pf), rep.dim_algebra, pf.shape[1])
+    return z, np.matvec(z, pf)
 
 
 def _moments(psi, rep, cov=False):
     """Moments of n normalized states, the rows of an (n, d) array psi.
 
-    One product with ``rep.moment_stack`` gives y_k = X_k psi.  Read as
-    interleaved real and imaginary parts, Re <a|b> is a real dot product,
-    so the rest are real batched products:
+    ``_generator_action`` gives y_k = X_k psi as interleaved real and
+    imaginary parts, in which Re <a|b> is a real dot product, so the rest
+    are real batched products:
 
         v_k = Re <psi|y_k>,   <C> = sum_k |y_k|^2,   P = sum_k v_k^2,
         M_kl = 2 Re <u_k|u_l>,  u_k = (X_k - v_k) psi,   T = sum_kl M_kl^2.
@@ -274,7 +289,8 @@ def _moments(psi, rep, cov=False):
     For normalized states this M is <{X_k, X_l}> - 2 v_k v_l; M and T are
     formed only when cov is set.
     """
-    pf, z, v = _generator_action(np.ascontiguousarray(psi, dtype=complex), rep)
+    pf = np.ascontiguousarray(psi, dtype=complex).view(np.float64)
+    z, v = _generator_action(pf, rep)
     second = np.einsum("nkj,nkj->n", z, z)
     purity = np.einsum("nk,nk->n", v, v)
     m = tnorm = None
@@ -314,34 +330,39 @@ def _observe_batch(states, rep, gamma):
     return out.reshape(states.shape[:-1] + out.shape[-1:])
 
 
-def _step_batch(psi, rep, gamma, dt, noise, prop=None):
-    """One split step for a batch of states: exact Hamiltonian flow, then
-    the Euler-Maruyama measurement update, then renormalization.  With the
-    realized increments dxi (n, K) in noise, the update is
+def _step_batch(pf, rep, gamma, dt, noise, prop=None):
+    """One split step for a batch of states, the rows of the (n, 2d) real
+    array pf of interleaved real and imaginary parts: exact Hamiltonian
+    flow, then the Euler-Maruyama measurement update, then
+    renormalization; returns the new (n, 2d) batch.  prop is the
+    ``_real_form`` of exp(-1j H dt)^T, or None.  With the realized
+    increments dxi (n, K) in noise, the update is
 
         sum_k (2 gamma dt v_k + dxi_k) X_k psi
             + (1 - gamma dt c - gamma dt P - sum_k dxi_k v_k) psi,
 
-    one real product with the stacked X_k psi and one scaled add of psi,
-    since C = sum_k X_k^2 = c 1 on an irreducible representation (checked
-    by ``algebra_from_generators``).  psi's rows must be contiguous.
+    one real contraction with the stacked X_k psi and one scaled add of
+    psi, since C = sum_k X_k^2 = c 1 on an irreducible representation
+    (checked by ``algebra_from_generators``).  Callers run it under
+    np.errstate(over="ignore"), so a norm that overflows to inf reaches the
+    blow-up check without a warning.
     """
     if prop is not None:
-        psi = psi @ prop.T
-    pf, z, v = _generator_action(psi, rep)
+        pf = pf @ prop
+    z, v = _generator_action(pf, rep)
     gdt = gamma * dt
-    gv = v * gdt
+    gv = gdt * v
     coef = gv + noise
-    keep = 1.0 - gdt * rep.casimir_eigenvalue - np.matmul(coef[:, None, :], v[:, :, None])[:, 0]
+    keep = 1.0 - gdt * rep.casimir_eigenvalue - np.vecdot(coef, v)
     coef += gv
-    out = np.matmul(coef[:, None, :], z)[:, 0, :]
-    out += keep * pf
-    nrm2 = np.einsum("nj,nj->n", out, out)[:, None]  # overflows to inf silently
+    out = np.vecmat(coef, z)
+    out += keep[:, None] * pf
+    nrm2 = np.vecdot(out, out)
     if not (nrm2.min() > 0 and nrm2.max() < np.inf):  # NaN fails the first test
         bad = np.flatnonzero(~(np.isfinite(nrm2) & (nrm2 > 0)))
         raise _RowFault("integration blow-up: state norm left (0, inf); reduce dt", bad)
-    out /= np.sqrt(nrm2)
-    return out.view(complex)
+    out /= np.sqrt(nrm2)[:, None]
+    return out
 
 
 def snlse_step(psi, h, rep: AlgebraRep, gamma: float, dt: float, increments):
@@ -369,8 +390,10 @@ def snlse_step(psi, h, rep: AlgebraRep, gamma: float, dt: float, increments):
         raise ValueError(
             f"increments must have shape ({rep.dim_algebra},), got {increments.shape}"
         )
-    prop = None if ham is None else ham.propagator(dt)
-    return _step_batch(psi[None, :], rep, gamma, dt, increments[None, :], prop)[0]
+    prop = None if ham is None else _real_form(ham.propagator(dt).T)
+    with np.errstate(over="ignore"):
+        out = _step_batch(psi.view(np.float64)[None, :], rep, gamma, dt, increments[None, :], prop)
+    return out[0].view(complex)
 
 
 def _record_grid(steps, stride, dt):
@@ -419,54 +442,61 @@ def _thread_count() -> int:
 
 
 def _integrate(batch, ham, rep, cfg, lo, record_stride, record):
-    """Evolve the rows of batch as trajectories lo, lo + 1, ..; trajectory
-    i draws its noise from the Philox stream (cfg.seed + i, stream 0), in
-    order, a chunk of steps at a time into one reused (n, chunk, K) slab
-    of at most max(2^19, n K) doubles; the chunking changes no number.
-    The batch at each record time (0 is the initial batch) is copied into a
-    buffer of max(1, DEFAULT_BLOCK // n) record times; record(k0, states)
-    gets each full buffer, and the last, as the (m, n, d) states of record
-    times k0 .. k0 + m - 1.  A ``_RowFault`` of the step or of record is
-    raised again naming its step or record time, trajectory and seed.
+    """Evolve the rows of batch, an (n, d) complex array with contiguous
+    rows, as trajectories lo, lo + 1, ..; trajectory i draws its noise from
+    the Philox stream (cfg.seed + i, stream 0), in order, a chunk of steps
+    at a time into one reused (n, chunk, K) slab of at most max(2^19, n K)
+    doubles; the chunking changes no number.  The batch is stepped as its
+    (n, 2d) real view, with the real form of exp(-1j H dt) built once, all
+    under one np.errstate(over="ignore") so an overflowing norm reaches the
+    step's blow-up check silently.  At each record time (0 is the initial
+    batch) it is copied through a float view into a complex buffer of
+    max(1, DEFAULT_BLOCK // n) record times; record(k0, states) gets each
+    full buffer, and the last, as the (m, n, d) states of record times
+    k0 .. k0 + m - 1.  A ``_RowFault`` of the step or of record is raised
+    again naming its step or record time, trajectory and seed.
     """
     n, K = len(batch), rep.dim_algebra
-    prop = None if ham is None else ham.propagator(cfg.dt)
+    prop = None if ham is None else _real_form(ham.propagator(cfg.dt).T)
     amp = np.sqrt(2.0 * cfg.gamma * cfg.dt)
     rngs = [stream_rng(cfg.seed + lo + i, NOISE_STREAM) for i in range(n)]
     n_rec = cfg.steps // record_stride + 1
     buf = np.empty((min(n_rec, max(1, DEFAULT_BLOCK // n)),) + batch.shape, dtype=complex)
+    buf_f = buf.view(np.float64)
 
     def located(err, where, first):
         r = int(err.rows[0])
         i = lo + r % n
         return RuntimeError(f"{err} ({where} {first + r // n}, trajectory {i}, seed {cfg.seed + i})")
 
-    def keep(k, batch):
+    def keep(k, pf):
         j = k % len(buf)
-        buf[j] = batch
+        buf_f[j] = pf
         if j == len(buf) - 1 or k == n_rec - 1:
             try:
                 record(k - j, buf[: j + 1])
             except _RowFault as err:
                 raise located(err, "record", k - j) from None
 
-    keep(0, batch)
+    pf = batch.view(np.float64)
+    keep(0, pf)
     time_chunk = max(1, min(cfg.steps, (1 << 19) // max(1, n * K)))
     slab = np.empty((n, time_chunk, K))  # reused by every chunk of steps
-    for s in range(0, cfg.steps, time_chunk):
-        span = min(time_chunk, cfg.steps - s)
-        noise = slab[:, :span]
-        for i, rng in enumerate(rngs):
-            rng.standard_normal((span, K), out=slab[i, :span])
-        noise *= amp
-        for u in range(span):
-            step = s + u + 1
-            try:
-                batch = _step_batch(batch, rep, cfg.gamma, cfg.dt, noise[:, u], prop)
-            except _RowFault as err:
-                raise located(err, "step", step) from None
-            if step % record_stride == 0:
-                keep(step // record_stride, batch)
+    with np.errstate(over="ignore"):
+        for s in range(0, cfg.steps, time_chunk):
+            span = min(time_chunk, cfg.steps - s)
+            noise = slab[:, :span]
+            for i, rng in enumerate(rngs):
+                rng.standard_normal((span, K), out=slab[i, :span])
+            noise *= amp
+            for u in range(span):
+                step = s + u + 1
+                try:
+                    pf = _step_batch(pf, rep, cfg.gamma, cfg.dt, noise[:, u], prop)
+                except _RowFault as err:
+                    raise located(err, "step", step) from None
+                if step % record_stride == 0:
+                    keep(step // record_stride, pf)
 
 
 def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, projector):

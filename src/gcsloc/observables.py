@@ -58,7 +58,8 @@ def _state_moments(psi, rep, cov=False):
 
 def expectation_vector(psi, rep: AlgebraRep) -> np.ndarray:
     """<X_k> for every generator, a real vector of length K."""
-    return _generator_action(_validate_state(psi, rep.dim_hilbert)[None, :], rep)[2][0]
+    pf = _validate_state(psi, rep.dim_hilbert).view(np.float64)[None, :]
+    return _generator_action(pf, rep)[1][0]
 
 
 def generalized_purity(psi, rep: AlgebraRep) -> float:

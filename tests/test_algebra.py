@@ -12,6 +12,7 @@ from gcsloc.algebra import (
     rescaled,
     unitary_exp,
 )
+from gcsloc.dynamics import haar_states
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -144,10 +145,36 @@ def test_casimir_matrix_is_scalar():
         target = rep.casimir_eigenvalue * np.eye(rep.dim_hilbert)
         cas = np.einsum("kab,kbc->ac", rep.generators, rep.generators)
         assert np.max(np.abs(cas - target)) < 1e-12
-        # C = c 1 is applied as the scalar c: the moment stack holds
-        # X_1^T .. X_K^T and no Casimir block
-        d, k = rep.dim_hilbert, rep.dim_algebra
-        assert np.array_equal(rep.moment_stack, rep.generators.transpose(2, 0, 1).reshape(d, k * d))
+
+
+def conjugated_sun3(seed=17):
+    """The su(3) Gell-Mann basis conjugated by a random group element."""
+    base = build_sun_fundamental(3)
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-1, 1, base.dim_algebra)
+    u = scipy.linalg.expm(1j * np.tensordot(theta, base.generators, axes=(0, 0)))
+    gens = np.einsum("ab,kbc,cd->kad", u.conj().T, base.generators, u)
+    return algebra_from_generators(0.5 * (gens + np.conj(np.swapaxes(gens, -1, -2))))
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [build_su2_irrep(j) for j in range(1, 7)]
+    + [build_sun_fundamental(n) for n in range(2, 6)]
+    + [rescaled(build_su2_irrep(2), 1.7), conjugated_sun3()],
+    ids=[f"su2-{j}" for j in range(1, 7)] + [f"su{n}" for n in range(2, 6)] + ["su2-2-scaled", "su3-conj"],
+)
+def test_moment_stack_is_real_form_of_generator_action(rep):
+    # interleaved real rows times the real stack give every X_k psi: the
+    # step's only product with the generators, and no Casimir block
+    d, k = rep.dim_hilbert, rep.dim_algebra
+    assert rep.moment_stack.shape == (2 * d, 2 * k * d) and rep.moment_stack.dtype == np.float64
+    psi = haar_states(d, 33, seed=d * k)
+    got = (psi.view(np.float64) @ rep.moment_stack).view(complex).reshape(33, k, d)
+    ref = np.einsum("kab,nb->nka", rep.generators, psi)
+    assert np.max(np.abs(got - ref)) <= 1e-13
+    with pytest.raises(ValueError):
+        rep.moment_stack[0, 0] = 1.0
 
 
 def test_adjoint_casimir_contraction_route():
@@ -174,12 +201,7 @@ def test_rescaling_covariance(scale):
 def test_unitary_conjugation_preserves_structure():
     # conjugation by a group element is an algebra automorphism: same f, same gram
     base = build_sun_fundamental(3)
-    rng = np.random.default_rng(17)
-    theta = rng.uniform(-1, 1, base.dim_algebra)
-    u = scipy.linalg.expm(1j * np.tensordot(theta, base.generators, axes=(0, 0)))
-    gens = np.einsum("ab,kbc,cd->kad", u.conj().T, base.generators, u)
-    gens = 0.5 * (gens + np.conj(np.swapaxes(gens, -1, -2)))
-    rep = algebra_from_generators(gens)
+    rep = conjugated_sun3()
     assert np.max(np.abs(rep.structure_constants - base.structure_constants)) < 1e-9
     assert np.max(np.abs(rep.gram - base.gram)) < 1e-10
 

@@ -39,6 +39,16 @@ def spin1():
     return build_su2_irrep(2)
 
 
+def complex_step(psi, rep, gamma, dt, noise, prop=None):
+    """``dynamics._step_batch`` on complex rows, with the complex propagator
+    prop, called the way ``_integrate`` calls it: on the rows' real view,
+    with the propagator's real form, overflow left to the norm check."""
+    pf = np.ascontiguousarray(psi, dtype=complex).view(np.float64)
+    rprop = None if prop is None else dynamics._real_form(prop.T)
+    with np.errstate(over="ignore"):
+        return dynamics._step_batch(pf, rep, gamma, dt, noise, rprop).view(complex)
+
+
 def projector(psi):
     return np.outer(psi, psi.conj())
 
@@ -92,6 +102,49 @@ def test_noise_config_validation():
         NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=0.5)
     with pytest.raises(ValueError, match="stability"):
         NoiseConfig(gamma=1.0, dt=0.1, steps=10, seed=0)
+    # integral values of any numeric type are stored as Python ints
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10.0, seed=np.float64(1.0))
+    assert (type(cfg.steps), type(cfg.seed)) == (int, int) and (cfg.steps, cfg.seed) == (10, 1)
+    assert type(NoiseConfig(gamma=0.1, dt=1e-3, steps=np.int64(3), seed=np.uint64(5)).steps) is int
+    for bad in (np.inf, -np.inf, np.nan, 2.5, "10", None):
+        with pytest.raises(ValueError, match="steps"):
+            NoiseConfig(gamma=0.1, dt=1e-3, steps=bad, seed=0)
+        with pytest.raises(ValueError, match="seed"):
+            NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=bad)
+
+
+def test_float_steps_and_seed_run_as_their_integers(spin1):
+    psi = haar_state(3, 14)
+    got = simulate_trajectory(psi, None, spin1, NoiseConfig(0.1, 1e-3, 20.0, 7.0), 4)
+    ref = simulate_trajectory(psi, None, spin1, NoiseConfig(0.1, 1e-3, 20, 7), 4)
+    assert type(got.seed) is int and got.seed == 7
+    assert np.array_equal(got.expectations, ref.expectations)
+
+
+def integral_or_not():
+    return st.one_of(
+        st.integers(-(2**70), 2**70),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(-5, 10**6).map(float),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=integral_or_not(), seed=integral_or_not())
+def test_noise_config_integral_fields_property(steps, seed):
+    def integral(x):
+        return isinstance(x, int) or (np.isfinite(x) and x.is_integer())
+
+    if not (integral(steps) and steps >= 1):
+        with pytest.raises(ValueError, match="steps"):
+            NoiseConfig(gamma=0.1, dt=1e-3, steps=steps, seed=seed)
+    elif not integral(seed):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseConfig(gamma=0.1, dt=1e-3, steps=steps, seed=seed)
+    else:
+        cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=steps, seed=seed)
+        assert type(cfg.steps) is int and cfg.steps == steps
+        assert type(cfg.seed) is int and cfg.seed == seed
 
 
 def test_hamiltonian_validation(spin1):
@@ -224,7 +277,7 @@ def test_step_blow_up_names_the_failing_row(spin1, fault, row):
     else:
         psi[row] = 0.0
     with pytest.raises(dynamics._RowFault, match="blow-up") as err:
-        dynamics._step_batch(psi, spin1, 0.1, 1e-3, noise)
+        complex_step(psi, spin1, 0.1, 1e-3, noise)
     assert list(err.value.rows) == [row]
 
 
@@ -235,7 +288,7 @@ def test_step_blow_up_names_every_failing_row(spin1):
     noise[2] = 1e200
     psi[3] = 0.0
     with pytest.raises(dynamics._RowFault, match="blow-up") as err:
-        dynamics._step_batch(psi, spin1, 0.1, 1e-3, noise)
+        complex_step(psi, spin1, 0.1, 1e-3, noise)
     assert list(err.value.rows) == [0, 2, 3]
 
 
@@ -293,7 +346,7 @@ def reference_record_states(initials, h, rep, cfg, stride):
         )
         states = [batch]
         for u in range(cfg.steps):
-            batch = dynamics._step_batch(batch, rep, cfg.gamma, cfg.dt, noise[u], prop)
+            batch = complex_step(batch, rep, cfg.gamma, cfg.dt, noise[u], prop)
             if (u + 1) % stride == 0:
                 states.append(batch)
         blocks.append(np.stack(states))
@@ -415,7 +468,7 @@ def test_step_matches_casimir_matrix_reference(name, n, with_h, seed, dt, frac):
     prop = None
     if with_h:
         prop = Hamiltonian(rep, rng.uniform(-1.0, 1.0, rep.dim_algebra)).propagator(dt)
-    got = dynamics._step_batch(psi, rep, gamma, dt, noise, prop)
+    got = complex_step(psi, rep, gamma, dt, noise, prop)
     ref = reference_step(psi, rep, gamma, dt, noise, prop)
     assert np.max(np.abs(got - ref)) <= 1e-13
 
