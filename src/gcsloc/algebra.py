@@ -60,6 +60,11 @@ def _max_abs(a):
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _combination(coeff, mats):
+    """sum_k coeff[..., k] mats[k] as one (..., K) @ (K, m) product."""
+    return (coeff @ mats.reshape(len(mats), -1)).reshape(coeff.shape[:-1] + mats.shape[1:])
+
+
 @dataclass(frozen=True)
 class AlgebraRep:
     """A Hermitian representation of a compact semisimple algebra with
@@ -262,12 +267,12 @@ def casimir_constants(generators, structure_constants, normalization):
             f"adjoint invariant is not isotropic: residual {resid:.3e}"
         )
 
+    # The double-commutator route on X_1: for Hermitian X_j,
+    # tr(sum_j [X_j, [X_j, X_1]] X_1) = sum_j |[X_j, X_1]|_F^2, one stacked
+    # commutator over j.
     probe = gens[0]
-    double = np.zeros_like(probe)
-    for Xj in gens:
-        inner = Xj @ probe - probe @ Xj
-        double += Xj @ inner - inner @ Xj
-    direct = float(np.real(np.einsum("ab,ba->", double, probe)) / normalization)
+    inner = gens @ probe - probe @ gens
+    direct = float(np.vdot(inner, inner).real / normalization)
     if abs(direct - c_adj) > ADJOINT_CONSISTENCY_TOL * max(abs(c_adj), 1.0):
         raise ValueError(
             "adjoint invariant mismatch between double-commutator "

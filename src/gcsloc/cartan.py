@@ -6,10 +6,14 @@ ladder operators normalized so that [E_a, E_a^dag] = a . H, the weight
 basis of the Hilbert space, and the highest-weight state.  Roots and
 weights come from one routine, the common eigenbasis of commuting
 Hermitian matrices (``_joint_eigenbasis``): of the adjoint actions of the
-H_i for the roots, of the H_i for the weights.  Generalized coherent
-states are group orbits of the highest-weight state,
-exp(1j * sum_k params_k X_k) |hw>.  <X> and the check of the root data
-against the states (``uncertainty_bounds``) come from ``observables``.
+H_i for the roots, of the H_i for the weights.  The checks on the
+extracted data (the Cartan set commutes, [H_i, E_a] = a_i E_a,
+[E_a, E_a^dag] = a . H, and which weight state every E_a annihilates) are
+each one product stacked over all roots, and a failed check names the
+lowest failing root.  Generalized coherent states are group orbits of the
+highest-weight state, exp(1j * sum_k params_k X_k) |hw>.  <X> and the
+check of the root data against the states (``uncertainty_bounds``) come
+from ``observables``.
 
 Conventions
 -----------
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraRep, _max_abs, unitary_exp
+from .algebra import AlgebraRep, _combination, _max_abs, unitary_exp
 from .observables import expectation_vector, uncertainty_bounds
 
 __all__ = [
@@ -109,7 +113,7 @@ def _adjoint_matrix(coeff, f):
     """Real antisymmetric matrix t with [A, X_j] = 1j sum_k t[j, k] X_k
     for A = sum_i coeff_i X_i.  The Hermitian adjoint action on complex
     coefficient vectors is 1j * t.T."""
-    return np.tensordot(coeff, f, axes=(0, 0))
+    return _combination(coeff, f)
 
 
 def _canonical_phase(vecs):
@@ -124,22 +128,20 @@ def _canonical_phase(vecs):
 
 def _lex_order(vals, idx):
     """idx by lexicographically descending rows of vals rounded to 9 decimals."""
-    return sorted(idx, key=lambda s: tuple(-np.round(vals[s], 9)))
+    idx = np.asarray(idx, dtype=int)
+    return idx[np.lexsort(-np.round(vals[idx], 9).T[::-1])]
 
 
-def _lex_sign(vec):
-    for x in vec:
-        if abs(x) > 1e-10:
-            return 1.0 if x > 0 else -1.0
-    return 0.0
+def _lex_signs(vals):
+    """Sign of the first entry above 1e-10 in modulus of each row; 0 for none."""
+    big = np.abs(vals) > 1e-10
+    first = vals[np.arange(len(vals)), np.argmax(big, axis=1)]
+    return np.where(big.any(axis=1), np.sign(first), 0.0)
 
 
 def _diagonal_generator_indices(gens):
-    idx = []
-    for i, g in enumerate(gens):
-        if _max_abs(g - np.diag(np.diag(g))) < DIAGONAL_TOL:
-            idx.append(i)
-    return idx
+    off = np.abs(gens * (1.0 - np.eye(gens.shape[1]))).max(axis=(1, 2))
+    return np.flatnonzero(off < DIAGONAL_TOL).tolist()
 
 
 def _kernel_basis(t):
@@ -160,7 +162,7 @@ def _joint_eigenbasis(mats, rng, tol):
     """
     n = mats.shape[1]
     for _ in range(8):
-        combo = np.tensordot(1.0 + rng.random(len(mats)), mats, axes=(0, 0))
+        combo = _combination(1.0 + rng.random(len(mats)), mats)
         _, vecs = np.linalg.eigh(combo)
         rotated = vecs.conj().T @ mats @ vecs
         diag = np.diagonal(rotated, axis1=1, axis2=2)
@@ -225,29 +227,31 @@ def cartan_decompose(rep: AlgebraRep) -> CartanData:
     raise RuntimeError(f"Cartan extraction failed: {last_err}")
 
 
+def _first_failing_root(resid, tol, message):
+    """RuntimeError naming the lowest root m with resid[m] > tol[m]."""
+    bad = np.flatnonzero(resid > tol)
+    if bad.size:
+        raise RuntimeError(message.format(m=bad[0], resid=resid[bad[0]]))
+
+
 def _decompose_with_kernel(rep, cartan_coeff, rng):
     gens = rep.generators
     f = rep.structure_constants
     K = rep.dim_algebra
     d = rep.dim_hilbert
     rank = len(cartan_coeff)  # orthonormal rows
-    cartan_gens = np.tensordot(cartan_coeff, gens, axes=(1, 0))
+    cartan_gens = _combination(cartan_coeff, gens)
 
-    comm_resid = 0.0
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            comm_resid = max(
-                comm_resid,
-                _max_abs(cartan_gens[i] @ cartan_gens[j] - cartan_gens[j] @ cartan_gens[i]),
-            )
+    prod = cartan_gens[:, None] @ cartan_gens  # (r, r, d, d): H_i H_j
+    comm_resid = _max_abs(prod - prod.swapaxes(0, 1))
     if comm_resid > 1e-10 * max(1.0, _max_abs(cartan_gens)):
         raise RuntimeError(f"extracted Cartan set does not commute: {comm_resid:.3e}")
 
     # Adjoint actions of the H_i on coefficient space, Hermitian K x K and
     # purely imaginary, so the conjugate of a root vector of a is one of -a.
-    ad = np.array([1j * _adjoint_matrix(c, f).T for c in cartan_coeff])
+    ad = 1j * _adjoint_matrix(cartan_coeff, f).swapaxes(1, 2)
     vecs, vals = _joint_eigenbasis(ad, rng, ROOT_TOL)
-    signs = np.array([_lex_sign(a) for a in vals])
+    signs = _lex_signs(vals)
     n_zero = int(np.sum(signs == 0.0))
     if n_zero != rank:
         raise RuntimeError(f"{n_zero} zero roots, expected the rank {rank}")
@@ -256,27 +260,20 @@ def _decompose_with_kernel(rep, cartan_coeff, rng):
     order = _lex_order(vals, np.flatnonzero(signs > 0.0))
     positive_roots = vals[order]
     root_vectors = _canonical_phase(vecs[:, order]).T
-    raising = np.array(
-        [np.tensordot(e, gens, axes=(0, 0)) for e in root_vectors]
-    )
+    raising = _combination(root_vectors, gens)
 
-    # Ladder relations [H_i, E_a] = a_i E_a in the representation itself.
-    for m, (root, E) in enumerate(zip(positive_roots, raising)):
-        for i in range(rank):
-            resid = _max_abs(
-                cartan_gens[i] @ E - E @ cartan_gens[i] - root[i] * E
-            )
-            if resid > ROOT_TOL * max(1.0, _max_abs(E)):
-                raise RuntimeError(
-                    f"ladder relation fails for root {m}: residual {resid:.3e}"
-                )
-        pair = E @ E.conj().T - E.conj().T @ E
-        target = np.tensordot(root, cartan_gens, axes=(0, 0))
-        resid = _max_abs(pair - target)
-        if resid > ROOT_TOL * max(1.0, _max_abs(target)):
-            raise RuntimeError(
-                f"[E, E^dag] != root . H for root {m}: residual {resid:.3e}"
-            )
+    # Ladder relations [H_i, E_a] = a_i E_a and [E_a, E_a^dag] = a . H in
+    # the representation itself, each one product stacked over the roots.
+    scale = np.maximum(1.0, np.abs(raising).max(axis=(1, 2)))
+    ladder = cartan_gens @ raising[:, None] - raising[:, None] @ cartan_gens
+    ladder -= positive_roots[:, :, None, None] * raising[:, None]
+    _first_failing_root(np.abs(ladder).max(axis=(1, 2, 3)), ROOT_TOL * scale,
+                        "ladder relation fails for root {m}: residual {resid:.3e}")
+    lowering = raising.conj().swapaxes(1, 2)
+    target = _combination(positive_roots, cartan_gens)
+    _first_failing_root(np.abs(raising @ lowering - lowering @ raising - target).max(axis=(1, 2)),
+                        ROOT_TOL * np.maximum(1.0, np.abs(target).max(axis=(1, 2))),
+                        "[E, E^dag] != root . H for root {m}: residual {resid:.3e}")
 
     # Adapted orthogonal basis: Cartan rows then (re, im) pair per root.
     rotation = np.zeros((K, K))
@@ -294,20 +291,15 @@ def _decompose_with_kernel(rep, cartan_coeff, rng):
     weight_basis = _canonical_phase(weight_basis[:, order])
     weights = weights[order]
 
-    # Highest weight: the unique weight vector killed by every raising op.
-    annihilated = []
-    for s in range(d):
-        v = weight_basis[:, s]
-        if all(
-            np.linalg.norm(E @ v) < ANNIHILATION_TOL * max(1.0, _max_abs(E))
-            for E in raising
-        ):
-            annihilated.append(s)
-    if not annihilated:
+    # Highest weight: the unique weight vector killed by every raising op,
+    # |E_a v_s| for every root a and weight state s from one product.
+    killed = np.linalg.norm(raising @ weight_basis, axis=1) < ANNIHILATION_TOL * scale[:, None]
+    annihilated = np.flatnonzero(killed.all(axis=0))
+    if not annihilated.size:
         raise RuntimeError("no weight state is annihilated by all raising operators")
-    if len(annihilated) > 1:
+    if annihilated.size > 1:
         raise ValueError("highest weight not unique")
-    hw_index = annihilated[0]
+    hw_index = int(annihilated[0])
     highest = weights[hw_index].copy()
     pos_sum = positive_roots.sum(axis=0)
 
@@ -354,7 +346,7 @@ def generate_gcs(rep: AlgebraRep, cartan: CartanData, params) -> np.ndarray:
         raise ValueError(
             f"params must have shape ({rep.dim_algebra},), got {params.shape}"
         )
-    u = unitary_exp(np.tensordot(params, rep.generators, axes=(0, 0)))
+    u = unitary_exp(_combination(params, rep.generators))
     psi = u @ highest_weight_state(cartan)
     return psi / np.linalg.norm(psi)
 
@@ -447,7 +439,8 @@ def _align_axis_angle(psi, v, rep, cartan):
     not parallel to the axis c and v x c is a rotation axis."""
     c = cartan.basis_rotation[0]
     vhat = v / np.linalg.norm(v)
-    axis = np.cross(vhat, c)
+    axis = np.array([vhat[1] * c[2] - vhat[2] * c[1], vhat[2] * c[0] - vhat[0] * c[2],
+                     vhat[0] * c[1] - vhat[1] * c[0]])
     axis /= np.linalg.norm(axis)
     theta = float(np.arccos(np.clip(vhat @ c, -1.0, 1.0)))
     # The adjoint action of exp(-1j theta n.X / s) on expectation vectors is
@@ -456,7 +449,7 @@ def _align_axis_angle(psi, v, rep, cartan):
     # the standard su(2) relations for either sign of s (either basis
     # orientation).
     scale = rep.structure_constants[0, 1, 2]
-    gen = np.tensordot(axis, rep.generators, axes=(0, 0))
+    gen = _combination(axis, rep.generators)
     out = unitary_exp(gen, -theta / scale) @ psi
     return out / np.linalg.norm(out)
 
@@ -473,7 +466,7 @@ def _align_eigenbasis(psi, v, rep, cartan):
     column of V gets ``_canonical_phase``'s phase, so the result does not
     depend on the phases ``eigh`` happens to return.
     """
-    a = np.tensordot(v, rep.generators, axes=(0, 0))
+    a = _combination(v, rep.generators)
     _, vecs = np.linalg.eigh(a)
     vecs = _canonical_phase(vecs)
     out = cartan.weight_basis @ (vecs.conj().T @ psi)
@@ -489,23 +482,20 @@ def _align_newton(psi, v, rep, cartan):
     t_jl = sum_k f_jkl v_k, so the Jacobian of the root components comes
     from the structure constants: jac = -R (R t)^T.
     """
-    rot = cartan.basis_rotation
-    r = cartan.rank
-    f = rep.structure_constants
-    root_rows = rot[r:]
-    adapted = np.tensordot(root_rows, rep.generators, axes=(1, 0))  # root-plane directions
+    root_rows = cartan.basis_rotation[cartan.rank:]
+    adapted = _combination(root_rows, rep.generators)  # root-plane directions
 
     out = psi.copy()
     resid = _root_component_norm(v, cartan)
     for _ in range(200):
         if resid <= ALIGNMENT_TOL:
             return out
-        jac = -root_rows @ (root_rows @ np.tensordot(f, v, axes=(1, 0))).T
+        jac = -root_rows @ (root_rows @ (v @ rep.structure_constants)).T
         target = -(root_rows @ v)
         theta, *_ = np.linalg.lstsq(jac, target, rcond=None)
         step = 1.0
         for _ in range(30):
-            b = np.tensordot(step * theta, adapted, axes=(0, 0))
+            b = _combination(step * theta, adapted)
             cand = unitary_exp(b) @ out
             cand /= np.linalg.norm(cand)
             v_cand = expectation_vector(cand, rep)

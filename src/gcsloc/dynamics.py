@@ -23,7 +23,7 @@ and imaginary parts, and one real product with the real generator stack
 batch in that real form from one record to the next, reads only X_k psi
 and <X_k>, and takes C = sum_k X_k^2 as the scalar c; records are buffered
 as complex states and observed DEFAULT_BLOCK at a time by ``_moments``,
-with the covariance and <C>.
+with the squared covariance norm T and <C>.
 
 Ensemble counterpart:
 
@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraRep, _max_abs, _real_form, unitary_exp
+from .algebra import AlgebraRep, _combination, _max_abs, _real_form, unitary_exp
 
 __all__ = [
     "Hamiltonian",
@@ -124,7 +124,7 @@ class Hamiltonian:
             )
         if not np.all(np.isfinite(coeff)):
             raise ValueError(f"Hamiltonian coefficients must be finite, got {coeff}")
-        matrix = np.tensordot(coeff, rep.generators, axes=(0, 0))
+        matrix = _combination(coeff, rep.generators)
         herm = _max_abs(matrix - matrix.conj().T)
         if herm > 1e-12 * max(1.0, _max_abs(matrix)):
             raise ValueError(f"Hamiltonian is not Hermitian: residual {herm:.3e}")
@@ -258,11 +258,16 @@ class _Moments(NamedTuple):
     v: np.ndarray  # (n, K) <X_k>
     second: np.ndarray  # (n,) <C>
     purity: np.ndarray  # (n,) sum_k <X_k>^2
-    cov: np.ndarray | None  # (n, K, K) M_kl, if requested
+    u: np.ndarray | None  # (n, K, 2d) centred (X_k - v_k) psi, if requested
     tnorm: np.ndarray | None  # (n,) sum_kl M_kl^2, if requested
 
+    @property
+    def cov(self):
+        """(n, K, K) M_kl = 2 Re <u_k|u_l>, formed on each read; None without u."""
+        return None if self.u is None else 2.0 * (self.u @ self.u.transpose(0, 2, 1))
+
     def drift(self, rep, gamma):
-        """Localization drift 2 gamma (c_adj P - T); needs cov."""
+        """Localization drift 2 gamma (c_adj P - T); needs tnorm."""
         return 2.0 * gamma * (rep.adjoint_casimir * self.purity - self.tnorm)
 
 
@@ -282,24 +287,27 @@ def _moments(psi, rep, cov=False):
     are real batched products:
 
         v_k = Re <psi|y_k>,   <C> = sum_k |y_k|^2,   P = sum_k v_k^2,
-        M_kl = 2 Re <u_k|u_l>,  u_k = (X_k - v_k) psi,   T = sum_kl M_kl^2.
+        M = 2 U U^T,   U the (K, 2d) stack of u_k = (X_k - v_k) psi,
+        T = sum_kl M_kl^2 = 4 |U U^T|_F^2 = 4 |U^T U|_F^2.
 
     <C> = <psi|sum_k X_k^2|psi> is formed without C, for the callers that
     read it; the step, which does not, calls ``_generator_action`` alone.
-    For normalized states this M is <{X_k, X_l}> - 2 v_k v_l; M and T are
-    formed only when cov is set.
+    For normalized states this M is <{X_k, X_l}> - 2 v_k v_l.  U and T are
+    formed only when cov is set, T from the smaller of the two Gram
+    matrices of U (K x K, or 2d x 2d when K > 2d); M itself only when the
+    ``cov`` attribute of the result is read.
     """
     pf = np.ascontiguousarray(psi, dtype=complex).view(np.float64)
     z, v = _generator_action(pf, rep)
     second = np.einsum("nkj,nkj->n", z, z)
     purity = np.einsum("nk,nk->n", v, v)
-    m = tnorm = None
+    u = tnorm = None
     if cov:
         u = z - v[:, :, None] * pf[:, None, :]
-        m = np.matmul(u, u.transpose(0, 2, 1))
-        m *= 2.0
-        tnorm = np.einsum("nkl,nkl->n", m, m)
-    return _Moments(v, second, purity, m, tnorm)
+        ut = u.transpose(0, 2, 1)
+        gram = u @ ut if u.shape[1] <= u.shape[2] else ut @ u
+        tnorm = 4.0 * np.einsum("nkl,nkl->n", gram, gram)
+    return _Moments(v, second, purity, u, tnorm)
 
 
 class _RowFault(RuntimeError):

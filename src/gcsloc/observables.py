@@ -23,7 +23,9 @@ two root-space constants that bracket Delta:
 ``cartan_split_sums`` partitions T in the adapted (Cartan plus root pair)
 basis; the root-pair block has a closed form in ladder-operator moments
 for states whose expectation vector has been rotated into the Cartan span,
-which ``root_pair_closed_form`` evaluates.
+which ``root_pair_closed_form`` evaluates.  Both are stacked over roots:
+the ladder moments come from E_a psi and psi^dag E_a of all raising
+operators at once, the same-line block from one contraction.
 """
 
 from __future__ import annotations
@@ -147,28 +149,18 @@ class CartanSplit:
 
 def cartan_split_sums(psi, rep: AlgebraRep, cartan) -> CartanSplit:
     """Partition the squared covariance norm by adapted-basis sectors."""
-    m = covariance_matrix(psi, rep)
     o = cartan.basis_rotation
-    mt = o @ m @ o.T
-    r = cartan.rank
-    sq = mt * mt
-
-    cartan_block = float(np.sum(sq[:r, :r]))
-    mixed_block = float(np.sum(sq[:r, r:]) + np.sum(sq[r:, :r]))
-    same = 0.0
-    for k in range(cartan.n_positive):
-        p = r + 2 * k
-        block = sq[p : p + 2, p : p + 2]
-        same += float(np.sum(block))
+    sq = (o @ covariance_matrix(psi, rep) @ o.T) ** 2
+    r, n = cartan.rank, cartan.n_positive
     root_total = float(np.sum(sq[r:, r:]))
-    cross = root_total - same
-    total = float(np.sum(sq))
+    # the 2 x 2 diagonal blocks of the root block, one per positive root
+    same = float(np.einsum("papb->", sq[r:, r:].reshape(n, 2, n, 2)))
     return CartanSplit(
-        cartan_block=cartan_block,
-        mixed_block=mixed_block,
+        cartan_block=float(np.sum(sq[:r, :r])),
+        mixed_block=float(np.sum(sq[:r, r:]) + np.sum(sq[r:, :r])),
         same_line_block=same,
-        cross_line_block=cross,
-        total=total,
+        cross_line_block=root_total - same,
+        total=float(np.sum(sq)),
     )
 
 
@@ -183,11 +175,8 @@ def root_pair_closed_form(psi, cartan) -> float:
     ``align_expectation_to_cartan``); without it the identity fails.
     """
     psi = _validate_state(psi, cartan.weight_basis.shape[0])
-    out = 0.0
-    for E in cartan.raising_ops:
-        e2 = complex(psi.conj() @ (E @ (E @ psi)))
-        anti = float(
-            np.real(psi.conj() @ (E @ (E.conj().T @ psi) + E.conj().T @ (E @ psi)))
-        )
-        out += 8.0 * abs(e2) ** 2 + 2.0 * anti**2
-    return out
+    a = cartan.raising_ops @ psi  # rows E_a psi
+    b = psi.conj() @ cartan.raising_ops  # rows psi^dag E_a = (E_a^dag psi)^dag
+    e2 = np.vecdot(b.conj(), a)  # <E_a^2> = sum b a
+    anti = np.vecdot(a, a).real + np.vecdot(b, b).real  # <E_a E_-a + E_-a E_a>
+    return float(8.0 * np.vdot(e2, e2).real + 2.0 * anti @ anti)

@@ -7,6 +7,7 @@ from gcsloc.algebra import (
     algebra_from_generators,
     build_su2_irrep,
     build_sun_fundamental,
+    casimir_constants,
     compute_structure_constants,
     rep_debug_dict,
     rescaled,
@@ -182,6 +183,18 @@ def test_adjoint_casimir_contraction_route():
     f = rep.structure_constants
     contraction = np.einsum("ikl,jkl->ij", f, f)
     assert np.allclose(contraction, 2.0 * np.eye(3), atol=1e-12)
+
+
+@pytest.mark.parametrize("rep", [build_su2_irrep(1), build_su2_irrep(4), build_sun_fundamental(3),
+                                 build_sun_fundamental(6)], ids=["su2-1", "su2-4", "su3", "su6"])
+def test_adjoint_casimir_matches_double_commutator_loop(rep):
+    # tr(sum_j [X_j, [X_j, X_1]] X_1) / lam, one generator at a time
+    probe = rep.generators[0]
+    double = sum(x @ (x @ probe - probe @ x) - (x @ probe - probe @ x) @ x for x in rep.generators)
+    direct = np.trace(double @ probe).real / rep.normalization
+    assert rep.adjoint_casimir == pytest.approx(direct, rel=1e-12)
+    with pytest.raises(ValueError, match="adjoint invariant mismatch"):
+        casimir_constants(rep.generators, 1.01 * rep.structure_constants, rep.normalization)
 
 
 @settings(max_examples=20, deadline=None)

@@ -441,3 +441,88 @@ def test_debug_dict_keys(su3):
     assert len(dump["positive_roots"]) == 3
     assert len(dump["weights"]) == 3
     assert np.allclose(dump["highest_weight"], cartan.highest_weight, atol=1e-15)
+
+
+# ------------------------------------------------ stacked-check fault paths
+
+
+def corrupt_root_vectors(monkeypatch, cols, how):
+    """Replace root-vector column m by how(vecs, m) for m in cols whenever
+    ``_canonical_phase`` returns the (K, n_pos) root vectors; the square
+    weight and alignment bases pass unchanged."""
+    real = cartan_module._canonical_phase
+
+    def corrupted(vecs):
+        out = real(vecs)
+        if out.shape[0] == out.shape[1]:
+            return out
+        src = out.copy()
+        for m in cols:
+            out[:, m] = how(src, m)
+        return out
+
+    monkeypatch.setattr(cartan_module, "_canonical_phase", corrupted)
+
+
+def mix_with_next(v, m):
+    # a combination of two root vectors is a root vector of neither root
+    return (v[:, m] + v[:, (m + 1) % v.shape[1]]) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("n,cols,named", [(3, (2,), 2), (3, (1, 2), 1), (6, (9, 4), 4)])
+def test_broken_ladder_relation_names_lowest_root(n, cols, named, monkeypatch):
+    corrupt_root_vectors(monkeypatch, cols, mix_with_next)
+    with pytest.raises(
+        RuntimeError,
+        match=rf"^Cartan extraction failed: ladder relation fails for root {named}: residual",
+    ):
+        cartan_decompose(build_sun_fundamental(n))
+
+
+@pytest.mark.parametrize("builder,arg,cols,named", [
+    (build_su2_irrep, 2, (0,), 0),
+    (build_sun_fundamental, 3, (1, 2), 1),
+    (build_sun_fundamental, 6, (14, 7), 7),
+])
+def test_broken_ladder_normalization_names_lowest_root(builder, arg, cols, named, monkeypatch):
+    # twice a root vector keeps [H_i, E_a] = a_i E_a and quadruples [E, E^dag]
+    corrupt_root_vectors(monkeypatch, cols, lambda v, m: 2.0 * v[:, m])
+    with pytest.raises(
+        RuntimeError,
+        match=rf"^Cartan extraction failed: \[E, E\^dag\] != root \. H for root {named}: residual",
+    ):
+        cartan_decompose(builder(arg))
+
+
+def test_non_commuting_kernel_rows_are_rejected(monkeypatch):
+    # lambda_1 and lambda_2 of su(3) span two dimensions but do not commute
+    monkeypatch.setattr(cartan_module, "_cartan_candidates", lambda rep, rng: iter([np.eye(8)[[0, 1]]]))
+    with pytest.raises(
+        RuntimeError, match=r"^Cartan extraction failed: extracted Cartan set does not commute: "
+    ):
+        cartan_decompose(build_sun_fundamental(3))
+
+
+@pytest.mark.parametrize("builder,arg", [(build_su2_irrep, 2), (build_sun_fundamental, 3)])
+def test_mixed_weight_basis_has_no_annihilated_state(builder, arg, monkeypatch):
+    # a generic rotation of the weight basis leaves no column that every
+    # raising operator kills
+    real = cartan_module._joint_eigenbasis
+
+    def mixed(mats, rng, tol):
+        vecs, vals = real(mats, rng, tol)
+        if tol == cartan_module.WEIGHT_TOL:
+            q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal(vecs.shape))
+            vecs = vecs @ q
+        return vecs, vals
+
+    monkeypatch.setattr(cartan_module, "_joint_eigenbasis", mixed)
+    with pytest.raises(
+        RuntimeError,
+        match=r"^Cartan extraction failed: no weight state is annihilated by all raising operators$",
+    ):
+        cartan_decompose(builder(arg))
+
+
+def test_diagonal_generator_indices_of_defining_su4():
+    assert cartan_module._diagonal_generator_indices(build_sun_fundamental(4).generators) == [2, 7, 14]

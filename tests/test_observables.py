@@ -1,5 +1,5 @@
 import itertools
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from gcsloc.cartan import (
     generate_gcs,
     highest_weight_state,
 )
+from gcsloc.dynamics import DEFAULT_BLOCK, _moments, _observe_batch, haar_states
 from gcsloc.observables import (
     cartan_split_sums,
     covariance_matrix,
@@ -20,6 +21,7 @@ from gcsloc.observables import (
     expectation_vector,
     generalized_purity,
     localization_drift,
+    root_pair_closed_form,
     total_uncertainty,
     uncertainty_bounds,
 )
@@ -293,3 +295,115 @@ def test_orbit_minimizes_trace_norm_not_squared_norm_on_sym3_su3(seed):
     assert covariance_trace_norm(psi, rep) < t_hw - 0.05
     assert total_uncertainty(psi, rep) >= delta_min - 1e-9
     assert localization_drift(psi, rep, 0.1) <= 1e-9
+
+
+# ------------------------------------ stacked kernels against per-root loops
+
+
+def build_sun_adjoint(n):
+    """The adjoint irrep of su(n), d = K = n^2 - 1."""
+    return algebra_from_generators(-1j * build_sun_fundamental(n).structure_constants)
+
+
+# K < 2d on su(2), Sym^2 su(3) and the su(3) adjoint; K > 2d on defining su(N >= 3)
+STACKED_ALGEBRAS = {
+    "su2-1": lambda: build_su2_irrep(1),
+    "su2-2": lambda: build_su2_irrep(2),
+    "su2-4": lambda: build_su2_irrep(4),
+    "su2-8": lambda: build_su2_irrep(8),
+    "su3": lambda: build_sun_fundamental(3),
+    "su4": lambda: build_sun_fundamental(4),
+    "su6": lambda: build_sun_fundamental(6),
+    "su3-adjoint": lambda: build_sun_adjoint(3),
+    "sym2-su3": lambda: build_sun_symmetric(3, 2),
+}
+
+
+@lru_cache(maxsize=None)
+def decomposed(name):
+    rep = STACKED_ALGEBRAS[name]()
+    return rep, cartan_decompose(rep)
+
+
+def loop_closed_form(psi, cartan):
+    """The root-pair closed form, six matvecs per raising operator."""
+    out = 0.0
+    for E in cartan.raising_ops:
+        e2 = complex(psi.conj() @ (E @ (E @ psi)))
+        anti = float(np.real(psi.conj() @ (E @ (E.conj().T @ psi) + E.conj().T @ (E @ psi))))
+        out += 8.0 * abs(e2) ** 2 + 2.0 * anti**2
+    return out
+
+
+def loop_split(psi, rep, cartan):
+    """The sector partition with one same-line 2 x 2 block per root."""
+    o = cartan.basis_rotation
+    mt = o @ covariance_matrix(psi, rep) @ o.T
+    sq = mt * mt
+    r = cartan.rank
+    same = sum(float(np.sum(sq[p : p + 2, p : p + 2])) for p in range(r, len(sq), 2))
+    root_total = float(np.sum(sq[r:, r:]))
+    return (
+        float(np.sum(sq[:r, :r])),
+        float(np.sum(sq[:r, r:]) + np.sum(sq[r:, :r])),
+        same,
+        root_total - same,
+        float(np.sum(sq)),
+    )
+
+
+@pytest.mark.parametrize("name", STACKED_ALGEBRAS)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_stacked_root_sums_match_per_root_loops(name, seed):
+    rep, cartan = decomposed(name)
+    psi = align_expectation_to_cartan(haar_state(rep.dim_hilbert, seed), rep, cartan)
+    assert root_pair_closed_form(psi, cartan) == pytest.approx(loop_closed_form(psi, cartan), rel=1e-12)
+    split = cartan_split_sums(psi, rep, cartan)
+    got = [split.cartan_block, split.mixed_block, split.same_line_block, split.cross_line_block, split.total]
+    # relative to T: the sectors that vanish in the Cartan gauge are rounding noise
+    assert np.max(np.abs(np.subtract(got, loop_split(psi, rep, cartan)))) <= 1e-12 * split.total
+
+
+@pytest.mark.parametrize("name", STACKED_ALGEBRAS)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(min_value=1, max_value=40))
+def test_gram_form_t_is_the_squared_covariance_norm(name, seed, n):
+    rep, _ = decomposed(name)
+    states = haar_states(rep.dim_hilbert, n, seed)
+    mom = _moments(states, rep, cov=True)
+    ref = np.sum(mom.cov**2, axis=(1, 2))
+    assert np.max(np.abs(mom.tnorm - ref) / ref) <= 1e-12
+    psi = states[0]
+    t = np.sum(covariance_matrix(psi, rep) ** 2)
+    assert covariance_trace_norm(psi, rep) == pytest.approx(t, rel=1e-12)
+
+
+def covariance_formula_rows(states, rep, gamma):
+    """Record rows with T = sum M^2 from the K x K covariance matrix, in
+    blocks of DEFAULT_BLOCK states as ``_observe_batch`` takes them."""
+    rows = []
+    for lo in range(0, len(states), DEFAULT_BLOCK):
+        pf = np.ascontiguousarray(states[lo : lo + DEFAULT_BLOCK]).view(np.float64)
+        z = (pf @ rep.moment_stack).reshape(len(pf), rep.dim_algebra, pf.shape[1])
+        v = np.matvec(z, pf)
+        second = np.einsum("nkj,nkj->n", z, z)
+        purity = np.einsum("nk,nk->n", v, v)
+        u = z - v[:, :, None] * pf[:, None, :]
+        m = np.matmul(u, u.transpose(0, 2, 1))
+        m *= 2.0
+        tnorm = np.einsum("nkl,nkl->n", m, m)
+        drift = 2.0 * gamma * (rep.adjoint_casimir * purity - tnorm)
+        rows.append(np.column_stack([second - purity, purity, tnorm, drift, v]))
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("name", ["su2-1", "su2-2", "su2-4", "su2-8"])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(min_value=1, max_value=600))
+def test_su2_record_rows_keep_the_covariance_formula_bit_for_bit(name, seed, n):
+    # K = 3 <= 2d: T still comes from the K x K Gram matrix, so simulate's
+    # CSV bytes do not move
+    rep, _ = decomposed(name)
+    states = haar_states(rep.dim_hilbert, n, seed)
+    assert np.array_equal(_observe_batch(states, rep, 0.1), covariance_formula_rows(states, rep, 0.1))
