@@ -13,8 +13,6 @@ from .algebra import (
     algebra_from_generators,
     build_su2_irrep,
     build_sun_fundamental,
-    casimir_constants,
-    compute_structure_constants,
     rescaled,
 )
 from .cartan import (
@@ -69,8 +67,6 @@ __all__ = [
     "build_sun_fundamental",
     "cartan_decompose",
     "cartan_split_sums",
-    "casimir_constants",
-    "compute_structure_constants",
     "covariance_matrix",
     "covariance_trace_norm",
     "ensemble_average",

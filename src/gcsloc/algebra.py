@@ -14,15 +14,18 @@ with real, totally antisymmetric structure constants f.  For an
 irreducible representation the sum of squared generators is a multiple of
 the identity (the quadratic invariant), and the double-commutator sum
 sum_j [X_j, [X_j, X_i]] acts as a fixed multiple of every generator (the
-adjoint-representation invariant).  Both scalars are extracted and
-cross-checked when a representation is constructed.  sum_j X_j^2 = c I is
-what the measurement step needs; a direct sum of irreps with one common c
-passes it, and ``cartan_decompose`` rejects such sums.
+adjoint-representation invariant).  sum_j X_j^2 = c I is what the
+measurement step needs; a direct sum of irreps with one common c passes
+it, and ``cartan_decompose`` rejects such sums.
 
-Builders are provided for the spin-j representations of su(2) and for the
-fundamental representation of su(N) in a generalized Gell-Mann basis.
-Arbitrary closed Hermitian generator sets can be wrapped with
-``algebra_from_generators``.
+``algebra_from_generators`` is the one place a generator set is checked
+and its constants derived, in one pass over the stacked products
+X_i X_j: their traces are the gram matrix, their antisymmetric part the
+commutators that give f and the closure check, their diagonal sum the
+quadratic invariant c, and the commutators [X_j, X_1] cross-check the
+adjoint invariant c_adj against the contraction of f.  The builders for
+the spin-j representations of su(2) and for the fundamental
+representation of su(N) in a generalized Gell-Mann basis go through it.
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ __all__ = [
     "algebra_from_generators",
     "build_su2_irrep",
     "build_sun_fundamental",
-    "casimir_constants",
-    "compute_structure_constants",
     "rescaled",
     "rep_debug_dict",
     "unitary_exp",
@@ -76,8 +77,6 @@ class AlgebraRep:
         Hermitian generators X_i, trace-orthogonal with uniform norm.
     structure_constants : (K, K, K) real ndarray
         f[i, j, k] with [X_i, X_j] = 1j * sum_k f[i, j, k] X_k.
-    gram : (K, K) real ndarray
-        tr(X_i X_j); diagonal with equal entries by construction.
     casimir_eigenvalue : float
         Scalar c with sum_j X_j^2 = c * I.
     adjoint_casimir : float
@@ -93,7 +92,6 @@ class AlgebraRep:
 
     generators: np.ndarray
     structure_constants: np.ndarray
-    gram: np.ndarray
     casimir_eigenvalue: float
     adjoint_casimir: float
     normalization: float
@@ -139,19 +137,6 @@ def unitary_exp(h, t=1.0):
     return (v * phase) @ v.conj().T
 
 
-def _check_hermitian(gens):
-    resid = _max_abs(gens - np.conj(np.swapaxes(gens, -1, -2)))
-    if resid > HERMITICITY_TOL:
-        raise ValueError(
-            f"generators are not Hermitian: max |X - X^dag| = {resid:.3e} "
-            f"exceeds {HERMITICITY_TOL:.0e}"
-        )
-
-
-def _gram_matrix(gens):
-    return np.real(np.einsum("iab,jba->ij", gens, gens))
-
-
 def _uniform_norm(gram):
     """Extract lam from the gram matrix, insisting on uniform diagonal."""
     diag = np.diag(gram)
@@ -168,43 +153,15 @@ def _uniform_norm(gram):
     return lam
 
 
-def compute_structure_constants(generators, normalization=None):
-    """Extract real antisymmetric structure constants from a generator set.
-
-    Parameters
-    ----------
-    generators : (K, d, d) array_like
-        Hermitian matrices, trace-orthogonal with uniform norm lam.
-    normalization : float, optional
-        lam = tr(X_i^2).  Computed (and validated) from the generators when
-        omitted.
-
-    Returns
-    -------
-    f : (K, K, K) real ndarray
-        Structure constants with [X_i, X_j] = 1j * sum_k f[i, j, k] X_k.
-
-    Raises
-    ------
-    ValueError
-        If the generators are not Hermitian, not uniformly trace-orthogonal,
-        or do not close under commutation (residual above 1e-8 of the
-        commutator scale): the set is then not a closed algebra basis.
-    """
-    gens = np.asarray(generators, dtype=complex)
-    if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
-        raise ValueError(f"expected shape (K, d, d), got {gens.shape}")
-    _check_hermitian(gens)
-    if normalization is None:
-        normalization = _uniform_norm(_gram_matrix(gens))
-
+def _structure_constants(gens, comm, lam):
+    """f[i, j, k] = -1j tr([X_i, X_j] X_k) / lam from the stacked
+    commutators comm[i, j] = [X_i, X_j], checked real, closing and
+    totally antisymmetric."""
     K, d = gens.shape[0], gens.shape[1]
-    prod = np.matmul(gens[:, None], gens[None, :])
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    # f_ijk = -1j tr([X_i, X_j] X_k) / lam, one (K^2, d^2) @ (d^2, K) product
+    # one (K^2, d^2) @ (d^2, K) product
     gens_t = gens.transpose(0, 2, 1).reshape(K, d * d)
     f_complex = (comm.reshape(K * K, d * d) @ gens_t.T).reshape(K, K, K)
-    f_complex *= -1j / normalization
+    f_complex *= -1j / lam
 
     imag_resid = _max_abs(f_complex.imag)
     scale = max(_max_abs(f_complex), 1.0)
@@ -236,17 +193,12 @@ def compute_structure_constants(generators, normalization=None):
     return f
 
 
-def casimir_constants(generators, structure_constants, normalization):
-    """Quadratic invariants of the representation and of the adjoint action.
-
-    Returns (c, c_adj) where sum_j X_j^2 = c I and
-    sum_j [X_j, [X_j, X_i]] = c_adj X_i.  Raises ValueError when either
-    proportionality fails, e.g. for a reducible representation.
-    """
-    gens = np.asarray(generators, dtype=complex)
-    K, d = gens.shape[0], gens.shape[1]
-
-    cas = np.einsum("jab,jbc->ac", gens, gens)
+def _casimirs(prod, comm, f, lam):
+    """(c, c_adj) with sum_j X_j^2 = c I and sum_j [X_j, [X_j, X_i]] =
+    c_adj X_i, from the stacked products prod[i, j] = X_i X_j, their
+    commutators and f; ValueError when either proportionality fails."""
+    K, d = prod.shape[0], prod.shape[2]
+    cas = np.einsum("jjab->ab", prod)
     c = float(np.real(np.trace(cas)) / d)
     resid = _max_abs(cas - c * np.eye(d))
     if resid > PROPORTIONALITY_TOL * max(abs(c), 1.0):
@@ -256,10 +208,10 @@ def casimir_constants(generators, structure_constants, normalization):
         )
 
     # The double-commutator scalar also equals the structure-constant
-    # contraction sum_{kl} f[i,k,l] f[j,k,l] = c_adj d_ij; both routes are
-    # computed and must agree.
-    f = structure_constants
-    contraction = np.einsum("ikl,jkl->ij", f, f)
+    # contraction sum_{kl} f[i,k,l] f[j,k,l] = c_adj d_ij, one GEMM; both
+    # routes are computed and must agree.
+    flat = f.reshape(K, K * K)
+    contraction = flat @ flat.T
     c_adj = float(np.trace(contraction) / K)
     resid = _max_abs(contraction - c_adj * np.eye(K))
     if resid > ADJOINT_CONSISTENCY_TOL * max(abs(c_adj), 1.0):
@@ -268,11 +220,10 @@ def casimir_constants(generators, structure_constants, normalization):
         )
 
     # The double-commutator route on X_1: for Hermitian X_j,
-    # tr(sum_j [X_j, [X_j, X_1]] X_1) = sum_j |[X_j, X_1]|_F^2, one stacked
-    # commutator over j.
-    probe = gens[0]
-    inner = gens @ probe - probe @ gens
-    direct = float(np.vdot(inner, inner).real / normalization)
+    # tr(sum_j [X_j, [X_j, X_1]] X_1) = sum_j |[X_j, X_1]|_F^2, with the
+    # commutators [X_j, X_1] a slice of comm.
+    inner = comm[:, 0]
+    direct = float(np.vdot(inner, inner).real / lam)
     if abs(direct - c_adj) > ADJOINT_CONSISTENCY_TOL * max(abs(c_adj), 1.0):
         raise ValueError(
             "adjoint invariant mismatch between double-commutator "
@@ -284,30 +235,42 @@ def casimir_constants(generators, structure_constants, normalization):
 def algebra_from_generators(generators) -> AlgebraRep:
     """Validate a Hermitian generator set and package it as an AlgebraRep.
 
-    The generators must be Hermitian to 1e-12, trace-orthogonal with a
-    uniform positive norm, closed under commutation, and satisfy
+    The generators must be finite, Hermitian to 1e-12, trace-orthogonal
+    with a uniform positive norm, closed under commutation, and satisfy
     sum_j X_j^2 = c I, which direct sums of irreps with one common c pass.
+    Everything is read from one stacked product prod[i, j] = X_i X_j: the
+    gram matrix tr(prod[i, j]), the commutators prod[i, j] - prod[j, i]
+    (which give f and the closure check), the quadratic invariant
+    sum_j prod[j, j], and the commutators [X_j, X_1] of the
+    double-commutator cross-check of c_adj.
     """
     gens = np.asarray(generators, dtype=complex)
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
         raise ValueError(f"expected shape (K, d, d), got {gens.shape}")
     if gens.shape[0] < 1:
         raise ValueError("need at least one generator")
-    _check_hermitian(gens)
-    gram = _gram_matrix(gens)
-    lam = _uniform_norm(gram)
-    f = compute_structure_constants(gens, normalization=lam)
-    c, c_adj = casimir_constants(gens, f, lam)
-
+    if not np.isfinite(gens).all():
+        raise ValueError("generators must be finite")
+    resid = _max_abs(gens - np.conj(np.swapaxes(gens, -1, -2)))
+    if resid > HERMITICITY_TOL:
+        raise ValueError(
+            f"generators are not Hermitian: max |X - X^dag| = {resid:.3e} "
+            f"exceeds {HERMITICITY_TOL:.0e}"
+        )
     gens = np.ascontiguousarray(gens)
+    prod = np.matmul(gens[:, None], gens[None, :])
+    lam = _uniform_norm(np.einsum("ijaa->ij", prod).real)
+    comm = prod - prod.transpose(1, 0, 2, 3)
+    f = _structure_constants(gens, comm, lam)
+    c, c_adj = _casimirs(prod, comm, f, lam)
+
     d = gens.shape[1]
     stack = _real_form(gens.transpose(2, 0, 1).reshape(d, -1))
-    for arr in (gens, f, gram, stack):
+    for arr in (gens, f, stack):
         arr.flags.writeable = False
     return AlgebraRep(
         generators=gens,
         structure_constants=f,
-        gram=gram,
         casimir_eigenvalue=c,
         adjoint_casimir=c_adj,
         normalization=lam,
@@ -397,8 +360,8 @@ def rescaled(rep: AlgebraRep, scale: float) -> AlgebraRep:
     Rescaling X -> s X multiplies f by s, lam by s^2, and both invariants
     by s^2; the rebuilt representation revalidates all of that.
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not np.isfinite(scale) or scale <= 0:
+        raise ValueError(f"scale must be finite and positive, got {scale}")
     return algebra_from_generators(rep.generators * scale)
 
 

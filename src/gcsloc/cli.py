@@ -208,6 +208,8 @@ def cmd_ensemble(args) -> int:
     stride, bound = args.stride, args.bound
     if args.traj < 1:
         raise UsageError(f"--traj must be at least 1, got {args.traj}")
+    if not (np.isfinite(bound) and bound >= 0):
+        raise UsageError(f"--bound must be finite and >= 0, got {bound}")
     ham = _parse_ham(args.ham, rep)
     psi0 = _initial_state(args, rep)
 

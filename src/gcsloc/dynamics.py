@@ -405,12 +405,13 @@ def snlse_step(psi, h, rep: AlgebraRep, gamma: float, dt: float, increments):
 
 
 def _record_grid(steps, stride, dt):
-    if stride < 1 or int(stride) != stride:
+    """(stride as an int, the record times k * stride * dt)."""
+    stride = _integral("record stride", stride)
+    if stride < 1:
         raise ValueError(f"record stride must be a positive integer, got {stride}")
     if steps % stride != 0:
         raise ValueError(f"record stride {stride} must divide steps {steps}")
-    n_rec = steps // stride + 1
-    return n_rec, np.arange(n_rec) * (stride * dt)
+    return stride, np.arange(steps // stride + 1) * (stride * dt)
 
 
 def simulate_trajectory(
@@ -527,7 +528,8 @@ def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, proje
             )
         initials = np.stack([_validate_state(row, rep.dim_hilbert) for row in initial])
     ham = _as_hamiltonian(h, rep)
-    n_rec, times = _record_grid(cfg.steps, record_stride, cfg.dt)
+    record_stride, times = _record_grid(cfg.steps, record_stride, cfg.dt)
+    n_rec = len(times)
     starts = range(0, n_traj, block_size)
     if projector:
         acc = np.zeros((len(starts), n_rec, rep.dim_hilbert, rep.dim_hilbert), dtype=complex)
@@ -608,12 +610,15 @@ def ensemble_observables(
 
 
 def validate_density(rho, dim=None):
-    """Check a density matrix: Hermitian and unit trace to 1e-10, no eigenvalue below -1e-8."""
+    """Check a density matrix: finite, Hermitian and unit trace to 1e-10, no
+    eigenvalue below -1e-8."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
         raise ValueError(f"density matrix must be {dim} x {dim}, got {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix entries must be finite")
     herm = _max_abs(rho - rho.conj().T)
     if herm > 1e-10:
         raise ValueError(f"density matrix not Hermitian: residual {herm:.3e}")

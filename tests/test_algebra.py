@@ -3,12 +3,11 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from gcsloc import algebra
 from gcsloc.algebra import (
     algebra_from_generators,
     build_su2_irrep,
     build_sun_fundamental,
-    casimir_constants,
-    compute_structure_constants,
     rep_debug_dict,
     rescaled,
     unitary_exp,
@@ -20,6 +19,10 @@ PAULI = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+def gram(rep):
+    return np.einsum("iab,jba->ij", rep.generators, rep.generators).real
 
 
 def levi_civita():
@@ -46,7 +49,7 @@ def test_su2_invariants(two_j):
     assert rep.casimir_eigenvalue == pytest.approx(j * (j + 1), rel=1e-13)
     assert rep.adjoint_casimir == pytest.approx(2.0, rel=1e-12)
     assert np.max(np.abs(rep.structure_constants - levi_civita())) < 1e-12
-    assert np.max(np.abs(rep.gram - lam * np.eye(3))) < 1e-10 * lam
+    assert np.max(np.abs(gram(rep) - lam * np.eye(3))) < 1e-10 * lam
 
 
 def test_su2_matrices_spin_half():
@@ -187,14 +190,17 @@ def test_adjoint_casimir_contraction_route():
 
 @pytest.mark.parametrize("rep", [build_su2_irrep(1), build_su2_irrep(4), build_sun_fundamental(3),
                                  build_sun_fundamental(6)], ids=["su2-1", "su2-4", "su3", "su6"])
-def test_adjoint_casimir_matches_double_commutator_loop(rep):
+def test_adjoint_casimir_matches_double_commutator_loop(rep, monkeypatch):
     # tr(sum_j [X_j, [X_j, X_1]] X_1) / lam, one generator at a time
     probe = rep.generators[0]
     double = sum(x @ (x @ probe - probe @ x) - (x @ probe - probe @ x) @ x for x in rep.generators)
     direct = np.trace(double @ probe).real / rep.normalization
     assert rep.adjoint_casimir == pytest.approx(direct, rel=1e-12)
+    # constants off by 1% fail the double-commutator cross-check
+    step = algebra._structure_constants
+    monkeypatch.setattr(algebra, "_structure_constants", lambda *args: 1.01 * step(*args))
     with pytest.raises(ValueError, match="adjoint invariant mismatch"):
-        casimir_constants(rep.generators, 1.01 * rep.structure_constants, rep.normalization)
+        algebra_from_generators(rep.generators)
 
 
 @settings(max_examples=20, deadline=None)
@@ -216,7 +222,7 @@ def test_unitary_conjugation_preserves_structure():
     base = build_sun_fundamental(3)
     rep = conjugated_sun3()
     assert np.max(np.abs(rep.structure_constants - base.structure_constants)) < 1e-9
-    assert np.max(np.abs(rep.gram - base.gram)) < 1e-10
+    assert np.max(np.abs(gram(rep) - gram(base))) < 1e-10
 
 
 def test_killing_normalized_unit_adjoint():
@@ -228,7 +234,22 @@ def test_killing_normalized_unit_adjoint():
 def test_not_closed_rejected():
     rep = build_su2_irrep(2)
     with pytest.raises(ValueError, match="closed"):
-        compute_structure_constants(rep.generators[:2])
+        algebra_from_generators(rep.generators[:2])
+
+
+def test_non_finite_rejected():
+    gens = build_su2_irrep(2).generators.copy()
+    gens[0, 0, 1] = gens[0, 1, 0] = np.nan  # a Hermitian NaN entry pair
+    with pytest.raises(ValueError, match="generators must be finite"):
+        algebra_from_generators(gens)
+    gens = build_su2_irrep(2).generators.copy()
+    gens[2, 1, 1] = np.inf
+    with pytest.raises(ValueError, match="generators must be finite"):
+        algebra_from_generators(gens)
+    # rescaled checks scale itself: inf * 0 would warn before the constructor ran
+    for scale in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="scale must be finite"):
+            rescaled(build_su2_irrep(2), scale)
 
 
 def test_reducible_rejected():

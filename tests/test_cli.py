@@ -262,6 +262,23 @@ def test_ensemble_traj_below_one_exits_1(tmp_path, capsys, monkeypatch, traj):
     assert not (tmp_path / "ens.csv").exists()
 
 
+@pytest.mark.parametrize("bound", ["nan", "inf", "-1"])
+def test_ensemble_bound_not_finite_nonnegative_exits_1(tmp_path, capsys, monkeypatch, bound):
+    def run(*args):
+        raise AssertionError("the ensemble ran before --bound was checked")
+
+    monkeypatch.setattr(cli, "lindblad_expm_evolve", run)
+    monkeypatch.setattr(cli, "ensemble_average", run)
+    rc = main([
+        "ensemble", "--algebra", "su2:two_j=2", "--gamma", "0.1", "--dt", "1e-3",
+        "--time", "0.01", "--seed", "3", "--traj", "4", f"--bound={bound}",
+        "--out", str(tmp_path / "ens"),
+    ])
+    assert rc == 1
+    assert "error: --bound must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "ens.json").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "ensemble"])
 @pytest.mark.parametrize("dt, time", [("0", "0.01"), ("nan", "0.01"), ("1e-3", "inf")])
 def test_degenerate_time_grid_exits_1(tmp_path, capsys, command, dt, time):

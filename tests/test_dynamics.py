@@ -188,6 +188,27 @@ def test_record_stride_must_divide(spin1):
         simulate_trajectory(haar_state(3, 0), None, spin1, cfg, record_stride=3)
 
 
+def test_integral_float_stride_is_the_int_stride(spin1):
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=0)
+    psi = haar_state(3, 0)
+    a = simulate_trajectory(psi, None, spin1, cfg, record_stride=2)
+    b = simulate_trajectory(psi, None, spin1, cfg, record_stride=2.0)
+    for field in ("times", "uncertainty", "purity", "cov_trace_norm", "drift", "expectations"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+    ta, rho_a = ensemble_average(psi, None, spin1, cfg, 3, record_stride=2)
+    tb, rho_b = ensemble_average(psi, None, spin1, cfg, 3, record_stride=2.0)
+    assert ta.tobytes() == tb.tobytes() and rho_a.tobytes() == rho_b.tobytes()
+
+
+@pytest.mark.parametrize("stride", [2.5, np.nan])
+def test_non_integral_stride_named(spin1, stride):
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=0)
+    with pytest.raises(ValueError, match="record stride must be an integer"):
+        simulate_trajectory(haar_state(3, 0), None, spin1, cfg, record_stride=stride)
+    with pytest.raises(ValueError, match="record stride must be an integer"):
+        ensemble_average(haar_state(3, 0), None, spin1, cfg, 2, record_stride=stride)
+
+
 # ------------------------------------------------------------ single steps
 
 
@@ -932,7 +953,7 @@ def test_superoperator_dimension_guard():
         lindblad_superoperator(None, rep, 0.1)
 
 
-def test_validate_density_errors():
+def test_validate_density_errors(spin1):
     with pytest.raises(ValueError, match="square"):
         validate_density(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="Hermitian"):
@@ -941,3 +962,10 @@ def test_validate_density_errors():
         validate_density(np.eye(2, dtype=complex))
     with pytest.raises(ValueError, match="negativity"):
         validate_density(np.diag([1.5, -0.5]).astype(complex))
+    # a NaN passes every `resid > tol` test, and an all-NaN matrix stops eigvalsh
+    with pytest.raises(ValueError, match="finite"):
+        validate_density(np.diag([np.nan, 0.5, 0.5]), 3)
+    with pytest.raises(ValueError, match="finite"):
+        validate_density(np.full((3, 3), np.nan), 3)
+    with pytest.raises(ValueError, match="finite"):
+        lindblad_expm_evolve(np.diag([np.nan, 0.5, 0.5]), None, spin1, 0.1, [0.0, 1.0])
