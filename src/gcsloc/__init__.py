@@ -24,7 +24,6 @@ from .cartan import (
     weight_string,
 )
 from .dynamics import (
-    Hamiltonian,
     NoiseConfig,
     TrajectoryRecord,
     ensemble_average,
@@ -58,7 +57,6 @@ __all__ = [
     "AlgebraRep",
     "CartanData",
     "CartanSplit",
-    "Hamiltonian",
     "NoiseConfig",
     "TrajectoryRecord",
     "algebra_from_generators",

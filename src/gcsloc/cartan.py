@@ -346,6 +346,8 @@ def generate_gcs(rep: AlgebraRep, cartan: CartanData, params) -> np.ndarray:
         raise ValueError(
             f"params must have shape ({rep.dim_algebra},), got {params.shape}"
         )
+    if not np.all(np.isfinite(params)):
+        raise ValueError(f"params must be finite, got {params}")
     u = unitary_exp(_combination(params, rep.generators))
     psi = u @ highest_weight_state(cartan)
     return psi / np.linalg.norm(psi)

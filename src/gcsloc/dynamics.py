@@ -8,12 +8,14 @@ Pure-state unraveling (Ito form, per step of size dt):
              + sum_k (X_k - <X_k>) dxi_k ] psi,      dxi_k = sqrt(2 gamma dt) z_k,
 
 with independent standard normals z_k per channel per step, followed by
-renormalization.  The integrator is split-step: the Hamiltonian flow is
-applied as a cached exact propagator exp(-1j H dt) and the measurement
-terms as an Euler-Maruyama update evaluated at the propagated state.  The
-splitting keeps purely Hamiltonian motion exact (the uncertainty functional
-is then conserved to rounding, not to O(dt)), while the measurement update
-is the standard order-1/2 strong scheme.
+renormalization.  H = sum_k h_k X_k lies in the generator span and every
+entry point takes it as its K real coefficients h.  The integrator is
+split-step: the Hamiltonian flow is applied as the exact propagator
+exp(-1j H dt), built once per run, and the measurement terms as an
+Euler-Maruyama update evaluated at the propagated state.  The splitting
+keeps purely Hamiltonian motion exact (the uncertainty functional is then
+conserved to rounding, not to O(dt)), while the measurement update is the
+standard order-1/2 strong scheme.
 
 The step, the records, the theorem scan and ``observables`` share one
 moment kernel, ``_generator_action``: states are read as interleaved real
@@ -55,7 +57,6 @@ import numpy as np
 from .algebra import AlgebraRep, _combination, _max_abs, _real_form, unitary_exp
 
 __all__ = [
-    "Hamiltonian",
     "NoiseConfig",
     "TrajectoryRecord",
     "ensemble_average",
@@ -83,7 +84,7 @@ _UINT64_MASK = (1 << 64) - 1
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Counter-based generator for (seed, stream); independent across both."""
-    key = [int(seed) & _UINT64_MASK, int(stream) & _UINT64_MASK]
+    key = np.array([int(seed) & _UINT64_MASK, int(stream) & _UINT64_MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -108,57 +109,39 @@ def scan_states(dim: int, n: int, seed: int) -> np.ndarray:
     return haar_states(dim, n, seed, SCAN_STREAM)
 
 
-class Hamiltonian:
-    """H = sum_k coefficients_k X_k, with cached step propagators.
+def _hamiltonian_matrix(h, rep: AlgebraRep):
+    """H = sum_k h_k X_k for h None or K real coefficients; None when h is
+    None or all zero, so there is no H term.
 
-    The matrix is Hermitian by construction; its projection back onto the
-    generator basis is verified so a corrupted generator set is caught
-    here rather than mid-simulation.
+    H is Hermitian by construction; its projection back onto the generator
+    basis is verified so a corrupted generator set is caught here rather
+    than mid-simulation.
     """
-
-    def __init__(self, rep: AlgebraRep, coefficients):
-        coeff = np.asarray(coefficients, dtype=float)
-        if coeff.shape != (rep.dim_algebra,):
-            raise ValueError(
-                f"coefficients must have shape ({rep.dim_algebra},), got {coeff.shape}"
-            )
-        if not np.all(np.isfinite(coeff)):
-            raise ValueError(f"Hamiltonian coefficients must be finite, got {coeff}")
-        matrix = _combination(coeff, rep.generators)
-        herm = _max_abs(matrix - matrix.conj().T)
-        if herm > 1e-12 * max(1.0, _max_abs(matrix)):
-            raise ValueError(f"Hamiltonian is not Hermitian: residual {herm:.3e}")
-        back = np.real(
-            np.einsum("ab,kba->k", matrix, rep.generators)
-        ) / rep.normalization
-        resid = _max_abs(back - coeff)
-        if resid > 1e-10 * max(1.0, _max_abs(coeff)):
-            raise ValueError(
-                f"Hamiltonian does not project back onto its coefficients: {resid:.3e}"
-            )
-        self.coefficients = coeff
-        self.matrix = matrix
-        self._propagators: dict[float, np.ndarray] = {}
-
-    @property
-    def is_zero(self) -> bool:
-        return not np.any(self.coefficients)
-
-    def propagator(self, dt: float) -> np.ndarray:
-        """exp(-1j H dt), cached per time step."""
-        key = float(dt)
-        if key not in self._propagators:
-            self._propagators[key] = unitary_exp(self.matrix, -key)
-        return self._propagators[key]
+    if h is None:
+        return None
+    coeff = np.asarray(h, dtype=float)
+    if coeff.shape != (rep.dim_algebra,):
+        raise ValueError(f"coefficients must have shape ({rep.dim_algebra},), got {coeff.shape}")
+    if not np.all(np.isfinite(coeff)):
+        raise ValueError(f"Hamiltonian coefficients must be finite, got {coeff}")
+    if not np.any(coeff):
+        return None
+    matrix = _combination(coeff, rep.generators)
+    herm = _max_abs(matrix - matrix.conj().T)
+    if herm > 1e-12 * max(1.0, _max_abs(matrix)):
+        raise ValueError(f"Hamiltonian is not Hermitian: residual {herm:.3e}")
+    back = np.real(np.einsum("ab,kba->k", matrix, rep.generators)) / rep.normalization
+    resid = _max_abs(back - coeff)
+    if resid > 1e-10 * max(1.0, _max_abs(coeff)):
+        raise ValueError(f"Hamiltonian does not project back onto its coefficients: {resid:.3e}")
+    return matrix
 
 
-def _as_hamiltonian(h, rep: AlgebraRep) -> Hamiltonian | None:
-    """h as a Hamiltonian, or None when it has no H term (None or zero)."""
-    if h is not None and not isinstance(h, Hamiltonian):
-        h = Hamiltonian(rep, h)
-    elif h is not None and h.matrix.shape[0] != rep.dim_hilbert:
-        raise ValueError("Hamiltonian dimension does not match the representation")
-    return None if h is None or h.is_zero else h
+def _step_propagator(h, rep, dt):
+    """The ``_real_form`` of exp(-1j H dt)^T that ``_step_batch`` applies,
+    or None without an H term."""
+    ham = _hamiltonian_matrix(h, rep)
+    return None if ham is None else _real_form(unitary_exp(ham, -dt).T)
 
 
 def _check_gamma(gamma):
@@ -189,6 +172,14 @@ def _integral(name, value):
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _count(name, value):
+    """``_integral`` of value, which must also be at least 1."""
+    count = _integral(name, value)
+    if count < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Measurement strength and integration grid.
@@ -207,10 +198,7 @@ class NoiseConfig:
     def __post_init__(self):
         _check_gamma(self.gamma)
         _check_dt(self.dt)
-        steps = _integral("steps", self.steps)
-        if steps < 1:
-            raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
-        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "steps", _count("steps", self.steps))
         object.__setattr__(self, "seed", _integral("seed", self.seed))
         _check_stability(self.gamma, self.dt)
 
@@ -379,7 +367,8 @@ def snlse_step(psi, h, rep: AlgebraRep, gamma: float, dt: float, increments):
     Parameters
     ----------
     psi : (d,) complex array_like, normalized.
-    h : Hamiltonian, coefficient vector, or None for free measurement.
+    h : (K,) real coefficients of H = sum_k h_k X_k, or None for free
+        measurement.
     gamma, dt : measurement strength and step; gamma * dt <= 0.01.
     increments : (K,) realized dxi_k for this step (variance 2 gamma dt
         each under the nominal law; any values are accepted).
@@ -392,13 +381,14 @@ def snlse_step(psi, h, rep: AlgebraRep, gamma: float, dt: float, increments):
     _check_dt(dt)
     _check_stability(gamma, dt)
     psi = _validate_state(psi, rep.dim_hilbert)
-    ham = _as_hamiltonian(h, rep)
     increments = np.asarray(increments, dtype=float)
     if increments.shape != (rep.dim_algebra,):
         raise ValueError(
             f"increments must have shape ({rep.dim_algebra},), got {increments.shape}"
         )
-    prop = None if ham is None else _real_form(ham.propagator(dt).T)
+    if not np.all(np.isfinite(increments)):
+        raise ValueError(f"increments must be finite, got {increments}")
+    prop = _step_propagator(h, rep, dt)
     with np.errstate(over="ignore"):
         out = _step_batch(psi.view(np.float64)[None, :], rep, gamma, dt, increments[None, :], prop)
     return out[0].view(complex)
@@ -406,9 +396,7 @@ def snlse_step(psi, h, rep: AlgebraRep, gamma: float, dt: float, increments):
 
 def _record_grid(steps, stride, dt):
     """(stride as an int, the record times k * stride * dt)."""
-    stride = _integral("record stride", stride)
-    if stride < 1:
-        raise ValueError(f"record stride must be a positive integer, got {stride}")
+    steps, stride = _count("steps", steps), _count("record stride", stride)
     if steps % stride != 0:
         raise ValueError(f"record stride {stride} must divide steps {steps}")
     return stride, np.arange(steps // stride + 1) * (stride * dt)
@@ -450,15 +438,15 @@ def _thread_count() -> int:
     return max(1, n)
 
 
-def _integrate(batch, ham, rep, cfg, lo, record_stride, record):
+def _integrate(batch, prop, rep, cfg, lo, record_stride, record):
     """Evolve the rows of batch, an (n, d) complex array with contiguous
     rows, as trajectories lo, lo + 1, ..; trajectory i draws its noise from
     the Philox stream (cfg.seed + i, stream 0), in order, a chunk of steps
     at a time into one reused (n, chunk, K) slab of at most max(2^19, n K)
     doubles; the chunking changes no number.  The batch is stepped as its
-    (n, 2d) real view, with the real form of exp(-1j H dt) built once, all
-    under one np.errstate(over="ignore") so an overflowing norm reaches the
-    step's blow-up check silently.  At each record time (0 is the initial
+    (n, 2d) real view, with prop the ``_real_form`` of exp(-1j H dt)^T or
+    None, all under one np.errstate(over="ignore") so an overflowing norm
+    reaches the step's blow-up check silently.  At each record time (0 is the initial
     batch) it is copied through a float view into a complex buffer of
     max(1, DEFAULT_BLOCK // n) record times; record(k0, states) gets each
     full buffer, and the last, as the (m, n, d) states of record times
@@ -466,7 +454,6 @@ def _integrate(batch, ham, rep, cfg, lo, record_stride, record):
     again naming its step or record time, trajectory and seed.
     """
     n, K = len(batch), rep.dim_algebra
-    prop = None if ham is None else _real_form(ham.propagator(cfg.dt).T)
     amp = np.sqrt(2.0 * cfg.gamma * cfg.dt)
     rngs = [stream_rng(cfg.seed + lo + i, NOISE_STREAM) for i in range(n)]
     n_rec = cfg.steps // record_stride + 1
@@ -512,10 +499,7 @@ def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, proje
     """Integrate n_traj trajectories in blocks of block_size and collect the
     mean |psi><psi| if projector is set, else the per-trajectory
     ``_observe_batch`` rows."""
-    if n_traj < 1:
-        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    if not isinstance(block_size, (int, np.integer)) or block_size < 1:
-        raise ValueError(f"block_size must be a positive integer, got {block_size!r}")
+    n_traj, block_size = _count("n_traj", n_traj), _count("block_size", block_size)
     initial = np.asarray(initial, dtype=complex)
     if initial.ndim == 1:
         psi = _validate_state(initial, rep.dim_hilbert)
@@ -527,7 +511,7 @@ def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, proje
                 f"{rep.dim_hilbert}), got {initial.shape}"
             )
         initials = np.stack([_validate_state(row, rep.dim_hilbert) for row in initial])
-    ham = _as_hamiltonian(h, rep)
+    prop = _step_propagator(h, rep, cfg.dt)
     record_stride, times = _record_grid(cfg.steps, record_stride, cfg.dt)
     n_rec = len(times)
     starts = range(0, n_traj, block_size)
@@ -554,7 +538,7 @@ def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, proje
 
     def run_block(lo):
         batch = initials[lo : lo + block_size].copy()
-        _integrate(batch, ham, rep, cfg, lo, record_stride, partial(observe, lo))
+        _integrate(batch, prop, rep, cfg, lo, record_stride, partial(observe, lo))
 
     n_threads = _thread_count()
     if n_threads > 1 and len(starts) > 1:
@@ -672,10 +656,10 @@ def lindblad_superoperator(h, rep: AlgebraRep, gamma: float) -> np.ndarray:
     d = rep.dim_hilbert
     if 16 * d**4 > 64 << 20:
         raise ValueError(f"superoperator of d^2 = {d * d} is over its 64 MiB budget")
-    ham = _as_hamiltonian(h, rep)
+    ham = _hamiltonian_matrix(h, rep)
     a = gamma * rep.casimir_eigenvalue * np.eye(d)
     if ham is not None:
-        a = a + 1j * ham.matrix
+        a = a + 1j * ham
     gens = rep.generators
     sup = np.tensordot(gens, gens, axes=(0, 0)).transpose(0, 3, 1, 2).reshape(d * d, d * d)
     sup *= 2.0 * gamma
@@ -694,21 +678,21 @@ def lindblad_expm_evolve(rho0, h, rep: AlgebraRep, gamma: float, times):
     Because the generators are trace-orthonormal (``AlgebraRep``), sum_k
     X_k (x) X_k is invariant under the adjoint action of the group, so D
     commutes with conjugation by U(t) = exp(-1j H t) for any H in the
-    generator span (``Hamiltonian``), and rho(t) = U(t) expm(D t)(rho0)
-    U(t)^dagger exactly, with U from one ``eigh`` of H.  In time order,
+    generator span (h holds its K real coefficients), and rho(t) = U(t)
+    expm(D t)(rho0) U(t)^dagger exactly, with U from one ``eigh`` of H.  In time order,
     each record is checked against the one before by ``_checked_flow``.
     """
     rho = validate_density(rho0, rep.dim_hilbert)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not np.all(np.isfinite(times) & (times >= 0)):
         raise ValueError("record times must be a 1d array of finite nonnegative values")
+    ham = _hamiltonian_matrix(h, rep)
     lam, vecs = np.linalg.eigh(lindblad_superoperator(None, rep, gamma))
     coef = vecs.conj().T @ rho.reshape(-1)
     flows = (vecs @ (np.exp(np.multiply.outer(lam, times)) * coef[:, None])).T
     flows = flows.reshape((len(times),) + rho.shape)
-    ham = _as_hamiltonian(h, rep)
     if ham is not None:
-        u = unitary_exp(ham.matrix, -times)
+        u = unitary_exp(ham, -times)
         flows = u @ flows @ u.conj().transpose(0, 2, 1)
     for i in np.argsort(times, kind="stable"):
         rho = flows[i] = _checked_flow(flows[i], rho)

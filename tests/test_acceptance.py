@@ -25,7 +25,6 @@ from gcsloc.cartan import (
     weight_string,
 )
 from gcsloc.dynamics import (
-    Hamiltonian,
     NoiseConfig,
     ensemble_average,
     ensemble_observables,
@@ -258,7 +257,7 @@ def test_criterion_5_drift_nonpositive_zero_on_orbit(algebras, cartans, haar_sca
 def test_criterion_6_closed_system_conserves_uncertainty():
     rep = build_su2_irrep(4)  # j = 2
     rng = np.random.default_rng(CLOSED_SEED)
-    ham = Hamiltonian(rep, rng.uniform(-1.0, 1.0, 3))
+    ham = rng.uniform(-1.0, 1.0, 3)
     cfg = NoiseConfig(gamma=0.0, dt=DT, steps=10000, seed=CLOSED_SEED)  # T = 10
     rec = simulate_trajectory(
         haar_state(5, CLOSED_SEED), ham, rep, cfg, record_stride=10

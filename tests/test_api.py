@@ -3,6 +3,7 @@
 import ast
 import inspect
 import re
+import shlex
 import typing
 from pathlib import Path
 
@@ -72,3 +73,34 @@ def test_modules_import_one_way():
         "cartan": {"algebra", "observables"},
     }
     assert {m: _package_imports(m) - ok for m, ok in allowed.items()} == {m: set() for m in allowed}
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _fenced(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
+def test_readme_quick_tour_runs(capsys):
+    (tour,) = _fenced("python")
+    exec(compile(tour, "README.md", "exec"), {})
+    t_end, uncertainty = map(float, capsys.readouterr().out.split())
+    assert t_end == 50.0 and abs(uncertainty - 2.0) < 0.1
+
+
+def test_readme_commands_parse(tmp_path):
+    """Every ``gcsloc`` command of the README parses, with the config file
+    its block writes; none is run."""
+    commands = 0
+    for block in _fenced("sh"):
+        block = block.replace("\\\n", " ")
+        for name, body in re.findall(r"^cat > (\S+) <<'CFG'\n(.*?)^CFG$", block, re.M | re.S):
+            (tmp_path / name).write_text(body)
+        for line in re.findall(r"^gcsloc .*$", block, re.M):
+            argv = [str(tmp_path / a) if (tmp_path / a).is_file() else a for a in shlex.split(line)[1:]]
+            argv[1:1] = gcsloc.cli._config_tokens(argv)
+            args = gcsloc.cli.build_parser().parse_args(argv)
+            assert args.command == argv[0] and args.algebra
+            commands += 1
+    assert commands == 5

@@ -203,6 +203,13 @@ def test_gcs_bad_params_shape(su2_j1):
         generate_gcs(rep, cartan, [0.1, 0.2])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gcs_rejects_non_finite_params(su2_j1, bad):
+    rep, cartan = su2_j1
+    with pytest.raises(ValueError, match="params must be finite"):
+        generate_gcs(rep, cartan, [0.1, bad, 0.0])
+
+
 @pytest.mark.parametrize("builder,arg", [
     (build_su2_irrep, 4),
     (build_sun_fundamental, 3),

@@ -1,5 +1,6 @@
 import tracemalloc
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from gcsloc import dynamics
 from gcsloc.algebra import algebra_from_generators, build_su2_irrep, build_sun_fundamental
 from gcsloc.cartan import cartan_decompose, highest_weight_state
 from gcsloc.dynamics import (
-    Hamiltonian,
     NoiseConfig,
     ensemble_average,
     ensemble_observables,
@@ -53,6 +53,11 @@ def projector(psi):
     return np.outer(psi, psi.conj())
 
 
+def hmatrix(rep, h):
+    """The reference H = sum_k h_k X_k of coefficients h."""
+    return np.tensordot(np.asarray(h, dtype=float), rep.generators, axes=1)
+
+
 # ---------------------------------------------------------------- sampling
 
 
@@ -85,6 +90,19 @@ def test_stream_rng_independence():
     assert not np.allclose(x, y)
     assert not np.allclose(x, z)
     assert np.array_equal(x, stream_rng(3, 0).standard_normal(8))
+
+
+def test_stream_rng_keys_every_seed_by_its_64_bit_word():
+    # the key wraps modulo 2^64 and no word passes through a float
+    draws = {s: stream_rng(s, 0).standard_normal(4) for s in (-1, -2, -1000, 2**63 + 5, 2**63 + 6, 0)}
+    assert len({d.tobytes() for d in draws.values()}) == len(draws)
+    assert np.array_equal(draws[-1], stream_rng(2**64 - 1, 0).standard_normal(4))
+
+
+def test_negative_seed_trajectories_are_distinct(spin1):
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5, seed=-1000)
+    _, rows = ensemble_observables(haar_state(3, 5), None, spin1, cfg, n_traj=50)
+    assert len({r.tobytes() for r in rows}) == 50
 
 
 # ------------------------------------------------------------- validation
@@ -148,23 +166,36 @@ def test_noise_config_integral_fields_property(steps, seed):
 
 
 def test_hamiltonian_validation(spin1):
-    h = Hamiltonian(spin1, [0.3, -0.2, 1.0])
-    assert np.max(np.abs(h.matrix - h.matrix.conj().T)) < 1e-14
-    assert not h.is_zero
-    assert Hamiltonian(spin1, np.zeros(3)).is_zero
+    h = [0.3, -0.2, 1.0]
+    ham = dynamics._hamiltonian_matrix(h, spin1)
+    assert np.max(np.abs(ham - ham.conj().T)) < 1e-14
+    assert np.max(np.abs(ham - hmatrix(spin1, h))) < 1e-15
+    assert dynamics._hamiltonian_matrix(np.zeros(3), spin1) is None
+    assert dynamics._hamiltonian_matrix(None, spin1) is None
     with pytest.raises(ValueError, match="shape"):
-        Hamiltonian(spin1, [0.1, 0.2])
-    # propagator is unitary and cached
-    u = h.propagator(1e-3)
-    assert np.max(np.abs(u @ u.conj().T - np.eye(3))) < 1e-12
-    assert h.propagator(1e-3) is u
+        dynamics._hamiltonian_matrix([0.1, 0.2], spin1)
+    # the step propagator is the real form of a unitary, so it is orthogonal
+    prop = dynamics._step_propagator(h, spin1, 1e-3)
+    assert np.max(np.abs(prop @ prop.T - np.eye(6))) < 1e-12
+    # a corrupted generator set is caught by the Hermiticity and project-back checks
+    gens = spin1.generators
+    skew = SimpleNamespace(dim_algebra=3, generators=gens * [[[1j]], [[1]], [[1]]],
+                           normalization=spin1.normalization)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        dynamics._hamiltonian_matrix(h, skew)
+    scaled = SimpleNamespace(dim_algebra=3, generators=2.0 * gens,
+                             normalization=spin1.normalization)
+    with pytest.raises(ValueError, match="project back"):
+        dynamics._hamiltonian_matrix(h, scaled)
 
 
 @pytest.mark.parametrize("coeffs", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]])
 def test_hamiltonian_rejects_non_finite_coefficients(spin1, coeffs):
     # NaN passes the Hermiticity and project-back comparisons, so it needs its own check
     with pytest.raises(ValueError, match="finite"):
-        Hamiltonian(spin1, coeffs)
+        snlse_step(haar_state(3, 20), coeffs, spin1, 0.1, 1e-3, np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        lindblad_superoperator(coeffs, spin1, 0.1)
 
 
 def test_simulate_rejects_unnormalized(spin1):
@@ -213,10 +244,10 @@ def test_non_integral_stride_named(spin1, stride):
 
 
 def test_step_gamma_zero_is_exact_unitary(spin1):
-    h = Hamiltonian(spin1, [0.4, 0.1, -0.7])
+    h = [0.4, 0.1, -0.7]
     psi = haar_state(3, 21)
     out = snlse_step(psi, h, spin1, gamma=0.0, dt=1e-2, increments=np.zeros(3))
-    ref = scipy.linalg.expm(-1j * 1e-2 * h.matrix) @ psi
+    ref = scipy.linalg.expm(-1j * 1e-2 * hmatrix(spin1, h)) @ psi
     assert np.max(np.abs(out - ref)) < 1e-13
 
 
@@ -238,7 +269,7 @@ def test_step_none_hamiltonian_equals_zero_hamiltonian(spin1):
     psi = haar_state(3, 25)
     inc = np.sqrt(2 * 0.1 * 1e-3) * np.random.default_rng(6).standard_normal(3)
     a = snlse_step(psi, None, spin1, 0.1, 1e-3, inc)
-    b = snlse_step(psi, Hamiltonian(spin1, np.zeros(3)), spin1, 0.1, 1e-3, inc)
+    b = snlse_step(psi, np.zeros(3), spin1, 0.1, 1e-3, inc)
     assert a.tobytes() == b.tobytes()
 
 
@@ -254,6 +285,57 @@ def test_step_guard_and_shape_errors(spin1):
         snlse_step(psi, None, spin1, gamma=1.0, dt=0.1, increments=np.zeros(3))
     with pytest.raises(ValueError, match="shape"):
         snlse_step(psi, None, spin1, gamma=0.1, dt=1e-3, increments=np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_step_rejects_non_finite_increments(spin1, bad):
+    with pytest.raises(ValueError, match="increments must be finite"):
+        snlse_step(haar_state(3, 24), None, spin1, 0.1, 1e-3, [0.0, bad, 0.0])
+
+
+def test_hamiltonian_of_another_length_is_rejected_everywhere(spin1):
+    # eight su(3) coefficients on spin 1, which also has d = 3
+    h = np.linspace(-0.5, 0.5, 8)
+    psi, cfg = haar_state(3, 30), NoiseConfig(gamma=0.1, dt=1e-3, steps=4, seed=0)
+    rho0 = projector(psi)
+    for call in (
+        lambda: snlse_step(psi, h, spin1, 0.1, 1e-3, np.zeros(3)),
+        lambda: simulate_trajectory(psi, h, spin1, cfg),
+        lambda: ensemble_average(psi, h, spin1, cfg, 2),
+        lambda: lindblad_superoperator(h, spin1, 0.1),
+        lambda: lindblad_expm_evolve(rho0, h, spin1, 0.1, [0.0, 0.1]),
+    ):
+        with pytest.raises(ValueError, match="shape"):
+            call()
+
+
+def test_zero_hamiltonian_is_no_hamiltonian(spin1):
+    psi, cfg, zero = haar_state(3, 31), NoiseConfig(gamma=0.1, dt=1e-3, steps=20, seed=3), np.zeros(3)
+    rho0 = projector(psi)
+    inc = np.full(3, 1e-2)
+    for run in (
+        lambda h: snlse_step(psi, h, spin1, 0.1, 1e-3, inc),
+        lambda h: simulate_trajectory(psi, h, spin1, cfg, 5).expectations,
+        lambda h: ensemble_average(psi, h, spin1, cfg, 3, 5)[1],
+        lambda h: lindblad_expm_evolve(rho0, h, spin1, 0.1, [0.0, 0.3, 0.1]),
+        lambda h: lindblad_superoperator(h, spin1, 0.1),
+    ):
+        assert np.array_equal(run(zero), run(None))
+
+
+def test_ensemble_builds_one_propagator_per_run(spin1, monkeypatch):
+    calls = []
+    exp = dynamics.unitary_exp
+
+    def counted(h, t=1.0):
+        calls.append(t)
+        return exp(h, t)
+
+    monkeypatch.setattr(dynamics, "unitary_exp", counted)
+    monkeypatch.setenv("GCSLOC_THREADS", "2")
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=4)
+    ensemble_average(haar_state(3, 32), [0.2, -0.1, 0.4], spin1, cfg, n_traj=9, block_size=3)
+    assert calls == [-1e-3]
 
 
 def test_step_blow_up_detected(spin1):
@@ -352,8 +434,8 @@ def reference_record_states(initials, h, rep, cfg, stride):
     """The (n_rec, n_traj, d) states at the record times, stepping blocks of
     DEFAULT_BLOCK trajectories whose noise is drawn in one call for each
     trajectory's whole history."""
-    ham = dynamics._as_hamiltonian(h, rep)
-    prop = None if ham is None else ham.propagator(cfg.dt)
+    ham = dynamics._hamiltonian_matrix(h, rep)
+    prop = None if ham is None else dynamics.unitary_exp(ham, -cfg.dt)
     amp = np.sqrt(2.0 * cfg.gamma * cfg.dt)
     blocks = []
     for lo in range(0, len(initials), dynamics.DEFAULT_BLOCK):
@@ -378,7 +460,7 @@ def reference_record_states(initials, h, rep, cfg, stride):
 def test_chunked_noise_matches_one_draw_per_trajectory(su6, monkeypatch, threads):
     monkeypatch.setenv("GCSLOC_THREADS", threads)
     cfg, stride, n_traj = chunked_cfg(311), 7, 2 * dynamics.DEFAULT_BLOCK
-    h = Hamiltonian(su6, np.linspace(-0.5, 0.5, su6.dim_algebra))
+    h = np.linspace(-0.5, 0.5, su6.dim_algebra)
     initials = haar_states(6, n_traj, seed=312)
     states = reference_record_states(
         np.stack([dynamics._validate_state(row, 6) for row in initials]), h, su6, cfg, stride
@@ -488,7 +570,7 @@ def test_step_matches_casimir_matrix_reference(name, n, with_h, seed, dt, frac):
     noise = np.sqrt(2.0 * gamma * dt) * rng.standard_normal((n, rep.dim_algebra))
     prop = None
     if with_h:
-        prop = Hamiltonian(rep, rng.uniform(-1.0, 1.0, rep.dim_algebra)).propagator(dt)
+        prop = scipy.linalg.expm(-1j * dt * hmatrix(rep, rng.uniform(-1.0, 1.0, rep.dim_algebra)))
     got = complex_step(psi, rep, gamma, dt, noise, prop)
     ref = reference_step(psi, rep, gamma, dt, noise, prop)
     assert np.max(np.abs(got - ref)) <= 1e-13
@@ -665,7 +747,7 @@ def test_invariant_drift_names_record_trajectory_and_seed(spin1, monkeypatch):
 
 def test_gamma_zero_conserves_invariants(spin1):
     rng = np.random.default_rng(41)
-    h = Hamiltonian(spin1, rng.uniform(-1, 1, 3))
+    h = rng.uniform(-1, 1, 3)
     cfg = NoiseConfig(gamma=0.0, dt=1e-3, steps=1000, seed=0)
     rec = simulate_trajectory(haar_state(3, 8), h, spin1, cfg, record_stride=100)
     assert np.max(np.abs(rec.uncertainty - rec.uncertainty[0])) < 1e-10
@@ -686,11 +768,11 @@ def test_localization_under_pure_measurement(spin1):
 
 
 def test_ensemble_single_gamma_zero_matches_unitary(spin1):
-    h = Hamiltonian(spin1, [0.3, 0.0, 0.9])
+    h = [0.3, 0.0, 0.9]
     cfg = NoiseConfig(gamma=0.0, dt=1e-3, steps=200, seed=15)
     psi = haar_state(3, 44)
     times, rho = ensemble_average(psi, h, spin1, cfg, n_traj=1, record_stride=200)
-    u = scipy.linalg.expm(-1j * 0.2 * h.matrix)
+    u = scipy.linalg.expm(-1j * 0.2 * hmatrix(spin1, h))
     ref = projector(u @ psi)
     assert np.max(np.abs(rho[-1] - ref)) < 1e-10
 
@@ -759,7 +841,7 @@ def test_ensemble_observables_match_single_runs(spin1):
 
 def test_hamiltonian_trajectory_matches_ensemble_rows(spin1):
     # with a propagator, the buffered records of a 3-row block against single runs
-    h = Hamiltonian(spin1, [0.4, -0.2, 0.7])
+    h = [0.4, -0.2, 0.7]
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=50, seed=91)
     initials = haar_states(3, 3, seed=801)
     _, rows = ensemble_observables(initials, h, spin1, cfg, n_traj=3, record_stride=1)
@@ -799,6 +881,27 @@ def test_ensemble_initial_shape_errors(spin1):
         ensemble_average(haar_state(3, 0), None, spin1, cfg, n_traj=0)
 
 
+@pytest.mark.parametrize("run", [ensemble_average, ensemble_observables])
+def test_ensemble_counts_read_as_integers(spin1, run):
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5, seed=0)
+    psi = haar_state(3, 0)
+    ref = run(psi, None, spin1, cfg, 2, block_size=1)[1]
+    assert np.array_equal(run(psi, None, spin1, cfg, 2.0, block_size=1.0)[1], ref)
+    for bad in (2.5, np.nan, 0, -5):
+        with pytest.raises(ValueError, match="n_traj"):
+            run(psi, None, spin1, cfg, bad)
+
+
+def test_lindblad_steps_read_as_integers(spin1):
+    rho0 = projector(haar_state(3, 75))
+    times, ref = lindblad_evolve(rho0, None, spin1, 0.1, 1e-3, 2)
+    got = lindblad_evolve(rho0, None, spin1, 0.1, 1e-3, 2.0)
+    assert np.array_equal(got[0], times) and np.array_equal(got[1], ref)
+    for bad in (2.5, np.nan, 0, -5):
+        with pytest.raises(ValueError, match="steps"):
+            lindblad_evolve(rho0, None, spin1, 0.1, 1e-3, bad)
+
+
 @pytest.mark.parametrize("block_size", [0, -2, 2.5])
 @pytest.mark.parametrize("run", [ensemble_average, ensemble_observables])
 def test_ensemble_rejects_bad_block_size(spin1, run, block_size):
@@ -812,7 +915,7 @@ def test_ensemble_rejects_bad_block_size(spin1, run, block_size):
 
 def test_lindblad_rk4_matches_expm_oracle(spin1):
     rng = np.random.default_rng(14)
-    h = Hamiltonian(spin1, rng.uniform(-1, 1, 3))
+    h = rng.uniform(-1, 1, 3)
     rho0 = projector(haar_state(3, 70))
     gamma, dt, steps = 0.2, 1e-3, 100
     times, rhos = lindblad_evolve(rho0, h, spin1, gamma, dt, steps, record_stride=25)
@@ -835,7 +938,7 @@ def test_lindblad_preserves_density_structure(spin1):
 
 def test_lindblad_gamma_zero_is_unitary(spin1):
     rng = np.random.default_rng(15)
-    h = Hamiltonian(spin1, rng.uniform(-1, 1, 3))
+    h = rng.uniform(-1, 1, 3)
     rho0 = projector(haar_state(3, 72))
     _, rhos = lindblad_evolve(rho0, h, spin1, 0.0, 1e-3, 300, record_stride=300)
     before = np.sort(np.linalg.eigvalsh(rho0))
@@ -871,7 +974,7 @@ def test_lindblad_flow_rejects_non_finite_input(spin1):
 
 
 def test_exact_flow_on_non_uniform_times(spin1):
-    h = Hamiltonian(spin1, [0.2, -0.5, 0.3])
+    h = [0.2, -0.5, 0.3]
     rho0 = projector(haar_state(3, 78))
     times = np.array([0.7, 0.0, 0.05, 1.3, 0.05, 0.31])
     out = lindblad_expm_evolve(rho0, h, spin1, 0.3, times)
@@ -891,7 +994,7 @@ def test_exact_flow_one_eigh_per_call(spin1, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     rho0 = projector(haar_state(3, 79))
-    h = Hamiltonian(spin1, [0.2, -0.5, 0.3])
+    h = [0.2, -0.5, 0.3]
     lindblad_evolve(rho0, None, spin1, 0.1, 1e-3, 5000, record_stride=10)
     assert calls == [(9, 9)]
     for times in ([0.1, 0.2, 0.5, 0.8], np.arange(1, 401) * 0.0123):
@@ -911,7 +1014,7 @@ def test_exact_flow_one_eigh_per_call(spin1, monkeypatch):
 )
 def test_spectral_flow_matches_scipy_expm(rep):
     rng = np.random.default_rng(80)
-    h = Hamiltonian(rep, rng.uniform(-1, 1, rep.dim_algebra))
+    h = rng.uniform(-1, 1, rep.dim_algebra)
     d = rep.dim_hilbert
     rho0 = projector(haar_state(d, 81))
     times = np.array([0.4, 3.0, 0.0, 1.1, 0.4, 0.02])
@@ -924,24 +1027,25 @@ def test_spectral_flow_matches_scipy_expm(rep):
 
 def test_flow_without_measurement_is_unitary_conjugation():
     rep = build_su2_irrep(4)
-    h = Hamiltonian(rep, [0.3, -0.8, 0.5])
+    h = [0.3, -0.8, 0.5]
     rho0 = projector(haar_state(5, 82))
     times = np.array([2.5, 0.0, 0.7])
     out = lindblad_expm_evolve(rho0, h, rep, 0.0, times)
     for t, rho in zip(times, out):
-        u = scipy.linalg.expm(-1j * t * h.matrix)
+        u = scipy.linalg.expm(-1j * t * hmatrix(rep, h))
         assert np.max(np.abs(rho - u @ rho0 @ u.conj().T)) < 1e-13
 
 
 def test_superoperator_matches_rhs(spin1):
     rng = np.random.default_rng(16)
-    h = Hamiltonian(spin1, rng.uniform(-1, 1, 3))
+    h = rng.uniform(-1, 1, 3)
     sup = lindblad_superoperator(h, spin1, 0.4)
     z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     rho = z + z.conj().T
     lhs = (sup @ rho.reshape(-1)).reshape(3, 3)
     # reference: commutator plus double-commutator form evaluated directly
-    ref = -1j * (h.matrix @ rho - rho @ h.matrix)
+    ham = hmatrix(spin1, h)
+    ref = -1j * (ham @ rho - rho @ ham)
     for x in spin1.generators:
         ref -= 0.4 * (x @ (x @ rho) - 2.0 * x @ rho @ x + (rho @ x) @ x)
     assert np.max(np.abs(lhs - ref)) < 1e-12
