@@ -22,10 +22,16 @@ moment kernel, ``_generator_action``: states are read as interleaved real
 and imaginary parts, and one real product with the real generator stack
 ``AlgebraRep.moment_stack`` gives every X_k psi in the same layout, so
 <X_k> and the rest are real batched contractions.  The step keeps its
-batch in that real form from one record to the next, reads only X_k psi
-and <X_k>, and takes C = sum_k X_k^2 as the scalar c; records are buffered
-as complex states and observed DEFAULT_BLOCK at a time by ``_moments``,
-with the squared covariance norm T and <C>.
+batch in that real form from one record to the next, needs only <X_k> and
+the update sum_k coef_k X_k psi + keep psi, and takes C = sum_k X_k^2 as
+the scalar c.  It associates that update in one of two orders, fixed once
+per batch from K, d and the batch size n: through the stacked X_k psi of
+``_generator_action`` (n K 2d doubles), or, when K > d and that stack
+would exceed _STACK_LIMIT doubles, through the d x d operator A = sum_k
+coef_k X_k + keep 1 applied to psi, with <X_k> = Re tr(X_k psi psi^dagger)
+(n 2d^2 doubles each).  Records are buffered as complex states and
+observed DEFAULT_BLOCK at a time by ``_moments``, with the squared
+covariance norm T and <C>.
 
 Ensemble counterpart:
 
@@ -78,6 +84,11 @@ SCAN_STREAM = 2
 
 STABILITY_LIMIT = 0.01  # max allowed gamma * dt
 DEFAULT_BLOCK = 256
+# Doubles of the stacked X_k psi of one batch above which an algebra with
+# K > d is stepped through the d x d operator (see ``_step_batch``).  The
+# measured crossover for su(3) to su(10) batches of 1 to 256 states: below
+# it the operator route's extra numpy calls cost more than the stack.
+_STACK_LIMIT = 1 << 15
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -233,11 +244,29 @@ def _validate_state(psi, dim):
     if psi.shape != (dim,):
         raise ValueError(f"state must have shape ({dim},), got {psi.shape}")
     nrm = np.sqrt(np.vdot(psi, psi).real)
-    if not np.isfinite(nrm):
-        raise ValueError(f"state norm is not finite: |psi| = {nrm}")
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"state is not normalized: |psi| = {nrm:.12g}")
+    if not abs(nrm - 1.0) <= 1e-8:  # NaN fails the test too
+        raise _norm_error(nrm)
     return psi / nrm
+
+
+def _unit_rows(psi):
+    """The rows of the (n, d) array psi divided by their norms, all rows
+    put to ``_validate_state``'s test in one pass; the error names the
+    trajectory (row index) of the first that fails."""
+    nrm = np.sqrt(np.vecdot(psi, psi).real)
+    off = ~(np.abs(nrm - 1.0) <= 1e-8)
+    if np.any(off):
+        i = int(np.argmax(off))
+        raise _norm_error(nrm[i], f" (trajectory {i})")
+    return psi / nrm[:, None]
+
+
+def _norm_error(nrm, where=""):
+    """The ValueError for a state of norm nrm that is not finite or is off 1
+    by more than 1e-8."""
+    if not np.isfinite(nrm):
+        return ValueError(f"state norm is not finite: |psi| = {nrm}{where}")
+    return ValueError(f"state is not normalized: |psi| = {nrm:.12g}{where}")
 
 
 class _Moments(NamedTuple):
@@ -326,7 +355,20 @@ def _observe_batch(states, rep, gamma):
     return out.reshape(states.shape[:-1] + out.shape[-1:])
 
 
-def _step_batch(pf, rep, gamma, dt, noise, prop=None):
+def _operator_basis(rep, n):
+    """The basis ``_step_batch`` steps a batch of n states of rep with,
+    taken once per batch: for K > d and more than _STACK_LIMIT doubles of
+    stacked X_k psi, the (K, 2d^2) real view of the generators paired with
+    a contiguous copy of its transpose (OpenBLAS multiplies by the
+    transposed view of this shape up to 1.5x slower); else None."""
+    K, d = rep.dim_algebra, rep.dim_hilbert
+    if K <= d or n * K * 2 * d <= _STACK_LIMIT:
+        return None
+    basis = rep.generators.view(np.float64).reshape(K, 2 * d * d)
+    return basis, np.ascontiguousarray(basis.T)
+
+
+def _step_batch(pf, rep, gamma, dt, noise, prop=None, basis=None):
     """One split step for a batch of states, the rows of the (n, 2d) real
     array pf of interleaved real and imaginary parts: exact Hamiltonian
     flow, then the Euler-Maruyama measurement update, then
@@ -334,25 +376,48 @@ def _step_batch(pf, rep, gamma, dt, noise, prop=None):
     ``_real_form`` of exp(-1j H dt)^T, or None.  With the realized
     increments dxi (n, K) in noise, the update is
 
-        sum_k (2 gamma dt v_k + dxi_k) X_k psi
-            + (1 - gamma dt c - gamma dt P - sum_k dxi_k v_k) psi,
+        sum_k coef_k X_k psi + keep psi,   coef_k = 2 gamma dt v_k + dxi_k,
+        keep = 1 - gamma dt c - gamma dt P - sum_k dxi_k v_k,
 
-    one real contraction with the stacked X_k psi and one scaled add of
-    psi, since C = sum_k X_k^2 = c 1 on an irreducible representation
-    (checked by ``algebra_from_generators``).  Callers run it under
+    since C = sum_k X_k^2 = c 1 on an irreducible representation (checked
+    by ``algebra_from_generators``).  basis, from ``_operator_basis``,
+    picks one of two association orders of the same formula:
+
+    - None: ``_generator_action`` stacks every X_k psi (n K 2d doubles)
+      and gives <X_k>, and the update is coef contracted with the stack
+      plus keep psi;
+    - the generators' (K, 2d^2) real view G and its transpose: <X_k> =
+      Re tr(X_k rho) is rho = psi psi^dagger times G^T, and the update is
+      the batched d x d product A psi, with A = sum_k coef_k X_k + keep 1
+      formed as coef times G, so rho and A hold n 2d^2 doubles.  This is
+      the cheaper order for K > d on large batches, the stack the cheaper
+      one for K <= d and small batches.
+
+    The two differ only in rounding.  Callers run it under
     np.errstate(over="ignore"), so a norm that overflows to inf reaches the
     blow-up check without a warning.
     """
     if prop is not None:
         pf = pf @ prop
-    z, v = _generator_action(pf, rep)
+    if basis is None:
+        z, v = _generator_action(pf, rep)
+    else:
+        psi = pf.view(complex)
+        rho = psi[:, :, None] * psi[:, None, :].conj()
+        v = rho.view(np.float64).reshape(len(pf), -1) @ basis[1]
     gdt = gamma * dt
     gv = gdt * v
     coef = gv + noise
     keep = 1.0 - gdt * rep.casimir_eigenvalue - np.vecdot(coef, v)
     coef += gv
-    out = np.vecmat(coef, z)
-    out += keep[:, None] * pf
+    if basis is None:
+        out = np.vecmat(coef, z)
+        out += keep[:, None] * pf
+    else:
+        d = psi.shape[1]
+        a = coef @ basis[0]
+        a[:, :: 2 * d + 2] += keep[:, None]  # the real parts of A's diagonal
+        out = np.matvec(a.view(complex).reshape(len(pf), d, d), psi).view(np.float64)
     nrm2 = np.vecdot(out, out)
     if not (nrm2.min() > 0 and nrm2.max() < np.inf):  # NaN fails the first test
         bad = np.flatnonzero(~(np.isfinite(nrm2) & (nrm2 > 0)))
@@ -390,7 +455,10 @@ def snlse_step(psi, h, rep: AlgebraRep, gamma: float, dt: float, increments):
         raise ValueError(f"increments must be finite, got {increments}")
     prop = _step_propagator(h, rep, dt)
     with np.errstate(over="ignore"):
-        out = _step_batch(psi.view(np.float64)[None, :], rep, gamma, dt, increments[None, :], prop)
+        out = _step_batch(
+            psi.view(np.float64)[None, :], rep, gamma, dt, increments[None, :], prop,
+            _operator_basis(rep, 1),
+        )
     return out[0].view(complex)
 
 
@@ -476,6 +544,7 @@ def _integrate(batch, prop, rep, cfg, lo, record_stride, record):
 
     pf = batch.view(np.float64)
     keep(0, pf)
+    basis = _operator_basis(rep, n)
     time_chunk = max(1, min(cfg.steps, (1 << 19) // max(1, n * K)))
     slab = np.empty((n, time_chunk, K))  # reused by every chunk of steps
     with np.errstate(over="ignore"):
@@ -488,11 +557,38 @@ def _integrate(batch, prop, rep, cfg, lo, record_stride, record):
             for u in range(span):
                 step = s + u + 1
                 try:
-                    pf = _step_batch(pf, rep, cfg.gamma, cfg.dt, noise[:, u], prop)
+                    pf = _step_batch(pf, rep, cfg.gamma, cfg.dt, noise[:, u], prop, basis)
                 except _RowFault as err:
                     raise located(err, "step", step) from None
                 if step % record_stride == 0:
                     keep(step // record_stride, pf)
+
+
+def _in_block_order(run_block, starts):
+    """Yield run_block(lo) for each block start lo, in block order.  With
+    GCSLOC_THREADS = n > 1 and more than one block, the calling thread runs
+    blocks 0, n, 2n, .. itself, between reading the results of the others
+    from a pool of n - 1 workers, so n threads step blocks.  Only the
+    workers' blocks of the next two rounds of n are queued at a time, and a
+    result is dropped once it is yielded, so the results held do not grow
+    with the block count.  Reading a result raises its block's error, and
+    then the queued blocks are cancelled."""
+    n_threads = _thread_count()
+    if n_threads == 1 or len(starts) == 1:
+        yield from map(run_block, starts)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(max_workers=n_threads - 1)
+    queued = {}
+    try:
+        for i, lo in enumerate(starts):
+            for j in range(i, min(i + 2 * n_threads, len(starts))):
+                if j % n_threads and j not in queued:
+                    queued[j] = pool.submit(run_block, starts[j])
+            yield queued.pop(i).result() if i % n_threads else run_block(lo)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, projector):
@@ -510,46 +606,34 @@ def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, proje
                 f"per-trajectory initials must have shape ({n_traj}, "
                 f"{rep.dim_hilbert}), got {initial.shape}"
             )
-        initials = np.stack([_validate_state(row, rep.dim_hilbert) for row in initial])
+        initials = _unit_rows(initial)
     prop = _step_propagator(h, rep, cfg.dt)
     record_stride, times = _record_grid(cfg.steps, record_stride, cfg.dt)
-    n_rec = len(times)
-    starts = range(0, n_traj, block_size)
+    n_rec, d = len(times), rep.dim_hilbert
     if projector:
-        acc = np.zeros((len(starts), n_rec, rep.dim_hilbert, rep.dim_hilbert), dtype=complex)
+        total = np.zeros((n_rec, d, d), dtype=complex)
 
-        def observe(lo, k0, states):
-            acc[lo // block_size, k0 : k0 + len(states)] += np.einsum(
-                "mna,mnb->mab", states, states.conj()
-            )
-
-        def result():  # block sums added in fixed order, so deterministic
-            return sum(acc) / n_traj
+        def observe(part, lo, k0, states):
+            part[k0 : k0 + len(states)] += np.einsum("mna,mnb->mab", states, states.conj())
 
     else:
-        acc = np.empty((n_traj, n_rec, 4 + rep.dim_algebra))
+        rows = np.empty((n_traj, n_rec, 4 + rep.dim_algebra))
 
-        def observe(lo, k0, states):
-            rows = _observe_batch(states, rep, cfg.gamma)
-            acc[lo : lo + rows.shape[1], k0 : k0 + len(states)] = rows.transpose(1, 0, 2)
-
-        def result():
-            return acc
+        def observe(part, lo, k0, states):
+            obs = _observe_batch(states, rep, cfg.gamma)
+            rows[lo : lo + obs.shape[1], k0 : k0 + len(states)] = obs.transpose(1, 0, 2)
 
     def run_block(lo):
+        """The block's sum of projectors at the record times, or None."""
+        part = np.zeros_like(total) if projector else None
         batch = initials[lo : lo + block_size].copy()
-        _integrate(batch, prop, rep, cfg, lo, record_stride, partial(observe, lo))
+        _integrate(batch, prop, rep, cfg, lo, record_stride, partial(observe, part, lo))
+        return part
 
-    n_threads = _thread_count()
-    if n_threads > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(run_block, starts))  # reading the results raises their errors
-    else:
-        for lo in starts:
-            run_block(lo)
-    return times, result()
+    for part in _in_block_order(run_block, range(0, n_traj, block_size)):
+        if projector:
+            total += part  # block sums added in block order, so deterministic
+    return times, (total / n_traj if projector else rows)
 
 
 def ensemble_average(

@@ -1,6 +1,8 @@
+import threading
 import tracemalloc
 from functools import lru_cache
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,11 +44,13 @@ def spin1():
 def complex_step(psi, rep, gamma, dt, noise, prop=None):
     """``dynamics._step_batch`` on complex rows, with the complex propagator
     prop, called the way ``_integrate`` calls it: on the rows' real view,
-    with the propagator's real form, overflow left to the norm check."""
+    with the propagator's real form and the operator basis of the rep and
+    batch size, overflow left to the norm check."""
     pf = np.ascontiguousarray(psi, dtype=complex).view(np.float64)
     rprop = None if prop is None else dynamics._real_form(prop.T)
+    basis = dynamics._operator_basis(rep, len(pf))
     with np.errstate(over="ignore"):
-        return dynamics._step_batch(pf, rep, gamma, dt, noise, rprop).view(complex)
+        return dynamics._step_batch(pf, rep, gamma, dt, noise, rprop, basis).view(complex)
 
 
 def projector(psi):
@@ -514,6 +518,30 @@ def test_ensemble_noise_memory_is_bounded(su6, monkeypatch):
     assert peak < 6 * 2**20
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_ensemble_average_memory_does_not_grow_with_blocks(monkeypatch, threads):
+    # each block's (51, 9, 9) partial, 66 KB, is added to the sum as it
+    # completes, and at most two rounds of blocks are queued on the workers;
+    # holding all 40 partials took 36 partials' worth more than 4 blocks did
+    monkeypatch.setenv("GCSLOC_THREADS", threads)
+    rep = build_su2_irrep(8)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=50, seed=33)
+    psi = haar_state(9, 33)
+
+    def peak(blocks):
+        tracemalloc.start()
+        try:
+            _, rho = ensemble_average(psi, None, rep, cfg, 8 * blocks, 1, block_size=8)
+            return tracemalloc.get_traced_memory()[1], rho.nbytes
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # first-call allocations
+    few, size = peak(4)
+    many, _ = peak(40)
+    assert many < few + 8 * size
+
+
 @lru_cache(maxsize=None)
 def step_algebra(name):
     kind, arg = name.split(":")
@@ -551,18 +579,7 @@ def reference_step(psi, rep, gamma, dt, noise, prop):
     return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
-@pytest.mark.parametrize("with_h", [False, True])
-@pytest.mark.parametrize("n", [1, 257])
-@pytest.mark.parametrize(
-    "name", ["su2:1", "su2:2", "su2:4", "su2:8", "suN:3", "suN:6", "adj:3"]
-)
-@settings(max_examples=8, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    dt=st.floats(1e-5, 1e-2),
-    frac=st.floats(0.0, 1.0),
-)
-def test_step_matches_casimir_matrix_reference(name, n, with_h, seed, dt, frac):
+def check_step_against_reference(name, n, with_h, seed, dt, frac):
     rep = step_algebra(name)
     gamma = frac * dynamics.STABILITY_LIMIT / dt
     rng = np.random.default_rng(seed)
@@ -574,6 +591,39 @@ def test_step_matches_casimir_matrix_reference(name, n, with_h, seed, dt, frac):
     got = complex_step(psi, rep, gamma, dt, noise, prop)
     ref = reference_step(psi, rep, gamma, dt, noise, prop)
     assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+# at n = 257 only suN:6 takes the operator route; the rest, and every
+# algebra at n = 1, step through the stacked X_k psi
+@pytest.mark.parametrize("with_h", [False, True])
+@pytest.mark.parametrize("n", [1, 257])
+@pytest.mark.parametrize(
+    "name", ["su2:1", "su2:2", "su2:4", "su2:8", "suN:3", "suN:4", "suN:6", "adj:3"]
+)
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dt=st.floats(1e-5, 1e-2),
+    frac=st.floats(0.0, 1.0),
+)
+def test_step_matches_casimir_matrix_reference(name, n, with_h, seed, dt, frac):
+    check_step_against_reference(name, n, with_h, seed, dt, frac)
+
+
+# a stack limit of 0 sends every K > d algebra through the operator route,
+# at any batch size
+@pytest.mark.parametrize("with_h", [False, True])
+@pytest.mark.parametrize("n", [1, 257])
+@pytest.mark.parametrize("name", ["su2:1", "suN:2", "suN:3", "suN:4", "suN:6"])
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dt=st.floats(1e-5, 1e-2),
+    frac=st.floats(0.0, 1.0),
+)
+def test_operator_route_matches_casimir_matrix_reference(name, n, with_h, seed, dt, frac):
+    with mock.patch.object(dynamics, "_STACK_LIMIT", 0):
+        check_step_against_reference(name, n, with_h, seed, dt, frac)
 
 
 def brute_moments(psi, rep):
@@ -873,12 +923,123 @@ def test_ensemble_thread_count_invariance_su6(monkeypatch):
     assert np.array_equal(ref, par)
 
 
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("run", [ensemble_average, ensemble_observables])
+def test_ensemble_output_independent_of_threads(monkeypatch, run, blocks):
+    # su(3) through the operator route in blocks of 4, shared between the
+    # calling thread and GCSLOC_THREADS - 1 workers
+    monkeypatch.setattr(dynamics, "_STACK_LIMIT", 0)
+    rep = step_algebra("suN:3")
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=30, seed=63)
+    psi = haar_state(3, 53)
+    outs = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("GCSLOC_THREADS", threads)
+        outs.append(run(psi, [0.3, 0, 0, 0, 0, 0, 0, -0.2], rep, cfg, 4 * blocks - 1, 3, 4)[1])
+    assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_calling_thread_steps_every_nth_block(spin1, monkeypatch, threads):
+    # GCSLOC_THREADS counts the calling thread, which runs blocks 0, n, 2n,
+    # ..; the n - 1 workers run the rest
+    ran = {}
+    integrate = dynamics._integrate
+
+    def recorded(batch, prop, rep, cfg, lo, *rest):
+        ran[lo] = threading.get_ident()
+        return integrate(batch, prop, rep, cfg, lo, *rest)
+
+    monkeypatch.setattr(dynamics, "_integrate", recorded)
+    monkeypatch.setenv("GCSLOC_THREADS", str(threads))
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5, seed=65)
+    ensemble_average(haar_state(3, 56), None, spin1, cfg, n_traj=14, block_size=2)
+    main = threading.get_ident()
+    assert [ran[lo] == main for lo in range(0, 14, 2)] == [i % threads == 0 for i in range(7)]
+    assert len(set(ran.values())) <= threads
+
+
+@pytest.mark.parametrize("bad_seed", [81, 87])
+def test_threaded_blow_up_names_step_trajectory_and_seed(spin1, monkeypatch, bad_seed):
+    # trajectory 1 is in block 0, on the calling thread; trajectory 7 is in
+    # the last of three blocks, on the worker
+    real_rng = dynamics.stream_rng
+
+    class Spiked:
+        def __init__(self, seed, stream):
+            self.seed, self.rng = seed, real_rng(seed, stream)
+
+        def standard_normal(self, shape, out=None):
+            z = self.rng.standard_normal(shape, out=out)
+            if self.seed == bad_seed:
+                z[3, 0] = np.nan
+            return z
+
+    monkeypatch.setattr(dynamics, "stream_rng", Spiked)
+    monkeypatch.setenv("GCSLOC_THREADS", "2")
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=80)
+    where = rf"\(step 4, trajectory {bad_seed - 80}, seed {bad_seed}\)"
+    for run in (ensemble_average, ensemble_observables):
+        with pytest.raises(RuntimeError, match=rf"blow-up.*{where}"):
+            run(haar_state(3, 54), None, spin1, cfg, n_traj=9, block_size=3)
+
+
+def test_step_basis_is_chosen_once_per_block(monkeypatch):
+    calls = []
+    choose = dynamics._operator_basis
+
+    def counted(rep, n):
+        calls.append(n)
+        return choose(rep, n)
+
+    monkeypatch.setattr(dynamics, "_operator_basis", counted)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=20, seed=64)
+    ensemble_average(haar_state(6, 55), None, step_algebra("suN:6"), cfg, 300)
+    assert sorted(calls) == [44, 256]  # blocks may run on two threads
+
+
+def test_operator_basis_rule():
+    su6, spin20 = step_algebra("suN:6"), build_su2_irrep(40)
+    # K = 35 > d = 6: the operator route once the stack of X_k psi, n K 2d
+    # doubles, passes the limit
+    assert dynamics._operator_basis(su6, 1) is None
+    assert 256 * 35 * 12 > dynamics._STACK_LIMIT
+    basis, basis_t = dynamics._operator_basis(su6, 256)
+    ref = np.concatenate(
+        [su6.generators.real[..., None], su6.generators.imag[..., None]], axis=-1
+    ).reshape(35, 72)
+    assert np.array_equal(basis, ref) and np.array_equal(basis_t, ref.T)
+    assert basis_t.flags.c_contiguous
+    # K = 3 < d = 41: the stack, however large the batch
+    assert 256 * 3 * 82 > dynamics._STACK_LIMIT
+    assert dynamics._operator_basis(spin20, 256) is None
+
+
 def test_ensemble_initial_shape_errors(spin1):
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5, seed=0)
     with pytest.raises(ValueError):
         ensemble_average(haar_states(3, 2, 0), None, spin1, cfg, n_traj=3)
     with pytest.raises(ValueError):
         ensemble_average(haar_state(3, 0), None, spin1, cfg, n_traj=0)
+
+
+@pytest.mark.parametrize("run", [ensemble_average, ensemble_observables])
+def test_per_trajectory_initials_errors_name_the_trajectory(spin1, run):
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5, seed=0)
+    initials = haar_states(3, 30, seed=34)
+    scaled = initials.copy()
+    scaled[17] *= 1.1
+    unnormalized = r"^state is not normalized: \|psi\| = 1\.1 \(trajectory 17\)$"
+    with pytest.raises(ValueError, match=unnormalized):
+        run(scaled, None, spin1, cfg, 30)
+    # the first failing row is named, whichever check it fails
+    scaled[23, 1] = np.nan
+    with pytest.raises(ValueError, match=r"\(trajectory 17\)"):
+        run(scaled, None, spin1, cfg, 30)
+    initials[23, 1] = np.nan
+    not_finite = r"^state norm is not finite: \|psi\| = nan \(trajectory 23\)$"
+    with pytest.raises(ValueError, match=not_finite):
+        run(initials, None, spin1, cfg, 30)
 
 
 @pytest.mark.parametrize("run", [ensemble_average, ensemble_observables])
