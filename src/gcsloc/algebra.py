@@ -30,7 +30,9 @@ representation of su(N) in a generalized Gell-Mann basis go through it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -59,6 +61,36 @@ ADJOINT_CONSISTENCY_TOL = 1e-8
 def _max_abs(a):
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def _norm(x):
+    """Euclidean norm of a 1-d real or complex vector, as a Python float."""
+    return math.sqrt(np.vdot(x, x).real)
+
+
+@cache
+def _key_sequence():
+    """The seed-sequence type that ``_philox`` hands Philox, defined on first
+    use so that importing the package does not import numpy.random."""
+
+    class KeySequence(np.random.bit_generator.ISeedSequence):
+        """A seed sequence whose state is its fixed Philox key."""
+
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return KeySequence
+
+
+def _philox(key):
+    """np.random.Generator on Philox with the 128-bit key given as two
+    uint64 words: the draws of Philox(key=key), without the OS entropy
+    that Philox(key=...) reads for a seed sequence it then discards."""
+    key = np.array(key, dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_key_sequence()(key)))
 
 
 def _combination(coeff, mats):
@@ -173,8 +205,7 @@ def _structure_constants(gens, comm, lam):
 
     # Closure: the commutators must be reproduced by the extracted constants,
     # otherwise the generator span is not a closed algebra.
-    recon = 1j * np.tensordot(f, gens, axes=(2, 0))
-    closure_resid = _max_abs(comm - recon)
+    closure_resid = _closure_residual(f, gens, comm)
     comm_scale = max(_max_abs(comm), 1.0)
     if closure_resid > CLOSURE_TOL * comm_scale:
         raise ValueError(
@@ -191,6 +222,17 @@ def _structure_constants(gens, comm, lam):
             f"structure constants are not totally antisymmetric: residual {anti:.3e}"
         )
     return f
+
+
+def _closure_residual(f, gens, comm):
+    """max |[X_i, X_j] - 1j sum_k f[i, j, k] X_k| over i, j and entries.
+    The sum is one real (K^2, K) @ (K, 2 d^2) product on the generators'
+    real view, read back as complex, and the residual is formed in that
+    product's buffer."""
+    K, d = gens.shape[0], gens.shape[1]
+    recon = (f.reshape(K * K, K) @ gens.view(np.float64).reshape(K, 2 * d * d)).view(complex)
+    recon *= 1j
+    return _max_abs(np.subtract(comm.reshape(recon.shape), recon, out=recon))
 
 
 def _casimirs(prod, comm, f, lam):

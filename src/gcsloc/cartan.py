@@ -28,11 +28,12 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraRep, _combination, _max_abs, unitary_exp
+from .algebra import AlgebraRep, _combination, _max_abs, _norm, _philox, unitary_exp
 from .observables import expectation_vector, uncertainty_bounds
 
 __all__ = [
@@ -106,7 +107,7 @@ class CartanData:
 
 
 def _probe_rng():
-    return np.random.Generator(np.random.Philox(key=_PROBE_KEY))
+    return _philox([_PROBE_KEY, 0])
 
 
 def _adjoint_matrix(coeff, f):
@@ -346,11 +347,11 @@ def generate_gcs(rep: AlgebraRep, cartan: CartanData, params) -> np.ndarray:
         raise ValueError(
             f"params must have shape ({rep.dim_algebra},), got {params.shape}"
         )
-    if not np.all(np.isfinite(params)):
+    if not np.isfinite(params).all():
         raise ValueError(f"params must be finite, got {params}")
     u = unitary_exp(_combination(params, rep.generators))
-    psi = u @ highest_weight_state(cartan)
-    return psi / np.linalg.norm(psi)
+    psi = u @ cartan.weight_basis[:, cartan.highest_weight_index]
+    return psi / _norm(psi)
 
 
 def weight_string(cartan: CartanData, state_index: int, root_index: int):
@@ -370,7 +371,7 @@ def weight_string(cartan: CartanData, state_index: int, root_index: int):
         v = vec.copy()
         for _ in range(cartan.weights.shape[0] + 1):
             v = op @ v
-            nrm = np.linalg.norm(v)
+            nrm = _norm(v)
             if nrm < ANNIHILATION_TOL * scale:
                 return steps
             v /= nrm
@@ -391,8 +392,7 @@ def weight_string(cartan: CartanData, state_index: int, root_index: int):
 
 
 def _root_component_norm(v, cartan):
-    rotated = cartan.basis_rotation @ v
-    return float(np.linalg.norm(rotated[cartan.rank:]))
+    return _norm(cartan.basis_rotation[cartan.rank:] @ v)
 
 
 def align_expectation_to_cartan(psi, rep: AlgebraRep, cartan: CartanData):
@@ -412,7 +412,7 @@ def align_expectation_to_cartan(psi, rep: AlgebraRep, cartan: CartanData):
     """
     psi = np.asarray(psi, dtype=complex)
     v = expectation_vector(psi, rep)
-    vnorm = float(np.linalg.norm(v))
+    vnorm = _norm(v)
     if vnorm < 1e-12:
         return psi.copy()
     if _root_component_norm(v, cartan) <= ALIGNMENT_TOL * max(1.0, vnorm):
@@ -439,12 +439,12 @@ def _align_axis_angle(psi, v, rep, cartan):
 
     v has a root component (the caller returns early otherwise), so it is
     not parallel to the axis c and v x c is a rotation axis."""
-    c = cartan.basis_rotation[0]
-    vhat = v / np.linalg.norm(v)
-    axis = np.array([vhat[1] * c[2] - vhat[2] * c[1], vhat[2] * c[0] - vhat[0] * c[2],
-                     vhat[0] * c[1] - vhat[1] * c[0]])
-    axis /= np.linalg.norm(axis)
-    theta = float(np.arccos(np.clip(vhat @ c, -1.0, 1.0)))
+    c0, c1, c2 = cartan.basis_rotation[0].tolist()
+    vnorm = _norm(v)
+    v0, v1, v2 = (x / vnorm for x in v.tolist())
+    axis = np.array([v1 * c2 - v2 * c1, v2 * c0 - v0 * c2, v0 * c1 - v1 * c0])
+    axis /= _norm(axis)
+    theta = math.acos(min(1.0, max(-1.0, v0 * c0 + v1 * c1 + v2 * c2)))
     # The adjoint action of exp(-1j theta n.X / s) on expectation vectors is
     # the right-handed rotation by theta about n: the structure constants
     # are s times the 3d Levi-Civita symbol, s = f[0, 1, 2], so X / s obey
@@ -453,7 +453,7 @@ def _align_axis_angle(psi, v, rep, cartan):
     scale = rep.structure_constants[0, 1, 2]
     gen = _combination(axis, rep.generators)
     out = unitary_exp(gen, -theta / scale) @ psi
-    return out / np.linalg.norm(out)
+    return out / _norm(out)
 
 
 def _align_eigenbasis(psi, v, rep, cartan):
@@ -472,7 +472,7 @@ def _align_eigenbasis(psi, v, rep, cartan):
     _, vecs = np.linalg.eigh(a)
     vecs = _canonical_phase(vecs)
     out = cartan.weight_basis @ (vecs.conj().T @ psi)
-    return out / np.linalg.norm(out)
+    return out / _norm(out)
 
 
 def _align_newton(psi, v, rep, cartan):
@@ -499,7 +499,7 @@ def _align_newton(psi, v, rep, cartan):
         for _ in range(30):
             b = _combination(step * theta, adapted)
             cand = unitary_exp(b) @ out
-            cand /= np.linalg.norm(cand)
+            cand /= _norm(cand)
             v_cand = expectation_vector(cand, rep)
             resid_cand = _root_component_norm(v_cand, cartan)
             if resid_cand < resid:

@@ -42,10 +42,12 @@ Hermitian dissipator and one of H.  Its unraveling is the ensemble: the
 mean projector of ``ensemble_average`` tracks it, and one trajectory
 (``simulate_trajectory``) is an ensemble of one.
 
-Randomness is counter-based (Philox) with key = [seed, stream]; stream 0
-feeds trajectory noise, stream 1 initial-state sampling, stream 2 scan
-sampling.  Trajectory i of an ensemble uses seed + i on stream 0, so any
-subset of trajectories is reproducible in isolation.  Each trajectory's
+Randomness is counter-based (Philox): ``stream_rng(seed, stream)`` keys
+Philox with the two 64-bit words [seed mod 2^64, stream mod 2^64], seed and
+stream integral numbers, and draws no OS entropy.  Stream 0 feeds
+trajectory noise, stream 1 initial-state sampling, stream 2 scan sampling.
+Trajectory i of an ensemble uses seed + i on stream 0, so any subset of
+trajectories is reproducible in isolation.  Each trajectory's
 noise is drawn in order, in chunks of steps sized so one block's noise
 holds at most 2^19 doubles (4 MiB); the numbers are those of one draw of
 the whole history.
@@ -53,14 +55,14 @@ the whole history.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraRep, _combination, _max_abs, _real_form, unitary_exp
+from .algebra import AlgebraRep, _combination, _max_abs, _philox, _real_form, unitary_exp
 
 __all__ = [
     "NoiseConfig",
@@ -93,18 +95,40 @@ _STACK_LIMIT = 1 << 15
 _UINT64_MASK = (1 << 64) - 1
 
 
+def _integral(name, value):
+    """value as a Python int; ValueError naming the field if it is not a
+    finite integral number."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _count(name, value):
+    """``_integral`` of value, which must also be at least 1."""
+    count = _integral(name, value)
+    if count < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return count
+
+
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based generator for (seed, stream); independent across both."""
-    key = np.array([int(seed) & _UINT64_MASK, int(stream) & _UINT64_MASK], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Counter-based generator for (seed, stream); independent across both.
+    seed and stream may be any integral numbers and are read modulo 2^64."""
+    seed, stream = _integral("seed", seed), _integral("stream", stream)
+    return _philox([seed & _UINT64_MASK, stream & _UINT64_MASK])
 
 
 def haar_states(dim: int, n: int, seed: int, stream: int = INIT_STREAM) -> np.ndarray:
     """n Haar-random state vectors, rows of an (n, dim) array.
 
     Drawn as normalized i.i.d. complex Gaussians on `stream` of `seed`,
-    by default the initial-state stream.
+    by default the initial-state stream.  dim and n may be given as any
+    integral numbers of at least 1.
     """
+    dim, n = _count("dim", dim), _count("n", n)
     rng = stream_rng(seed, stream)
     z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
@@ -172,25 +196,6 @@ def _check_stability(gamma, dt):
         )
 
 
-def _integral(name, value):
-    """value as a Python int; ValueError naming the field if it is not a
-    finite integral number."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _count(name, value):
-    """``_integral`` of value, which must also be at least 1."""
-    count = _integral(name, value)
-    if count < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return count
-
-
 @dataclass(frozen=True)
 class NoiseConfig:
     """Measurement strength and integration grid.
@@ -243,7 +248,7 @@ def _validate_state(psi, dim):
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (dim,):
         raise ValueError(f"state must have shape ({dim},), got {psi.shape}")
-    nrm = np.sqrt(np.vdot(psi, psi).real)
+    nrm = math.sqrt(np.vdot(psi, psi).real)
     if not abs(nrm - 1.0) <= 1e-8:  # NaN fails the test too
         raise _norm_error(nrm)
     return psi / nrm
@@ -269,22 +274,64 @@ def _norm_error(nrm, where=""):
     return ValueError(f"state is not normalized: |psi| = {nrm:.12g}{where}")
 
 
-class _Moments(NamedTuple):
-    """Moments of a batch of n states; see ``_moments``."""
+def _formed(method):
+    """A read-only attribute that method forms on the first read and that
+    is kept: ``functools.cached_property`` without the class-wide lock it
+    takes on Python 3.11, which would serialize ensemble threads."""
+    name = method.__name__
 
-    v: np.ndarray  # (n, K) <X_k>
-    second: np.ndarray  # (n,) <C>
-    purity: np.ndarray  # (n,) sum_k <X_k>^2
-    u: np.ndarray | None  # (n, K, 2d) centred (X_k - v_k) psi, if requested
-    tnorm: np.ndarray | None  # (n,) sum_kl M_kl^2, if requested
+    def get(self):
+        kept = self.__dict__
+        if name not in kept:
+            kept[name] = method(self)
+        return kept[name]
+
+    return property(get, doc=method.__doc__)
+
+
+class _Moments:
+    """Moments of a batch of n states; see ``_moments``.  v is formed with
+    the batch and every other moment on its first read, so a caller pays
+    only for the moments it reads."""
+
+    def __init__(self, pf, z, v):
+        self.pf, self.z = pf, z  # the (n, 2d) states and (n, K, 2d) X_k psi
+        self.v = v  # (n, K) <X_k>
+
+    @_formed
+    def second(self):
+        """(n,) <C> = sum_k |y_k|^2."""
+        return np.einsum("nkj,nkj->n", self.z, self.z)
+
+    @_formed
+    def purity(self):
+        """(n,) P = sum_k <X_k>^2."""
+        return np.einsum("nk,nk->n", self.v, self.v)
+
+    @_formed
+    def u(self):
+        """(n, K, 2d) centred u_k = (X_k - v_k) psi.  v_k psi is formed in
+        one buffer and z - v_k psi is written over it, which keeps the bits
+        of that formula with one (n, K, 2d) stack beside z rather than two."""
+        u = np.multiply(self.v[:, :, None], self.pf[:, None, :])
+        return np.subtract(self.z, u, out=u)
+
+    @_formed
+    def tnorm(self):
+        """(n,) T = sum_kl M_kl^2, from the smaller of the two Gram matrices
+        of U (K x K, or 2d x 2d when K > 2d)."""
+        u = self.u
+        ut = u.transpose(0, 2, 1)
+        gram = u @ ut if u.shape[1] <= u.shape[2] else ut @ u
+        return 4.0 * np.einsum("nkl,nkl->n", gram, gram)
 
     @property
     def cov(self):
-        """(n, K, K) M_kl = 2 Re <u_k|u_l>, formed on each read; None without u."""
-        return None if self.u is None else 2.0 * (self.u @ self.u.transpose(0, 2, 1))
+        """(n, K, K) M_kl = 2 Re <u_k|u_l>, formed on each read."""
+        return 2.0 * (self.u @ self.u.transpose(0, 2, 1))
 
     def drift(self, rep, gamma):
-        """Localization drift 2 gamma (c_adj P - T); needs tnorm."""
+        """Localization drift 2 gamma (c_adj P - T)."""
         return 2.0 * gamma * (rep.adjoint_casimir * self.purity - self.tnorm)
 
 
@@ -296,7 +343,7 @@ def _generator_action(pf, rep):
     return z, np.matvec(z, pf)
 
 
-def _moments(psi, rep, cov=False):
+def _moments(psi, rep):
     """Moments of n normalized states, the rows of an (n, d) array psi.
 
     ``_generator_action`` gives y_k = X_k psi as interleaved real and
@@ -309,22 +356,12 @@ def _moments(psi, rep, cov=False):
 
     <C> = <psi|sum_k X_k^2|psi> is formed without C, for the callers that
     read it; the step, which does not, calls ``_generator_action`` alone.
-    For normalized states this M is <{X_k, X_l}> - 2 v_k v_l.  U and T are
-    formed only when cov is set, T from the smaller of the two Gram
-    matrices of U (K x K, or 2d x 2d when K > 2d); M itself only when the
-    ``cov`` attribute of the result is read.
+    For normalized states this M is <{X_k, X_l}> - 2 v_k v_l.  v is formed
+    here; <C>, P, U and T on the first read of their attribute of the
+    result, and M on every read of ``cov``.
     """
     pf = np.ascontiguousarray(psi, dtype=complex).view(np.float64)
-    z, v = _generator_action(pf, rep)
-    second = np.einsum("nkj,nkj->n", z, z)
-    purity = np.einsum("nk,nk->n", v, v)
-    u = tnorm = None
-    if cov:
-        u = z - v[:, :, None] * pf[:, None, :]
-        ut = u.transpose(0, 2, 1)
-        gram = u @ ut if u.shape[1] <= u.shape[2] else ut @ u
-        tnorm = 4.0 * np.einsum("nkl,nkl->n", gram, gram)
-    return _Moments(v, second, purity, u, tnorm)
+    return _Moments(pf, *_generator_action(pf, rep))
 
 
 class _RowFault(RuntimeError):
@@ -345,13 +382,14 @@ def _observe_batch(states, rep, gamma):
     out = np.empty((len(flat), 4 + rep.dim_algebra))
     c = rep.casimir_eigenvalue
     for lo in range(0, len(flat), DEFAULT_BLOCK):
-        mom = _moments(flat[lo : lo + DEFAULT_BLOCK], rep, cov=True)
+        mom = _moments(flat[lo : lo + DEFAULT_BLOCK], rep)
         off = np.abs(mom.second - c) > 1e-10 * max(1.0, abs(c))
         if np.any(off):
             raise _RowFault("quadratic invariant drifted beyond 1e-10", lo + np.flatnonzero(off))
         out[lo : lo + DEFAULT_BLOCK] = np.column_stack(
             [mom.second - mom.purity, mom.purity, mom.tnorm, mom.drift(rep, gamma), mom.v]
         )
+        del mom  # this block's stacks go before the next block's are formed
     return out.reshape(states.shape[:-1] + out.shape[-1:])
 
 

@@ -53,9 +53,9 @@ __all__ = [
 BOUNDS_CONSISTENCY_TOL = 1e-6
 
 
-def _state_moments(psi, rep, cov=False):
+def _state_moments(psi, rep):
     """Moments of one state through the batched kernel, as a batch of one."""
-    return _moments(_validate_state(psi, rep.dim_hilbert)[None, :], rep, cov)
+    return _moments(_validate_state(psi, rep.dim_hilbert)[None, :], rep)
 
 
 def expectation_vector(psi, rep: AlgebraRep) -> np.ndarray:
@@ -77,12 +77,12 @@ def total_uncertainty(psi, rep: AlgebraRep) -> float:
 
 def covariance_matrix(psi, rep: AlgebraRep) -> np.ndarray:
     """Symmetrized covariance M_kl = <{X_k, X_l}> - 2 <X_k><X_l>."""
-    return _state_moments(psi, rep, cov=True).cov[0]
+    return _state_moments(psi, rep).cov[0]
 
 
 def covariance_trace_norm(psi, rep: AlgebraRep) -> float:
     """Squared Frobenius norm sum_kl M_kl^2 of the covariance matrix."""
-    return float(_state_moments(psi, rep, cov=True).tnorm[0])
+    return float(_state_moments(psi, rep).tnorm[0])
 
 
 def localization_drift(psi, rep: AlgebraRep, gamma: float) -> float:
@@ -92,7 +92,7 @@ def localization_drift(psi, rep: AlgebraRep, gamma: float) -> float:
     orbit.
     """
     _check_gamma(gamma)
-    return float(_state_moments(psi, rep, cov=True).drift(rep, gamma)[0])
+    return float(_state_moments(psi, rep).drift(rep, gamma)[0])
 
 
 def uncertainty_bounds(rep: AlgebraRep, cartan):
@@ -152,15 +152,16 @@ def cartan_split_sums(psi, rep: AlgebraRep, cartan) -> CartanSplit:
     o = cartan.basis_rotation
     sq = (o @ covariance_matrix(psi, rep) @ o.T) ** 2
     r, n = cartan.rank, cartan.n_positive
-    root_total = float(np.sum(sq[r:, r:]))
+    roots = sq[r:, r:]
+    root_total = float(roots.sum())
     # the 2 x 2 diagonal blocks of the root block, one per positive root
-    same = float(np.einsum("papb->", sq[r:, r:].reshape(n, 2, n, 2)))
+    same = float(np.einsum("papb->", roots.reshape(n, 2, n, 2)))
     return CartanSplit(
-        cartan_block=float(np.sum(sq[:r, :r])),
-        mixed_block=float(np.sum(sq[:r, r:]) + np.sum(sq[r:, :r])),
+        cartan_block=float(sq[:r, :r].sum()),
+        mixed_block=float(sq[:r, r:].sum() + sq[r:, :r].sum()),
         same_line_block=same,
         cross_line_block=root_total - same,
-        total=float(np.sum(sq)),
+        total=float(sq.sum()),
     )
 
 

@@ -129,6 +129,41 @@ def test_structure_constants_match_trace_loop(rep):
     assert np.max(np.abs(rep.structure_constants - ref)) < 1e-14
 
 
+def complex_constants(gens):
+    """(comm, f, c, c_adj, closure residual) of a generator set the complex
+    way: the closure sum as 1j * tensordot(f, gens), promoting f to
+    complex, and f, c and c_adj by the formulas of the build."""
+    K, d = gens.shape[:2]
+    prod = np.matmul(gens[:, None], gens[None, :])
+    lam = float(np.mean(np.einsum("iiaa->i", prod).real))
+    comm = prod - prod.transpose(1, 0, 2, 3)
+    f = (comm.reshape(K * K, d * d) @ gens.transpose(0, 2, 1).reshape(K, d * d).T).reshape(K, K, K)
+    f *= -1j / lam
+    f = np.ascontiguousarray(f.real)
+    closure = np.max(np.abs(comm - 1j * np.tensordot(f, gens, axes=(2, 0))))
+    c = float(np.real(np.trace(np.einsum("jjab->ab", prod))) / d)
+    flat = f.reshape(K, K * K)
+    c_adj = float(np.trace(flat @ flat.T) / K)
+    return comm, f, c, c_adj, closure
+
+
+CONSTANT_ALGEBRAS = {
+    **{f"su2-{two_j}": (build_su2_irrep, two_j) for two_j in range(1, 9)},
+    **{f"su{n}": (build_sun_fundamental, n) for n in (2, 3, 4, 6)},
+    "su3-adjoint": (lambda n: algebra_from_generators(-1j * build_sun_fundamental(n).structure_constants), 3),
+}
+
+
+@pytest.mark.parametrize("name", CONSTANT_ALGEBRAS)
+def test_constants_and_closure_residual_match_the_complex_reference(name):
+    builder, arg = CONSTANT_ALGEBRAS[name]
+    rep = builder(arg)
+    comm, f, c, c_adj, closure = complex_constants(rep.generators)
+    assert np.array_equal(rep.structure_constants, f)
+    assert rep.casimir_eigenvalue == c and rep.adjoint_casimir == c_adj
+    assert algebra._closure_residual(rep.structure_constants, rep.generators, comm) == closure
+
+
 @pytest.mark.parametrize("d", [2, 5, 9])
 def test_unitary_exp_matches_scipy(d):
     rng = np.random.default_rng(d)

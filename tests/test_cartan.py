@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,7 +19,13 @@ from gcsloc.cartan import (
     highest_weight_state,
     weight_string,
 )
-from gcsloc.observables import total_uncertainty, uncertainty_bounds
+from gcsloc.observables import (
+    covariance_trace_norm,
+    generalized_purity,
+    localization_drift,
+    total_uncertainty,
+    uncertainty_bounds,
+)
 
 
 @pytest.fixture(scope="module")
@@ -329,6 +337,40 @@ def test_alignment_paths(builder, arg, path, monkeypatch):
             np.linalg.norm(v_in), abs=1e-9
         )
     assert taken == {path}
+
+
+ORBIT_ALGEBRAS = {
+    "su2-2": (build_su2_irrep, 2),
+    "su2-8": (build_su2_irrep, 8),
+    "su2-3-reflected": (build_su2_reflected, 3),
+    "su3": (build_sun_fundamental, 3),
+    "su6": (build_sun_fundamental, 6),
+    "su3-adjoint": (build_sun_adjoint, 3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def orbit_algebra(name):
+    builder, arg = ORBIT_ALGEBRAS[name]
+    rep = builder(arg)
+    return rep, cartan_decompose(rep)
+
+
+@pytest.mark.parametrize("name", ORBIT_ALGEBRAS)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_gcs_matches_expm_and_alignment_keeps_invariants(name, seed):
+    rep, cartan = orbit_algebra(name)
+    rng = np.random.default_rng(seed)
+    params = rng.uniform(-3, 3, rep.dim_algebra)
+    ref = scipy.linalg.expm(1j * np.tensordot(params, rep.generators, axes=1)) @ highest_weight_state(cartan)
+    assert np.max(np.abs(generate_gcs(rep, cartan, params) - ref)) <= 1e-13
+    psi = haar_state(rep.dim_hilbert, seed)
+    out = align_expectation_to_cartan(psi, rep, cartan)
+    for invariant in (total_uncertainty, covariance_trace_norm, generalized_purity,
+                      lambda x, r: localization_drift(x, r, 0.1)):
+        before = invariant(psi, rep)
+        assert abs(invariant(out, rep) - before) <= 1e-13 * max(1.0, abs(before))
 
 
 def test_alignment_noop_when_already_aligned(su2_j1):

@@ -103,6 +103,64 @@ def test_stream_rng_keys_every_seed_by_its_64_bit_word():
     assert np.array_equal(draws[-1], stream_rng(2**64 - 1, 0).standard_normal(4))
 
 
+def keyed_philox(seed, stream):
+    """Philox(key=...) on the words of (seed, stream), the way numpy keys it."""
+    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def test_streams_and_probes_draw_no_os_entropy(spin1, monkeypatch):
+    import numpy.random.bit_generator as bit_generator
+
+    from gcsloc import cartan as cartan_module
+
+    rep = build_sun_fundamental(3)
+    keys = ((0, 0), (5, 2), (-1, 0), (2**63 + 5, 1))
+    stream_refs = [keyed_philox(seed, stream).standard_normal(6) for seed, stream in keys]
+    z = keyed_philox(8, 1).standard_normal((2, 4 * 3))
+    haar_ref = (z[0] + 1j * z[1]).reshape(4, 3)
+    haar_ref /= np.linalg.norm(haar_ref, axis=1, keepdims=True)
+    probe_ref = np.random.Generator(np.random.Philox(key=cartan_module._PROBE_KEY)).random(5)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=6, seed=-3)
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "stream_rng", keyed_philox)
+        ens_ref = ensemble_average(haar_state(3, 2), None, spin1, cfg, 5, block_size=3)
+    decomposed = cartan_decompose(rep)
+
+    def no_entropy(*args):
+        raise AssertionError("OS entropy drawn")
+
+    monkeypatch.setattr(bit_generator, "randbits", no_entropy)
+    with pytest.raises(AssertionError, match="OS entropy"):
+        np.random.Philox(key=5)
+    for (seed, stream), ref in zip(keys, stream_refs):
+        assert np.array_equal(stream_rng(seed, stream).standard_normal(6), ref)
+    assert np.array_equal(haar_states(3, 4, 8), haar_ref)
+    assert np.array_equal(cartan_module._probe_rng().random(5), probe_ref)
+    again = cartan_decompose(rep)
+    assert all(np.array_equal(a, b) for a, b in zip(vars(again).values(), vars(decomposed).values()))
+    assert np.array_equal(ensemble_average(haar_state(3, 2), None, spin1, cfg, 5, block_size=3)[1], ens_ref[1])
+
+
+def test_non_integral_seeds_streams_and_counts_are_rejected():
+    for call, message in (
+        (lambda: haar_states(3, 2, 2.7), "seed must be an integer, got 2.7"),
+        (lambda: haar_states(3, 2, float("nan")), "seed must be an integer, got nan"),
+        (lambda: haar_states(3, 2, 1, stream=1.5), "stream must be an integer, got 1.5"),
+        (lambda: stream_rng(1, 0.5), "stream must be an integer, got 0.5"),
+        (lambda: stream_rng("1", 0), "seed must be an integer, got '1'"),
+        (lambda: haar_states(3, 2.5, 1), "n must be an integer, got 2.5"),
+        (lambda: haar_states(3, 0, 1), "n must be a positive integer, got 0"),
+        (lambda: haar_states(np.inf, 2, 1), "dim must be an integer, got inf"),
+        (lambda: haar_state(0, 1), "dim must be a positive integer, got 0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # integral values of any type read as their integers
+    assert np.array_equal(haar_states(3.0, 2.0, np.int64(1)), haar_states(3, 2, 1))
+    assert np.array_equal(stream_rng(7.0, np.uint8(2)).random(4), stream_rng(7, 2).random(4))
+
+
 def test_negative_seed_trajectories_are_distinct(spin1):
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5, seed=-1000)
     _, rows = ensemble_observables(haar_state(3, 5), None, spin1, cfg, n_traj=50)
@@ -653,7 +711,7 @@ def brute_moments(psi, rep):
 def test_moment_kernel_matches_brute_force(builder, arg, n):
     rep = builder(arg)
     psi = haar_states(rep.dim_hilbert, n, seed=arg + n)
-    mom = dynamics._moments(psi, rep, cov=True)
+    mom = dynamics._moments(psi, rep)
     v, m = brute_moments(psi, rep)
     c = rep.casimir_eigenvalue
     tol = 1e-12
@@ -751,10 +809,9 @@ def test_records_take_covariance_moments_once_per_block(spin1, monkeypatch):
     calls = []
     real = dynamics._moments
 
-    def counting(psi, rep, cov=False):
-        if cov:
-            calls.append(len(psi))
-        return real(psi, rep, cov)
+    def counting(psi, rep):
+        calls.append(len(psi))
+        return real(psi, rep)
 
     monkeypatch.setattr(dynamics, "_moments", counting)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=1000, seed=18)
@@ -767,14 +824,13 @@ def _bump_second(monkeypatch, call, row):
     real = dynamics._moments
     calls = []
 
-    def bumped(psi, rep, cov=False):
-        mom = real(psi, rep, cov)
-        if cov:
-            calls.append(None)
-            if len(calls) == call:
-                second = mom.second.copy()
-                second[row] += 1e-6
-                mom = mom._replace(second=second)
+    def bumped(psi, rep):
+        mom = real(psi, rep)
+        calls.append(None)
+        if len(calls) == call:
+            second = mom.second.copy()
+            second[row] += 1e-6
+            vars(mom)["second"] = second  # kept as the formed <C>
         return mom
 
     monkeypatch.setattr(dynamics, "_moments", bumped)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -371,7 +372,7 @@ def test_stacked_root_sums_match_per_root_loops(name, seed):
 def test_gram_form_t_is_the_squared_covariance_norm(name, seed, n):
     rep, _ = decomposed(name)
     states = haar_states(rep.dim_hilbert, n, seed)
-    mom = _moments(states, rep, cov=True)
+    mom = _moments(states, rep)
     ref = np.sum(mom.cov**2, axis=(1, 2))
     assert np.max(np.abs(mom.tnorm - ref) / ref) <= 1e-12
     psi = states[0]
@@ -407,3 +408,50 @@ def test_su2_record_rows_keep_the_covariance_formula_bit_for_bit(name, seed, n):
     rep, _ = decomposed(name)
     states = haar_states(rep.dim_hilbert, n, seed)
     assert np.array_equal(_observe_batch(states, rep, 0.1), covariance_formula_rows(states, rep, 0.1))
+
+
+def two_temporary_moments(states, rep):
+    """(v, <C>, P, U, T) with the centred stack formed as z - v psi, two
+    temporaries of the (n, K, 2d) shape."""
+    pf = np.ascontiguousarray(states).view(np.float64)
+    z = (pf @ rep.moment_stack).reshape(len(pf), rep.dim_algebra, pf.shape[1])
+    v = np.matvec(z, pf)
+    u = z - v[:, :, None] * pf[:, None, :]
+    ut = u.transpose(0, 2, 1)
+    gram = u @ ut if u.shape[1] <= u.shape[2] else ut @ u
+    tnorm = 4.0 * np.einsum("nkl,nkl->n", gram, gram)
+    return v, np.einsum("nkj,nkj->n", z, z), np.einsum("nk,nk->n", v, v), u, tnorm
+
+
+@pytest.mark.parametrize("name", ["su3", "su6"])
+@pytest.mark.parametrize("n", [1, DEFAULT_BLOCK])
+def test_moments_keep_the_two_temporary_formula_bit_for_bit(name, n):
+    # K > 2d: T from the 2d x 2d Gram matrix; su(2) is covered by the
+    # record-row test above
+    rep, _ = decomposed(name)
+    states = haar_states(rep.dim_hilbert, n, 17 + n)
+    mom = _moments(states, rep)
+    ref = two_temporary_moments(states, rep)
+    for got, want in zip((mom.v, mom.second, mom.purity, mom.u, mom.tnorm), ref):
+        assert np.array_equal(got, want)
+
+
+def test_moments_hold_two_centred_stacks_at_peak():
+    # 256 su(6) states: z, the centred stack and the 2d x 2d Gram matrices
+    # (0.34 of a stack), not a third (n, K, 2d) temporary
+    rep, _ = decomposed("su6")
+    states = haar_states(rep.dim_hilbert, DEFAULT_BLOCK, 5)
+    stack = states.shape[0] * rep.dim_algebra * 2 * rep.dim_hilbert * 8
+
+    def record_moments():
+        mom = _moments(states, rep)
+        return mom.second, mom.purity, mom.tnorm
+
+    record_moments()
+    tracemalloc.start()
+    try:
+        record_moments()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * stack
