@@ -1,5 +1,20 @@
-"""Shared pytest hooks: collect acceptance-criterion verdicts and print one
-pass/fail line per criterion in the terminal summary of every run."""
+"""Shared pytest hooks and test-side builders.
+
+The hooks collect acceptance-criterion verdicts and print one pass/fail
+line per criterion in the terminal summary of every run.  The builders
+give the irreps and states that several test modules use: Sym^p and the
+adjoint of su(n), a representation in a rotated basis, a Haar state from
+numpy's ``default_rng``, and minimisers of T = sum M^2 on Sym^3 su(3)."""
+
+import itertools
+from functools import lru_cache, reduce
+
+import numpy as np
+import scipy.linalg
+import scipy.optimize
+
+from gcsloc.algebra import algebra_from_generators, build_sun_fundamental
+from gcsloc.observables import covariance_trace_norm
 
 _criterion_lines = []
 
@@ -18,3 +33,66 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for _, line in sorted(_criterion_lines):
         terminalreporter.write_line(line)
+
+
+def rng_haar_state(dim, seed):
+    """A Haar-random unit vector from ``np.random.default_rng(seed)``; the
+    library's ``haar_state`` draws from its own Philox streams instead."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return z / np.linalg.norm(z)
+
+
+def build_sun_adjoint(n):
+    """The adjoint irrep of su(n): d = K = n^2 - 1."""
+    return algebra_from_generators(-1j * build_sun_fundamental(n).structure_constants)
+
+
+def build_sun_symmetric(n, p):
+    """Sym^p of the defining su(n): the p-fold tensor action of each
+    generator on the symmetric subspace of (C^n)^(x p)."""
+    cols = []
+    for combo in itertools.combinations_with_replacement(range(n), p):
+        col = np.zeros(n**p)
+        for perm in set(itertools.permutations(combo)):
+            col[np.ravel_multi_index(perm, (n,) * p)] = 1.0
+        cols.append(col / np.linalg.norm(col))
+    iso = np.array(cols).T
+    eye = np.eye(n)
+    gens = [
+        iso.T @ sum(reduce(np.kron, [x if t == s else eye for t in range(p)]) for s in range(p)) @ iso
+        for x in build_sun_fundamental(n).generators
+    ]
+    return algebra_from_generators(gens)
+
+
+def conjugated(base, seed=99):
+    """base with every generator conjugated by one generic group element,
+    so that no generator is diagonal."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-1, 1, base.dim_algebra)
+    u = scipy.linalg.expm(1j * np.tensordot(theta, base.generators, axes=(0, 0)))
+    gens = np.einsum("ab,kbc,cd->kad", u.conj().T, base.generators, u)
+    gens = 0.5 * (gens + np.conj(np.swapaxes(gens, -1, -2)))
+    return algebra_from_generators(gens)
+
+
+@lru_cache(maxsize=None)
+def sym3_su3_trace_norm_minimizer(seed):
+    """(rep, psi): Sym^3 of su(3), d = 10, and the unit state at which BFGS
+    from the standard normals of ``default_rng(seed)`` minimises
+    T = sum M^2.  There T lies below its orbit value, and <X> is
+    non-regular to about 1e-6: ad_<X> has four singular values below 2e-6
+    against rank 2."""
+    rep = build_sun_symmetric(3, 3)
+    d = rep.dim_hilbert
+
+    def state(x):
+        psi = x[:d] + 1j * x[d:]
+        return psi / np.linalg.norm(psi)
+
+    x0 = np.random.default_rng(seed).standard_normal(2 * d)
+    res = scipy.optimize.minimize(lambda x: covariance_trace_norm(state(x), rep), x0, method="BFGS")
+    psi = state(res.x)
+    psi.flags.writeable = False
+    return rep, psi

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from conftest import conjugated
 from gcsloc import algebra
 from gcsloc.algebra import (
     algebra_from_generators,
@@ -186,21 +187,11 @@ def test_casimir_matrix_is_scalar():
         assert np.max(np.abs(cas - target)) < 1e-12
 
 
-def conjugated_sun3(seed=17):
-    """The su(3) Gell-Mann basis conjugated by a random group element."""
-    base = build_sun_fundamental(3)
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(-1, 1, base.dim_algebra)
-    u = scipy.linalg.expm(1j * np.tensordot(theta, base.generators, axes=(0, 0)))
-    gens = np.einsum("ab,kbc,cd->kad", u.conj().T, base.generators, u)
-    return algebra_from_generators(0.5 * (gens + np.conj(np.swapaxes(gens, -1, -2))))
-
-
 @pytest.mark.parametrize(
     "rep",
     [build_su2_irrep(j) for j in range(1, 7)]
     + [build_sun_fundamental(n) for n in range(2, 6)]
-    + [rescaled(build_su2_irrep(2), 1.7), conjugated_sun3()],
+    + [rescaled(build_su2_irrep(2), 1.7), conjugated(build_sun_fundamental(3), 17)],
     ids=[f"su2-{j}" for j in range(1, 7)] + [f"su{n}" for n in range(2, 6)] + ["su2-2-scaled", "su3-conj"],
 )
 def test_moment_stack_is_real_form_of_generator_action(rep):
@@ -255,7 +246,7 @@ def test_rescaling_covariance(scale):
 def test_unitary_conjugation_preserves_structure():
     # conjugation by a group element is an algebra automorphism: same f, same gram
     base = build_sun_fundamental(3)
-    rep = conjugated_sun3()
+    rep = conjugated(build_sun_fundamental(3), 17)
     assert np.max(np.abs(rep.structure_constants - base.structure_constants)) < 1e-9
     assert np.max(np.abs(gram(rep) - gram(base))) < 1e-10
 

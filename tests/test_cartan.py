@@ -5,6 +5,13 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from conftest import (
+    build_sun_adjoint,
+    build_sun_symmetric,
+    conjugated,
+    rng_haar_state,
+    sym3_su3_trace_norm_minimizer,
+)
 from gcsloc import cartan as cartan_module
 from gcsloc.algebra import (
     algebra_from_generators,
@@ -262,12 +269,6 @@ def test_weight_strings_su3(su3):
         assert sorted(content) == [(0.0, 0.0), (0.5, -0.5), (0.5, 0.5)]
 
 
-def haar_state(dim, seed):
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return z / np.linalg.norm(z)
-
-
 def root_component_norm(psi, rep, cartan):
     v = np.real(np.einsum("a,kab,b->k", psi.conj(), rep.generators, psi))
     return float(np.linalg.norm((cartan.basis_rotation @ v)[cartan.rank:]))
@@ -278,32 +279,17 @@ def build_su2_reflected(two_j):
     return algebra_from_generators(build_su2_irrep(two_j).generators[[0, 2, 1]])
 
 
-def build_sun_adjoint(n):
-    """The adjoint irrep of su(n): d = K = n^2 - 1, so neither exact path applies."""
-    return algebra_from_generators(-1j * build_sun_fundamental(n).structure_constants)
-
-
-def conjugated(base, seed=99):
-    """base with every generator conjugated by one generic group element,
-    so that no generator is diagonal."""
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(-1, 1, base.dim_algebra)
-    u = scipy.linalg.expm(1j * np.tensordot(theta, base.generators, axes=(0, 0)))
-    gens = np.einsum("ab,kbc,cd->kad", u.conj().T, base.generators, u)
-    gens = 0.5 * (gens + np.conj(np.swapaxes(gens, -1, -2)))
-    return algebra_from_generators(gens)
-
-
 def build_sun_conjugated(n):
     """The defining su(n) irrep in a basis where its Cartan is not diagonal."""
     return conjugated(build_sun_fundamental(n))
 
 
 @pytest.mark.parametrize("builder,arg,path", [
-    pytest.param(build_su2_irrep, 3, "_align_axis_angle", id="build_su2_irrep-3-auto"),  # K = 3
-    pytest.param(build_su2_reflected, 3, "_align_axis_angle", id="build_su2_reflected-3-auto"),
+    pytest.param(build_su2_irrep, 1, "_root_triple_sweep", id="build_su2_irrep-1-auto"),  # K = 3 = d^2 - 1
+    pytest.param(build_su2_irrep, 3, "_root_triple_sweep", id="build_su2_irrep-3-auto"),  # K = 3
+    pytest.param(build_su2_reflected, 3, "_root_triple_sweep", id="build_su2_reflected-3-auto"),
     pytest.param(build_sun_fundamental, 3, "_align_eigenbasis", id="build_sun_fundamental-3-auto"),  # K = d^2 - 1
-    pytest.param(build_sun_adjoint, 3, "_align_newton", id="build_sun_adjoint-3-auto"),  # rank 2, d = K = 8
+    pytest.param(build_sun_adjoint, 3, "_root_triple_sweep", id="build_sun_adjoint-3-auto"),  # rank 2, d = K = 8
     pytest.param(build_sun_conjugated, 3, "_align_eigenbasis", id="build_sun_conjugated-3-auto"),
     pytest.param(build_sun_conjugated, 4, "_align_eigenbasis", id="build_sun_conjugated-4-auto"),
 ])
@@ -321,10 +307,10 @@ def test_alignment_paths(builder, arg, path, monkeypatch):
 
         return wrapper
 
-    for name in ("_align_axis_angle", "_align_eigenbasis", "_align_newton"):
+    for name in ("_align_eigenbasis", "_root_triple_sweep"):
         monkeypatch.setattr(cartan_module, name, spy(name))
     for seed in range(6):
-        psi = haar_state(rep.dim_hilbert, 1000 + seed)
+        psi = rng_haar_state(rep.dim_hilbert, 1000 + seed)
         out = align_expectation_to_cartan(psi, rep, cartan)
         assert root_component_norm(out, rep, cartan) < 1e-8
         # group rotations preserve the uncertainty and the expectation norm
@@ -337,6 +323,77 @@ def test_alignment_paths(builder, arg, path, monkeypatch):
             np.linalg.norm(v_in), abs=1e-9
         )
     assert taken == {path}
+
+
+def axis_angle_aligned(psi, rep, cartan):
+    """The su(2) reference: turn <X> onto the Cartan axis c by the angle
+    atan2(|v x c|, v . c) about v x c.  X / s obey the standard su(2)
+    relations for s = f[0, 1, 2] of either sign (either basis orientation),
+    so exp(-1j theta n.X / s) is the right-handed rotation about n."""
+    c = cartan.basis_rotation[0]
+    v = np.real(np.einsum("a,kab,b->k", psi.conj(), rep.generators, psi))
+    axis = np.cross(v, c)
+    theta = np.arctan2(np.linalg.norm(axis), v @ c)
+    gen = np.tensordot(axis / np.linalg.norm(axis), rep.generators, axes=1)
+    return scipy.linalg.expm(-1j * theta / rep.structure_constants[0, 1, 2] * gen) @ psi
+
+
+@pytest.mark.parametrize("builder,two_j", [(build_su2_irrep, two_j) for two_j in range(1, 9)]
+                         + [(build_su2_reflected, 3)])
+def test_su2_alignment_is_the_axis_angle_rotation(builder, two_j):
+    # on K = 3 one sweep is one step, the rotation of <X> onto +H
+    rep = builder(two_j)
+    cartan = cartan_decompose(rep)
+    for seed in range(10):
+        psi = rng_haar_state(rep.dim_hilbert, 3000 + seed)
+        out = align_expectation_to_cartan(psi, rep, cartan)
+        assert np.max(np.abs(out - axis_angle_aligned(psi, rep, cartan))) <= 1e-14
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 4, 8])
+@pytest.mark.parametrize("eps", [1e-6, 1e-8, 3e-9, 1e-9, 3e-10])
+def test_su2_alignment_close_to_the_cartan_gauge(two_j, eps):
+    # a root component just above ALIGNMENT_TOL: the angle comes from
+    # atan2, not from the arccosine of a cosine within 1e-16 of 1
+    rep = build_su2_irrep(two_j)
+    cartan = cartan_decompose(rep)
+    out = align_expectation_to_cartan(generate_gcs(rep, cartan, [eps, 0.0, 0.0]), rep, cartan)
+    assert root_component_norm(out, rep, cartan) <= cartan_module.ALIGNMENT_TOL
+    assert abs(np.vdot(highest_weight_state(cartan), out)) == pytest.approx(1.0, abs=1e-14)
+
+
+def sym2_haar(n, seed):
+    rep = build_sun_symmetric(n, 2)
+    return rep, rng_haar_state(rep.dim_hilbert, seed)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: sym2_haar(3, 170), id="sym2-su3-haar-170"),
+    pytest.param(lambda: sym2_haar(4, 19), id="sym2-su4-haar-19"),
+    pytest.param(lambda: sym2_haar(4, 111), id="sym2-su4-haar-111"),
+    pytest.param(lambda: sym2_haar(4, 165), id="sym2-su4-haar-165"),
+    pytest.param(lambda: sym3_su3_trace_norm_minimizer(0), id="sym3-su3-t-minimizer-0"),
+    pytest.param(lambda: sym3_su3_trace_norm_minimizer(1), id="sym3-su3-t-minimizer-1"),
+])
+def test_alignment_near_a_weyl_wall(make):
+    # near a wall the Jacobian of the root components is near singular,
+    # while each root-triple step still zeroes its root component exactly
+    rep, psi = make()
+    cartan = cartan_decompose(rep)
+    out = align_expectation_to_cartan(psi, rep, cartan)
+    assert root_component_norm(out, rep, cartan) <= 1e-10
+    for invariant in (total_uncertainty, covariance_trace_norm, generalized_purity,
+                      lambda x, r: localization_drift(x, r, 0.1)):
+        before = invariant(psi, rep)
+        assert abs(invariant(out, rep) - before) <= 1e-12 * max(1.0, abs(before))
+
+
+def test_alignment_raises_with_the_residual_when_the_sweeps_run_out(monkeypatch):
+    rep = build_sun_adjoint(3)
+    cartan = cartan_decompose(rep)
+    monkeypatch.setattr(cartan_module, "ALIGNMENT_SWEEPS", 1)
+    with pytest.raises(RuntimeError, match=r"^Cartan alignment failed: residual root component \d"):
+        align_expectation_to_cartan(rng_haar_state(rep.dim_hilbert, 1000), rep, cartan)
 
 
 ORBIT_ALGEBRAS = {
@@ -365,7 +422,7 @@ def test_gcs_matches_expm_and_alignment_keeps_invariants(name, seed):
     params = rng.uniform(-3, 3, rep.dim_algebra)
     ref = scipy.linalg.expm(1j * np.tensordot(params, rep.generators, axes=1)) @ highest_weight_state(cartan)
     assert np.max(np.abs(generate_gcs(rep, cartan, params) - ref)) <= 1e-13
-    psi = haar_state(rep.dim_hilbert, seed)
+    psi = rng_haar_state(rep.dim_hilbert, seed)
     out = align_expectation_to_cartan(psi, rep, cartan)
     for invariant in (total_uncertainty, covariance_trace_norm, generalized_purity,
                       lambda x, r: localization_drift(x, r, 0.1)):
@@ -385,7 +442,7 @@ def test_alignment_noop_when_already_aligned(su2_j1):
 def test_alignment_rejects_unnormalized_and_nonfinite_states(builder, arg):
     rep = builder(arg)
     cartan = cartan_decompose(rep)
-    psi = haar_state(rep.dim_hilbert, 7)
+    psi = rng_haar_state(rep.dim_hilbert, 7)
     with pytest.raises(ValueError, match="not normalized"):
         align_expectation_to_cartan(2.0 * psi, rep, cartan)
     with pytest.raises(ValueError, match="not finite"):
@@ -409,7 +466,7 @@ def rephased_eigh(seed):
 def test_eigenbasis_alignment_ignores_eigenvector_phases(n, monkeypatch):
     rep = build_sun_fundamental(n)
     cartan = cartan_decompose(rep)
-    states = [haar_state(n, 2000 + seed) for seed in range(20)]
+    states = [rng_haar_state(n, 2000 + seed) for seed in range(20)]
     plain = [align_expectation_to_cartan(psi, rep, cartan) for psi in states]
     monkeypatch.setattr(np.linalg, "eigh", rephased_eigh(n))
     for psi, ref in zip(states, plain):

@@ -1130,7 +1130,7 @@ def test_ensemble_rejects_bad_block_size(spin1, run, block_size):
 # ---------------------------------------------------------- master equation
 
 
-def test_lindblad_rk4_matches_expm_oracle(spin1):
+def test_lindblad_evolve_matches_expm_oracle(spin1):
     rng = np.random.default_rng(14)
     h = rng.uniform(-1, 1, 3)
     rho0 = projector(haar_state(3, 70))
@@ -1163,7 +1163,7 @@ def test_lindblad_gamma_zero_is_unitary(spin1):
     assert np.max(np.abs(before - after)) < 1e-10
 
 
-def test_lindblad_step_rejects_positivity_loss():
+def test_checked_flow_rejects_positivity_loss():
     # the check on each record of the flow: trace kept, one eigenvalue -0.1
     rho = projector(haar_state(3, 73))
     with pytest.raises(RuntimeError, match="positivity"):

@@ -1,13 +1,12 @@
-import itertools
 import tracemalloc
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from gcsloc.algebra import algebra_from_generators, build_su2_irrep, build_sun_fundamental, rescaled
+from conftest import build_sun_adjoint, build_sun_symmetric, rng_haar_state, sym3_su3_trace_norm_minimizer
+from gcsloc.algebra import build_su2_irrep, build_sun_fundamental, rescaled
 from gcsloc.cartan import (
     align_expectation_to_cartan,
     cartan_decompose,
@@ -26,12 +25,6 @@ from gcsloc.observables import (
     total_uncertainty,
     uncertainty_bounds,
 )
-
-
-def haar_state(dim, seed):
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return z / np.linalg.norm(z)
 
 
 def brute_covariance(psi, gens):
@@ -86,7 +79,7 @@ def test_entangled_state_brute_force():
 def test_covariance_matches_brute_force(builder, arg):
     rep = builder(arg)
     for seed in range(4):
-        psi = haar_state(rep.dim_hilbert, 40 + seed)
+        psi = rng_haar_state(rep.dim_hilbert, 40 + seed)
         m = covariance_matrix(psi, rep)
         assert np.max(np.abs(m - brute_covariance(psi, rep.generators))) < 1e-11
         assert np.max(np.abs(m - m.T)) < 1e-12
@@ -99,7 +92,7 @@ def test_spin_half_is_structureless():
     # uncertainty, constant squared covariance norm, zero drift
     rep = build_su2_irrep(1)
     for seed in range(100):
-        psi = haar_state(2, seed)
+        psi = rng_haar_state(2, seed)
         assert total_uncertainty(psi, rep) == pytest.approx(0.5, abs=1e-10)
         assert covariance_trace_norm(psi, rep) == pytest.approx(0.5, abs=1e-10)
         assert localization_drift(psi, rep, 1.0) == pytest.approx(0.0, abs=1e-10)
@@ -109,7 +102,7 @@ def test_spin_half_is_structureless():
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_uncertainty_purity_sum_rule(seed):
     rep = build_su2_irrep(4)
-    psi = haar_state(5, seed)
+    psi = rng_haar_state(5, seed)
     delta = total_uncertainty(psi, rep)
     p = generalized_purity(psi, rep)
     assert delta + p == pytest.approx(rep.casimir_eigenvalue, abs=1e-10)
@@ -124,7 +117,7 @@ def test_uncertainty_purity_sum_rule(seed):
 def test_drift_never_positive(builder, arg):
     rep = builder(arg)
     for seed in range(200):
-        psi = haar_state(rep.dim_hilbert, seed)
+        psi = rng_haar_state(rep.dim_hilbert, seed)
         assert localization_drift(psi, rep, gamma=0.25) <= 1e-12
 
 
@@ -139,14 +132,14 @@ def test_drift_zero_on_coherent_orbit():
 
 def test_drift_negative_gamma_rejected():
     rep = build_su2_irrep(2)
-    psi = haar_state(3, 0)
+    psi = rng_haar_state(3, 0)
     with pytest.raises(ValueError, match="gamma"):
         localization_drift(psi, rep, gamma=-0.1)
 
 
 def test_drift_non_finite_gamma_rejected():
     with pytest.raises(ValueError, match="finite"):
-        localization_drift(haar_state(3, 0), build_su2_irrep(2), gamma=float("nan"))
+        localization_drift(rng_haar_state(3, 0), build_su2_irrep(2), gamma=float("nan"))
 
 
 @pytest.mark.parametrize("builder,arg,expected", [
@@ -170,7 +163,7 @@ def test_uncertainty_range_on_haar_states():
     cartan = cartan_decompose(rep)
     delta_min, c = uncertainty_bounds(rep, cartan)
     for seed in range(300):
-        d = total_uncertainty(haar_state(4, seed), rep)
+        d = total_uncertainty(rng_haar_state(4, seed), rep)
         assert delta_min - 1e-10 <= d <= c + 1e-10
 
 
@@ -191,7 +184,7 @@ def test_split_partition_sums_to_total(builder, arg):
     rep = builder(arg)
     cartan = cartan_decompose(rep)
     for seed in range(10):
-        psi = haar_state(rep.dim_hilbert, 600 + seed)
+        psi = rng_haar_state(rep.dim_hilbert, 600 + seed)
         split = cartan_split_sums(psi, rep, cartan)
         t = covariance_trace_norm(psi, rep)
         parts = (
@@ -218,7 +211,7 @@ def test_ladder_closed_form_in_cartan_gauge(builder, arg):
     cartan = cartan_decompose(rep)
     for seed in range(6):
         psi = align_expectation_to_cartan(
-            haar_state(rep.dim_hilbert, 700 + seed), rep, cartan
+            rng_haar_state(rep.dim_hilbert, 700 + seed), rep, cartan
         )
         split = cartan_split_sums(psi, rep, cartan)
         assert root_pair_closed_form(psi, cartan) == pytest.approx(
@@ -257,53 +250,21 @@ def test_rejects_non_finite_state():
         expectation_vector(bad, rep)
 
 
-def build_sun_symmetric(n, p):
-    """Sym^p of the defining su(n): the p-fold tensor action of each
-    generator on the symmetric subspace of (C^n)^(x p)."""
-    cols = []
-    for combo in itertools.combinations_with_replacement(range(n), p):
-        col = np.zeros(n**p)
-        for perm in set(itertools.permutations(combo)):
-            col[np.ravel_multi_index(perm, (n,) * p)] = 1.0
-        cols.append(col / np.linalg.norm(col))
-    iso = np.array(cols).T
-    eye = np.eye(n)
-    gens = [
-        iso.T @ sum(reduce(np.kron, [x if t == s else eye for t in range(p)]) for s in range(p)) @ iso
-        for x in build_sun_fundamental(n).generators
-    ]
-    return algebra_from_generators(gens)
-
-
 @pytest.mark.parametrize("seed", [0, 1])
 def test_orbit_minimizes_trace_norm_not_squared_norm_on_sym3_su3(seed):
     # Sym^3 of su(3), d = 10: a pure state lies below the orbit value of
     # T = sum M^2, while tr M = 2 Delta >= 2 delta_min and the drift <= 0
     # still hold there, as the paper claims
-    rep = build_sun_symmetric(3, 3)
-    d = rep.dim_hilbert
+    rep, psi = sym3_su3_trace_norm_minimizer(seed)
     cartan = cartan_decompose(rep)
     delta_min, _ = uncertainty_bounds(rep, cartan)
     t_hw = covariance_trace_norm(highest_weight_state(cartan), rep)
-
-    def state(x):
-        psi = x[:d] + 1j * x[d:]
-        return psi / np.linalg.norm(psi)
-
-    x0 = np.random.default_rng(seed).standard_normal(2 * d)
-    res = scipy.optimize.minimize(lambda x: covariance_trace_norm(state(x), rep), x0, method="BFGS")
-    psi = state(res.x)
     assert covariance_trace_norm(psi, rep) < t_hw - 0.05
     assert total_uncertainty(psi, rep) >= delta_min - 1e-9
     assert localization_drift(psi, rep, 0.1) <= 1e-9
 
 
 # ------------------------------------ stacked kernels against per-root loops
-
-
-def build_sun_adjoint(n):
-    """The adjoint irrep of su(n), d = K = n^2 - 1."""
-    return algebra_from_generators(-1j * build_sun_fundamental(n).structure_constants)
 
 
 # K < 2d on su(2), Sym^2 su(3) and the su(3) adjoint; K > 2d on defining su(N >= 3)
@@ -358,7 +319,7 @@ def loop_split(psi, rep, cartan):
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_stacked_root_sums_match_per_root_loops(name, seed):
     rep, cartan = decomposed(name)
-    psi = align_expectation_to_cartan(haar_state(rep.dim_hilbert, seed), rep, cartan)
+    psi = align_expectation_to_cartan(rng_haar_state(rep.dim_hilbert, seed), rep, cartan)
     assert root_pair_closed_form(psi, cartan) == pytest.approx(loop_closed_form(psi, cartan), rel=1e-12)
     split = cartan_split_sums(psi, rep, cartan)
     got = [split.cartan_block, split.mixed_block, split.same_line_block, split.cross_line_block, split.total]
