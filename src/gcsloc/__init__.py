@@ -32,7 +32,6 @@ from .dynamics import (
     haar_states,
     lindblad_evolve,
     lindblad_expm_evolve,
-    lindblad_superoperator,
     simulate_trajectory,
     snlse_step,
     stream_rng,
@@ -77,7 +76,6 @@ __all__ = [
     "highest_weight_state",
     "lindblad_evolve",
     "lindblad_expm_evolve",
-    "lindblad_superoperator",
     "localization_drift",
     "rescaled",
     "root_pair_closed_form",

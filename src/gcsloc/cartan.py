@@ -115,13 +115,6 @@ def _probe_rng():
     return _philox([_PROBE_KEY, 0])
 
 
-def _adjoint_matrix(coeff, f):
-    """Real antisymmetric matrix t with [A, X_j] = 1j sum_k t[j, k] X_k
-    for A = sum_i coeff_i X_i.  The Hermitian adjoint action on complex
-    coefficient vectors is 1j * t.T."""
-    return _combination(coeff, f)
-
-
 def _canonical_phase(vecs):
     """Rotate each unit column's phase so its first entry within a relative
     1e-8 of the largest modulus is real positive: rounding cannot pick
@@ -189,12 +182,12 @@ def _cartan_candidates(rep, rng):
     if diag_idx:
         coeff = np.zeros(K)
         coeff[diag_idx] = 1.0 + rng.random(len(diag_idx))
-        if len(_kernel_basis(_adjoint_matrix(coeff, f))) == len(diag_idx):
+        if len(_kernel_basis(_combination(coeff, f))) == len(diag_idx):
             # the diagonal generators themselves are a clean kernel basis;
             # keep them instead of the SVD mixture
             yield np.eye(K)[diag_idx]
     for _ in range(4):
-        yield _kernel_basis(_adjoint_matrix(rng.standard_normal(K), f))
+        yield _kernel_basis(_combination(rng.standard_normal(K), f))
 
 
 def cartan_decompose(rep: AlgebraRep) -> CartanData:
@@ -253,9 +246,11 @@ def _decompose_with_kernel(rep, cartan_coeff, rng):
     if comm_resid > 1e-10 * max(1.0, _max_abs(cartan_gens)):
         raise RuntimeError(f"extracted Cartan set does not commute: {comm_resid:.3e}")
 
-    # Adjoint actions of the H_i on coefficient space, Hermitian K x K and
-    # purely imaginary, so the conjugate of a root vector of a is one of -a.
-    ad = 1j * _adjoint_matrix(cartan_coeff, f).swapaxes(1, 2)
+    # Adjoint actions of the H_i on coefficient space: t = sum_i c_i f[i] is
+    # real antisymmetric with [H, X_j] = 1j sum_k t[j, k] X_k, so 1j t.T is
+    # Hermitian K x K and purely imaginary, and the conjugate of a root
+    # vector of a is one of -a.
+    ad = 1j * _combination(cartan_coeff, f).swapaxes(1, 2)
     vecs, vals = _joint_eigenbasis(ad, rng, ROOT_TOL)
     signs = _lex_signs(vals)
     n_zero = int(np.sum(signs == 0.0))

@@ -214,7 +214,7 @@ def cmd_ensemble(args) -> int:
     ham = _parse_ham(args.ham, rep)
     psi0 = _initial_state(args, rep)
 
-    # the reference first: past the superoperator budget it fails at once
+    # the exact flow first: it costs little beside the ensemble, and its checks fail before that runs
     _, times = _record_grid(steps, stride, cfg.dt)
     rho_ref = lindblad_expm_evolve(np.outer(psi0, psi0.conj()), ham, rep, cfg.gamma, times)
     _, rho_mc = ensemble_average(psi0, ham, rep, cfg, args.traj, record_stride=stride)

@@ -37,9 +37,11 @@ Ensemble counterpart:
 
     drho/dt = -1j [H, rho] - gamma sum_k [X_k, [X_k, rho]],
 
-solved exactly at every record time from one eigendecomposition of the
-Hermitian dissipator and one of H.  Its unraveling is the ensemble: the
-mean projector of ``ensemble_average`` tracks it, and one trajectory
+solved exactly at every record time from one eigendecomposition of H and
+one of each block of the Hermitian dissipator, graded by the eigenvalue
+differences of one fixed element of the algebra, so no (d^2, d^2) matrix
+is formed and d has no cap.  Its unraveling is the ensemble: the mean
+projector of ``ensemble_average`` tracks it, and one trajectory
 (``simulate_trajectory``) is an ensemble of one.
 
 Randomness is counter-based (Philox): ``stream_rng(seed, stream)`` keys
@@ -73,7 +75,6 @@ __all__ = [
     "haar_states",
     "lindblad_evolve",
     "lindblad_expm_evolve",
-    "lindblad_superoperator",
     "simulate_trajectory",
     "snlse_step",
     "stream_rng",
@@ -93,6 +94,7 @@ DEFAULT_BLOCK = 256
 _STACK_LIMIT = 1 << 15
 
 _UINT64_MASK = (1 << 64) - 1
+_GRADING_KEY = 0x646973  # fixed Philox key: the flow's grading is deterministic
 
 
 def _integral(name, value):
@@ -765,57 +767,60 @@ def lindblad_evolve(
     return times, lindblad_expm_evolve(rho0, h, rep, gamma, times)
 
 
-def lindblad_superoperator(h, rep: AlgebraRep, gamma: float) -> np.ndarray:
-    """Dense (d^2, d^2) generator of the master equation flow.
-
-    L rho = 2 gamma sum_k X_k rho X_k - (A rho + rho A^dagger), A = gamma c
-    + 1j H (the Casimir C = sum_k X_k^2 is c 1 on an irrep), in the
-    row-major vectorization vec(rho)[i*d + j] = rho[i, j], under which
-    A rho B maps to (A kron B^T) vec(rho).  Its d^4 complex entries must
-    fit in 64 MiB, so d <= 45.
-    """
-    _check_gamma(gamma)
-    d = rep.dim_hilbert
-    if 16 * d**4 > 64 << 20:
-        raise ValueError(f"superoperator of d^2 = {d * d} is over its 64 MiB budget")
-    ham = _hamiltonian_matrix(h, rep)
-    a = gamma * rep.casimir_eigenvalue * np.eye(d)
-    if ham is not None:
-        a = a + 1j * ham
-    gens = rep.generators
-    sup = np.tensordot(gens, gens, axes=(0, 0)).transpose(0, 3, 1, 2).reshape(d * d, d * d)
-    sup *= 2.0 * gamma
-    eye = np.eye(d)
-    sup -= np.kron(a, eye) + np.kron(eye, a.conj())
-    return sup
-
-
 def lindblad_expm_evolve(rho0, h, rep: AlgebraRep, gamma: float, times):
     """Exact master-equation flow rho(t) = expm(L t) rho0 at the given
     finite nonnegative times, returned in their given order.
 
-    The dissipator D = -gamma sum_k [X_k, [X_k, .]] is a Hermitian
-    superoperator, so one ``eigh`` D = V diag(lam) V^dagger gives
-    expm(D t) rho0 = V (exp(lam t) * V^dagger vec(rho0)) at every time.
     Because the generators are trace-orthonormal (``AlgebraRep``), sum_k
-    X_k (x) X_k is invariant under the adjoint action of the group, so D
-    commutes with conjugation by U(t) = exp(-1j H t) for any H in the
-    generator span (h holds its K real coefficients), and rho(t) = U(t)
-    expm(D t)(rho0) U(t)^dagger exactly, with U from one ``eigh`` of H.  In time order,
-    each record is checked against the one before by ``_checked_flow``.
+    X_k (x) X_k is invariant under the adjoint action of the group, so the
+    dissipator D rho = -gamma sum_k [X_k, [X_k, rho]] = 2 gamma sum_k X_k
+    rho X_k - 2 gamma c rho commutes with ad A for every A in the algebra,
+    and with conjugation by U(t) = exp(-1j H t) for any H in the generator
+    span (h holds its K real coefficients).  So rho(t) = U(t) expm(D t)
+    (rho0) U(t)^dagger exactly, with U from one ``eigh`` of H.
+
+    For expm(D t), A = sum_k r_k X_k, r drawn from the fixed key
+    _GRADING_KEY, has eigenvalues w and eigenvectors W; in the W basis the
+    span of {|a><b| : w_a - w_b = mu} is D-invariant, so D is block
+    diagonal there.  The d^2 differences are sorted and cut only at gaps
+    above 1e-9 max(1, |w|): equal differences are never split, and
+    near-equal ones that merge, or a non-regular A, only make a block
+    larger.  The block over pairs (p_i, q_i) is the Hermitian 2 gamma
+    sum_k Xt_k[p_i, p_j] conj(Xt_k[q_i, q_j]) - 2 gamma c 1, Xt = W^dagger
+    X W, and one batched ``eigh`` per distinct block size gives every
+    block's exp(lam t).  In time order, each record is checked against the
+    one before by ``_checked_flow``.
     """
     rho = validate_density(rho0, rep.dim_hilbert)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not np.all(np.isfinite(times) & (times >= 0)):
         raise ValueError("record times must be a 1d array of finite nonnegative values")
     ham = _hamiltonian_matrix(h, rep)
-    lam, vecs = np.linalg.eigh(lindblad_superoperator(None, rep, gamma))
-    coef = vecs.conj().T @ rho.reshape(-1)
-    flows = (vecs @ (np.exp(np.multiply.outer(lam, times)) * coef[:, None])).T
-    flows = flows.reshape((len(times),) + rho.shape)
+    _check_gamma(gamma)
+    d = rep.dim_hilbert
+    probe = _philox([_GRADING_KEY, 0]).standard_normal(rep.dim_algebra)
+    w, vecs = np.linalg.eigh(_combination(probe, rep.generators))
+    x = vecs.conj().T @ rep.generators @ vecs
+    diff = np.subtract.outer(w, w).ravel()
+    order = np.argsort(diff, kind="stable")
+    starts = np.flatnonzero(np.diff(diff[order], prepend=-np.inf) > 1e-9 * max(1.0, _max_abs(w)))
+    sizes = np.diff(starts, append=d * d)
+    r = (vecs.conj().T @ rho @ vecs).ravel()
+    mixed = np.trace(rho) / d  # the fixed point tr(rho) 1 / d skips the blocks and their rounding
+    r[:: d + 1] -= mixed
+    flows = np.empty((d * d, len(times)), dtype=complex)
+    for size in np.unique(sizes):
+        idx = order[starts[sizes == size, None] + np.arange(size)]  # (blocks, size) pairs a d + b
+        p, q = np.divmod(idx, d)
+        xp, xq = x[:, p[:, :, None], p[:, None, :]], x[:, q[:, None, :], q[:, :, None]]
+        blk = np.einsum("kbij,kbij->bij", xp, xq)  # Hermitian Xt: xq = conj(Xt_k[q_i, q_j])
+        lam, v = np.linalg.eigh(2.0 * gamma * (blk - rep.casimir_eigenvalue * np.eye(size)))
+        coef = np.matvec(v.conj().swapaxes(1, 2), r[idx])
+        flows[idx] = v @ (np.exp(lam[:, :, None] * times) * coef[:, :, None])
+    flows[:: d + 1] += mixed
     if ham is not None:
-        u = unitary_exp(ham, -times)
-        flows = u @ flows @ u.conj().transpose(0, 2, 1)
+        vecs = unitary_exp(ham, -times) @ vecs
+    flows = vecs @ flows.T.reshape(-1, d, d) @ vecs.conj().swapaxes(-1, -2)
     for i in np.argsort(times, kind="stable"):
         rho = flows[i] = _checked_flow(flows[i], rho)
     return flows

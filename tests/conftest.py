@@ -4,7 +4,9 @@ The hooks collect acceptance-criterion verdicts and print one pass/fail
 line per criterion in the terminal summary of every run.  The builders
 give the irreps and states that several test modules use: Sym^p and the
 adjoint of su(n), a representation in a rotated basis, a Haar state from
-numpy's ``default_rng``, and minimisers of T = sum M^2 on Sym^3 su(3)."""
+numpy's ``default_rng``, and minimisers of T = sum M^2 on Sym^3 su(3).
+``lindblad_superoperator`` is the dense master-equation generator that
+the exact flow is checked against."""
 
 import itertools
 from functools import lru_cache, reduce
@@ -75,6 +77,27 @@ def conjugated(base, seed=99):
     gens = np.einsum("ab,kbc,cd->kad", u.conj().T, base.generators, u)
     gens = 0.5 * (gens + np.conj(np.swapaxes(gens, -1, -2)))
     return algebra_from_generators(gens)
+
+
+def lindblad_superoperator(h, rep, gamma):
+    """Dense (d^2, d^2) generator of the master equation flow, the oracle
+    for ``lindblad_expm_evolve``.
+
+    L rho = 2 gamma sum_k X_k rho X_k - (A rho + rho A^dagger), A = gamma c
+    + 1j H with H = sum_k h_k X_k (the Casimir C = sum_k X_k^2 is c 1 on an
+    irrep), in the row-major vectorization vec(rho)[i*d + j] = rho[i, j],
+    under which A rho B maps to (A kron B^T) vec(rho).
+    """
+    d = rep.dim_hilbert
+    gens = rep.generators
+    a = gamma * rep.casimir_eigenvalue * np.eye(d)
+    if h is not None:
+        a = a + 1j * np.tensordot(h, gens, axes=(0, 0))
+    sup = np.tensordot(gens, gens, axes=(0, 0)).transpose(0, 3, 1, 2).reshape(d * d, d * d)
+    sup *= 2.0 * gamma
+    eye = np.eye(d)
+    sup -= np.kron(a, eye) + np.kron(eye, a.conj())
+    return sup
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from conftest import build_sun_adjoint, build_sun_symmetric, lindblad_superoperator
 from gcsloc import dynamics
 from gcsloc.algebra import algebra_from_generators, build_su2_irrep, build_sun_fundamental
 from gcsloc.cartan import cartan_decompose, highest_weight_state
@@ -20,7 +21,6 @@ from gcsloc.dynamics import (
     haar_states,
     lindblad_evolve,
     lindblad_expm_evolve,
-    lindblad_superoperator,
     scan_states,
     simulate_trajectory,
     snlse_step,
@@ -257,7 +257,7 @@ def test_hamiltonian_rejects_non_finite_coefficients(spin1, coeffs):
     with pytest.raises(ValueError, match="finite"):
         snlse_step(haar_state(3, 20), coeffs, spin1, 0.1, 1e-3, np.zeros(3))
     with pytest.raises(ValueError, match="finite"):
-        lindblad_superoperator(coeffs, spin1, 0.1)
+        lindblad_expm_evolve(projector(haar_state(3, 20)), coeffs, spin1, 0.1, [0.0, 0.1])
 
 
 def test_simulate_rejects_unnormalized(spin1):
@@ -364,7 +364,6 @@ def test_hamiltonian_of_another_length_is_rejected_everywhere(spin1):
         lambda: snlse_step(psi, h, spin1, 0.1, 1e-3, np.zeros(3)),
         lambda: simulate_trajectory(psi, h, spin1, cfg),
         lambda: ensemble_average(psi, h, spin1, cfg, 2),
-        lambda: lindblad_superoperator(h, spin1, 0.1),
         lambda: lindblad_expm_evolve(rho0, h, spin1, 0.1, [0.0, 0.1]),
     ):
         with pytest.raises(ValueError, match="shape"):
@@ -380,7 +379,6 @@ def test_zero_hamiltonian_is_no_hamiltonian(spin1):
         lambda h: simulate_trajectory(psi, h, spin1, cfg, 5).expectations,
         lambda h: ensemble_average(psi, h, spin1, cfg, 3, 5)[1],
         lambda h: lindblad_expm_evolve(rho0, h, spin1, 0.1, [0.0, 0.3, 0.1]),
-        lambda h: lindblad_superoperator(h, spin1, 0.1),
     ):
         assert np.array_equal(run(zero), run(None))
 
@@ -1201,7 +1199,9 @@ def test_exact_flow_on_non_uniform_times(spin1):
         assert np.max(np.abs(rho - ref)) < 1e-12
 
 
-def test_exact_flow_one_eigh_per_call(spin1, monkeypatch):
+def test_exact_flow_eigh_calls_do_not_grow_with_records(spin1, monkeypatch):
+    # the same decompositions serve every record time, and none is of a
+    # matrix larger than d x d: the flow never forms the (d^2, d^2) generator
     calls = []
     eigh = np.linalg.eigh
 
@@ -1212,24 +1212,34 @@ def test_exact_flow_one_eigh_per_call(spin1, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     rho0 = projector(haar_state(3, 79))
     h = [0.2, -0.5, 0.3]
-    lindblad_evolve(rho0, None, spin1, 0.1, 1e-3, 5000, record_stride=10)
-    assert calls == [(9, 9)]
-    for times in ([0.1, 0.2, 0.5, 0.8], np.arange(1, 401) * 0.0123):
-        calls.clear()
-        lindblad_expm_evolve(rho0, None, spin1, 0.1, times)
-        assert calls == [(9, 9)]
+
+    def eigh_calls(h, times):
         calls.clear()
         lindblad_expm_evolve(rho0, h, spin1, 0.1, times)
-        assert sorted(calls) == [(3, 3), (9, 9)]
+        return list(calls)
+
+    few, many = [0.1, 0.2, 0.5, 0.8], np.arange(1, 401) * 0.0123
+    free = eigh_calls(None, few)
+    assert eigh_calls(None, many) == free
+    assert eigh_calls(h, many) == eigh_calls(h, few)
+    assert sorted(eigh_calls(h, few)) == sorted(free + [(3, 3)])
+    assert max(max(shape[-2:]) for shape in free) <= 3
+    calls.clear()
+    lindblad_evolve(rho0, None, spin1, 0.1, 1e-3, 5000, record_stride=10)
+    assert calls == free
 
 
 @pytest.mark.parametrize(
     "rep",
-    [build_su2_irrep(1), build_su2_irrep(4), build_su2_irrep(8),
-     build_sun_fundamental(3), build_sun_fundamental(6)],
-    ids=["su2-1", "su2-4", "su2-8", "su3", "su6"],
+    [build_su2_irrep(1), build_su2_irrep(4), build_su2_irrep(8), build_su2_irrep(16),
+     build_sun_fundamental(3), build_sun_fundamental(6), build_sun_adjoint(3),
+     build_sun_adjoint(4), build_sun_symmetric(3, 3)],
+    ids=["su2-1", "su2-4", "su2-8", "su2-16", "su3", "su6", "su3-adjoint", "su4-adjoint",
+         "su3-sym3"],
 )
 def test_spectral_flow_matches_scipy_expm(rep):
+    # the adjoints have repeated weights: the grading element has a
+    # repeated eigenvalue there
     rng = np.random.default_rng(80)
     h = rng.uniform(-1, 1, rep.dim_algebra)
     d = rep.dim_hilbert
@@ -1268,10 +1278,20 @@ def test_superoperator_matches_rhs(spin1):
     assert np.max(np.abs(lhs - ref)) < 1e-12
 
 
-def test_superoperator_dimension_guard():
-    rep = build_su2_irrep(64)  # d = 65: 16 d^4 bytes are past the 64 MiB budget
-    with pytest.raises(ValueError, match="d\\^2"):
-        lindblad_superoperator(None, rep, 0.1)
+@pytest.mark.parametrize("two_j, gamma", [(46, 0.3), (80, 0.7)], ids=["d47", "d81"])
+def test_flow_past_d_45_decays_in_closed_form(two_j, gamma):
+    # d = 47 and 81: a dense (d^2, d^2) generator would not fit in 64 MiB,
+    # and at d = 81 the blocks' eigenvalues reach -gamma c_adj 3240.
+    # Without H, <X_i>(t) = exp(-gamma c_adj t) <X_i>(0), since the
+    # dissipator maps X_i to -gamma c_adj X_i and is self-adjoint.
+    rep = build_su2_irrep(two_j)
+    times = np.array([0.0, 0.05, 0.4, 1.5])
+    rho0 = projector(haar_state(two_j + 1, 83))
+    out = lindblad_expm_evolve(rho0, None, rep, gamma, times)
+    assert np.max(np.abs(np.trace(out, axis1=1, axis2=2) - 1.0)) < 1e-12
+    x = np.real(np.einsum("kab,tba->tk", rep.generators, out))
+    decay = np.exp(-gamma * rep.adjoint_casimir * times)[:, None] * x[0]
+    assert np.max(np.abs(x - decay)) < 1e-11
 
 
 def test_validate_density_errors(spin1):
