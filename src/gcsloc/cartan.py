@@ -415,7 +415,7 @@ def align_expectation_to_cartan(psi, rep: AlgebraRep, cartan: CartanData):
     psi = np.asarray(psi, dtype=complex)
     v = expectation_vector(psi, rep)
     tol = ALIGNMENT_TOL * max(1.0, _norm(v))
-    out, resid = psi.copy(), _root_component_norm(v, cartan)
+    out, resid = psi / _norm(psi), _root_component_norm(v, cartan)
     d = rep.dim_hilbert
     if resid > tol and rep.dim_algebra == d * d - 1 and d > 2:
         out = _align_eigenbasis(psi, v, rep, cartan)

@@ -30,8 +30,9 @@ per batch from K, d and the batch size n: through the stacked X_k psi of
 would exceed _STACK_LIMIT doubles, through the d x d operator A = sum_k
 coef_k X_k + keep 1 applied to psi, with <X_k> = Re tr(X_k psi psi^dagger)
 (n 2d^2 doubles each).  Records are buffered as complex states and
-observed DEFAULT_BLOCK at a time by ``_moments``, with the squared
-covariance norm T and <C>.
+observed DEFAULT_BLOCK at a time from ``_moments``' real rows, X_k psi and
+<X_k> by one stateless function per moment: ``_second``, ``_purity``,
+``_centred`` (U), ``_tnorm`` (the squared covariance norm T) and ``_drift``.
 
 Ensemble counterpart:
 
@@ -239,9 +240,13 @@ class TrajectoryRecord:
     seed: int
 
     def __post_init__(self):
-        dt = np.diff(self.times)
-        if self.times.ndim != 1 or len(self.times) < 1:
+        grid = self.times.shape if isinstance(self.times, np.ndarray) else ()
+        if len(grid) != 1 or grid[0] < 1:
             raise ValueError("record grid must be a nonempty 1d array")
+        series = (self.uncertainty, self.purity, self.cov_trace_norm, self.drift, self.expectations)
+        if any(np.shape(x)[:1] != grid for x in series):
+            raise ValueError(f"each series must have {grid[0]} rows, one per record time")
+        dt = np.diff(self.times)
         if dt.size and (np.any(dt <= 0) or _max_abs(dt - dt[0]) > 1e-9 * dt[0]):
             raise ValueError("record times must increase uniformly")
 
@@ -276,67 +281,6 @@ def _norm_error(nrm, where=""):
     return ValueError(f"state is not normalized: |psi| = {nrm:.12g}{where}")
 
 
-def _formed(method):
-    """A read-only attribute that method forms on the first read and that
-    is kept: ``functools.cached_property`` without the class-wide lock it
-    takes on Python 3.11, which would serialize ensemble threads."""
-    name = method.__name__
-
-    def get(self):
-        kept = self.__dict__
-        if name not in kept:
-            kept[name] = method(self)
-        return kept[name]
-
-    return property(get, doc=method.__doc__)
-
-
-class _Moments:
-    """Moments of a batch of n states; see ``_moments``.  v is formed with
-    the batch and every other moment on its first read, so a caller pays
-    only for the moments it reads."""
-
-    def __init__(self, pf, z, v):
-        self.pf, self.z = pf, z  # the (n, 2d) states and (n, K, 2d) X_k psi
-        self.v = v  # (n, K) <X_k>
-
-    @_formed
-    def second(self):
-        """(n,) <C> = sum_k |y_k|^2."""
-        return np.einsum("nkj,nkj->n", self.z, self.z)
-
-    @_formed
-    def purity(self):
-        """(n,) P = sum_k <X_k>^2."""
-        return np.einsum("nk,nk->n", self.v, self.v)
-
-    @_formed
-    def u(self):
-        """(n, K, 2d) centred u_k = (X_k - v_k) psi.  v_k psi is formed in
-        one buffer and z - v_k psi is written over it, which keeps the bits
-        of that formula with one (n, K, 2d) stack beside z rather than two."""
-        u = np.multiply(self.v[:, :, None], self.pf[:, None, :])
-        return np.subtract(self.z, u, out=u)
-
-    @_formed
-    def tnorm(self):
-        """(n,) T = sum_kl M_kl^2, from the smaller of the two Gram matrices
-        of U (K x K, or 2d x 2d when K > 2d)."""
-        u = self.u
-        ut = u.transpose(0, 2, 1)
-        gram = u @ ut if u.shape[1] <= u.shape[2] else ut @ u
-        return 4.0 * np.einsum("nkl,nkl->n", gram, gram)
-
-    @property
-    def cov(self):
-        """(n, K, K) M_kl = 2 Re <u_k|u_l>, formed on each read."""
-        return 2.0 * (self.u @ self.u.transpose(0, 2, 1))
-
-    def drift(self, rep, gamma):
-        """Localization drift 2 gamma (c_adj P - T)."""
-        return 2.0 * gamma * (rep.adjoint_casimir * self.purity - self.tnorm)
-
-
 def _generator_action(pf, rep):
     """(z, v) for n states given as an (n, 2d) real array pf of interleaved
     real and imaginary parts: z (n, K, 2d) holds X_k psi in the same
@@ -346,24 +290,56 @@ def _generator_action(pf, rep):
 
 
 def _moments(psi, rep):
-    """Moments of n normalized states, the rows of an (n, d) array psi.
+    """(pf, z, v) of n normalized states, the rows of an (n, d) array psi:
+    pf their (n, 2d) interleaved real rows, (z, v) its ``_generator_action``.
 
-    ``_generator_action`` gives y_k = X_k psi as interleaved real and
-    imaginary parts, in which Re <a|b> is a real dot product, so the rest
-    are real batched products:
+    z holds y_k = X_k psi in that layout, in which Re <a|b> is a real dot
+    product, so every moment is a real batched product:
 
         v_k = Re <psi|y_k>,   <C> = sum_k |y_k|^2,   P = sum_k v_k^2,
         M = 2 U U^T,   U the (K, 2d) stack of u_k = (X_k - v_k) psi,
-        T = sum_kl M_kl^2 = 4 |U U^T|_F^2 = 4 |U^T U|_F^2.
+        T = sum_kl M_kl^2 = 4 |U U^T|_F^2 = 4 |U^T U|_F^2,
+        D = 2 gamma (c_adj P - T),
 
-    <C> = <psi|sum_k X_k^2|psi> is formed without C, for the callers that
-    read it; the step, which does not, calls ``_generator_action`` alone.
-    For normalized states this M is <{X_k, X_l}> - 2 v_k v_l.  v is formed
-    here; <C>, P, U and T on the first read of their attribute of the
-    result, and M on every read of ``cov``.
+    each formed by one function: ``_second``, ``_purity``, ``_centred``
+    (U), ``_tnorm`` and ``_drift``.  <C> = <psi|sum_k X_k^2|psi> is formed
+    without C; the step, which does not read it, calls
+    ``_generator_action`` alone.  For normalized states this M is
+    <{X_k, X_l}> - 2 v_k v_l, which only ``covariance_matrix`` forms.
     """
     pf = np.ascontiguousarray(psi, dtype=complex).view(np.float64)
-    return _Moments(pf, *_generator_action(pf, rep))
+    return (pf, *_generator_action(pf, rep))
+
+
+def _second(z):
+    """(n,) <C> = sum_k |y_k|^2."""
+    return np.einsum("nkj,nkj->n", z, z)
+
+
+def _purity(v):
+    """(n,) P = sum_k <X_k>^2."""
+    return np.einsum("nk,nk->n", v, v)
+
+
+def _centred(pf, z, v):
+    """(n, K, 2d) centred u_k = (X_k - v_k) psi.  v_k psi is formed in one
+    buffer and z - v_k psi is written over it, which keeps the bits of that
+    formula with one (n, K, 2d) stack beside z rather than two."""
+    u = np.multiply(v[:, :, None], pf[:, None, :])
+    return np.subtract(z, u, out=u)
+
+
+def _tnorm(u):
+    """(n,) T = sum_kl M_kl^2, from the smaller of the two Gram matrices of
+    U (K x K, or 2d x 2d when K > 2d)."""
+    ut = u.transpose(0, 2, 1)
+    gram = u @ ut if u.shape[1] <= u.shape[2] else ut @ u
+    return 4.0 * np.einsum("nkl,nkl->n", gram, gram)
+
+
+def _drift(rep, gamma, purity, tnorm):
+    """(n,) localization drift 2 gamma (c_adj P - T)."""
+    return 2.0 * gamma * (rep.adjoint_casimir * purity - tnorm)
 
 
 class _RowFault(RuntimeError):
@@ -384,14 +360,16 @@ def _observe_batch(states, rep, gamma):
     out = np.empty((len(flat), 4 + rep.dim_algebra))
     c = rep.casimir_eigenvalue
     for lo in range(0, len(flat), DEFAULT_BLOCK):
-        mom = _moments(flat[lo : lo + DEFAULT_BLOCK], rep)
-        off = np.abs(mom.second - c) > 1e-10 * max(1.0, abs(c))
+        pf, z, v = _moments(flat[lo : lo + DEFAULT_BLOCK], rep)
+        second = _second(z)
+        off = np.abs(second - c) > 1e-10 * max(1.0, abs(c))
         if np.any(off):
             raise _RowFault("quadratic invariant drifted beyond 1e-10", lo + np.flatnonzero(off))
+        purity, tnorm = _purity(v), _tnorm(_centred(pf, z, v))
         out[lo : lo + DEFAULT_BLOCK] = np.column_stack(
-            [mom.second - mom.purity, mom.purity, mom.tnorm, mom.drift(rep, gamma), mom.v]
+            [second - purity, purity, tnorm, _drift(rep, gamma, purity, tnorm), v]
         )
-        del mom  # this block's stacks go before the next block's are formed
+        del pf, z, v  # this block's stacks go before the next block's are formed
     return out.reshape(states.shape[:-1] + out.shape[-1:])
 
 
@@ -543,7 +521,7 @@ def _thread_count() -> int:
         n = int(raw)
     except ValueError as err:
         raise ValueError(f"GCSLOC_THREADS must be an integer, got {raw!r}") from err
-    return max(1, n)
+    return _count("GCSLOC_THREADS", n)
 
 
 def _integrate(batch, prop, rep, cfg, lo, record_stride, record):

@@ -35,7 +35,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraRep
-from .dynamics import _check_gamma, _generator_action, _moments, _validate_state
+from .dynamics import (
+    _centred,
+    _check_gamma,
+    _drift,
+    _generator_action,
+    _purity,
+    _second,
+    _tnorm,
+    _validate_state,
+)
 
 __all__ = [
     "CartanSplit",
@@ -54,35 +63,36 @@ BOUNDS_CONSISTENCY_TOL = 1e-6
 
 
 def _state_moments(psi, rep):
-    """Moments of one state through the batched kernel, as a batch of one."""
-    return _moments(_validate_state(psi, rep.dim_hilbert)[None, :], rep)
+    """``_moments`` (pf, z, v) of one state, as a batch of one."""
+    pf = _validate_state(psi, rep.dim_hilbert).view(np.float64)[None, :]
+    return (pf, *_generator_action(pf, rep))
 
 
 def expectation_vector(psi, rep: AlgebraRep) -> np.ndarray:
     """<X_k> for every generator, a real vector of length K."""
-    pf = _validate_state(psi, rep.dim_hilbert).view(np.float64)[None, :]
-    return _generator_action(pf, rep)[1][0]
+    return _state_moments(psi, rep)[2][0]
 
 
 def generalized_purity(psi, rep: AlgebraRep) -> float:
     """Squared Euclidean length of the expectation vector."""
-    return float(_state_moments(psi, rep).purity[0])
+    return float(_purity(_state_moments(psi, rep)[2])[0])
 
 
 def total_uncertainty(psi, rep: AlgebraRep) -> float:
     """sum_k <X_k^2> - sum_k <X_k>^2, the basis-invariant variance sum."""
-    mom = _state_moments(psi, rep)
-    return float(mom.second[0] - mom.purity[0])
+    _, z, v = _state_moments(psi, rep)
+    return float(_second(z)[0] - _purity(v)[0])
 
 
 def covariance_matrix(psi, rep: AlgebraRep) -> np.ndarray:
     """Symmetrized covariance M_kl = <{X_k, X_l}> - 2 <X_k><X_l>."""
-    return _state_moments(psi, rep).cov[0]
+    u = _centred(*_state_moments(psi, rep))
+    return 2.0 * (u @ u.transpose(0, 2, 1))[0]
 
 
 def covariance_trace_norm(psi, rep: AlgebraRep) -> float:
     """Squared Frobenius norm sum_kl M_kl^2 of the covariance matrix."""
-    return float(_state_moments(psi, rep).tnorm[0])
+    return float(_tnorm(_centred(*_state_moments(psi, rep)))[0])
 
 
 def localization_drift(psi, rep: AlgebraRep, gamma: float) -> float:
@@ -92,7 +102,8 @@ def localization_drift(psi, rep: AlgebraRep, gamma: float) -> float:
     orbit.
     """
     _check_gamma(gamma)
-    return float(_state_moments(psi, rep).drift(rep, gamma)[0])
+    pf, z, v = _state_moments(psi, rep)
+    return float(_drift(rep, gamma, _purity(v), _tnorm(_centred(pf, z, v)))[0])
 
 
 def uncertainty_bounds(rep: AlgebraRep, cartan):

@@ -436,6 +436,10 @@ def test_alignment_noop_when_already_aligned(su2_j1):
     for psi in (highest_weight_state(cartan), cartan.weight_basis[:, -1]):
         out = align_expectation_to_cartan(psi, rep, cartan)
         assert np.allclose(out, psi, atol=1e-12)
+        # a norm off 1 within the 1e-8 tolerance comes back as a unit state
+        out = align_expectation_to_cartan((1 + 5e-9) * psi, rep, cartan)
+        assert np.allclose(out, psi, atol=1e-12)
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("builder,arg", [(build_su2_irrep, 2), (build_sun_fundamental, 3)])

@@ -11,8 +11,12 @@ from gcsloc import cli, dynamics
 from gcsloc.cli import FLOAT_FMT, main, parse_algebra
 from gcsloc.dynamics import (
     NoiseConfig,
+    _centred,
+    _drift,
     _moments,
     _observe_batch,
+    _purity,
+    _tnorm,
     haar_state,
     scan_states,
     simulate_trajectory,
@@ -342,22 +346,18 @@ def test_theorem_scan_blocks_agree_with_one_batch():
     rep = parse_algebra("suN:n=6")
     states = scan_states(rep.dim_hilbert, 600, 29)
     tnorm, drift = _observe_batch(states, rep, 0.1)[:, 2:4].T
-    mom = _moments(states, rep)
-    assert np.max(np.abs(tnorm - mom.tnorm)) <= 1e-12
-    assert np.max(np.abs(drift - mom.drift(rep, 0.1))) <= 1e-12
-    assert np.argmin(tnorm) == np.argmin(mom.tnorm)
-    assert np.argmax(drift) == np.argmax(mom.drift(rep, 0.1))
+    pf, z, v = _moments(states, rep)
+    one_tnorm = _tnorm(_centred(pf, z, v))
+    one_drift = _drift(rep, 0.1, _purity(v), one_tnorm)
+    assert np.max(np.abs(tnorm - one_tnorm)) <= 1e-12
+    assert np.max(np.abs(drift - one_drift)) <= 1e-12
+    assert np.argmin(tnorm) == np.argmin(one_tnorm)
+    assert np.argmax(drift) == np.argmax(one_drift)
 
 
 def test_theorem_scan_checks_the_quadratic_invariant(tmp_path, monkeypatch, capsys):
-    real = dynamics._moments
-
-    def bumped(psi, rep):
-        mom = real(psi, rep)
-        vars(mom)["second"] = mom.second + 1e-6  # kept as the formed <C>
-        return mom
-
-    monkeypatch.setattr(dynamics, "_moments", bumped)
+    real = dynamics._second
+    monkeypatch.setattr(dynamics, "_second", lambda z: real(z) + 1e-6)
     rc = main([
         "theorem-scan", "--algebra", "su2:two_j=2", "--samples", "10", "--seed", "1",
         "--out", str(tmp_path / "scan.json"),

@@ -15,6 +15,7 @@ from gcsloc.algebra import algebra_from_generators, build_su2_irrep, build_sun_f
 from gcsloc.cartan import cartan_decompose, highest_weight_state
 from gcsloc.dynamics import (
     NoiseConfig,
+    TrajectoryRecord,
     ensemble_average,
     ensemble_observables,
     haar_state,
@@ -28,6 +29,7 @@ from gcsloc.dynamics import (
     validate_density,
 )
 from gcsloc.observables import (
+    covariance_matrix,
     covariance_trace_norm,
     expectation_vector,
     generalized_purity,
@@ -709,15 +711,17 @@ def brute_moments(psi, rep):
 def test_moment_kernel_matches_brute_force(builder, arg, n):
     rep = builder(arg)
     psi = haar_states(rep.dim_hilbert, n, seed=arg + n)
-    mom = dynamics._moments(psi, rep)
+    pf, z, got = dynamics._moments(psi, rep)
+    u = dynamics._centred(pf, z, got)
     v, m = brute_moments(psi, rep)
     c = rep.casimir_eigenvalue
     tol = 1e-12
-    assert np.max(np.abs(mom.v - v)) <= tol * c
-    assert np.max(np.abs(mom.purity - np.sum(v * v, axis=1))) <= tol * c**2
-    assert np.max(np.abs(mom.second - c)) <= tol * c
-    assert np.max(np.abs(mom.cov - m)) <= tol * c
-    assert np.max(np.abs(mom.tnorm - np.sum(m * m, axis=(1, 2)))) <= tol * c**2
+    assert np.max(np.abs(got - v)) <= tol * c
+    assert np.max(np.abs(dynamics._purity(got) - np.sum(v * v, axis=1))) <= tol * c**2
+    assert np.max(np.abs(dynamics._second(z) - c)) <= tol * c
+    assert np.max(np.abs(2.0 * (u @ u.transpose(0, 2, 1)) - m)) <= tol * c
+    assert np.max(np.abs(covariance_matrix(psi[0], rep) - m[0])) <= tol * c
+    assert np.max(np.abs(dynamics._tnorm(u) - np.sum(m * m, axis=(1, 2)))) <= tol * c**2
 
 
 def test_coherent_state_one_step_deviation_scales_quadratically():
@@ -818,20 +822,18 @@ def test_records_take_covariance_moments_once_per_block(spin1, monkeypatch):
 
 
 def _bump_second(monkeypatch, call, row):
-    """Shift <C> of one row in the call-th covariance moment call."""
-    real = dynamics._moments
+    """Shift <C> of one row in the call-th record block's ``_second``."""
+    real = dynamics._second
     calls = []
 
-    def bumped(psi, rep):
-        mom = real(psi, rep)
+    def bumped(z):
+        second = real(z)
         calls.append(None)
         if len(calls) == call:
-            second = mom.second.copy()
             second[row] += 1e-6
-            vars(mom)["second"] = second  # kept as the formed <C>
-        return mom
+        return second
 
-    monkeypatch.setattr(dynamics, "_moments", bumped)
+    monkeypatch.setattr(dynamics, "_second", bumped)
 
 
 def test_invariant_drift_names_record_trajectory_and_seed(spin1, monkeypatch):
@@ -847,6 +849,25 @@ def test_invariant_drift_names_record_trajectory_and_seed(spin1, monkeypatch):
     _bump_second(monkeypatch, 2, 7)
     with pytest.raises(RuntimeError, match=r"drifted .*\(record 3, trajectory 3, seed 44\)"):
         ensemble_observables(haar_state(3, 34), None, spin1, cfg, n_traj=5, block_size=2)
+
+
+def test_trajectory_record_rejects_malformed_grids_and_series():
+    times = np.array([0.0, 0.1])
+    series = {
+        "uncertainty": np.zeros(2),
+        "purity": np.zeros(2),
+        "cov_trace_norm": np.zeros(2),
+        "drift": np.zeros(2),
+        "expectations": np.zeros((2, 3)),
+    }
+    TrajectoryRecord(times=times, seed=0, **series)
+    for bad in ([0.0, 0.1], np.zeros(0), np.zeros((2, 1))):
+        with pytest.raises(ValueError, match="record grid must be a nonempty 1d array"):
+            TrajectoryRecord(times=bad, seed=0, **series)
+    for name, good in series.items():
+        for bad in (good[:1], np.concatenate([good, good]), np.float64(0.0)):
+            with pytest.raises(ValueError, match="each series must have 2 rows"):
+                TrajectoryRecord(times=times, seed=0, **{**series, name: bad})
 
 
 def test_gamma_zero_conserves_invariants(spin1):
@@ -913,6 +934,18 @@ def test_ensemble_block_size_independence(spin1):
     _, a = ensemble_average(psi, None, spin1, cfg, n_traj=10, block_size=3)
     _, b = ensemble_average(psi, None, spin1, cfg, n_traj=10, block_size=256)
     assert np.max(np.abs(a - b)) < 1e-12
+
+
+@pytest.mark.parametrize("raw,message", [
+    ("two", "must be an integer, got 'two'"),
+    ("0", "must be a positive integer, got 0"),
+    ("-3", "must be a positive integer, got -3"),
+])
+def test_thread_count_must_be_a_positive_integer(spin1, monkeypatch, raw, message):
+    monkeypatch.setenv("GCSLOC_THREADS", raw)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=62)
+    with pytest.raises(ValueError, match=f"GCSLOC_THREADS {message}"):
+        ensemble_average(haar_state(3, 52), None, spin1, cfg, n_traj=4, block_size=2)
 
 
 def test_ensemble_thread_count_invariance(spin1, monkeypatch):

@@ -13,7 +13,16 @@ from gcsloc.cartan import (
     generate_gcs,
     highest_weight_state,
 )
-from gcsloc.dynamics import DEFAULT_BLOCK, _moments, _observe_batch, haar_states
+from gcsloc.dynamics import (
+    DEFAULT_BLOCK,
+    _centred,
+    _moments,
+    _observe_batch,
+    _purity,
+    _second,
+    _tnorm,
+    haar_states,
+)
 from gcsloc.observables import (
     cartan_split_sums,
     covariance_matrix,
@@ -333,9 +342,8 @@ def test_stacked_root_sums_match_per_root_loops(name, seed):
 def test_gram_form_t_is_the_squared_covariance_norm(name, seed, n):
     rep, _ = decomposed(name)
     states = haar_states(rep.dim_hilbert, n, seed)
-    mom = _moments(states, rep)
-    ref = np.sum(mom.cov**2, axis=(1, 2))
-    assert np.max(np.abs(mom.tnorm - ref) / ref) <= 1e-12
+    ref = np.array([np.sum(covariance_matrix(psi, rep) ** 2) for psi in states])
+    assert np.max(np.abs(_tnorm(_centred(*_moments(states, rep))) - ref) / ref) <= 1e-12
     psi = states[0]
     t = np.sum(covariance_matrix(psi, rep) ** 2)
     assert covariance_trace_norm(psi, rep) == pytest.approx(t, rel=1e-12)
@@ -391,9 +399,10 @@ def test_moments_keep_the_two_temporary_formula_bit_for_bit(name, n):
     # record-row test above
     rep, _ = decomposed(name)
     states = haar_states(rep.dim_hilbert, n, 17 + n)
-    mom = _moments(states, rep)
+    pf, z, v = _moments(states, rep)
+    u = _centred(pf, z, v)
     ref = two_temporary_moments(states, rep)
-    for got, want in zip((mom.v, mom.second, mom.purity, mom.u, mom.tnorm), ref):
+    for got, want in zip((v, _second(z), _purity(v), u, _tnorm(u)), ref):
         assert np.array_equal(got, want)
 
 
@@ -405,8 +414,8 @@ def test_moments_hold_two_centred_stacks_at_peak():
     stack = states.shape[0] * rep.dim_algebra * 2 * rep.dim_hilbert * 8
 
     def record_moments():
-        mom = _moments(states, rep)
-        return mom.second, mom.purity, mom.tnorm
+        pf, z, v = _moments(states, rep)
+        return _second(z), _purity(v), _tnorm(_centred(pf, z, v))
 
     record_moments()
     tracemalloc.start()
