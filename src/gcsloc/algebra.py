@@ -93,6 +93,20 @@ def _philox(key):
     return np.random.Generator(np.random.Philox(_key_sequence()(key)))
 
 
+def _coefficients(name, x, k):
+    """x as a (k,) float array; ValueError naming it unless it holds k
+    finite real numbers (a complex dtype is refused, not cut to its real part)."""
+    arr = np.asarray(x)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{name} must be real, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
+    if arr.shape != (k,):
+        raise ValueError(f"{name} must have shape ({k},), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got {arr}")
+    return arr
+
+
 def _combination(coeff, mats):
     """sum_k coeff[..., k] mats[k] as one (..., K) @ (K, m) product."""
     return (coeff @ mats.reshape(len(mats), -1)).reshape(coeff.shape[:-1] + mats.shape[1:])

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraRep, _combination, _max_abs, _norm, _philox, unitary_exp
+from .algebra import AlgebraRep, _coefficients, _combination, _max_abs, _norm, _philox, unitary_exp
 from .observables import expectation_vector, uncertainty_bounds
 
 __all__ = [
@@ -342,13 +342,7 @@ def generate_gcs(rep: AlgebraRep, cartan: CartanData, params) -> np.ndarray:
     -------
     (d,) complex ndarray, normalized.
     """
-    params = np.asarray(params, dtype=float)
-    if params.shape != (rep.dim_algebra,):
-        raise ValueError(
-            f"params must have shape ({rep.dim_algebra},), got {params.shape}"
-        )
-    if not np.isfinite(params).all():
-        raise ValueError(f"params must be finite, got {params}")
+    params = _coefficients("params", params, rep.dim_algebra)
     u = unitary_exp(_combination(params, rep.generators))
     psi = u @ cartan.weight_basis[:, cartan.highest_weight_index]
     return psi / _norm(psi)

@@ -111,6 +111,8 @@ def _config_tokens(argv):
                 key, eq, val = line.partition("=")
                 if not eq:
                     raise UsageError(f"{path}:{ln}: expected key=value, got {raw!r}")
+                if key.strip() == "config":
+                    raise UsageError(f"{path}:{ln}: a config file cannot name another, got {raw!r}")
                 tokens.append(f"--{key.strip()}={val.strip()}")
     except OSError as err:
         raise UsageError(f"cannot read config file {path}: {err}") from err

@@ -50,10 +50,10 @@ Philox with the two 64-bit words [seed mod 2^64, stream mod 2^64], seed and
 stream integral numbers, and draws no OS entropy.  Stream 0 feeds
 trajectory noise, stream 1 initial-state sampling, stream 2 scan sampling.
 Trajectory i of an ensemble uses seed + i on stream 0, so any subset of
-trajectories is reproducible in isolation.  Each trajectory's
-noise is drawn in order, in chunks of steps sized so one block's noise
-holds at most 2^19 doubles (4 MiB); the numbers are those of one draw of
-the whole history.
+trajectories is reproducible in isolation.  Ensembles step blocks of
+DEFAULT_BLOCK (256) trajectories, each trajectory's noise drawn in order,
+in chunks of steps sized so one block's noise holds at most 2^19 doubles
+(4 MiB); the numbers are those of one draw of the whole history.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import AlgebraRep, _combination, _max_abs, _philox, _real_form, unitary_exp
+from .algebra import AlgebraRep, _coefficients, _combination, _max_abs, _philox, _real_form, unitary_exp
 
 __all__ = [
     "NoiseConfig",
@@ -157,11 +157,7 @@ def _hamiltonian_matrix(h, rep: AlgebraRep):
     """
     if h is None:
         return None
-    coeff = np.asarray(h, dtype=float)
-    if coeff.shape != (rep.dim_algebra,):
-        raise ValueError(f"coefficients must have shape ({rep.dim_algebra},), got {coeff.shape}")
-    if not np.all(np.isfinite(coeff)):
-        raise ValueError(f"Hamiltonian coefficients must be finite, got {coeff}")
+    coeff = _coefficients("Hamiltonian coefficients", h, rep.dim_algebra)
     if not np.any(coeff):
         return None
     matrix = _combination(coeff, rep.generators)
@@ -464,13 +460,7 @@ def snlse_step(psi, h, rep: AlgebraRep, gamma: float, dt: float, increments):
     _check_dt(dt)
     _check_stability(gamma, dt)
     psi = _validate_state(psi, rep.dim_hilbert)
-    increments = np.asarray(increments, dtype=float)
-    if increments.shape != (rep.dim_algebra,):
-        raise ValueError(
-            f"increments must have shape ({rep.dim_algebra},), got {increments.shape}"
-        )
-    if not np.all(np.isfinite(increments)):
-        raise ValueError(f"increments must be finite, got {increments}")
+    increments = _coefficients("increments", increments, rep.dim_algebra)
     prop = _step_propagator(h, rep, dt)
     with np.errstate(over="ignore"):
         out = _step_batch(
@@ -526,24 +516,24 @@ def _thread_count() -> int:
 
 def _integrate(batch, prop, rep, cfg, lo, record_stride, record):
     """Evolve the rows of batch, an (n, d) complex array with contiguous
-    rows, as trajectories lo, lo + 1, ..; trajectory i draws its noise from
-    the Philox stream (cfg.seed + i, stream 0), in order, a chunk of steps
-    at a time into one reused (n, chunk, K) slab of at most max(2^19, n K)
-    doubles; the chunking changes no number.  The batch is stepped as its
-    (n, 2d) real view, with prop the ``_real_form`` of exp(-1j H dt)^T or
-    None, all under one np.errstate(over="ignore") so an overflowing norm
-    reaches the step's blow-up check silently.  At each record time (0 is the initial
-    batch) it is copied through a float view into a complex buffer of
-    max(1, DEFAULT_BLOCK // n) record times; record(k0, states) gets each
-    full buffer, and the last, as the (m, n, d) states of record times
-    k0 .. k0 + m - 1.  A ``_RowFault`` of the step or of record is raised
-    again naming its step or record time, trajectory and seed.
+    rows, n <= DEFAULT_BLOCK, as trajectories lo, lo + 1, ..; trajectory i
+    draws its noise from the Philox stream (cfg.seed + i, stream 0), in
+    order, a chunk of steps at a time into one reused (n, chunk, K) slab of
+    at most max(2^19, n K) doubles; the chunking changes no number.  The
+    batch is stepped as its (n, 2d) real view, with prop the ``_real_form``
+    of exp(-1j H dt)^T or None, all under one np.errstate(over="ignore") so
+    an overflowing norm reaches the step's blow-up check silently.  At each
+    record time (0 is the initial batch) it is copied through a float view
+    into a complex buffer of DEFAULT_BLOCK // n record times; record(k0,
+    states) gets each full buffer, and the last, as the (m, n, d) states
+    of record times k0 .. k0 + m - 1.  A ``_RowFault`` of the step or of
+    record is raised again naming its step or record time, trajectory and seed.
     """
     n, K = len(batch), rep.dim_algebra
     amp = np.sqrt(2.0 * cfg.gamma * cfg.dt)
     rngs = [stream_rng(cfg.seed + lo + i, NOISE_STREAM) for i in range(n)]
     n_rec = cfg.steps // record_stride + 1
-    buf = np.empty((min(n_rec, max(1, DEFAULT_BLOCK // n)),) + batch.shape, dtype=complex)
+    buf = np.empty((min(n_rec, DEFAULT_BLOCK // n),) + batch.shape, dtype=complex)
     buf_f = buf.view(np.float64)
 
     def located(err, where, first):
@@ -563,7 +553,7 @@ def _integrate(batch, prop, rep, cfg, lo, record_stride, record):
     pf = batch.view(np.float64)
     keep(0, pf)
     basis = _operator_basis(rep, n)
-    time_chunk = max(1, min(cfg.steps, (1 << 19) // max(1, n * K)))
+    time_chunk = max(1, min(cfg.steps, (1 << 19) // (n * K)))
     slab = np.empty((n, time_chunk, K))  # reused by every chunk of steps
     with np.errstate(over="ignore"):
         for s in range(0, cfg.steps, time_chunk):
@@ -609,11 +599,11 @@ def _in_block_order(run_block, starts):
         pool.shutdown(cancel_futures=True)
 
 
-def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, projector):
-    """Integrate n_traj trajectories in blocks of block_size and collect the
-    mean |psi><psi| if projector is set, else the per-trajectory
+def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, projector):
+    """Integrate n_traj trajectories in blocks of DEFAULT_BLOCK and collect
+    the mean |psi><psi| if projector is set, else the per-trajectory
     ``_observe_batch`` rows."""
-    n_traj, block_size = _count("n_traj", n_traj), _count("block_size", block_size)
+    n_traj, block = _count("n_traj", n_traj), DEFAULT_BLOCK
     initial = np.asarray(initial, dtype=complex)
     if initial.ndim == 1:
         psi = _validate_state(initial, rep.dim_hilbert)
@@ -644,11 +634,11 @@ def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, proje
     def run_block(lo):
         """The block's sum of projectors at the record times, or None."""
         part = np.zeros_like(total) if projector else None
-        batch = initials[lo : lo + block_size].copy()
+        batch = initials[lo : lo + block].copy()
         _integrate(batch, prop, rep, cfg, lo, record_stride, partial(observe, part, lo))
         return part
 
-    for part in _in_block_order(run_block, range(0, n_traj, block_size)):
+    for part in _in_block_order(run_block, range(0, n_traj, block)):
         if projector:
             total += part  # block sums added in block order, so deterministic
     return times, (total / n_traj if projector else rows)
@@ -661,17 +651,16 @@ def ensemble_average(
     cfg: NoiseConfig,
     n_traj: int,
     record_stride: int = 1,
-    block_size: int = DEFAULT_BLOCK,
 ):
     """Mean projector over n_traj independent trajectories.
 
     Trajectory i uses seed cfg.seed + i.  Returns (times, rho) with rho of
     shape (n_rec, d, d); each row is Hermitian with unit trace by
-    construction.  Blocks of `block_size` trajectories are integrated
-    together and reduced in fixed order, so the result does not depend on
-    the thread count (GCSLOC_THREADS).
+    construction.  Blocks of DEFAULT_BLOCK (256) trajectories are
+    integrated together and reduced in fixed order, so the result does not
+    depend on the thread count (GCSLOC_THREADS).
     """
-    return _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, True)
+    return _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, True)
 
 
 def ensemble_observables(
@@ -681,7 +670,6 @@ def ensemble_observables(
     cfg: NoiseConfig,
     n_traj: int,
     record_stride: int = 1,
-    block_size: int = DEFAULT_BLOCK,
 ):
     """Per-trajectory localization functionals at the record times.
 
@@ -690,9 +678,10 @@ def ensemble_observables(
     generator expectations, ``rows[..., 4:]``, whose means and standard
     errors across trajectories are the unraveling statistics.  `initial`
     may be one state vector or an (n_traj, d) array of per-trajectory
-    starts; trajectory i draws noise from seed cfg.seed + i either way.
+    starts; trajectory i draws noise from seed cfg.seed + i either way, and
+    blocks of DEFAULT_BLOCK (256) trajectories run as in ``ensemble_average``.
     """
-    return _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, block_size, False)
+    return _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, False)
 
 
 def validate_density(rho, dim=None):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
+from gcsloc import dynamics
 from gcsloc.algebra import build_su2_irrep, build_sun_fundamental
 from gcsloc.cartan import (
     cartan_decompose,
@@ -96,7 +97,8 @@ def haar_scans(algebras):
     return out
 
 
-def test_criterion_1_ensemble_tracks_master_equation():
+def test_criterion_1_ensemble_tracks_master_equation(monkeypatch):
+    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 2000)  # each ensemble in one or two blocks
     rep = build_su2_irrep(2)
     psi0 = haar_state(3, ENSEMBLE_SEED)
     rho0 = np.outer(psi0, psi0.conj())
@@ -104,9 +106,7 @@ def test_criterion_1_ensemble_tracks_master_equation():
 
     def max_distance(n_traj):
         cfg = NoiseConfig(gamma=GAMMA, dt=DT, steps=steps, seed=ENSEMBLE_SEED)
-        times, rho_mc = ensemble_average(
-            psi0, None, rep, cfg, n_traj, record_stride=10, block_size=2000
-        )
+        times, rho_mc = ensemble_average(psi0, None, rep, cfg, n_traj, record_stride=10)
         rho_ref = lindblad_expm_evolve(rho0, None, rep, GAMMA, times)
         dist = np.linalg.norm((rho_mc - rho_ref).reshape(len(times), -1), axis=1)
         return float(np.max(dist))
@@ -343,6 +343,14 @@ def test_criterion_7_moment_identities_and_weight_formulas(algebras, cartans):
 
 
 def test_criterion_8_mean_step_matches_drift():
+    """The mean one-step change of the uncertainty over 10000 noise draws
+    from one Haar state is within 3 standard errors of the drift D dt.
+
+    False-alarm rate: run with each DRIFT_SEED in 87700..88699 (1000
+    seeds, this statistic unchanged), 1 seed (88082, pull 3.05) gave a
+    pull above 3 standard errors, 0.1%; 4.4% gave one above 2, against
+    4.6% for a standard normal pull.
+    """
     rep = build_su2_irrep(4)  # j = 2
     psi = haar_state(5, DRIFT_SEED)
     n = 10000

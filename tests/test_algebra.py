@@ -229,6 +229,36 @@ def test_adjoint_casimir_matches_double_commutator_loop(rep, monkeypatch):
         algebra_from_generators(rep.generators)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NAMES = st.sampled_from(["Hamiltonian coefficients", "params", "increments"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(FINITE, min_size=1, max_size=8))
+def test_coefficients_return_k_finite_reals_as_floats(x):
+    got = algebra._coefficients("params", x, len(x))
+    assert got.dtype == np.float64 and np.array_equal(got, x)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(FINITE, min_size=1, max_size=8), NAMES, st.data())
+def test_coefficients_refuse_wrong_shape_non_finite_or_complex(x, name, data):
+    k = len(x)
+    i = data.draw(st.integers(0, k - 1))
+    other_k = data.draw(st.integers(0, 9).filter(lambda n: n != k))
+    non_finite = x[:i] + [data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))] + x[i + 1:]
+    with_imag = x[:i] + [complex(x[i], data.draw(FINITE))] + x[i + 1:]
+    for bad, kk, message in (
+        (x, other_k, "must have shape"),
+        ([x], k, "must have shape"),
+        (non_finite, k, "must be finite"),
+        (with_imag, k, "must be real"),
+        (np.array(x, dtype=complex), k, "must be real"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} {message}"):
+            algebra._coefficients(name, bad, kk)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.floats(min_value=0.3, max_value=3.0))
 def test_rescaling_covariance(scale):

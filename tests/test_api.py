@@ -56,6 +56,13 @@ def test_every_name_perfbench_references_exists():
     assert sorted(d for d in refs if not _resolves(d)) == []
 
 
+def test_ensembles_take_no_block_size():
+    for run in (gcsloc.ensemble_average, gcsloc.ensemble_observables):
+        assert list(inspect.signature(run).parameters) == [
+            "initial", "h", "rep", "cfg", "n_traj", "record_stride",
+        ]
+
+
 def _package_imports(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     return {

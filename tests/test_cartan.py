@@ -225,6 +225,13 @@ def test_gcs_rejects_non_finite_params(su2_j1, bad):
         generate_gcs(rep, cartan, [0.1, bad, 0.0])
 
 
+@pytest.mark.parametrize("params", [np.array([0.1, 0.2j, 0.0]), [0.1, 0.2j, 0.0]], ids=["array", "list"])
+def test_gcs_rejects_complex_params(su2_j1, params):
+    rep, cartan = su2_j1
+    with pytest.raises(ValueError, match="^params must be real"):
+        generate_gcs(rep, cartan, params)
+
+
 @pytest.mark.parametrize("builder,arg", [
     (build_su2_irrep, 4),
     (build_sun_fundamental, 3),

@@ -420,6 +420,18 @@ def test_config_line_matches_flag_for_negative_values(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_config_file_naming_another_exits_1(tmp_path, capsys):
+    # the line would become a --config flag that is parsed but never read
+    (tmp_path / "other.cfg").write_text("seed = 4\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("algebra = su2:two_j=2\ngamma = 0.1\ndt = 1e-3\ntime = 0.05\n"
+                   "seed = 3\nconfig = other.cfg\n")
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"{cfg}:6: a config file cannot name another" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_flag_without_value_exits_1(capsys):
     assert main(SIM_ARGS + ["--out", "-", "--config"]) == 1
     assert "--config" in capsys.readouterr().err

@@ -124,9 +124,10 @@ def test_streams_and_probes_draw_no_os_entropy(spin1, monkeypatch):
     haar_ref /= np.linalg.norm(haar_ref, axis=1, keepdims=True)
     probe_ref = np.random.Generator(np.random.Philox(key=cartan_module._PROBE_KEY)).random(5)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=6, seed=-3)
+    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 3)
     with monkeypatch.context() as m:
         m.setattr(dynamics, "stream_rng", keyed_philox)
-        ens_ref = ensemble_average(haar_state(3, 2), None, spin1, cfg, 5, block_size=3)
+        ens_ref = ensemble_average(haar_state(3, 2), None, spin1, cfg, 5)
     decomposed = cartan_decompose(rep)
 
     def no_entropy(*args):
@@ -141,7 +142,7 @@ def test_streams_and_probes_draw_no_os_entropy(spin1, monkeypatch):
     assert np.array_equal(cartan_module._probe_rng().random(5), probe_ref)
     again = cartan_decompose(rep)
     assert all(np.array_equal(a, b) for a, b in zip(vars(again).values(), vars(decomposed).values()))
-    assert np.array_equal(ensemble_average(haar_state(3, 2), None, spin1, cfg, 5, block_size=3)[1], ens_ref[1])
+    assert np.array_equal(ensemble_average(haar_state(3, 2), None, spin1, cfg, 5)[1], ens_ref[1])
 
 
 def test_non_integral_seeds_streams_and_counts_are_rejected():
@@ -372,6 +373,26 @@ def test_hamiltonian_of_another_length_is_rejected_everywhere(spin1):
             call()
 
 
+@pytest.mark.parametrize("kind", ["array", "list"])
+def test_complex_coefficients_are_rejected_everywhere(spin1, kind):
+    # a float cast would keep the real part and only warn; an imaginary
+    # part of zero is refused too, since the dtype is what is checked
+    z = np.array([0.3, -0.2j, 0.5]) if kind == "array" else [0.3 + 0j, -0.2j, 0.5]
+    psi, cfg = haar_state(3, 30), NoiseConfig(gamma=0.1, dt=1e-3, steps=4, seed=0)
+    rho0 = projector(psi)
+    for call, name in (
+        (lambda: snlse_step(psi, z, spin1, 0.1, 1e-3, np.zeros(3)), "Hamiltonian coefficients"),
+        (lambda: snlse_step(psi, None, spin1, 0.1, 1e-3, z), "increments"),
+        (lambda: snlse_step(psi, None, spin1, 0.1, 1e-3, np.zeros(3, dtype=complex)), "increments"),
+        (lambda: simulate_trajectory(psi, z, spin1, cfg), "Hamiltonian coefficients"),
+        (lambda: ensemble_average(psi, z, spin1, cfg, 2), "Hamiltonian coefficients"),
+        (lambda: ensemble_observables(psi, z, spin1, cfg, 2), "Hamiltonian coefficients"),
+        (lambda: lindblad_expm_evolve(rho0, z, spin1, 0.1, [0.0, 0.1]), "Hamiltonian coefficients"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be real"):
+            call()
+
+
 def test_zero_hamiltonian_is_no_hamiltonian(spin1):
     psi, cfg, zero = haar_state(3, 31), NoiseConfig(gamma=0.1, dt=1e-3, steps=20, seed=3), np.zeros(3)
     rho0 = projector(psi)
@@ -395,8 +416,9 @@ def test_ensemble_builds_one_propagator_per_run(spin1, monkeypatch):
 
     monkeypatch.setattr(dynamics, "unitary_exp", counted)
     monkeypatch.setenv("GCSLOC_THREADS", "2")
+    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 3)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=4)
-    ensemble_average(haar_state(3, 32), [0.2, -0.1, 0.4], spin1, cfg, n_traj=9, block_size=3)
+    ensemble_average(haar_state(3, 32), [0.2, -0.1, 0.4], spin1, cfg, n_traj=9)
     assert calls == [-1e-3]
 
 
@@ -424,10 +446,11 @@ def test_blow_up_names_step_trajectory_and_seed(spin1, monkeypatch):
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=72)
     with pytest.raises(RuntimeError, match="step 4, trajectory 0, seed 72"):
         simulate_trajectory(haar_state(3, 26), None, spin1, cfg)
-    # trajectory 3 is row 1 of the second block
+    # trajectory 3 is row 1 of the second block of two
+    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 2)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=69)
     with pytest.raises(RuntimeError, match="step 4, trajectory 3, seed 72"):
-        ensemble_observables(haar_state(3, 26), None, spin1, cfg, n_traj=5, block_size=2)
+        ensemble_observables(haar_state(3, 26), None, spin1, cfg, n_traj=5)
 
 
 @pytest.mark.parametrize("row", [0, 1, 2])
@@ -475,10 +498,11 @@ def test_nan_noise_names_step_trajectory_and_seed(spin1, monkeypatch):
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=83)
     with pytest.raises(RuntimeError, match=r"blow-up.*\(step 6, trajectory 0, seed 83\)"):
         simulate_trajectory(haar_state(3, 29), None, spin1, cfg)
-    # trajectory 4 is row 0 of the third block
+    # trajectory 4 is row 0 of the third block of two
+    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 2)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=79)
     with pytest.raises(RuntimeError, match=r"blow-up.*\(step 6, trajectory 4, seed 83\)"):
-        ensemble_observables(haar_state(3, 29), None, spin1, cfg, n_traj=6, block_size=2)
+        ensemble_observables(haar_state(3, 29), None, spin1, cfg, n_traj=6)
 
 
 @pytest.fixture(scope="module")
@@ -582,6 +606,7 @@ def test_ensemble_average_memory_does_not_grow_with_blocks(monkeypatch, threads)
     # completes, and at most two rounds of blocks are queued on the workers;
     # holding all 40 partials took 36 partials' worth more than 4 blocks did
     monkeypatch.setenv("GCSLOC_THREADS", threads)
+    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 8)
     rep = build_su2_irrep(8)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=50, seed=33)
     psi = haar_state(9, 33)
@@ -589,7 +614,7 @@ def test_ensemble_average_memory_does_not_grow_with_blocks(monkeypatch, threads)
     def peak(blocks):
         tracemalloc.start()
         try:
-            _, rho = ensemble_average(psi, None, rep, cfg, 8 * blocks, 1, block_size=8)
+            _, rho = ensemble_average(psi, None, rep, cfg, 8 * blocks, 1)
             return tracemalloc.get_traced_memory()[1], rho.nbytes
         finally:
             tracemalloc.stop()
@@ -843,12 +868,14 @@ def test_invariant_drift_names_record_trajectory_and_seed(spin1, monkeypatch):
     _bump_second(monkeypatch, 2, 44)
     with pytest.raises(RuntimeError, match=r"drifted .*\(record 300, trajectory 0, seed 40\)"):
         simulate_trajectory(haar_state(3, 34), None, spin1, cfg)
-    # blocks of two trajectories: row 7 of the second block's one flush is
-    # record 3 of its row 1, trajectory 3
+    # blocks of two trajectories flush one record time each: after the 11
+    # of the first block, the 15th flush is record 3, whose row 1 is
+    # trajectory 3
+    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 2)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=41)
-    _bump_second(monkeypatch, 2, 7)
+    _bump_second(monkeypatch, 15, 1)
     with pytest.raises(RuntimeError, match=r"drifted .*\(record 3, trajectory 3, seed 44\)"):
-        ensemble_observables(haar_state(3, 34), None, spin1, cfg, n_traj=5, block_size=2)
+        ensemble_observables(haar_state(3, 34), None, spin1, cfg, n_traj=5)
 
 
 def test_trajectory_record_rejects_malformed_grids_and_series():
@@ -926,13 +953,15 @@ def test_unraveling_mean_projector(spin1):
     assert np.linalg.norm(rho_mean[-1] - rho_exact[-1]) < 0.05
 
 
-def test_ensemble_block_size_independence(spin1):
+def test_ensemble_block_size_independence(spin1, monkeypatch):
     psi = haar_state(3, 50)
-    # 301 records: flushes every 85 record times of a 3-row block, every 25
-    # of the 10-row one
+    # 301 records: in blocks of 3, the full blocks flush every record time
+    # and the last 1-row block every 3, then 1; the one 10-row block of 256
+    # flushes every 25 record times, then 1
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=300, seed=60)
-    _, a = ensemble_average(psi, None, spin1, cfg, n_traj=10, block_size=3)
-    _, b = ensemble_average(psi, None, spin1, cfg, n_traj=10, block_size=256)
+    _, b = ensemble_average(psi, None, spin1, cfg, n_traj=10)
+    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 3)
+    _, a = ensemble_average(psi, None, spin1, cfg, n_traj=10)
     assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -943,17 +972,19 @@ def test_ensemble_block_size_independence(spin1):
 ])
 def test_thread_count_must_be_a_positive_integer(spin1, monkeypatch, raw, message):
     monkeypatch.setenv("GCSLOC_THREADS", raw)
+    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 2)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=62)
     with pytest.raises(ValueError, match=f"GCSLOC_THREADS {message}"):
-        ensemble_average(haar_state(3, 52), None, spin1, cfg, n_traj=4, block_size=2)
+        ensemble_average(haar_state(3, 52), None, spin1, cfg, n_traj=4)
 
 
 def test_ensemble_thread_count_invariance(spin1, monkeypatch):
     psi = haar_state(3, 51)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=50, seed=61)
-    _, ref = ensemble_average(psi, None, spin1, cfg, n_traj=8, block_size=2)
+    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 2)
+    _, ref = ensemble_average(psi, None, spin1, cfg, n_traj=8)
     monkeypatch.setenv("GCSLOC_THREADS", "2")
-    _, par = ensemble_average(psi, None, spin1, cfg, n_traj=8, block_size=2)
+    _, par = ensemble_average(psi, None, spin1, cfg, n_traj=8)
     assert np.array_equal(ref, par)
 
 
@@ -1016,13 +1047,14 @@ def test_ensemble_output_independent_of_threads(monkeypatch, run, blocks):
     # su(3) through the operator route in blocks of 4, shared between the
     # calling thread and GCSLOC_THREADS - 1 workers
     monkeypatch.setattr(dynamics, "_STACK_LIMIT", 0)
+    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 4)
     rep = step_algebra("suN:3")
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=30, seed=63)
     psi = haar_state(3, 53)
     outs = []
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("GCSLOC_THREADS", threads)
-        outs.append(run(psi, [0.3, 0, 0, 0, 0, 0, 0, -0.2], rep, cfg, 4 * blocks - 1, 3, 4)[1])
+        outs.append(run(psi, [0.3, 0, 0, 0, 0, 0, 0, -0.2], rep, cfg, 4 * blocks - 1, 3)[1])
     assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
 
 
@@ -1039,8 +1071,9 @@ def test_calling_thread_steps_every_nth_block(spin1, monkeypatch, threads):
 
     monkeypatch.setattr(dynamics, "_integrate", recorded)
     monkeypatch.setenv("GCSLOC_THREADS", str(threads))
+    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 2)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5, seed=65)
-    ensemble_average(haar_state(3, 56), None, spin1, cfg, n_traj=14, block_size=2)
+    ensemble_average(haar_state(3, 56), None, spin1, cfg, n_traj=14)
     main = threading.get_ident()
     assert [ran[lo] == main for lo in range(0, 14, 2)] == [i % threads == 0 for i in range(7)]
     assert len(set(ran.values())) <= threads
@@ -1064,11 +1097,12 @@ def test_threaded_blow_up_names_step_trajectory_and_seed(spin1, monkeypatch, bad
 
     monkeypatch.setattr(dynamics, "stream_rng", Spiked)
     monkeypatch.setenv("GCSLOC_THREADS", "2")
+    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 3)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=80)
     where = rf"\(step 4, trajectory {bad_seed - 80}, seed {bad_seed}\)"
     for run in (ensemble_average, ensemble_observables):
         with pytest.raises(RuntimeError, match=rf"blow-up.*{where}"):
-            run(haar_state(3, 54), None, spin1, cfg, n_traj=9, block_size=3)
+            run(haar_state(3, 54), None, spin1, cfg, n_traj=9)
 
 
 def test_step_basis_is_chosen_once_per_block(monkeypatch):
@@ -1130,11 +1164,12 @@ def test_per_trajectory_initials_errors_name_the_trajectory(spin1, run):
 
 
 @pytest.mark.parametrize("run", [ensemble_average, ensemble_observables])
-def test_ensemble_counts_read_as_integers(spin1, run):
+def test_ensemble_counts_read_as_integers(spin1, run, monkeypatch):
+    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 1)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5, seed=0)
     psi = haar_state(3, 0)
-    ref = run(psi, None, spin1, cfg, 2, block_size=1)[1]
-    assert np.array_equal(run(psi, None, spin1, cfg, 2.0, block_size=1.0)[1], ref)
+    ref = run(psi, None, spin1, cfg, 2)[1]
+    assert np.array_equal(run(psi, None, spin1, cfg, 2.0)[1], ref)
     for bad in (2.5, np.nan, 0, -5):
         with pytest.raises(ValueError, match="n_traj"):
             run(psi, None, spin1, cfg, bad)
@@ -1148,14 +1183,6 @@ def test_lindblad_steps_read_as_integers(spin1):
     for bad in (2.5, np.nan, 0, -5):
         with pytest.raises(ValueError, match="steps"):
             lindblad_evolve(rho0, None, spin1, 0.1, 1e-3, bad)
-
-
-@pytest.mark.parametrize("block_size", [0, -2, 2.5])
-@pytest.mark.parametrize("run", [ensemble_average, ensemble_observables])
-def test_ensemble_rejects_bad_block_size(spin1, run, block_size):
-    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5, seed=0)
-    with pytest.raises(ValueError, match="block_size"):
-        run(haar_state(3, 0), None, spin1, cfg, n_traj=3, block_size=block_size)
 
 
 # ---------------------------------------------------------- master equation
