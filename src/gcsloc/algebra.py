@@ -95,8 +95,11 @@ def _philox(key):
 
 def _coefficients(name, x, k):
     """x as a (k,) float array; ValueError naming it unless it holds k
-    finite real numbers (a complex dtype is refused, not cut to its real part)."""
+    finite real numbers (a complex dtype, or an object array holding a
+    complex number, is refused, not cut to its real part)."""
     arr = np.asarray(x)
+    if arr.dtype == object:  # its entries pick the dtype
+        arr = np.asarray(arr.tolist())
     if np.iscomplexobj(arr):
         raise ValueError(f"{name} must be real, got dtype {arr.dtype}")
     arr = arr.astype(float, copy=False)

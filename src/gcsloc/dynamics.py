@@ -24,15 +24,17 @@ and imaginary parts, and one real product with the real generator stack
 <X_k> and the rest are real batched contractions.  The step keeps its
 batch in that real form from one record to the next, needs only <X_k> and
 the update sum_k coef_k X_k psi + keep psi, and takes C = sum_k X_k^2 as
-the scalar c.  It associates that update in one of two orders, fixed once
-per batch from K, d and the batch size n: through the stacked X_k psi of
-``_generator_action`` (n K 2d doubles), or, when K > d and that stack
-would exceed _STACK_LIMIT doubles, through the d x d operator A = sum_k
-coef_k X_k + keep 1 applied to psi, with <X_k> = Re tr(X_k psi psi^dagger)
-(n 2d^2 doubles each).  Records are buffered as complex states and
-observed DEFAULT_BLOCK at a time from ``_moments``' real rows, X_k psi and
-<X_k> by one stateless function per moment: ``_second``, ``_purity``,
-``_centred`` (U), ``_tnorm`` (the squared covariance norm T) and ``_drift``.
+the scalar c.  One state (a trajectory, ``snlse_step``) is stepped as a
+(2d,) row by ``_step_one``, through the stacked X_k psi.  A batch of n >= 2
+associates the update in one of two orders, fixed once per batch from K,
+d and n: through the stacked X_k psi of ``_generator_action`` (n K 2d
+doubles), or, when K > d and that stack would exceed _STACK_LIMIT doubles,
+through the d x d operator A = sum_k coef_k X_k + keep 1 applied to psi,
+with <X_k> = Re tr(X_k psi psi^dagger) (n 2d^2 doubles each).  Records
+are buffered as complex states and observed DEFAULT_BLOCK at a time from
+``_moments``' real rows, X_k psi and <X_k> by one stateless function per
+moment: ``_second``, ``_purity``, ``_centred`` (U), ``_tnorm`` (the
+squared covariance norm T) and ``_drift``.
 
 Ensemble counterpart:
 
@@ -370,11 +372,14 @@ def _observe_batch(states, rep, gamma):
 
 
 def _operator_basis(rep, n):
-    """The basis ``_step_batch`` steps a batch of n states of rep with,
-    taken once per batch: for K > d and more than _STACK_LIMIT doubles of
-    stacked X_k psi, the (K, 2d^2) real view of the generators paired with
-    a contiguous copy of its transpose (OpenBLAS multiplies by the
-    transposed view of this shape up to 1.5x slower); else None."""
+    """The basis ``_step_batch`` steps a batch of n >= 2 states of rep
+    with, taken once per batch: for K > d and more than _STACK_LIMIT
+    doubles of stacked X_k psi, the (K, 2d^2) real view of the generators
+    paired with a contiguous copy of its transpose (OpenBLAS multiplies by
+    the transposed view of this shape up to 1.5x slower); else None.  One
+    state, stepped by ``_step_one``, always takes the stack: it would pass
+    the limit only for K d > 2^14, where the (K, K, d, d) product that
+    ``algebra_from_generators`` forms would alone hold over 4 GiB."""
     K, d = rep.dim_algebra, rep.dim_hilbert
     if K <= d or n * K * 2 * d <= _STACK_LIMIT:
         return None
@@ -383,12 +388,12 @@ def _operator_basis(rep, n):
 
 
 def _step_batch(pf, rep, gamma, dt, noise, prop=None, basis=None):
-    """One split step for a batch of states, the rows of the (n, 2d) real
-    array pf of interleaved real and imaginary parts: exact Hamiltonian
-    flow, then the Euler-Maruyama measurement update, then
-    renormalization; returns the new (n, 2d) batch.  prop is the
-    ``_real_form`` of exp(-1j H dt)^T, or None.  With the realized
-    increments dxi (n, K) in noise, the update is
+    """One split step for a batch of n >= 2 states (``_step_one`` steps
+    one), the rows of the (n, 2d) real array pf of interleaved real and
+    imaginary parts: exact Hamiltonian flow, then the Euler-Maruyama
+    measurement update, then renormalization; returns the new (n, 2d)
+    batch.  prop is the ``_real_form`` of exp(-1j H dt)^T, or None.  With
+    the realized increments dxi (n, K) in noise, the update is
 
         sum_k coef_k X_k psi + keep psi,   coef_k = 2 gamma dt v_k + dxi_k,
         keep = 1 - gamma dt c - gamma dt P - sum_k dxi_k v_k,
@@ -440,6 +445,30 @@ def _step_batch(pf, rep, gamma, dt, noise, prop=None, basis=None):
     return out
 
 
+def _step_one(pf, rep, gamma, dt, noise, prop=None):
+    """``_step_batch``'s stacked route for one state, the (2d,) real row pf
+    with (K,) increments noise: the same gufunc calls in the same order,
+    so the same bits, with keep and the squared norm as scalars rather
+    than (1,) arrays, whose indexing and reductions cost as much as the
+    formula.  A blow-up raises ``_RowFault`` with rows [0]."""
+    if prop is not None:
+        pf = pf @ prop
+    z = (pf @ rep.moment_stack).reshape(-1, len(pf))
+    v = np.matvec(z, pf)
+    gdt = gamma * dt
+    gv = gdt * v
+    coef = gv + noise
+    keep = 1.0 - gdt * rep.casimir_eigenvalue - np.vecdot(coef, v)
+    coef += gv
+    out = np.vecmat(coef, z)
+    out += keep * pf
+    nrm2 = np.vecdot(out, out)
+    if not 0.0 < nrm2 < math.inf:  # NaN fails the test too
+        raise _RowFault("integration blow-up: state norm left (0, inf); reduce dt", [0])
+    out /= math.sqrt(nrm2)
+    return out
+
+
 def snlse_step(psi, h, rep: AlgebraRep, gamma: float, dt: float, increments):
     """Advance one state by one step given realized noise increments.
 
@@ -463,11 +492,8 @@ def snlse_step(psi, h, rep: AlgebraRep, gamma: float, dt: float, increments):
     increments = _coefficients("increments", increments, rep.dim_algebra)
     prop = _step_propagator(h, rep, dt)
     with np.errstate(over="ignore"):
-        out = _step_batch(
-            psi.view(np.float64)[None, :], rep, gamma, dt, increments[None, :], prop,
-            _operator_basis(rep, 1),
-        )
-    return out[0].view(complex)
+        out = _step_one(psi.view(np.float64), rep, gamma, dt, increments, prop)
+    return out.view(complex)
 
 
 def _record_grid(steps, stride, dt):
@@ -520,7 +546,8 @@ def _integrate(batch, prop, rep, cfg, lo, record_stride, record):
     draws its noise from the Philox stream (cfg.seed + i, stream 0), in
     order, a chunk of steps at a time into one reused (n, chunk, K) slab of
     at most max(2^19, n K) doubles; the chunking changes no number.  The
-    batch is stepped as its (n, 2d) real view, with prop the ``_real_form``
+    batch is stepped as its (n, 2d) real view by ``_step_batch``, or, when
+    n = 1, as its (2d,) row by ``_step_one``, with prop the ``_real_form``
     of exp(-1j H dt)^T or None, all under one np.errstate(over="ignore") so
     an overflowing norm reaches the step's blow-up check silently.  At each
     record time (0 is the initial batch) it is copied through a float view
@@ -552,7 +579,10 @@ def _integrate(batch, prop, rep, cfg, lo, record_stride, record):
 
     pf = batch.view(np.float64)
     keep(0, pf)
-    basis = _operator_basis(rep, n)
+    if n == 1:  # one state steps as its (2d,) row
+        pf, lane, advance = pf[0], 0, _step_one
+    else:
+        lane, advance = slice(None), partial(_step_batch, basis=_operator_basis(rep, n))
     time_chunk = max(1, min(cfg.steps, (1 << 19) // (n * K)))
     slab = np.empty((n, time_chunk, K))  # reused by every chunk of steps
     with np.errstate(over="ignore"):
@@ -565,7 +595,7 @@ def _integrate(batch, prop, rep, cfg, lo, record_stride, record):
             for u in range(span):
                 step = s + u + 1
                 try:
-                    pf = _step_batch(pf, rep, cfg.gamma, cfg.dt, noise[:, u], prop, basis)
+                    pf = advance(pf, rep, cfg.gamma, cfg.dt, noise[lane, u], prop)
                 except _RowFault as err:
                     raise located(err, "step", step) from None
                 if step % record_stride == 0:

@@ -236,8 +236,9 @@ NAMES = st.sampled_from(["Hamiltonian coefficients", "params", "increments"])
 @settings(max_examples=50, deadline=None)
 @given(st.lists(FINITE, min_size=1, max_size=8))
 def test_coefficients_return_k_finite_reals_as_floats(x):
-    got = algebra._coefficients("params", x, len(x))
-    assert got.dtype == np.float64 and np.array_equal(got, x)
+    for given in (x, np.array(x, dtype=object)):
+        got = algebra._coefficients("params", given, len(x))
+        assert got.dtype == np.float64 and np.array_equal(got, x)
 
 
 @settings(max_examples=50, deadline=None)
@@ -254,6 +255,7 @@ def test_coefficients_refuse_wrong_shape_non_finite_or_complex(x, name, data):
         (non_finite, k, "must be finite"),
         (with_imag, k, "must be real"),
         (np.array(x, dtype=complex), k, "must be real"),
+        (np.array(with_imag, dtype=object), k, "must be real"),
     ):
         with pytest.raises(ValueError, match=f"^{name} {message}"):
             algebra._coefficients(name, bad, kk)

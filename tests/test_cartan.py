@@ -225,7 +225,11 @@ def test_gcs_rejects_non_finite_params(su2_j1, bad):
         generate_gcs(rep, cartan, [0.1, bad, 0.0])
 
 
-@pytest.mark.parametrize("params", [np.array([0.1, 0.2j, 0.0]), [0.1, 0.2j, 0.0]], ids=["array", "list"])
+@pytest.mark.parametrize(
+    "params",
+    [np.array([0.1, 0.2j, 0.0]), [0.1, 0.2j, 0.0], np.array([0.1 + 0j, 0.2, 0.0], dtype=object)],
+    ids=["array", "list", "object"],
+)
 def test_gcs_rejects_complex_params(su2_j1, params):
     rep, cartan = su2_j1
     with pytest.raises(ValueError, match="^params must be real"):

@@ -333,6 +333,36 @@ def test_theorem_scan_su3(tmp_path):
     assert report["cov_trace_norm_min"] >= 1.0 - 1e-9
 
 
+@pytest.mark.parametrize(
+    "kind, column, value",
+    [("positive_drift", 3, 1.0), ("cov_trace_norm_below_extremal", 2, 0.0)],
+)
+def test_theorem_scan_reports_a_violation(tmp_path, monkeypatch, kind, column, value):
+    # sample 17 of 50 is given a positive drift, or a T below the orbit's 1
+    real = cli._observe_batch
+
+    def observed(states, rep, gamma):
+        rows = real(states, rep, gamma)
+        if len(states) == 50:
+            rows[17, column] = value
+        return rows
+
+    monkeypatch.setattr(cli, "_observe_batch", observed)
+    out = tmp_path / "scan.json"
+    rc = main([
+        "theorem-scan", "--algebra", "suN:n=3", "--samples", "50",
+        "--seed", "31", "--out", str(out),
+    ])
+    assert rc == 2
+    report = json.loads(out.read_text())
+    assert report["passed"] is False
+    bad = report["violations"]
+    assert bad["kind"] == kind and bad["sample_index"] == 17
+    assert bad["cov_trace_norm" if column == 2 else "drift"] == value
+    psi = scan_states(3, 50, 31)[17]
+    assert bad["state"] == [[z.real, z.imag] for z in psi.tolist()]
+
+
 @pytest.mark.parametrize("gamma", ["nan", "-0.1"])
 def test_theorem_scan_bad_gamma_exits_1(tmp_path, gamma):
     rc = main([

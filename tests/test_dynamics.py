@@ -43,15 +43,19 @@ def spin1():
     return build_su2_irrep(2)
 
 
-def complex_step(psi, rep, gamma, dt, noise, prop=None):
+def complex_step(psi, rep, gamma, dt, noise, prop=None, stacked=False):
     """``dynamics._step_batch`` on complex rows, with the complex propagator
     prop, called the way ``_integrate`` calls it: on the rows' real view,
     with the propagator's real form and the operator basis of the rep and
-    batch size, overflow left to the norm check."""
+    batch size (or, if stacked, the stacked X_k psi), overflow left to the
+    norm check.  A (d,) psi with (K,) noise is one state, which
+    ``_integrate`` steps as its (2d,) row with ``dynamics._step_one``."""
     pf = np.ascontiguousarray(psi, dtype=complex).view(np.float64)
     rprop = None if prop is None else dynamics._real_form(prop.T)
-    basis = dynamics._operator_basis(rep, len(pf))
     with np.errstate(over="ignore"):
+        if pf.ndim == 1:
+            return dynamics._step_one(pf, rep, gamma, dt, noise, rprop).view(complex)
+        basis = None if stacked else dynamics._operator_basis(rep, len(pf))
         return dynamics._step_batch(pf, rep, gamma, dt, noise, rprop, basis).view(complex)
 
 
@@ -373,11 +377,16 @@ def test_hamiltonian_of_another_length_is_rejected_everywhere(spin1):
             call()
 
 
-@pytest.mark.parametrize("kind", ["array", "list"])
+@pytest.mark.parametrize("kind", ["array", "list", "object"])
 def test_complex_coefficients_are_rejected_everywhere(spin1, kind):
-    # a float cast would keep the real part and only warn; an imaginary
-    # part of zero is refused too, since the dtype is what is checked
-    z = np.array([0.3, -0.2j, 0.5]) if kind == "array" else [0.3 + 0j, -0.2j, 0.5]
+    # a float cast would keep the real part and only warn, or raise
+    # TypeError on an object array; an imaginary part of zero is refused
+    # too, since the dtype is what is checked
+    z = {
+        "array": np.array([0.3, -0.2j, 0.5]),
+        "list": [0.3 + 0j, -0.2j, 0.5],
+        "object": np.array([0.3 + 0j, -0.2, 0.5], dtype=object),
+    }[kind]
     psi, cfg = haar_state(3, 30), NoiseConfig(gamma=0.1, dt=1e-3, steps=4, seed=0)
     rho0 = projector(psi)
     for call, name in (
@@ -453,20 +462,24 @@ def test_blow_up_names_step_trajectory_and_seed(spin1, monkeypatch):
         ensemble_observables(haar_state(3, 26), None, spin1, cfg, n_traj=5)
 
 
-@pytest.mark.parametrize("row", [0, 1, 2])
+# row "one": a lone state, stepped as one row rather than a batch
+@pytest.mark.parametrize("row", [0, 1, 2, "one"])
 @pytest.mark.parametrize("fault", ["nan", "inf", "zero"])
 def test_step_blow_up_names_the_failing_row(spin1, fault, row):
     psi = haar_states(3, 3, seed=27)
     noise = np.full((3, 3), 1e-3)
+    at = 0 if row == "one" else row
     if fault == "nan":
-        psi[row] = np.nan
+        psi[at] = np.nan
     elif fault == "inf":
-        noise[row] = 1e200  # the norm overflows to +inf
+        noise[at] = 1e200  # the norm overflows to +inf
     else:
-        psi[row] = 0.0
+        psi[at] = 0.0
+    if row == "one":
+        psi, noise = psi[0], noise[0]
     with pytest.raises(dynamics._RowFault, match="blow-up") as err:
         complex_step(psi, spin1, 0.1, 1e-3, noise)
-    assert list(err.value.rows) == [row]
+    assert list(err.value.rows) == [at]
 
 
 def test_step_blow_up_names_every_failing_row(spin1):
@@ -674,6 +687,10 @@ def check_step_against_reference(name, n, with_h, seed, dt, frac):
     got = complex_step(psi, rep, gamma, dt, noise, prop)
     ref = reference_step(psi, rep, gamma, dt, noise, prop)
     assert np.max(np.abs(got - ref)) <= 1e-13
+    if n == 1:  # the lone-state step, bit for bit the stacked route's
+        one = complex_step(psi[0], rep, gamma, dt, noise[0], prop)
+        assert np.max(np.abs(one - ref[0])) <= 1e-13
+        assert np.array_equal(one, complex_step(psi, rep, gamma, dt, noise, prop, stacked=True)[0])
 
 
 # at n = 257 only suN:6 takes the operator route; the rest, and every
