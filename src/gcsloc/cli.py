@@ -124,6 +124,8 @@ def _steps_from(args) -> int:
     if not np.isfinite(args.time):
         raise UsageError(f"--time must be finite, got {args.time}")
     ratio = args.time / args.dt
+    if not np.isfinite(ratio):
+        raise UsageError(f"--time {args.time} / --dt {args.dt} is not a finite step count")
     steps = round(ratio)
     if steps < 1 or abs(ratio - steps) > 1e-9 * max(1.0, abs(ratio)):
         raise UsageError(

@@ -25,7 +25,8 @@ and imaginary parts, and one real product with the real generator stack
 batch in that real form from one record to the next, needs only <X_k> and
 the update sum_k coef_k X_k psi + keep psi, and takes C = sum_k X_k^2 as
 the scalar c.  One state (a trajectory, ``snlse_step``) is stepped as a
-(2d,) row by ``_step_one``, through the stacked X_k psi.  A batch of n >= 2
+(2d,) row through the stacked X_k psi by the step ``_one_stepper`` builds
+once per run, with the run's constants bound.  A batch of n >= 2
 associates the update in one of two orders, fixed once per batch from K,
 d and n: through the stacked X_k psi of ``_generator_action`` (n K 2d
 doubles), or, when K > d and that stack would exceed _STACK_LIMIT doubles,
@@ -174,8 +175,8 @@ def _hamiltonian_matrix(h, rep: AlgebraRep):
 
 
 def _step_propagator(h, rep, dt):
-    """The ``_real_form`` of exp(-1j H dt)^T that ``_step_batch`` applies,
-    or None without an H term."""
+    """The ``_real_form`` of exp(-1j H dt)^T that ``_step_batch`` and
+    ``_one_stepper`` apply, or None without an H term."""
     ham = _hamiltonian_matrix(h, rep)
     return None if ham is None else _real_form(unitary_exp(ham, -dt).T)
 
@@ -249,14 +250,19 @@ class TrajectoryRecord:
             raise ValueError("record times must increase uniformly")
 
 
-def _validate_state(psi, dim):
-    psi = np.asarray(psi, dtype=complex)
+def _validate_state(psi, dim, slack=0.0):
+    """A contiguous copy of the (dim,) state psi, divided by its norm unless
+    that is within slack of 1; ValueError if the norm is not finite or is
+    off 1 by more than 1e-8."""
+    psi = np.array(psi, dtype=complex)
     if psi.shape != (dim,):
         raise ValueError(f"state must have shape ({dim},), got {psi.shape}")
     nrm = math.sqrt(np.vdot(psi, psi).real)
     if not abs(nrm - 1.0) <= 1e-8:  # NaN fails the test too
         raise _norm_error(nrm)
-    return psi / nrm
+    if abs(nrm - 1.0) > slack:
+        psi /= nrm
+    return psi
 
 
 def _unit_rows(psi):
@@ -377,9 +383,10 @@ def _operator_basis(rep, n):
     doubles of stacked X_k psi, the (K, 2d^2) real view of the generators
     paired with a contiguous copy of its transpose (OpenBLAS multiplies by
     the transposed view of this shape up to 1.5x slower); else None.  One
-    state, stepped by ``_step_one``, always takes the stack: it would pass
-    the limit only for K d > 2^14, where the (K, K, d, d) product that
-    ``algebra_from_generators`` forms would alone hold over 4 GiB."""
+    state, stepped by ``_one_stepper``'s step, always takes the stack: it
+    would pass the limit only for K d > 2^14, where the (K, K, d, d)
+    product that ``algebra_from_generators`` forms would alone hold over
+    4 GiB."""
     K, d = rep.dim_algebra, rep.dim_hilbert
     if K <= d or n * K * 2 * d <= _STACK_LIMIT:
         return None
@@ -388,12 +395,12 @@ def _operator_basis(rep, n):
 
 
 def _step_batch(pf, rep, gamma, dt, noise, prop=None, basis=None):
-    """One split step for a batch of n >= 2 states (``_step_one`` steps
-    one), the rows of the (n, 2d) real array pf of interleaved real and
-    imaginary parts: exact Hamiltonian flow, then the Euler-Maruyama
-    measurement update, then renormalization; returns the new (n, 2d)
-    batch.  prop is the ``_real_form`` of exp(-1j H dt)^T, or None.  With
-    the realized increments dxi (n, K) in noise, the update is
+    """One split step for a batch of n >= 2 states (``_one_stepper``'s
+    step advances one), the rows of the (n, 2d) real array pf of
+    interleaved real and imaginary parts: exact Hamiltonian flow, then the
+    Euler-Maruyama measurement update, then renormalization; returns the
+    new (n, 2d) batch.  prop is the ``_real_form`` of exp(-1j H dt)^T, or
+    None.  With the realized increments dxi (n, K) in noise, the update is
 
         sum_k coef_k X_k psi + keep psi,   coef_k = 2 gamma dt v_k + dxi_k,
         keep = 1 - gamma dt c - gamma dt P - sum_k dxi_k v_k,
@@ -445,28 +452,39 @@ def _step_batch(pf, rep, gamma, dt, noise, prop=None, basis=None):
     return out
 
 
-def _step_one(pf, rep, gamma, dt, noise, prop=None):
-    """``_step_batch``'s stacked route for one state, the (2d,) real row pf
-    with (K,) increments noise: the same gufunc calls in the same order,
-    so the same bits, with keep and the squared norm as scalars rather
-    than (1,) arrays, whose indexing and reductions cost as much as the
-    formula.  A blow-up raises ``_RowFault`` with rows [0]."""
-    if prop is not None:
-        pf = pf @ prop
-    z = (pf @ rep.moment_stack).reshape(-1, len(pf))
-    v = np.matvec(z, pf)
+def _one_stepper(rep, gamma, dt, prop=None):
+    """``_step_batch``'s stacked route for one state, with the moment
+    stack, K, gamma dt, 1 - gamma dt c, the propagator prop (the
+    ``_real_form`` of exp(-1j H dt)^T, or None) and the gufuncs bound once
+    per run.  Returns step(pf, xi, dest=None), which advances the (2d,)
+    real row pf with (K,) increments xi by the same gufunc calls in the
+    same order as ``_step_batch``, so the same bits, with keep and the
+    squared norm as scalars rather than (1,) arrays, whose indexing and
+    reductions cost as much as the formula.  The normalized state is
+    divided into dest, a (2d,) float row, if given, else in place, and
+    returned.  A blow-up raises ``_RowFault`` with rows [0]."""
+    stack, K = rep.moment_stack, rep.dim_algebra
     gdt = gamma * dt
-    gv = gdt * v
-    coef = gv + noise
-    keep = 1.0 - gdt * rep.casimir_eigenvalue - np.vecdot(coef, v)
-    coef += gv
-    out = np.vecmat(coef, z)
-    out += keep * pf
-    nrm2 = np.vecdot(out, out)
-    if not 0.0 < nrm2 < math.inf:  # NaN fails the test too
-        raise _RowFault("integration blow-up: state norm left (0, inf); reduce dt", [0])
-    out /= math.sqrt(nrm2)
-    return out
+    base = 1.0 - gdt * rep.casimir_eigenvalue
+    matvec, vecdot, vecmat, divide, sqrt = np.matvec, np.vecdot, np.vecmat, np.divide, math.sqrt
+
+    def step(pf, xi, dest=None):
+        if prop is not None:
+            pf = pf @ prop
+        z = (pf @ stack).reshape(K, -1)
+        v = matvec(z, pf)
+        gv = gdt * v
+        coef = gv + xi
+        keep = base - vecdot(coef, v)
+        coef += gv
+        out = vecmat(coef, z)
+        out += keep * pf
+        nrm2 = vecdot(out, out)
+        if not 0.0 < nrm2 < math.inf:  # NaN fails the test too
+            raise _RowFault("integration blow-up: state norm left (0, inf); reduce dt", [0])
+        return divide(out, sqrt(nrm2), out=out if dest is None else dest)
+
+    return step
 
 
 def snlse_step(psi, h, rep: AlgebraRep, gamma: float, dt: float, increments):
@@ -484,15 +502,24 @@ def snlse_step(psi, h, rep: AlgebraRep, gamma: float, dt: float, increments):
     Returns
     -------
     (d,) complex ndarray, normalized.
+
+    A psi whose norm is off 1 by at most 2 d machine epsilons, the rounding
+    of a normalized state's norm, is stepped as given rather than divided
+    by that norm once more.  So chaining snlse_step from psi0 / |psi0|,
+    the initial state of a trajectory as ``simulate_trajectory`` normalizes
+    it, over that trajectory's increments, sqrt(2 gamma dt) times the
+    standard normals of its noise stream in order, reproduces the states
+    it steps through bit for bit.
     """
     _check_gamma(gamma)
     _check_dt(dt)
     _check_stability(gamma, dt)
-    psi = _validate_state(psi, rep.dim_hilbert)
+    d = rep.dim_hilbert
+    psi = _validate_state(psi, d, slack=2 * d * math.ulp(1.0))
     increments = _coefficients("increments", increments, rep.dim_algebra)
     prop = _step_propagator(h, rep, dt)
     with np.errstate(over="ignore"):
-        out = _step_one(psi.view(np.float64), rep, gamma, dt, increments, prop)
+        out = _one_stepper(rep, gamma, dt, prop)(psi.view(np.float64), increments)
     return out.view(complex)
 
 
@@ -547,14 +574,19 @@ def _integrate(batch, prop, rep, cfg, lo, record_stride, record):
     order, a chunk of steps at a time into one reused (n, chunk, K) slab of
     at most max(2^19, n K) doubles; the chunking changes no number.  The
     batch is stepped as its (n, 2d) real view by ``_step_batch``, or, when
-    n = 1, as its (2d,) row by ``_step_one``, with prop the ``_real_form``
-    of exp(-1j H dt)^T or None, all under one np.errstate(over="ignore") so
-    an overflowing norm reaches the step's blow-up check silently.  At each
-    record time (0 is the initial batch) it is copied through a float view
-    into a complex buffer of DEFAULT_BLOCK // n record times; record(k0,
-    states) gets each full buffer, and the last, as the (m, n, d) states
-    of record times k0 .. k0 + m - 1.  A ``_RowFault`` of the step or of
-    record is raised again naming its step or record time, trajectory and seed.
+    n = 1, as its (2d,) row by the step ``_one_stepper`` builds once per
+    run, with prop the ``_real_form`` of exp(-1j H dt)^T or None, all under
+    one np.errstate(over="ignore") so an overflowing norm reaches the
+    step's blow-up check silently.  The states of each record time (0 is
+    the initial batch) go to their slot of a complex buffer of
+    DEFAULT_BLOCK // n record times: the initial states and a stepped
+    batch are copied there through a float view, while a stepped lone
+    state is divided by its norm straight into its slot, which is then the
+    state the next step reads.  record(k0, states)
+    gets each full buffer, and the last, as the (m, n, d) states of record
+    times k0 .. k0 + m - 1, to be read before it returns: the buffer is
+    written over afterwards.  A ``_RowFault`` of the step or of record is
+    raised again naming its step or record time, trajectory and seed.
     """
     n, K = len(batch), rep.dim_algebra
     amp = np.sqrt(2.0 * cfg.gamma * cfg.dt)
@@ -568,9 +600,9 @@ def _integrate(batch, prop, rep, cfg, lo, record_stride, record):
         i = lo + r % n
         return RuntimeError(f"{err} ({where} {first + r // n}, trajectory {i}, seed {cfg.seed + i})")
 
-    def keep(k, pf):
-        j = k % len(buf)
-        buf_f[j] = pf
+    def filled(j, k):
+        """Slot j now holds record time k: hand record the buffer if that
+        is its last slot or the last record time."""
         if j == len(buf) - 1 or k == n_rec - 1:
             try:
                 record(k - j, buf[: j + 1])
@@ -578,28 +610,41 @@ def _integrate(batch, prop, rep, cfg, lo, record_stride, record):
                 raise located(err, "record", k - j) from None
 
     pf = batch.view(np.float64)
-    keep(0, pf)
-    if n == 1:  # one state steps as its (2d,) row
-        pf, lane, advance = pf[0], 0, _step_one
+    buf_f[0] = pf
+    filled(0, 0)
+    if n == 1:  # one state steps as its (2d,) row; a record step divides it into its slot
+        pf, one, slots = pf[0], _one_stepper(rep, cfg.gamma, cfg.dt, prop), list(buf_f[:, 0])
     else:
-        lane, advance = slice(None), partial(_step_batch, basis=_operator_basis(rep, n))
+        basis = _operator_basis(rep, n)
     time_chunk = max(1, min(cfg.steps, (1 << 19) // (n * K)))
     slab = np.empty((n, time_chunk, K))  # reused by every chunk of steps
     with np.errstate(over="ignore"):
-        for s in range(0, cfg.steps, time_chunk):
-            span = min(time_chunk, cfg.steps - s)
-            noise = slab[:, :span]
-            for i, rng in enumerate(rngs):
-                rng.standard_normal((span, K), out=slab[i, :span])
-            noise *= amp
-            for u in range(span):
-                step = s + u + 1
-                try:
-                    pf = advance(pf, rep, cfg.gamma, cfg.dt, noise[lane, u], prop)
-                except _RowFault as err:
-                    raise located(err, "step", step) from None
-                if step % record_stride == 0:
-                    keep(step // record_stride, pf)
+        try:
+            for s in range(0, cfg.steps, time_chunk):
+                span = min(time_chunk, cfg.steps - s)
+                noise = slab[:, :span]
+                for i, rng in enumerate(rngs):
+                    rng.standard_normal((span, K), out=slab[i, :span])
+                noise *= amp
+                if n == 1:
+                    for step, xi in enumerate(noise[0], s + 1):
+                        if step % record_stride:
+                            pf = one(pf, xi)
+                        else:
+                            k = step // record_stride
+                            j = k % len(buf)
+                            pf = one(pf, xi, slots[j])
+                            filled(j, k)
+                else:
+                    for step, xi in enumerate(noise.swapaxes(0, 1), s + 1):
+                        pf = _step_batch(pf, rep, cfg.gamma, cfg.dt, xi, prop, basis)
+                        if step % record_stride == 0:
+                            k = step // record_stride
+                            j = k % len(buf)
+                            buf_f[j] = pf
+                            filled(j, k)
+        except _RowFault as err:  # filled raises a record's fault located already
+            raise located(err, "step", step) from None
 
 
 def _in_block_order(run_block, starts):

@@ -301,6 +301,21 @@ def test_degenerate_time_grid_exits_1(tmp_path, capsys, command, dt, time):
     assert ("dt must be finite" if time != "inf" else "--time must be finite") in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "ensemble"])
+def test_step_count_overflowing_to_inf_exits_1(tmp_path, capsys, command):
+    # 1e300 / 1e-300 overflows to inf, which round() cannot turn into a count
+    extra = ["--traj", "2"] if command == "ensemble" else []
+    rc = main([
+        command, "--algebra", "su2:two_j=2", "--gamma", "0.1", "--dt", "1e-300",
+        "--time", "1e300", "--seed", "3", "--out", str(tmp_path / "x"), *extra,
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is not a finite step count" in err
+    assert not list(tmp_path.iterdir())
+
+
 # ------------------------------------------------------------- theorem-scan
 
 

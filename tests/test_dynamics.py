@@ -49,12 +49,13 @@ def complex_step(psi, rep, gamma, dt, noise, prop=None, stacked=False):
     with the propagator's real form and the operator basis of the rep and
     batch size (or, if stacked, the stacked X_k psi), overflow left to the
     norm check.  A (d,) psi with (K,) noise is one state, which
-    ``_integrate`` steps as its (2d,) row with ``dynamics._step_one``."""
+    ``_integrate`` steps as its (2d,) row with the step that
+    ``dynamics._one_stepper`` builds."""
     pf = np.ascontiguousarray(psi, dtype=complex).view(np.float64)
     rprop = None if prop is None else dynamics._real_form(prop.T)
     with np.errstate(over="ignore"):
         if pf.ndim == 1:
-            return dynamics._step_one(pf, rep, gamma, dt, noise, rprop).view(complex)
+            return dynamics._one_stepper(rep, gamma, dt, rprop)(pf, noise).view(complex)
         basis = None if stacked else dynamics._operator_basis(rep, len(pf))
         return dynamics._step_batch(pf, rep, gamma, dt, noise, rprop, basis).view(complex)
 
@@ -332,6 +333,16 @@ def test_step_output_normalized(spin1):
     inc = np.sqrt(2 * 0.1 * 1e-3) * rng.standard_normal(3)
     out = snlse_step(psi, [0.2, 0.0, 0.5], spin1, 0.1, 1e-3, inc)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_step_divides_only_a_norm_off_1_beyond_rounding(spin1):
+    psi = dynamics._validate_state(haar_state(3, 27), 3)
+    inc = np.array([0.05, -0.08, 0.1])
+    ref = dynamics._one_stepper(spin1, 0.1, 1e-3)(psi.view(np.float64), inc).view(complex)
+    assert np.array_equal(snlse_step(psi, None, spin1, 0.1, 1e-3, inc), ref)
+    # a norm 1e-9 off 1 is divided out first; stepped as given, it would move the result by ~5e-12
+    off = snlse_step((1 + 1e-9) * psi, None, spin1, 0.1, 1e-3, inc)
+    assert np.max(np.abs(off - ref)) < 1e-15
 
 
 def test_step_none_hamiltonian_equals_zero_hamiltonian(spin1):
@@ -827,6 +838,57 @@ def test_trajectory_snapshots_follow_steps(spin1):
     for s in range(4):
         cur = snlse_step(cur, None, spin1, cfg.gamma, cfg.dt, noise[s])
         assert np.max(np.abs(rhos[s + 1] - projector(cur))) < 1e-12
+
+
+def recorded_states(initial, h, rep, cfg, stride):
+    """The (n_rec, d) states ``simulate_trajectory`` records, copied from
+    each buffer ``_integrate`` hands its record callback."""
+    states, real = [], dynamics._integrate
+
+    def spy(batch, prop, rep, cfg, lo, stride, record):
+        def copy(k0, block):
+            states.append(block[:, 0].copy())
+            record(k0, block)
+
+        real(batch, prop, rep, cfg, lo, stride, copy)
+
+    with mock.patch.object(dynamics, "_integrate", spy):
+        simulate_trajectory(initial, h, rep, cfg, record_stride=stride)
+    return np.concatenate(states)
+
+
+def replayed_states(start, h, rep, cfg, stride):
+    """The states of chained ``snlse_step`` calls from start, fed the
+    trajectory's increments, at every stride-th step."""
+    amp = np.sqrt(2 * cfg.gamma * cfg.dt)
+    noise = amp * stream_rng(cfg.seed, 0).standard_normal((cfg.steps, rep.dim_algebra))
+    cur, out = start, [start]
+    for s, xi in enumerate(noise, 1):
+        cur = snlse_step(cur, h, rep, cfg.gamma, cfg.dt, xi)
+        if s % stride == 0:
+            out.append(cur)
+    return np.array(out)
+
+
+# 601 or 301 records: the 256-record buffer flushes twice or once before the last
+@pytest.mark.parametrize("h", [None, [0.4, -0.2, 0.7]])
+@pytest.mark.parametrize("steps, stride", [(600, 1), (2100, 7)])
+def test_recorded_states_are_chained_steps_bit_for_bit(spin1, steps, stride, h):
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=steps, seed=19)
+    got = recorded_states(haar_state(3, 33), h, spin1, cfg, stride)
+    assert got.shape == (steps // stride + 1, 3)
+    assert np.array_equal(got, replayed_states(got[0], h, spin1, cfg, stride))
+
+
+def test_lone_trajectory_crosses_a_noise_chunk_off_the_record_grid():
+    # one su(6) trajectory draws its noise 2^19 // 35 = 14979 steps at a
+    # time; stride 7 does not divide that, so the chunk ends between records
+    rep = build_sun_fundamental(6)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=15001, seed=23)
+    assert (1 << 19) // rep.dim_algebra == 14979 < cfg.steps
+    got = recorded_states(haar_state(6, 34), None, rep, cfg, 7)
+    assert got.shape == (2144, 6)
+    assert np.array_equal(got, replayed_states(got[0], None, rep, cfg, 7))
 
 
 @pytest.mark.parametrize("steps, stride", [(600, 1), (2100, 7)])
