@@ -454,32 +454,32 @@ def _step_batch(pf, rep, gamma, dt, noise, prop=None, basis=None):
 
 def _one_stepper(rep, gamma, dt, prop=None):
     """``_step_batch``'s stacked route for one state, with the moment
-    stack, K, gamma dt, 1 - gamma dt c, the propagator prop (the
-    ``_real_form`` of exp(-1j H dt)^T, or None) and the gufuncs bound once
-    per run.  Returns step(pf, xi, dest=None), which advances the (2d,)
-    real row pf with (K,) increments xi by the same gufunc calls in the
-    same order as ``_step_batch``, so the same bits, with keep and the
-    squared norm as scalars rather than (1,) arrays, whose indexing and
-    reductions cost as much as the formula.  The normalized state is
-    divided into dest, a (2d,) float row, if given, else in place, and
-    returned.  A blow-up raises ``_RowFault`` with rows [0]."""
+    stack, K, gamma dt, 1 - gamma dt c and the propagator prop (the
+    ``_real_form`` of exp(-1j H dt)^T, or None) bound once per run.
+    Returns step(pf, xi, dest=None), which advances the (2d,) real row pf
+    with (K,) increments xi by the same formula in the same order, each
+    contraction an ``ndarray.dot``: the BLAS kernels the batch gufuncs run,
+    without their dispatch.  The tests' ``check_step_against_reference``
+    at n == 1 holds its bits equal to the stacked route's.  The normalized
+    state is divided into dest, a (2d,) float row, if given, else in
+    place, and returned.  A blow-up raises ``_RowFault`` with rows [0]."""
     stack, K = rep.moment_stack, rep.dim_algebra
     gdt = gamma * dt
     base = 1.0 - gdt * rep.casimir_eigenvalue
-    matvec, vecdot, vecmat, divide, sqrt = np.matvec, np.vecdot, np.vecmat, np.divide, math.sqrt
+    divide, sqrt = np.divide, math.sqrt
 
     def step(pf, xi, dest=None):
         if prop is not None:
-            pf = pf @ prop
-        z = (pf @ stack).reshape(K, -1)
-        v = matvec(z, pf)
+            pf = pf.dot(prop)
+        z = pf.dot(stack).reshape(K, -1)
+        v = z.dot(pf)
         gv = gdt * v
         coef = gv + xi
-        keep = base - vecdot(coef, v)
+        keep = base - coef.dot(v)
         coef += gv
-        out = vecmat(coef, z)
+        out = coef.dot(z)
         out += keep * pf
-        nrm2 = vecdot(out, out)
+        nrm2 = out.dot(out)
         if not 0.0 < nrm2 < math.inf:  # NaN fails the test too
             raise _RowFault("integration blow-up: state norm left (0, inf); reduce dt", [0])
         return divide(out, sqrt(nrm2), out=out if dest is None else dest)

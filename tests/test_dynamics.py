@@ -891,6 +891,65 @@ def test_lone_trajectory_crosses_a_noise_chunk_off_the_record_grid():
     assert np.array_equal(got, replayed_states(got[0], None, rep, cfg, 7))
 
 
+def batch_of_one_rows(initial, h, rep, cfg, stride):
+    """The (n_rec, 4 + K) record rows of one trajectory stepped as a (1, 2d)
+    batch by ``_step_batch``'s stacked route on its noise stream, observed
+    by ``_observe_batch``."""
+    amp = np.sqrt(2.0 * cfg.gamma * cfg.dt)
+    noise = amp * stream_rng(cfg.seed, 0).standard_normal((cfg.steps, rep.dim_algebra))
+    prop = dynamics._step_propagator(h, rep, cfg.dt)
+    pf = dynamics._validate_state(initial, rep.dim_hilbert)[None].view(np.float64)
+    states = [pf]
+    with np.errstate(over="ignore"):
+        for s, xi in enumerate(noise, 1):
+            pf = dynamics._step_batch(pf, rep, cfg.gamma, cfg.dt, xi[None], prop, basis=None)
+            if s % stride == 0:
+                states.append(pf)
+    return dynamics._observe_batch(np.array(states).view(complex), rep, cfg.gamma)[:, 0]
+
+
+# the benchmark's run (1001 records, so the 256-record buffer flushes three
+# times before the last), and su(3) with H off the unit stride
+@pytest.mark.parametrize(
+    "name, steps, stride, h",
+    [("su2:4", 1000, 1, None), ("suN:3", 2100, 7, [0.2, 0.1, -0.3, 0.0, 0.4, 0.0, -0.1, 0.2])],
+)
+def test_trajectory_records_are_the_batch_of_one_route_bit_for_bit(name, steps, stride, h):
+    rep = step_algebra(name)
+    if name == "su2:4":
+        initial = highest_weight_state(cartan_decompose(rep))
+    else:
+        initial = haar_state(rep.dim_hilbert, 36)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=steps, seed=7)
+    rec = simulate_trajectory(initial, h, rep, cfg, record_stride=stride)
+    got = np.column_stack(
+        [rec.uncertainty, rec.purity, rec.cov_trace_norm, rec.drift, rec.expectations]
+    )
+    assert got.shape == (steps // stride + 1, 4 + rep.dim_algebra)
+    assert np.array_equal(got, batch_of_one_rows(initial, h, rep, cfg, stride))
+
+
+@pytest.mark.parametrize("h", [None, np.array([0.4, -0.2, 0.7])])
+def test_step_and_trajectory_write_only_their_own_arrays(spin1, h):
+    exact = dynamics._validate_state(haar_state(3, 37), 3)
+    assert abs(np.linalg.norm(exact) - 1.0) <= 2 * 3 * np.finfo(float).eps  # stepped as given
+    inc = np.array([0.05, -0.08, 0.1])
+    for psi in (exact, (1 + 1e-9) * exact):
+        inputs = [psi, inc] if h is None else [psi, inc, h]
+        before = [x.tobytes() for x in inputs]
+        out = snlse_step(psi, h, spin1, 0.1, 1e-3, inc)
+        assert [x.tobytes() for x in inputs] == before
+        assert not any(np.shares_memory(out, x) for x in inputs)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=300, seed=21)
+    inputs = [exact] if h is None else [exact, h]
+    before = [x.tobytes() for x in inputs]
+    rec = simulate_trajectory(exact, h, spin1, cfg)
+    assert [x.tobytes() for x in inputs] == before
+    arrays = [rec.times, rec.uncertainty, rec.purity, rec.cov_trace_norm, rec.drift]
+    arrays.append(rec.expectations)
+    assert not any(np.shares_memory(a, x) for a in arrays for x in inputs)
+
+
 @pytest.mark.parametrize("steps, stride", [(600, 1), (2100, 7)])
 def test_buffered_records_match_state_functionals(spin1, steps, stride):
     # 601 or 301 records: buffer flushes of 256 + 256 + 89, or 256 + 45
