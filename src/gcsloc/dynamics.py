@@ -24,14 +24,17 @@ and imaginary parts, and one real product with the real generator stack
 <X_k> and the rest are real batched contractions.  The step keeps its
 batch in that real form from one record to the next, needs only <X_k> and
 the update sum_k coef_k X_k psi + keep psi, and takes C = sum_k X_k^2 as
-the scalar c.  One state (a trajectory, ``snlse_step``) is stepped as a
-(2d,) row through the stacked X_k psi by the step ``_one_stepper`` builds
-once per run, with the run's constants bound.  A batch of n >= 2
-associates the update in one of two orders, fixed once per batch from K,
-d and n: through the stacked X_k psi of ``_generator_action`` (n K 2d
-doubles), or, when K > d and that stack would exceed _STACK_LIMIT doubles,
-through the d x d operator A = sum_k coef_k X_k + keep 1 applied to psi,
-with <X_k> = Re tr(X_k psi psi^dagger) (n 2d^2 doubles each).  Records
+the scalar c.  Every step has one contract: a stepper, built once per
+run or block with its constants, propagator and route bound, returns
+step(pf, xi, dest=None), which divides the normalized state into dest
+(a record's buffer slot) or in place.  One state (a trajectory,
+``snlse_step``) is stepped as a (2d,) row through the stacked X_k psi by
+``_one_stepper``'s step.  ``_batch_stepper``'s step associates the update
+for a batch of n >= 2 in one of two orders, fixed from K, d and n: through
+the stacked X_k psi of ``_generator_action`` (n K 2d doubles), or, when
+K > d and that stack would exceed _STACK_LIMIT doubles, through the d x d
+operator A = sum_k coef_k X_k + keep 1 applied to psi, with <X_k> =
+Re tr(X_k psi psi^dagger) (n 2d^2 doubles each).  Records
 are buffered as complex states and observed DEFAULT_BLOCK at a time from
 ``_moments``' real rows, X_k psi and <X_k> by one stateless function per
 moment: ``_second``, ``_purity``, ``_centred`` (U), ``_tnorm`` (the
@@ -91,10 +94,14 @@ SCAN_STREAM = 2
 
 STABILITY_LIMIT = 0.01  # max allowed gamma * dt
 DEFAULT_BLOCK = 256
-# Doubles of the stacked X_k psi of one batch above which an algebra with
-# K > d is stepped through the d x d operator (see ``_step_batch``).  The
-# measured crossover for su(3) to su(10) batches of 1 to 256 states: below
-# it the operator route's extra numpy calls cost more than the stack.
+# Doubles of the stacked X_k psi of a batch of n >= 2 states above which an
+# algebra with K > d is stepped through the d x d operator (see
+# ``_batch_stepper``); a lone state always takes the stack.  Measured per
+# trajectory-step (best of 7 x 200 steps, one thread): at n = 2 the operator
+# route costs 1.2-1.3x the stack on spin 1/2 and su(3) to su(8); at n = 256,
+# 0.77x on su(6) and 0.69x on su(8), and 0.97-1.02x on su(3) to su(5).  The
+# two cross near n = 64-128 on su(6), 24-32 on su(7) and 32-48 on su(8),
+# where the limit falls at n = 79, 49 and 33.
 _STACK_LIMIT = 1 << 15
 
 _UINT64_MASK = (1 << 64) - 1
@@ -175,8 +182,8 @@ def _hamiltonian_matrix(h, rep: AlgebraRep):
 
 
 def _step_propagator(h, rep, dt):
-    """The ``_real_form`` of exp(-1j H dt)^T that ``_step_batch`` and
-    ``_one_stepper`` apply, or None without an H term."""
+    """The ``_real_form`` of exp(-1j H dt)^T, or None without an H term:
+    the prop that ``_one_stepper`` and ``_batch_stepper`` bind."""
     ham = _hamiltonian_matrix(h, rep)
     return None if ham is None else _real_form(unitary_exp(ham, -dt).T)
 
@@ -377,92 +384,86 @@ def _observe_batch(states, rep, gamma):
     return out.reshape(states.shape[:-1] + out.shape[-1:])
 
 
-def _operator_basis(rep, n):
-    """The basis ``_step_batch`` steps a batch of n >= 2 states of rep
-    with, taken once per batch: for K > d and more than _STACK_LIMIT
-    doubles of stacked X_k psi, the (K, 2d^2) real view of the generators
-    paired with a contiguous copy of its transpose (OpenBLAS multiplies by
-    the transposed view of this shape up to 1.5x slower); else None.  One
-    state, stepped by ``_one_stepper``'s step, always takes the stack: it
-    would pass the limit only for K d > 2^14, where the (K, K, d, d)
-    product that ``algebra_from_generators`` forms would alone hold over
-    4 GiB."""
-    K, d = rep.dim_algebra, rep.dim_hilbert
-    if K <= d or n * K * 2 * d <= _STACK_LIMIT:
-        return None
-    basis = rep.generators.view(np.float64).reshape(K, 2 * d * d)
-    return basis, np.ascontiguousarray(basis.T)
-
-
-def _step_batch(pf, rep, gamma, dt, noise, prop=None, basis=None):
-    """One split step for a batch of n >= 2 states (``_one_stepper``'s
-    step advances one), the rows of the (n, 2d) real array pf of
-    interleaved real and imaginary parts: exact Hamiltonian flow, then the
-    Euler-Maruyama measurement update, then renormalization; returns the
-    new (n, 2d) batch.  prop is the ``_real_form`` of exp(-1j H dt)^T, or
-    None.  With the realized increments dxi (n, K) in noise, the update is
+def _batch_stepper(rep, gamma, dt, n, prop=None):
+    """The split step for a batch of n >= 2 states (``_one_stepper``'s
+    advances one), with gamma dt, 1 - gamma dt c, the propagator prop (the
+    ``_real_form`` of exp(-1j H dt)^T, or None) and the route bound once
+    per block.  Returns step(pf, xi, dest=None), which advances the rows of
+    the (n, 2d) real array pf of interleaved real and imaginary parts with
+    the (n, K) increments xi: exact Hamiltonian flow, then the
+    Euler-Maruyama measurement update
 
         sum_k coef_k X_k psi + keep psi,   coef_k = 2 gamma dt v_k + dxi_k,
         keep = 1 - gamma dt c - gamma dt P - sum_k dxi_k v_k,
 
     since C = sum_k X_k^2 = c 1 on an irreducible representation (checked
-    by ``algebra_from_generators``).  basis, from ``_operator_basis``,
-    picks one of two association orders of the same formula:
+    by ``algebra_from_generators``), then renormalization.  The route is
+    one of two association orders of the same formula:
 
-    - None: ``_generator_action`` stacks every X_k psi (n K 2d doubles)
-      and gives <X_k>, and the update is coef contracted with the stack
-      plus keep psi;
-    - the generators' (K, 2d^2) real view G and its transpose: <X_k> =
-      Re tr(X_k rho) is rho = psi psi^dagger times G^T, and the update is
-      the batched d x d product A psi, with A = sum_k coef_k X_k + keep 1
-      formed as coef times G, so rho and A hold n 2d^2 doubles.  This is
-      the cheaper order for K > d on large batches, the stack the cheaper
-      one for K <= d and small batches.
+    - for K <= d, or at most _STACK_LIMIT doubles of stacked X_k psi:
+      ``_generator_action`` stacks every X_k psi (n K 2d doubles) and gives
+      <X_k>, and the update is coef contracted with the stack plus keep psi;
+    - else, through the generators' (K, 2d^2) real view G, bound with a
+      contiguous copy of its transpose (OpenBLAS multiplies by the
+      transposed view of this shape up to 1.5x slower): <X_k> = Re tr(X_k
+      rho) is rho = psi psi^dagger times G^T, and the update is the batched
+      d x d product A psi, with A = sum_k coef_k X_k + keep 1 formed as
+      coef times G, so rho and A hold n 2d^2 doubles.
 
-    The two differ only in rounding.  Callers run it under
-    np.errstate(over="ignore"), so a norm that overflows to inf reaches the
-    blow-up check without a warning.
-    """
-    if prop is not None:
-        pf = pf @ prop
-    if basis is None:
-        z, v = _generator_action(pf, rep)
-    else:
-        psi = pf.view(complex)
-        rho = psi[:, :, None] * psi[:, None, :].conj()
-        v = rho.view(np.float64).reshape(len(pf), -1) @ basis[1]
+    The two differ only in rounding.  The normalized batch is divided into
+    dest, an (n, 2d) float array, if given, else in place, and returned.
+    Callers run it under np.errstate(over="ignore"), so a norm that
+    overflows to inf reaches the blow-up check without a warning; a blow-up
+    raises ``_RowFault`` naming every failing row."""
+    K, d = rep.dim_algebra, rep.dim_hilbert
     gdt = gamma * dt
-    gv = gdt * v
-    coef = gv + noise
-    keep = 1.0 - gdt * rep.casimir_eigenvalue - np.vecdot(coef, v)
-    coef += gv
-    if basis is None:
-        out = np.vecmat(coef, z)
-        out += keep[:, None] * pf
-    else:
-        d = psi.shape[1]
-        a = coef @ basis[0]
-        a[:, :: 2 * d + 2] += keep[:, None]  # the real parts of A's diagonal
-        out = np.matvec(a.view(complex).reshape(len(pf), d, d), psi).view(np.float64)
-    nrm2 = np.vecdot(out, out)
-    if not (nrm2.min() > 0 and nrm2.max() < np.inf):  # NaN fails the first test
-        bad = np.flatnonzero(~(np.isfinite(nrm2) & (nrm2 > 0)))
-        raise _RowFault("integration blow-up: state norm left (0, inf); reduce dt", bad)
-    out /= np.sqrt(nrm2)[:, None]
-    return out
+    base = 1.0 - gdt * rep.casimir_eigenvalue
+    stacked = K <= d or n * K * 2 * d <= _STACK_LIMIT
+    if not stacked:
+        basis = rep.generators.view(np.float64).reshape(K, 2 * d * d)
+        basis_t = np.ascontiguousarray(basis.T)
+
+    def step(pf, xi, dest=None):
+        if prop is not None:
+            pf = pf @ prop
+        if stacked:
+            z, v = _generator_action(pf, rep)
+        else:
+            psi = pf.view(complex)
+            rho = psi[:, :, None] * psi[:, None, :].conj()
+            v = rho.view(np.float64).reshape(n, -1) @ basis_t
+        gv = gdt * v
+        coef = gv + xi
+        keep = base - np.vecdot(coef, v)
+        coef += gv
+        if stacked:
+            out = np.vecmat(coef, z)
+            out += keep[:, None] * pf
+        else:
+            a = coef @ basis
+            a[:, :: 2 * d + 2] += keep[:, None]  # the real parts of A's diagonal
+            out = np.matvec(a.view(complex).reshape(n, d, d), psi).view(np.float64)
+        nrm2 = np.vecdot(out, out)
+        if not (nrm2.min() > 0 and nrm2.max() < np.inf):  # NaN fails the first test
+            bad = np.flatnonzero(~(np.isfinite(nrm2) & (nrm2 > 0)))
+            raise _RowFault("integration blow-up: state norm left (0, inf); reduce dt", bad)
+        return np.divide(out, np.sqrt(nrm2)[:, None], out=out if dest is None else dest)
+
+    return step
 
 
 def _one_stepper(rep, gamma, dt, prop=None):
-    """``_step_batch``'s stacked route for one state, with the moment
-    stack, K, gamma dt, 1 - gamma dt c and the propagator prop (the
-    ``_real_form`` of exp(-1j H dt)^T, or None) bound once per run.
-    Returns step(pf, xi, dest=None), which advances the (2d,) real row pf
-    with (K,) increments xi by the same formula in the same order, each
-    contraction an ``ndarray.dot``: the BLAS kernels the batch gufuncs run,
-    without their dispatch.  The tests' ``check_step_against_reference``
-    at n == 1 holds its bits equal to the stacked route's.  The normalized
-    state is divided into dest, a (2d,) float row, if given, else in
-    place, and returned.  A blow-up raises ``_RowFault`` with rows [0]."""
+    """``_batch_stepper``'s step for one state, on its stacked route, with
+    the moment stack, K, gamma dt, 1 - gamma dt c and the propagator prop
+    (the ``_real_form`` of exp(-1j H dt)^T, or None) bound once per run.
+    Returns step(pf, xi, dest=None) with the batch step's contract: it
+    advances the (2d,) real row pf with (K,) increments xi by the same
+    formula in the same order, each contraction an ``ndarray.dot``: the
+    BLAS kernels the batch gufuncs run, without their dispatch.  The tests'
+    ``check_step_against_reference`` at n == 1 holds its bits equal to a
+    batch of one, which always takes the stack.  The normalized state is
+    divided into dest, a (2d,) float row, if given, else in place, and
+    returned.  A blow-up raises ``_RowFault`` with rows [0]."""
     stack, K = rep.moment_stack, rep.dim_algebra
     gdt = gamma * dt
     base = 1.0 - gdt * rep.casimir_eigenvalue
@@ -572,21 +573,21 @@ def _integrate(batch, prop, rep, cfg, lo, record_stride, record):
     rows, n <= DEFAULT_BLOCK, as trajectories lo, lo + 1, ..; trajectory i
     draws its noise from the Philox stream (cfg.seed + i, stream 0), in
     order, a chunk of steps at a time into one reused (n, chunk, K) slab of
-    at most max(2^19, n K) doubles; the chunking changes no number.  The
-    batch is stepped as its (n, 2d) real view by ``_step_batch``, or, when
-    n = 1, as its (2d,) row by the step ``_one_stepper`` builds once per
-    run, with prop the ``_real_form`` of exp(-1j H dt)^T or None, all under
-    one np.errstate(over="ignore") so an overflowing norm reaches the
-    step's blow-up check silently.  The states of each record time (0 is
-    the initial batch) go to their slot of a complex buffer of
-    DEFAULT_BLOCK // n record times: the initial states and a stepped
-    batch are copied there through a float view, while a stepped lone
-    state is divided by its norm straight into its slot, which is then the
-    state the next step reads.  record(k0, states)
-    gets each full buffer, and the last, as the (m, n, d) states of record
-    times k0 .. k0 + m - 1, to be read before it returns: the buffer is
-    written over afterwards.  A ``_RowFault`` of the step or of record is
-    raised again naming its step or record time, trajectory and seed.
+    at most max(2^19, n K) doubles; the chunking changes no number.  One
+    loop runs the step built once per block with prop (the ``_real_form``
+    of exp(-1j H dt)^T, or None): ``_batch_stepper``'s on the batch's
+    (n, 2d) real view, or, when n = 1, ``_one_stepper``'s on its (2d,) row
+    and (K,) increments, squeezed once before the loop; all under one
+    np.errstate(over="ignore"), so an overflowing norm reaches the step's
+    blow-up check silently.  The states of each record time (0 is the
+    initial batch) go to their slot of a complex buffer of DEFAULT_BLOCK //
+    n record times: the initial states are copied there through a float
+    view, and a record step divides its state straight into its slot,
+    which is then the state the next step reads.  record(k0, states) gets
+    each full buffer, and the last, as the (m, n, d) states of record times
+    k0 .. k0 + m - 1, to be read before it returns: the buffer is written
+    over afterwards.  A ``_RowFault`` of the step or of record is raised
+    again naming its step or record time, trajectory and seed.
     """
     n, K = len(batch), rep.dim_algebra
     amp = np.sqrt(2.0 * cfg.gamma * cfg.dt)
@@ -612,37 +613,29 @@ def _integrate(batch, prop, rep, cfg, lo, record_stride, record):
     pf = batch.view(np.float64)
     buf_f[0] = pf
     filled(0, 0)
-    if n == 1:  # one state steps as its (2d,) row; a record step divides it into its slot
-        pf, one, slots = pf[0], _one_stepper(rep, cfg.gamma, cfg.dt, prop), list(buf_f[:, 0])
-    else:
-        basis = _operator_basis(rep, n)
     time_chunk = max(1, min(cfg.steps, (1 << 19) // (n * K)))
     slab = np.empty((n, time_chunk, K))  # reused by every chunk of steps
+    if n == 1:  # one state steps as its (2d,) row
+        advance = _one_stepper(rep, cfg.gamma, cfg.dt, prop)
+        pf, slots, rows = pf[0], list(buf_f[:, 0]), slab[0]
+    else:
+        advance = _batch_stepper(rep, cfg.gamma, cfg.dt, n, prop)
+        slots, rows = list(buf_f), slab.swapaxes(0, 1)
     with np.errstate(over="ignore"):
         try:
             for s in range(0, cfg.steps, time_chunk):
                 span = min(time_chunk, cfg.steps - s)
-                noise = slab[:, :span]
                 for i, rng in enumerate(rngs):
                     rng.standard_normal((span, K), out=slab[i, :span])
-                noise *= amp
-                if n == 1:
-                    for step, xi in enumerate(noise[0], s + 1):
-                        if step % record_stride:
-                            pf = one(pf, xi)
-                        else:
-                            k = step // record_stride
-                            j = k % len(buf)
-                            pf = one(pf, xi, slots[j])
-                            filled(j, k)
-                else:
-                    for step, xi in enumerate(noise.swapaxes(0, 1), s + 1):
-                        pf = _step_batch(pf, rep, cfg.gamma, cfg.dt, xi, prop, basis)
-                        if step % record_stride == 0:
-                            k = step // record_stride
-                            j = k % len(buf)
-                            buf_f[j] = pf
-                            filled(j, k)
+                slab[:, :span] *= amp
+                for step, xi in enumerate(rows[:span], s + 1):
+                    if step % record_stride:
+                        pf = advance(pf, xi)
+                    else:
+                        k = step // record_stride
+                        j = k % len(buf)
+                        pf = advance(pf, xi, slots[j])
+                        filled(j, k)
         except _RowFault as err:  # filled raises a record's fault located already
             raise located(err, "step", step) from None
 

@@ -43,21 +43,25 @@ def spin1():
     return build_su2_irrep(2)
 
 
-def complex_step(psi, rep, gamma, dt, noise, prop=None, stacked=False):
-    """``dynamics._step_batch`` on complex rows, with the complex propagator
-    prop, called the way ``_integrate`` calls it: on the rows' real view,
-    with the propagator's real form and the operator basis of the rep and
-    batch size (or, if stacked, the stacked X_k psi), overflow left to the
-    norm check.  A (d,) psi with (K,) noise is one state, which
-    ``_integrate`` steps as its (2d,) row with the step that
+# the limit the library steps with; some tests patch dynamics._STACK_LIMIT
+STACK_LIMIT = dynamics._STACK_LIMIT
+
+
+def complex_step(psi, rep, gamma, dt, noise, prop=None):
+    """One split step on complex rows, with the complex propagator prop,
+    called the way ``_integrate`` calls it: on the rows' real view, with
+    the propagator's real form, overflow left to the norm check.  An (n, d)
+    psi with (n, K) noise is stepped by the step ``dynamics._batch_stepper``
+    builds for n states, a (d,) psi with (K,) noise by the step
     ``dynamics._one_stepper`` builds."""
     pf = np.ascontiguousarray(psi, dtype=complex).view(np.float64)
     rprop = None if prop is None else dynamics._real_form(prop.T)
     with np.errstate(over="ignore"):
         if pf.ndim == 1:
-            return dynamics._one_stepper(rep, gamma, dt, rprop)(pf, noise).view(complex)
-        basis = None if stacked else dynamics._operator_basis(rep, len(pf))
-        return dynamics._step_batch(pf, rep, gamma, dt, noise, rprop, basis).view(complex)
+            step = dynamics._one_stepper(rep, gamma, dt, rprop)
+        else:
+            step = dynamics._batch_stepper(rep, gamma, dt, len(pf), rprop)
+        return step(pf, noise).view(complex)
 
 
 def projector(psi):
@@ -698,10 +702,13 @@ def check_step_against_reference(name, n, with_h, seed, dt, frac):
     got = complex_step(psi, rep, gamma, dt, noise, prop)
     ref = reference_step(psi, rep, gamma, dt, noise, prop)
     assert np.max(np.abs(got - ref)) <= 1e-13
-    if n == 1:  # the lone-state step, bit for bit the stacked route's
+    if n == 1:  # the lone-state step, bit for bit a batch of one
         one = complex_step(psi[0], rep, gamma, dt, noise[0], prop)
         assert np.max(np.abs(one - ref[0])) <= 1e-13
-        assert np.array_equal(one, complex_step(psi, rep, gamma, dt, noise, prop, stacked=True)[0])
+        # a batch of one always takes the stack: its K 2d doubles are within the limit
+        assert rep.dim_algebra * 2 * rep.dim_hilbert <= STACK_LIMIT
+        with mock.patch.object(dynamics, "_STACK_LIMIT", STACK_LIMIT):
+            assert np.array_equal(one, complex_step(psi, rep, gamma, dt, noise, prop)[0])
 
 
 # at n = 257 only suN:6 takes the operator route; the rest, and every
@@ -893,16 +900,17 @@ def test_lone_trajectory_crosses_a_noise_chunk_off_the_record_grid():
 
 def batch_of_one_rows(initial, h, rep, cfg, stride):
     """The (n_rec, 4 + K) record rows of one trajectory stepped as a (1, 2d)
-    batch by ``_step_batch``'s stacked route on its noise stream, observed
-    by ``_observe_batch``."""
+    batch by the step ``_batch_stepper`` builds for one state (the stack)
+    on its noise stream, observed by ``_observe_batch``."""
     amp = np.sqrt(2.0 * cfg.gamma * cfg.dt)
     noise = amp * stream_rng(cfg.seed, 0).standard_normal((cfg.steps, rep.dim_algebra))
     prop = dynamics._step_propagator(h, rep, cfg.dt)
+    step = dynamics._batch_stepper(rep, cfg.gamma, cfg.dt, 1, prop)
     pf = dynamics._validate_state(initial, rep.dim_hilbert)[None].view(np.float64)
     states = [pf]
     with np.errstate(over="ignore"):
         for s, xi in enumerate(noise, 1):
-            pf = dynamics._step_batch(pf, rep, cfg.gamma, cfg.dt, xi[None], prop, basis=None)
+            pf = step(pf, xi[None])
             if s % stride == 0:
                 states.append(pf)
     return dynamics._observe_batch(np.array(states).view(complex), rep, cfg.gamma)[:, 0]
@@ -927,6 +935,35 @@ def test_trajectory_records_are_the_batch_of_one_route_bit_for_bit(name, steps, 
     )
     assert got.shape == (steps // stride + 1, 4 + rep.dim_algebra)
     assert np.array_equal(got, batch_of_one_rows(initial, h, rep, cfg, stride))
+
+
+# a 4-trajectory block with a buffer of one record time (DEFAULT_BLOCK 4),
+# where each record step divides into the slot the next step reads, or of
+# two (DEFAULT_BLOCK 8); spin 1 takes the stack, su(3) at a limit of 0 the
+# operator route
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("with_h", [False, True])
+@pytest.mark.parametrize("name", ["su2:2", "suN:3"])
+@pytest.mark.parametrize("block", [4, 8])
+def test_block_records_are_chained_batch_steps_bit_for_bit(monkeypatch, block, name, with_h, stride):
+    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", block)
+    if name == "suN:3":
+        monkeypatch.setattr(dynamics, "_STACK_LIMIT", 0)
+    rep = step_algebra(name)
+    h = np.linspace(-0.4, 0.7, rep.dim_algebra) if with_h else None
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=30, seed=41)
+    initials = haar_states(rep.dim_hilbert, 4, seed=38)
+    _, got = ensemble_observables(initials, h, rep, cfg, 4, stride)
+    assert got.shape == (4, 30 // stride + 1, 4 + rep.dim_algebra)
+    # complex_step replays the block through _batch_stepper with no dest
+    states = reference_record_states(dynamics._unit_rows(initials), h, rep, cfg, stride)
+    assert np.array_equal(got, dynamics._observe_batch(states, rep, cfg.gamma).transpose(1, 0, 2))
+    # a step divided into its own input returns it, with the bits of a fresh result
+    step = dynamics._batch_stepper(rep, cfg.gamma, cfg.dt, 4, dynamics._step_propagator(h, rep, cfg.dt))
+    pf = initials.view(np.float64).copy()
+    xi = np.full((4, rep.dim_algebra), 0.01)
+    ref = step(pf.copy(), xi)
+    assert step(pf, xi, pf) is pf and np.array_equal(pf, ref)
 
 
 @pytest.mark.parametrize("h", [None, np.array([0.4, -0.2, 0.7])])
@@ -1245,33 +1282,45 @@ def test_threaded_blow_up_names_step_trajectory_and_seed(spin1, monkeypatch, bad
 
 def test_step_basis_is_chosen_once_per_block(monkeypatch):
     calls = []
-    choose = dynamics._operator_basis
+    build = dynamics._batch_stepper
 
-    def counted(rep, n):
+    def counted(rep, gamma, dt, n, prop=None):
         calls.append(n)
-        return choose(rep, n)
+        return build(rep, gamma, dt, n, prop)
 
-    monkeypatch.setattr(dynamics, "_operator_basis", counted)
+    monkeypatch.setattr(dynamics, "_batch_stepper", counted)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=20, seed=64)
     ensemble_average(haar_state(6, 55), None, step_algebra("suN:6"), cfg, 300)
     assert sorted(calls) == [44, 256]  # blocks may run on two threads
 
 
-def test_operator_basis_rule():
+def test_operator_basis_rule(monkeypatch):
+    calls = []
+    action = dynamics._generator_action
+
+    def counted(pf, rep):
+        calls.append(len(pf))
+        return action(pf, rep)
+
+    monkeypatch.setattr(dynamics, "_generator_action", counted)
+
+    def stacks(rep, n):
+        """Whether a step of n states of rep forms the stacked X_k psi."""
+        calls.clear()
+        step = dynamics._batch_stepper(rep, 0.1, 1e-3, n)
+        pf = haar_states(rep.dim_hilbert, n, seed=57).view(np.float64)
+        out = step(pf, np.full((n, rep.dim_algebra), 1e-3))
+        assert np.allclose(np.vecdot(out, out), 1.0, rtol=0, atol=1e-14)
+        return calls == [n]
+
     su6, spin20 = step_algebra("suN:6"), build_su2_irrep(40)
     # K = 35 > d = 6: the operator route once the stack of X_k psi, n K 2d
     # doubles, passes the limit
-    assert dynamics._operator_basis(su6, 1) is None
-    assert 256 * 35 * 12 > dynamics._STACK_LIMIT
-    basis, basis_t = dynamics._operator_basis(su6, 256)
-    ref = np.concatenate(
-        [su6.generators.real[..., None], su6.generators.imag[..., None]], axis=-1
-    ).reshape(35, 72)
-    assert np.array_equal(basis, ref) and np.array_equal(basis_t, ref.T)
-    assert basis_t.flags.c_contiguous
+    assert 2 * 35 * 12 <= dynamics._STACK_LIMIT < 256 * 35 * 12
+    assert stacks(su6, 2) and not stacks(su6, 256)
     # K = 3 < d = 41: the stack, however large the batch
     assert 256 * 3 * 82 > dynamics._STACK_LIMIT
-    assert dynamics._operator_basis(spin20, 256) is None
+    assert stacks(spin20, 256)
 
 
 def test_ensemble_initial_shape_errors(spin1):
