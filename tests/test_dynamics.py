@@ -958,9 +958,15 @@ def test_block_records_are_chained_batch_steps_bit_for_bit(monkeypatch, block, n
     # complex_step replays the block through _batch_stepper with no dest
     states = reference_record_states(dynamics._unit_rows(initials), h, rep, cfg, stride)
     assert np.array_equal(got, dynamics._observe_batch(states, rep, cfg.gamma).transpose(1, 0, 2))
-    # a step divided into its own input returns it, with the bits of a fresh result
-    step = dynamics._batch_stepper(rep, cfg.gamma, cfg.dt, 4, dynamics._step_propagator(h, rep, cfg.dt))
-    pf = initials.view(np.float64).copy()
+
+
+@pytest.mark.parametrize("name", ["su2:2", "suN:3"])
+def test_batch_step_divided_into_its_input_returns_it(monkeypatch, name):
+    monkeypatch.setattr(dynamics, "_STACK_LIMIT", 0)  # su(3) takes the operator route
+    rep = step_algebra(name)
+    h = np.linspace(-0.4, 0.7, rep.dim_algebra)
+    step = dynamics._batch_stepper(rep, 0.1, 1e-3, 4, dynamics._step_propagator(h, rep, 1e-3))
+    pf = haar_states(rep.dim_hilbert, 4, seed=38).view(np.float64)
     xi = np.full((4, rep.dim_algebra), 0.01)
     ref = step(pf.copy(), xi)
     assert step(pf, xi, pf) is pf and np.array_equal(pf, ref)
@@ -1313,14 +1319,39 @@ def test_operator_basis_rule(monkeypatch):
         assert np.allclose(np.vecdot(out, out), 1.0, rtol=0, atol=1e-14)
         return calls == [n]
 
+    def bound(rep, n):
+        """The values a step of n states of rep binds from its block, by
+        name; a name the route never assigns has an empty cell and is left
+        out."""
+        step = dynamics._batch_stepper(rep, 0.1, 1e-3, n)
+        cells = zip(step.__code__.co_freevars, step.__closure__)
+        return {name: cell.cell_contents for name, cell in cells if cell_filled(cell)}
+
+    def cell_filled(cell):
+        try:
+            cell.cell_contents
+        except ValueError:
+            return False
+        return True
+
     su6, spin20 = step_algebra("suN:6"), build_su2_irrep(40)
     # K = 35 > d = 6: the operator route once the stack of X_k psi, n K 2d
     # doubles, passes the limit
     assert 2 * 35 * 12 <= dynamics._STACK_LIMIT < 256 * 35 * 12
     assert stacks(su6, 2) and not stacks(su6, 256)
+    assert "basis" not in bound(su6, 2) and "basis_t" not in bound(su6, 2)
+    # the operator route binds the generators' real view and a contiguous
+    # copy of its transpose
+    nl = bound(su6, 256)
+    ref = np.concatenate(
+        [su6.generators.real[..., None], su6.generators.imag[..., None]], axis=-1
+    ).reshape(35, 72)
+    assert np.array_equal(nl["basis"], ref) and np.array_equal(nl["basis_t"], ref.T)
+    assert nl["basis_t"].flags.c_contiguous
     # K = 3 < d = 41: the stack, however large the batch
     assert 256 * 3 * 82 > dynamics._STACK_LIMIT
     assert stacks(spin20, 256)
+    assert "basis" not in bound(spin20, 256) and "basis_t" not in bound(spin20, 256)
 
 
 def test_ensemble_initial_shape_errors(spin1):
