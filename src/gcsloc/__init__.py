@@ -13,7 +13,6 @@ from .algebra import (
     algebra_from_generators,
     build_su2_irrep,
     build_sun_fundamental,
-    rescaled,
 )
 from .cartan import (
     CartanData,
@@ -77,7 +76,6 @@ __all__ = [
     "lindblad_evolve",
     "lindblad_expm_evolve",
     "localization_drift",
-    "rescaled",
     "root_pair_closed_form",
     "simulate_trajectory",
     "snlse_step",

@@ -41,7 +41,6 @@ __all__ = [
     "algebra_from_generators",
     "build_su2_irrep",
     "build_sun_fundamental",
-    "rescaled",
     "rep_debug_dict",
     "unitary_exp",
 ]
@@ -411,17 +410,6 @@ def build_sun_fundamental(n: int) -> AlgebraRep:
         diag[k - 1, k - 1] = -coeff * (k - 1)
         gens.append(diag)
     return algebra_from_generators(np.stack(gens))
-
-
-def rescaled(rep: AlgebraRep, scale: float) -> AlgebraRep:
-    """Rebuild the representation with generators multiplied by `scale`.
-
-    Rescaling X -> s X multiplies f by s, lam by s^2, and both invariants
-    by s^2; the rebuilt representation revalidates all of that.
-    """
-    if not np.isfinite(scale) or scale <= 0:
-        raise ValueError(f"scale must be finite and positive, got {scale}")
-    return algebra_from_generators(rep.generators * scale)
 
 
 def rep_debug_dict(rep: AlgebraRep) -> dict:

@@ -148,10 +148,18 @@ def _parse_ham(text, rep):
     return coeffs
 
 
-def _initial_state(args, rep):
+def _run_inputs(args):
+    """(rep, cfg, h, psi0) of a simulate or ensemble run, read from its
+    flags in this order: the algebra, the noise config, the --ham
+    coefficients (or None) and the --init state."""
+    rep = parse_algebra(args.algebra)
+    cfg = NoiseConfig(gamma=args.gamma, dt=args.dt, steps=_steps_from(args), seed=args.seed)
+    h = _parse_ham(args.ham, rep)
     if args.init == "highest":
-        return highest_weight_state(cartan_decompose(rep))
-    return haar_state(rep.dim_hilbert, args.seed)
+        psi0 = highest_weight_state(cartan_decompose(rep))
+    else:
+        psi0 = haar_state(rep.dim_hilbert, args.seed)
+    return rep, cfg, h, psi0
 
 
 def _open_out(path):
@@ -190,10 +198,7 @@ def _serialize_state(psi):
 
 
 def cmd_simulate(args) -> int:
-    rep = parse_algebra(args.algebra)
-    cfg = NoiseConfig(gamma=args.gamma, dt=args.dt, steps=_steps_from(args), seed=args.seed)
-    ham = _parse_ham(args.ham, rep)
-    psi0 = _initial_state(args, rep)
+    rep, cfg, ham, psi0 = _run_inputs(args)
     rec = simulate_trajectory(psi0, ham, rep, cfg, record_stride=args.stride)
 
     cols = ["t", "uncertainty", "purity", "cov_trace_norm", "drift"] + [
@@ -207,19 +212,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    rep = parse_algebra(args.algebra)
-    steps = _steps_from(args)
-    cfg = NoiseConfig(gamma=args.gamma, dt=args.dt, steps=steps, seed=args.seed)
     stride, bound = args.stride, args.bound
     if args.traj < 1:
         raise UsageError(f"--traj must be at least 1, got {args.traj}")
     if not (np.isfinite(bound) and bound >= 0):
         raise UsageError(f"--bound must be finite and >= 0, got {bound}")
-    ham = _parse_ham(args.ham, rep)
-    psi0 = _initial_state(args, rep)
+    rep, cfg, ham, psi0 = _run_inputs(args)
 
     # the exact flow first: it costs little beside the ensemble, and its checks fail before that runs
-    _, times = _record_grid(steps, stride, cfg.dt)
+    _, times = _record_grid(cfg.steps, stride, cfg.dt)
     rho_ref = lindblad_expm_evolve(np.outer(psi0, psi0.conj()), ham, rep, cfg.gamma, times)
     _, rho_mc = ensemble_average(psi0, ham, rep, cfg, args.traj, record_stride=stride)
     dist = np.linalg.norm(

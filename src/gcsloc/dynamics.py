@@ -257,39 +257,23 @@ class TrajectoryRecord:
             raise ValueError("record times must increase uniformly")
 
 
-def _validate_state(psi, dim, slack=0.0):
+def _validate_state(psi, dim, slack=0.0, where=""):
     """A contiguous copy of the (dim,) state psi, divided by its norm unless
-    that is within slack of 1; ValueError if the norm is not finite or is
-    off 1 by more than 1e-8."""
+    that is within slack of 1; ValueError, ending in where, if the norm is
+    not finite or is off 1 by more than 1e-8.  The one state check: every
+    start, lone or an ensemble's row (where names its trajectory), and every
+    state an observable reads.  Scalar, as observables call it per state."""
     psi = np.array(psi, dtype=complex)
     if psi.shape != (dim,):
         raise ValueError(f"state must have shape ({dim},), got {psi.shape}")
     nrm = math.sqrt(np.vdot(psi, psi).real)
     if not abs(nrm - 1.0) <= 1e-8:  # NaN fails the test too
-        raise _norm_error(nrm)
+        if not math.isfinite(nrm):
+            raise ValueError(f"state norm is not finite: |psi| = {nrm}{where}")
+        raise ValueError(f"state is not normalized: |psi| = {nrm:.12g}{where}")
     if abs(nrm - 1.0) > slack:
         psi /= nrm
     return psi
-
-
-def _unit_rows(psi):
-    """The rows of the (n, d) array psi divided by their norms, all rows
-    put to ``_validate_state``'s test in one pass; the error names the
-    trajectory (row index) of the first that fails."""
-    nrm = np.sqrt(np.vecdot(psi, psi).real)
-    off = ~(np.abs(nrm - 1.0) <= 1e-8)
-    if np.any(off):
-        i = int(np.argmax(off))
-        raise _norm_error(nrm[i], f" (trajectory {i})")
-    return psi / nrm[:, None]
-
-
-def _norm_error(nrm, where=""):
-    """The ValueError for a state of norm nrm that is not finite or is off 1
-    by more than 1e-8."""
-    if not np.isfinite(nrm):
-        return ValueError(f"state norm is not finite: |psi| = {nrm}{where}")
-    return ValueError(f"state is not normalized: |psi| = {nrm:.12g}{where}")
 
 
 def _generator_action(pf, rep):
@@ -511,6 +495,12 @@ def snlse_step(psi, h, rep: AlgebraRep, gamma: float, dt: float, increments):
     it, over that trajectory's increments, sqrt(2 gamma dt) times the
     standard normals of its noise stream in order, reproduces the states
     it steps through bit for bit.
+
+    Each call builds and checks exp(-1j H dt) when h is given, so chaining
+    it with a Hamiltonian costs about three times chaining it without (a
+    2,100-step spin-1 replay: 0.35 s against 0.12 s).  For many steps with
+    a Hamiltonian, use ``simulate_trajectory`` or ``ensemble_observables``,
+    which build the propagator once per run.
     """
     _check_gamma(gamma)
     _check_dt(dt)
@@ -671,21 +661,19 @@ def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, projector):
     """Integrate n_traj trajectories in blocks of DEFAULT_BLOCK and collect
     the mean |psi><psi| if projector is set, else the per-trajectory
     ``_observe_batch`` rows."""
-    n_traj, block = _count("n_traj", n_traj), DEFAULT_BLOCK
+    n_traj, block, d = _count("n_traj", n_traj), DEFAULT_BLOCK, rep.dim_hilbert
     initial = np.asarray(initial, dtype=complex)
     if initial.ndim == 1:
-        psi = _validate_state(initial, rep.dim_hilbert)
-        initials = np.tile(psi, (n_traj, 1))
+        initials = np.tile(_validate_state(initial, d), (n_traj, 1))
+    elif initial.shape == (n_traj, d):
+        initials = np.array(
+            [_validate_state(row, d, where=f" (trajectory {i})") for i, row in enumerate(initial)]
+        )
     else:
-        if initial.shape != (n_traj, rep.dim_hilbert):
-            raise ValueError(
-                f"per-trajectory initials must have shape ({n_traj}, "
-                f"{rep.dim_hilbert}), got {initial.shape}"
-            )
-        initials = _unit_rows(initial)
+        raise ValueError(f"per-trajectory initials must have shape ({n_traj}, {d}), got {initial.shape}")
     prop = _step_propagator(h, rep, cfg.dt)
     record_stride, times = _record_grid(cfg.steps, record_stride, cfg.dt)
-    n_rec, d = len(times), rep.dim_hilbert
+    n_rec = len(times)
     if projector:
         total = np.zeros((n_rec, d, d), dtype=complex)
 
@@ -748,6 +736,9 @@ def ensemble_observables(
     may be one state vector or an (n_traj, d) array of per-trajectory
     starts; trajectory i draws noise from seed cfg.seed + i either way, and
     blocks of DEFAULT_BLOCK (256) trajectories run as in ``ensemble_average``.
+    Every start takes the one state check: a lone start once, then copied
+    to every trajectory; per-trajectory starts row by row, and the error
+    names the first trajectory whose start fails.
     """
     return _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, False)
 

@@ -956,7 +956,9 @@ def test_block_records_are_chained_batch_steps_bit_for_bit(monkeypatch, block, n
     _, got = ensemble_observables(initials, h, rep, cfg, 4, stride)
     assert got.shape == (4, 30 // stride + 1, 4 + rep.dim_algebra)
     # complex_step replays the block through _batch_stepper with no dest
-    states = reference_record_states(dynamics._unit_rows(initials), h, rep, cfg, stride)
+    states = reference_record_states(
+        np.stack([dynamics._validate_state(row, rep.dim_hilbert) for row in initials]), h, rep, cfg, stride
+    )
     assert np.array_equal(got, dynamics._observe_batch(states, rep, cfg.gamma).transpose(1, 0, 2))
 
 
@@ -1379,6 +1381,26 @@ def test_per_trajectory_initials_errors_name_the_trajectory(spin1, run):
     not_finite = r"^state norm is not finite: \|psi\| = nan \(trajectory 23\)$"
     with pytest.raises(ValueError, match=not_finite):
         run(initials, None, spin1, cfg, 30)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("run", [ensemble_average, ensemble_observables])
+@pytest.mark.parametrize("name", ["su2:2", "suN:3"])
+def test_lone_start_runs_as_that_start_given_per_trajectory(monkeypatch, name, run, threads):
+    # a start takes one check, lone or as a row: a lone start is the ensemble
+    # of its tiled rows bit for bit; its norm is off 1 by 4e-12, so both paths
+    # divide it, and 300 trajectories span two blocks
+    monkeypatch.setenv("GCSLOC_THREADS", threads)
+    rep = step_algebra(name)
+    start = (1 + 4e-12) * haar_state(rep.dim_hilbert, 44)
+    assert abs(np.linalg.norm(start) - 1.0) > 1e-12
+    h = np.linspace(-0.4, 0.7, rep.dim_algebra)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=12, seed=45)
+    n_traj = 300
+    assert dynamics.DEFAULT_BLOCK < n_traj <= 2 * dynamics.DEFAULT_BLOCK
+    times, lone = run(start, h, rep, cfg, n_traj, 3)
+    tiled_times, tiled = run(np.tile(start, (n_traj, 1)), h, rep, cfg, n_traj, 3)
+    assert np.array_equal(tiled_times, times) and np.array_equal(tiled, lone)
 
 
 @pytest.mark.parametrize("run", [ensemble_average, ensemble_observables])

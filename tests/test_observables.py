@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_sun_adjoint, build_sun_symmetric, rng_haar_state, sym3_su3_trace_norm_minimizer
-from gcsloc.algebra import build_su2_irrep, build_sun_fundamental, rescaled
+from gcsloc.algebra import algebra_from_generators, build_su2_irrep, build_sun_fundamental
 from gcsloc.cartan import (
     align_expectation_to_cartan,
     cartan_decompose,
@@ -180,7 +180,7 @@ def test_uncertainty_range_on_haar_states():
 def test_uncertainty_bounds_reject_root_data_of_another_normalization(builder, arg):
     rep = builder(arg)
     with pytest.raises(ValueError, match="normalization inconsistency"):
-        uncertainty_bounds(rescaled(rep, 2.0), cartan_decompose(rep))
+        uncertainty_bounds(algebra_from_generators(2.0 * rep.generators), cartan_decompose(rep))
 
 
 @pytest.mark.parametrize("builder,arg", [
