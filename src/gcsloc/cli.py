@@ -22,9 +22,9 @@ configuration and seed reproduce identical bytes.  Each subcommand takes
 only the flags it reads.  A key=value config file (``--config``) can give any
 of them that takes a value: each line becomes a ``--key=value`` flag read
 before the explicit ones, so explicit flags win.  The
-GCSLOC_THREADS environment variable sets how many threads step an
-ensemble's blocks, the calling thread included (results are reduced in
-fixed order, so the value never changes output).
+GCSLOC_THREADS environment variable sets how many threads, the calling
+thread included, step an ensemble's blocks, in rounds of that many blocks
+(results are reduced in block order, so the value never changes output).
 """
 
 from __future__ import annotations

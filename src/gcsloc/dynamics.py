@@ -96,12 +96,13 @@ STABILITY_LIMIT = 0.01  # max allowed gamma * dt
 DEFAULT_BLOCK = 256
 # Doubles of the stacked X_k psi of a batch of n >= 2 states above which an
 # algebra with K > d is stepped through the d x d operator (see
-# ``_batch_stepper``); a lone state always takes the stack.  Measured per
-# trajectory-step (best of 7 x 200 steps, one thread): at n = 2 the operator
-# route costs 1.2-1.3x the stack on spin 1/2 and su(3) to su(8); at n = 256,
-# 0.77x on su(6) and 0.69x on su(8), and 0.97-1.02x on su(3) to su(5).  The
-# two cross near n = 64-128 on su(6), 24-32 on su(7) and 32-48 on su(8),
-# where the limit falls at n = 79, 49 and 33.
+# ``_batch_stepper``); a lone state always takes the stack.  The operator
+# route's time per trajectory-step over the stack's (best of 7 x 200 steps,
+# one thread, median of four runs) is 1.17-1.28 at n = 2 on spin 1/2 and
+# su(3) to su(8); at n = 256, 1.02-1.06 on spin 1/2 to su(4), 0.95 on
+# su(5), 0.76 on su(6) and 0.69-0.71 on su(7) and su(8).  It drops below 1
+# at n = 64-128 on su(5) and su(6) and at n = 8-32 on su(7) and su(8); the
+# limit sends n >= 137, 79, 49 and 33 to the operator route.
 _STACK_LIMIT = 1 << 15
 
 _UINT64_MASK = (1 << 64) - 1
@@ -631,30 +632,28 @@ def _integrate(batch, prop, rep, cfg, lo, record_stride, record):
 
 
 def _in_block_order(run_block, starts):
-    """Yield run_block(lo) for each block start lo, in block order.  With
-    GCSLOC_THREADS = n > 1 and more than one block, the calling thread runs
-    blocks 0, n, 2n, .. itself, between reading the results of the others
-    from a pool of n - 1 workers, so n threads step blocks.  Only the
-    workers' blocks of the next two rounds of n are queued at a time, and a
-    result is dropped once it is yielded, so the results held do not grow
-    with the block count.  Reading a result raises its block's error, and
-    then the queued blocks are cancelled."""
-    n_threads = _thread_count()
-    if n_threads == 1 or len(starts) == 1:
-        yield from map(run_block, starts)
-        return
-    from concurrent.futures import ThreadPoolExecutor
+    """Yield run_block(lo) for each block start lo, in block order, in
+    rounds of n = min(GCSLOC_THREADS, number of blocks) blocks.  Each round
+    gives every block but its first to a pool of n - 1 workers, runs the
+    first on the calling thread (blocks 0, n, 2n, ..) and yields the
+    round's results in block order before the next round starts, so at
+    most n results are held at a time.  Reading a result raises its
+    block's error."""
+    n = min(_thread_count(), len(starts))
+    pool = None
+    if n > 1:
+        from concurrent.futures import ThreadPoolExecutor
 
-    pool = ThreadPoolExecutor(max_workers=n_threads - 1)
-    queued = {}
+        pool = ThreadPoolExecutor(max_workers=n - 1)
     try:
-        for i, lo in enumerate(starts):
-            for j in range(i, min(i + 2 * n_threads, len(starts))):
-                if j % n_threads and j not in queued:
-                    queued[j] = pool.submit(run_block, starts[j])
-            yield queued.pop(i).result() if i % n_threads else run_block(lo)
+        for r in range(0, len(starts), n):
+            others = [pool.submit(run_block, lo) for lo in starts[r + 1 : r + n]]
+            yield run_block(starts[r])
+            while others:
+                yield others.pop(0).result()
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown()
 
 
 def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, projector):

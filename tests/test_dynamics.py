@@ -1,4 +1,5 @@
 import threading
+import time
 import tracemalloc
 from functools import lru_cache
 from types import SimpleNamespace
@@ -1224,7 +1225,7 @@ def test_ensemble_thread_count_invariance_su6(monkeypatch):
     assert np.array_equal(ref, par)
 
 
-@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("blocks", [1, 2, 3, 7])
 @pytest.mark.parametrize("run", [ensemble_average, ensemble_observables])
 def test_ensemble_output_independent_of_threads(monkeypatch, run, blocks):
     # su(3) through the operator route in blocks of 4, shared between the
@@ -1244,28 +1245,36 @@ def test_ensemble_output_independent_of_threads(monkeypatch, run, blocks):
 @pytest.mark.parametrize("threads", [2, 3])
 def test_calling_thread_steps_every_nth_block(spin1, monkeypatch, threads):
     # GCSLOC_THREADS counts the calling thread, which runs blocks 0, n, 2n,
-    # ..; the n - 1 workers run the rest
-    ran = {}
+    # ..; the n - 1 workers run the rest.  Blocks run in rounds of n, the
+    # last one partial: every block of a round ends before any block of the
+    # next starts, even while the calling thread's block lags its round
+    ran, events = {}, []
     integrate = dynamics._integrate
 
     def recorded(batch, prop, rep, cfg, lo, *rest):
         ran[lo] = threading.get_ident()
-        return integrate(batch, prop, rep, cfg, lo, *rest)
+        events.append(lo)  # start
+        if ran[lo] == main:
+            time.sleep(0.02)
+        integrate(batch, prop, rep, cfg, lo, *rest)
+        events.append(lo)  # end
 
     monkeypatch.setattr(dynamics, "_integrate", recorded)
     monkeypatch.setenv("GCSLOC_THREADS", str(threads))
     monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 2)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5, seed=65)
-    ensemble_average(haar_state(3, 56), None, spin1, cfg, n_traj=14)
     main = threading.get_ident()
+    ensemble_average(haar_state(3, 56), None, spin1, cfg, n_traj=14)
     assert [ran[lo] == main for lo in range(0, 14, 2)] == [i % threads == 0 for i in range(7)]
     assert len(set(ran.values())) <= threads
+    rounds = [lo // 2 // threads for lo in events]
+    assert rounds == sorted(rounds)
 
 
-@pytest.mark.parametrize("bad_seed", [81, 87])
+@pytest.mark.parametrize("bad_seed", [81, 84, 87])
 def test_threaded_blow_up_names_step_trajectory_and_seed(spin1, monkeypatch, bad_seed):
-    # trajectory 1 is in block 0, on the calling thread; trajectory 7 is in
-    # the last of three blocks, on the worker
+    # trajectories 1 and 7 are in blocks 0 and 2, on the calling thread;
+    # trajectory 4 is in block 1, on the worker
     real_rng = dynamics.stream_rng
 
     class Spiked:
