@@ -41,7 +41,6 @@ __all__ = [
     "algebra_from_generators",
     "build_su2_irrep",
     "build_sun_fundamental",
-    "rep_debug_dict",
     "unitary_exp",
 ]
 
@@ -410,23 +409,3 @@ def build_sun_fundamental(n: int) -> AlgebraRep:
         diag[k - 1, k - 1] = -coeff * (k - 1)
         gens.append(diag)
     return algebra_from_generators(np.stack(gens))
-
-
-def rep_debug_dict(rep: AlgebraRep) -> dict:
-    """JSON-serializable dump of the generators and structure constants.
-
-    Complex entries become [real, imag] pairs, row-major.
-    """
-
-    def complex_matrix(m):
-        return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-    return {
-        "dim_algebra": rep.dim_algebra,
-        "dim_hilbert": rep.dim_hilbert,
-        "normalization": rep.normalization,
-        "casimir_eigenvalue": rep.casimir_eigenvalue,
-        "adjoint_casimir": rep.adjoint_casimir,
-        "generators": [complex_matrix(g) for g in rep.generators],
-        "structure_constants": rep.structure_constants.tolist(),
-    }

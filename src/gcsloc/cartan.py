@@ -44,7 +44,6 @@ __all__ = [
     "CartanData",
     "align_expectation_to_cartan",
     "cartan_decompose",
-    "cartan_debug_dict",
     "generate_gcs",
     "highest_weight_state",
     "weight_string",
@@ -475,15 +474,3 @@ def _root_triple_sweep(psi, v, rep, cartan):
         psi /= _norm(psi)
         v = expectation_vector(psi, rep)
     return psi, v
-
-
-def cartan_debug_dict(cartan: CartanData) -> dict:
-    """JSON-serializable dump of roots and weights."""
-    return {
-        "rank": cartan.rank,
-        "positive_roots": cartan.positive_roots.tolist(),
-        "roots": cartan.roots.tolist(),
-        "weights": cartan.weights.tolist(),
-        "highest_weight": cartan.highest_weight.tolist(),
-        "positive_root_sum": cartan.positive_root_sum.tolist(),
-    }

@@ -30,14 +30,15 @@ thread included, step an ensemble's blocks, in rounds of that many blocks
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
 
 import numpy as np
 
-from .algebra import AlgebraRep, build_su2_irrep, build_sun_fundamental, rep_debug_dict
-from .cartan import cartan_debug_dict, cartan_decompose, highest_weight_state
+from .algebra import AlgebraRep, build_su2_irrep, build_sun_fundamental
+from .cartan import cartan_decompose, highest_weight_state
 from .dynamics import (
     NoiseConfig,
     _check_dt,
@@ -162,39 +163,40 @@ def _run_inputs(args):
     return rep, cfg, h, psi0
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """stdout for '-', left open; otherwise path, opened for writing."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        yield fh
+
+
+def _jsonable(x):
+    """An ndarray as nested lists, each complex entry a [real, imag] pair."""
+    if isinstance(x, np.ndarray):
+        if np.iscomplexobj(x):
+            return np.stack([x.real, x.imag], -1).tolist()
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _write_json(path, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    fh, close = _open_out(path)
-    try:
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
+    with _output(path) as fh:
         fh.write(text + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def _write_csv(path, cols, table):
     """A header of column names, then one FLOAT_FMT line per row of table,
     formatted CSV_BLOCK rows at a time."""
     fmt = ",".join([FLOAT_FMT] * len(cols)) + "\n"
-    fh, close = _open_out(path)
-    try:
+    with _output(path) as fh:
         fh.write(",".join(cols) + "\n")
         for lo in range(0, len(table), CSV_BLOCK):
             block = table[lo : lo + CSV_BLOCK]
             fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
-    finally:
-        if close:
-            fh.close()
-
-
-def _serialize_state(psi):
-    return [[float(z.real), float(z.imag)] for z in np.asarray(psi, dtype=complex)]
 
 
 def cmd_simulate(args) -> int:
@@ -284,7 +286,7 @@ def cmd_theorem_scan(args) -> int:
         report["violations"] = {
             "kind": "cov_trace_norm_below_extremal" if not min_ok else "positive_drift",
             "sample_index": bad_idx,
-            "state": _serialize_state(states[bad_idx]),
+            "state": states[bad_idx],
             "cov_trace_norm": float(tnorm[bad_idx]),
             "drift": float(drift[bad_idx]),
         }
@@ -304,10 +306,23 @@ def cmd_bounds(args) -> int:
         "delta_min": delta_min,
         "casimir_eigenvalue": c,
         "adjoint_casimir": rep.adjoint_casimir,
+        "rank": cartan.rank,
+        "positive_roots": cartan.positive_roots,
+        "roots": cartan.roots,
+        "weights": cartan.weights,
+        "highest_weight": cartan.highest_weight,
+        "positive_root_sum": cartan.positive_root_sum,
     }
-    payload.update(cartan_debug_dict(cartan))
     if args.dump_algebra:
-        payload["algebra_debug"] = rep_debug_dict(rep)
+        payload["algebra_debug"] = {
+            "dim_algebra": rep.dim_algebra,
+            "dim_hilbert": rep.dim_hilbert,
+            "normalization": rep.normalization,
+            "casimir_eigenvalue": rep.casimir_eigenvalue,
+            "adjoint_casimir": rep.adjoint_casimir,
+            "generators": rep.generators,
+            "structure_constants": rep.structure_constants,
+        }
     _write_json(args.out, payload)
     return 0
 

@@ -39,7 +39,7 @@ from .dynamics import (
     _centred,
     _check_gamma,
     _drift,
-    _generator_action,
+    _moments,
     _purity,
     _second,
     _tnorm,
@@ -64,8 +64,7 @@ BOUNDS_CONSISTENCY_TOL = 1e-6
 
 def _state_moments(psi, rep):
     """``_moments`` (pf, z, v) of one state, as a batch of one."""
-    pf = _validate_state(psi, rep.dim_hilbert).view(np.float64)[None, :]
-    return (pf, *_generator_action(pf, rep))
+    return _moments(_validate_state(psi, rep.dim_hilbert)[None], rep)
 
 
 def expectation_vector(psi, rep: AlgebraRep) -> np.ndarray:

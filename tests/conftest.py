@@ -6,7 +6,8 @@ give the irreps and states that several test modules use: Sym^p and the
 adjoint of su(n), a representation in a rotated basis, a Haar state from
 numpy's ``default_rng``, and minimisers of T = sum M^2 on Sym^3 su(3).
 ``lindblad_superoperator`` is the dense master-equation generator that
-the exact flow is checked against."""
+the exact flow is checked against, and ``kappa_loc`` the localisation
+rate's upper bound at the highest weight state."""
 
 import itertools
 from functools import lru_cache, reduce
@@ -16,7 +17,13 @@ import scipy.linalg
 import scipy.optimize
 
 from gcsloc.algebra import algebra_from_generators, build_sun_fundamental
-from gcsloc.observables import covariance_trace_norm
+from gcsloc.cartan import cartan_decompose, highest_weight_state
+from gcsloc.observables import (
+    covariance_trace_norm,
+    localization_drift,
+    total_uncertainty,
+    uncertainty_bounds,
+)
 
 _criterion_lines = []
 
@@ -119,3 +126,44 @@ def sym3_su3_trace_norm_minimizer(seed):
     psi = state(res.x)
     psi.flags.writeable = False
     return rep, psi
+
+
+def kappa_loc(rep):
+    """(smallest, largest, dim_C N): the generalised eigenvalues of the
+    Hessians of T - c_adj P = -D/(2 gamma) and of Delta - delta_min at |hw>.
+
+    N is the orthogonal complement of the orbit's tangent space
+    span_C{|hw>, X_k |hw>}, from an SVD of those K + 1 columns; the Hessians
+    are central differences, step h = 1e-4, in psi(x) = normalise(|hw> +
+    sum_i x_i e_i), over the 2 dim_C N real directions e_i: b and i b for
+    each basis vector b of N.  The smallest is
+    kappa_loc, the upper bound on the rate kappa = -D / (2 gamma (Delta -
+    delta_min)) near the orbit.
+    """
+    cartan = cartan_decompose(rep)
+    hw = highest_weight_state(cartan)
+    delta_min, _ = uncertainty_bounds(rep, cartan)
+    u, s, _ = np.linalg.svd(np.column_stack([hw, *(rep.generators @ hw)]))
+    normal = u[:, int(np.sum(s > 1e-8 * s[0])) :]
+    dirs = np.concatenate([normal, 1j * normal], axis=1).T
+
+    def at(x):
+        psi = hw + x @ dirs
+        return psi / np.linalg.norm(psi)
+
+    def hessian(f, h=1e-4):
+        m = len(dirs)
+        steps = h * np.eye(m)
+        hess = np.empty((m, m))
+        for i in range(m):
+            for j in range(i, m):
+                a, b = steps[i], steps[j]
+                hess[i, j] = hess[j, i] = (
+                    f(at(a + b)) - f(at(a - b)) - f(at(b - a)) + f(at(-a - b))
+                ) / (4 * h * h)
+        return hess
+
+    hf = hessian(lambda psi: -localization_drift(psi, rep, 0.5))
+    hg = hessian(lambda psi: total_uncertainty(psi, rep) - delta_min)
+    kappa = scipy.linalg.eigh(hf, hg, eigvals_only=True)
+    return kappa[0], kappa[-1], normal.shape[1]

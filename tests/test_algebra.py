@@ -1,15 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from conftest import conjugated
-from gcsloc import algebra
+from gcsloc import algebra, cli
 from gcsloc.algebra import (
     algebra_from_generators,
     build_su2_irrep,
     build_sun_fundamental,
-    rep_debug_dict,
     unitary_exp,
 )
 from gcsloc.dynamics import haar_states
@@ -349,12 +350,14 @@ def test_generators_read_only():
         rep.generators[0, 0, 0] = 1.0
 
 
-def test_debug_dict_round_trip():
+def test_debug_dict_round_trip(tmp_path):
+    # the bounds JSON writes each complex entry as a [real, imag] pair
+    out = tmp_path / "bounds.json"
+    assert cli.main(["bounds", "--algebra", "suN:n=2", "--out", str(out), "--dump-algebra"]) == 0
+    dump = json.loads(out.read_text())["algebra_debug"]
     rep = build_sun_fundamental(2)
-    dump = rep_debug_dict(rep)
-    gens = np.array(
-        [[[complex(re, im) for re, im in row] for row in g] for g in dump["generators"]]
-    )
+    pairs = np.array(dump["generators"])
+    gens = pairs[..., 0] + 1j * pairs[..., 1]
     assert np.allclose(gens, rep.generators, atol=1e-15)
     assert dump["dim_algebra"] == 3
     assert np.allclose(

@@ -1,4 +1,5 @@
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from conftest import (
     rng_haar_state,
     sym3_su3_trace_norm_minimizer,
 )
-from gcsloc import cartan as cartan_module
+from gcsloc import cartan as cartan_module, cli
 from gcsloc.algebra import (
     algebra_from_generators,
     build_su2_irrep,
@@ -20,7 +21,6 @@ from gcsloc.algebra import (
 )
 from gcsloc.cartan import (
     align_expectation_to_cartan,
-    cartan_debug_dict,
     cartan_decompose,
     generate_gcs,
     highest_weight_state,
@@ -555,9 +555,11 @@ def test_decompose_in_other_conjugated_bases(builder, arg):
     check_conjugated_decomposition(builder(arg))
 
 
-def test_debug_dict_keys(su3):
+def test_debug_dict_keys(su3, tmp_path):
     rep, cartan = su3
-    dump = cartan_debug_dict(cartan)
+    out = tmp_path / "bounds.json"
+    assert cli.main(["bounds", "--algebra", "suN:n=3", "--out", str(out)]) == 0
+    dump = json.loads(out.read_text())
     assert dump["rank"] == 2
     assert len(dump["positive_roots"]) == 3
     assert len(dump["weights"]) == 3

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_sun_adjoint, build_sun_symmetric, rng_haar_state, sym3_su3_trace_norm_minimizer
+from conftest import (
+    build_sun_adjoint,
+    build_sun_symmetric,
+    conjugated,
+    kappa_loc,
+    rng_haar_state,
+    sym3_su3_trace_norm_minimizer,
+)
 from gcsloc.algebra import algebra_from_generators, build_su2_irrep, build_sun_fundamental
 from gcsloc.cartan import (
     align_expectation_to_cartan,
@@ -174,6 +181,25 @@ def test_uncertainty_range_on_haar_states():
     for seed in range(300):
         d = total_uncertainty(rng_haar_state(4, seed), rep)
         assert delta_min - 1e-10 <= d <= c + 1e-10
+
+
+@pytest.mark.parametrize("make,expected", [
+    pytest.param(lambda: build_su2_irrep(2), (4, 4, 1), id="spin1"),
+    pytest.param(lambda: build_su2_irrep(3), (2, 8, 2), id="spin3half"),
+    pytest.param(lambda: build_su2_irrep(4), (2, 12, 3), id="spin2"),
+    pytest.param(lambda: conjugated(build_su2_irrep(4)), (2, 12, 3), id="spin2-conjugated"),
+    pytest.param(lambda: build_su2_irrep(6), (2, 20, 5), id="spin3"),
+    pytest.param(lambda: build_sun_symmetric(3, 2), (4, 4, 3), id="su3-sym2"),
+    pytest.param(lambda: build_sun_adjoint(3), (4, 6, 4), id="su3-adjoint"),
+    pytest.param(lambda: build_sun_symmetric(3, 3), (2, 8, 7), id="su3-sym3"),
+])
+def test_kappa_loc_at_highest_weight(make, expected):
+    # the rate bound's extremes on the complement N of the orbit's tangent
+    # space, and dim_C N; spin j reads kappa_loc = 2 for every j >= 3/2
+    lo, hi, dim_n = kappa_loc(make())
+    assert dim_n == expected[2]
+    assert lo == pytest.approx(expected[0], abs=1e-4)
+    assert hi == pytest.approx(expected[1], abs=1e-4)
 
 
 @pytest.mark.parametrize("builder,arg", [(build_su2_irrep, 2), (build_sun_fundamental, 3)])
