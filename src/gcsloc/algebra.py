@@ -184,6 +184,15 @@ def unitary_exp(h, t=1.0):
     return (v * phase) @ v.conj().T
 
 
+def _apply_unitary_exp(h, psi, t=1.0):
+    """exp(1j * t * h) psi for a Hermitian matrix h, a vector psi and a
+    scalar t: ``unitary_exp``'s one eigendecomposition h = V diag(w)
+    V^dagger applied as V (exp(1j t w) * V^dagger psi), without forming
+    the (d, d) unitary."""
+    w, v = np.linalg.eigh(h)
+    return v.dot(np.exp(1j * t * w) * v.conj().T.dot(psi))
+
+
 def _uniform_norm(gram):
     """Extract lam from the gram matrix, insisting on uniform diagonal."""
     diag = np.diag(gram)

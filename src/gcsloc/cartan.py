@@ -11,13 +11,17 @@ extracted data (the Cartan set commutes, [H_i, E_a] = a_i E_a,
 [E_a, E_a^dag] = a . H, and which weight state every E_a annihilates) are
 each one product stacked over all roots, and a failed check names the
 lowest failing root.  Generalized coherent states are group orbits of the
-highest-weight state, exp(1j * sum_k params_k X_k) |hw>.  A state is
-rotated into the Cartan gauge (<X> in the Cartan span) on one of two
-paths: one eigenbasis rotation for the defining su(N), N > 2, and
-otherwise cyclic Jacobi sweeps, each step an exact rotation in one
-positive root's su(2) triple, at most ALIGNMENT_SWEEPS sweeps.  <X> and
-the check of the root data against the states (``uncertainty_bounds``)
-come from ``observables``.
+highest-weight state, exp(1j * sum_k params_k X_k) |hw>; the exponential
+is applied to |hw> from one eigendecomposition without forming the
+unitary (``algebra._apply_unitary_exp``), as is each rotation of an
+alignment sweep.  A state is rotated into the Cartan gauge (<X> in the
+Cartan span) on one of two paths: one eigenbasis rotation for the
+defining su(N), N > 2, and otherwise cyclic Jacobi sweeps, each step an
+exact rotation in one positive root's su(2) triple, at most
+ALIGNMENT_SWEEPS sweeps.  <X> and the check of the root data against
+the states (``uncertainty_bounds``) come from ``observables``, which
+observes one state as a row; batches (records, theorem scans) go through
+``dynamics._moments``.
 
 Conventions
 -----------
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraRep, _coefficients, _combination, _max_abs, _norm, _philox, unitary_exp
+from .algebra import AlgebraRep, _apply_unitary_exp, _coefficients, _combination, _max_abs, _norm, _philox
 from .observables import expectation_vector, uncertainty_bounds
 
 __all__ = [
@@ -342,8 +346,8 @@ def generate_gcs(rep: AlgebraRep, cartan: CartanData, params) -> np.ndarray:
     (d,) complex ndarray, normalized.
     """
     params = _coefficients("params", params, rep.dim_algebra)
-    u = unitary_exp(_combination(params, rep.generators))
-    psi = u @ cartan.weight_basis[:, cartan.highest_weight_index]
+    hw = cartan.weight_basis[:, cartan.highest_weight_index]
+    psi = _apply_unitary_exp(_combination(params, rep.generators), hw)
     return psi / _norm(psi)
 
 
@@ -470,7 +474,7 @@ def _root_triple_sweep(psi, v, rep, cartan):
         size = math.hypot(*root)
         along = sum(x * y for x, y in zip(root, w[:r])) / size
         axis = np.array([y2 / off, -y1 / off]) @ rows[r + 2 * m : r + 2 * m + 2]
-        psi = unitary_exp(_combination(axis, rep.generators), -math.atan2(off, along) / size) @ psi
+        psi = _apply_unitary_exp(_combination(axis, rep.generators), psi, -math.atan2(off, along) / size)
         psi /= _norm(psi)
         v = expectation_vector(psi, rep)
     return psi, v

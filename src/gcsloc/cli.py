@@ -124,6 +124,8 @@ def _steps_from(args) -> int:
     _check_dt(args.dt)
     if not np.isfinite(args.time):
         raise UsageError(f"--time must be finite, got {args.time}")
+    if args.time <= 0:
+        raise UsageError(f"--time must be positive, got {args.time}")
     ratio = args.time / args.dt
     if not np.isfinite(ratio):
         raise UsageError(f"--time {args.time} / --dt {args.dt} is not a finite step count")

@@ -18,10 +18,12 @@ conserved to rounding, not to O(dt)), while the measurement update is the
 standard order-1/2 strong scheme.
 
 The step, the records, the theorem scan and ``observables`` share one
-moment kernel, ``_generator_action``: states are read as interleaved real
-and imaginary parts, and one real product with the real generator stack
+moment formula: states are read as interleaved real and imaginary parts,
+and one real product with the real generator stack
 ``AlgebraRep.moment_stack`` gives every X_k psi in the same layout, so
-<X_k> and the rest are real batched contractions.  The step keeps its
+<X_k> and the rest are real contractions.  Batches go through
+``_generator_action`` and ``_moments``; one state is observed as a (2d,)
+row by ``observables``, with ``ndarray.dot``.  The step keeps its
 batch in that real form from one record to the next, needs only <X_k> and
 the update sum_k coef_k X_k psi + keep psi, and takes C = sum_k X_k^2 as
 the scalar c.  Every step has one contract: a stepper, built once per

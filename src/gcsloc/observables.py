@@ -10,6 +10,12 @@ quantities are
     squared norm         T     = sum_kl M_kl^2
     localization drift   D     = 2 gamma (c_adj P - T)
 
+The functions of one state read it as a (2d,) row of interleaved real and
+imaginary parts and form these from its stack of X_k psi by
+``ndarray.dot``, in the order ``dynamics._moments`` and its moment
+functions take for a batch (the records and the theorem scan), without
+the batch gufuncs' dispatch.
+
 D is the ensemble-average time derivative of Delta under pure measurement
 dynamics; it is nonpositive everywhere and vanishes exactly on the
 coherent-state orbit of the highest weight, which minimizes the trace norm
@@ -35,16 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraRep
-from .dynamics import (
-    _centred,
-    _check_gamma,
-    _drift,
-    _moments,
-    _purity,
-    _second,
-    _tnorm,
-    _validate_state,
-)
+from .dynamics import _check_gamma, _drift, _validate_state
 
 __all__ = [
     "CartanSplit",
@@ -62,36 +59,58 @@ __all__ = [
 BOUNDS_CONSISTENCY_TOL = 1e-6
 
 
-def _state_moments(psi, rep):
-    """``_moments`` (pf, z, v) of one state, as a batch of one."""
-    return _moments(_validate_state(psi, rep.dim_hilbert)[None], rep)
+def _row_moments(psi, rep):
+    """(pf, z, v) of one state as a row: the (2d,) interleaved real row pf,
+    z the (K, 2d) stack of X_k psi in that layout and v = <X_k>, formed as
+    ``dynamics._moments`` forms them for a batch, each contraction an
+    ``ndarray.dot``: the BLAS kernels the batch runs, without its
+    dispatch."""
+    pf = _validate_state(psi, rep.dim_hilbert).view(np.float64)
+    z = pf.dot(rep.moment_stack).reshape(rep.dim_algebra, -1)
+    return pf, z, z.dot(pf)
+
+
+def _row_centred(psi, rep):
+    """(v, U) of one state: U the (K, 2d) stack of (X_k - v_k) psi,
+    ``dynamics._centred`` on a row."""
+    pf, z, v = _row_moments(psi, rep)
+    u = np.multiply.outer(v, pf)
+    return v, np.subtract(z, u, out=u)
+
+
+def _row_tnorm(u):
+    """T = sum_kl M_kl^2 of one state, from the smaller Gram matrix of U
+    as ``dynamics._tnorm`` takes it."""
+    gram = u.dot(u.T) if u.shape[0] <= u.shape[1] else u.T.dot(u)
+    return 4.0 * np.vdot(gram, gram)
 
 
 def expectation_vector(psi, rep: AlgebraRep) -> np.ndarray:
     """<X_k> for every generator, a real vector of length K."""
-    return _state_moments(psi, rep)[2][0]
+    return _row_moments(psi, rep)[2]
 
 
 def generalized_purity(psi, rep: AlgebraRep) -> float:
     """Squared Euclidean length of the expectation vector."""
-    return float(_purity(_state_moments(psi, rep)[2])[0])
+    v = _row_moments(psi, rep)[2]
+    return float(v.dot(v))
 
 
 def total_uncertainty(psi, rep: AlgebraRep) -> float:
     """sum_k <X_k^2> - sum_k <X_k>^2, the basis-invariant variance sum."""
-    _, z, v = _state_moments(psi, rep)
-    return float(_second(z)[0] - _purity(v)[0])
+    _, z, v = _row_moments(psi, rep)
+    return float(np.vdot(z, z) - v.dot(v))
 
 
 def covariance_matrix(psi, rep: AlgebraRep) -> np.ndarray:
     """Symmetrized covariance M_kl = <{X_k, X_l}> - 2 <X_k><X_l>."""
-    u = _centred(*_state_moments(psi, rep))
-    return 2.0 * (u @ u.transpose(0, 2, 1))[0]
+    u = _row_centred(psi, rep)[1]
+    return 2.0 * u.dot(u.T)
 
 
 def covariance_trace_norm(psi, rep: AlgebraRep) -> float:
     """Squared Frobenius norm sum_kl M_kl^2 of the covariance matrix."""
-    return float(_tnorm(_centred(*_state_moments(psi, rep)))[0])
+    return float(_row_tnorm(_row_centred(psi, rep)[1]))
 
 
 def localization_drift(psi, rep: AlgebraRep, gamma: float) -> float:
@@ -101,8 +120,8 @@ def localization_drift(psi, rep: AlgebraRep, gamma: float) -> float:
     orbit.
     """
     _check_gamma(gamma)
-    pf, z, v = _state_moments(psi, rep)
-    return float(_drift(rep, gamma, _purity(v), _tnorm(_centred(pf, z, v)))[0])
+    v, u = _row_centred(psi, rep)
+    return float(_drift(rep, gamma, v.dot(v), _row_tnorm(u)))
 
 
 def uncertainty_bounds(rep: AlgebraRep, cartan):

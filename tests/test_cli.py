@@ -302,6 +302,21 @@ def test_degenerate_time_grid_exits_1(tmp_path, capsys, command, dt, time):
 
 
 @pytest.mark.parametrize("command", ["simulate", "ensemble"])
+@pytest.mark.parametrize("time", ["0", "-1"])
+def test_nonpositive_time_exits_1(tmp_path, capsys, command, time):
+    # both are integer multiples of --dt; they are refused for their sign
+    extra = ["--traj", "2"] if command == "ensemble" else []
+    rc = main([
+        command, "--algebra", "su2:two_j=2", "--gamma", "0.1", "--dt", "1e-3",
+        f"--time={time}", "--seed", "3", "--out", str(tmp_path / "x"), *extra,
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --time must be positive, got {float(time)}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "ensemble"])
 def test_step_count_overflowing_to_inf_exits_1(tmp_path, capsys, command):
     # 1e300 / 1e-300 overflows to inf, which round() cannot turn into a count
     extra = ["--traj", "2"] if command == "ensemble" else []

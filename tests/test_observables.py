@@ -13,7 +13,7 @@ from conftest import (
     rng_haar_state,
     sym3_su3_trace_norm_minimizer,
 )
-from gcsloc.algebra import algebra_from_generators, build_su2_irrep, build_sun_fundamental
+from gcsloc.algebra import algebra_from_generators, build_su2_irrep, build_sun_fundamental, unitary_exp
 from gcsloc.cartan import (
     align_expectation_to_cartan,
     cartan_decompose,
@@ -316,9 +316,15 @@ STACKED_ALGEBRAS = {
 }
 
 
+# one state as a row against the batch kernel: K <= 2d on su(2), Sym^2 su(3)
+# and the su(3) adjoint, K > 2d on su(3) and su(6), so both Gram sides run
+ROW_ALGEBRAS = ["su2-1", "su2-2", "su2-4", "su2-16", "su3", "su6", "sym2-su3", "su3-adjoint"]
+ALGEBRAS = {**STACKED_ALGEBRAS, "su2-16": lambda: build_su2_irrep(16)}
+
+
 @lru_cache(maxsize=None)
 def decomposed(name):
-    rep = STACKED_ALGEBRAS[name]()
+    rep = ALGEBRAS[name]()
     return rep, cartan_decompose(rep)
 
 
@@ -451,3 +457,45 @@ def test_moments_hold_two_centred_stacks_at_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 2.75 * stack
+
+
+PER_STATE = {
+    f.__name__: f
+    for f in (expectation_vector, generalized_purity, total_uncertainty, covariance_matrix, covariance_trace_norm)
+} | {"localization_drift": lambda psi, rep: localization_drift(psi, rep, 0.3)}
+
+
+@pytest.mark.parametrize("name", ROW_ALGEBRAS)
+def test_one_state_row_matches_its_batch_row(name):
+    # each per-state function against the row _observe_batch records for the
+    # same state, relative to the size of what it sums
+    rep, _ = decomposed(name)
+    states, gamma = haar_states(rep.dim_hilbert, 8, 23), 0.3
+    c, c_adj = rep.casimir_eigenvalue, rep.adjoint_casimir
+    for psi, (unc, pur, tnorm, drift, *v) in zip(states, _observe_batch(states, rep, gamma)):
+        assert np.max(np.abs(expectation_vector(psi, rep) - v)) <= 1e-12 * np.sqrt(c)
+        assert generalized_purity(psi, rep) == pytest.approx(pur, rel=1e-12, abs=1e-12 * c)
+        assert total_uncertainty(psi, rep) == pytest.approx(unc, rel=1e-12)
+        assert covariance_trace_norm(psi, rep) == pytest.approx(tnorm, rel=1e-12)
+        assert np.sum(covariance_matrix(psi, rep) ** 2) == pytest.approx(tnorm, rel=1e-12)
+        # D is a difference of two terms that cancel on the orbit
+        assert abs(localization_drift(psi, rep, gamma) - drift) <= 1e-12 * 2 * gamma * (c_adj * pur + tnorm)
+
+
+@pytest.mark.parametrize("name", ROW_ALGEBRAS)
+def test_coherent_state_matches_the_unitary_on_the_highest_weight(name):
+    rep, cartan = decomposed(name)
+    hw = highest_weight_state(cartan)
+    for params in np.random.default_rng(7).normal(size=(8, rep.dim_algebra)):
+        ref = unitary_exp(np.tensordot(params, rep.generators, 1)) @ hw
+        assert np.max(np.abs(generate_gcs(rep, cartan, params) - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", PER_STATE)
+def test_per_state_functions_refuse_a_batch_and_an_unnormalized_state(name):
+    rep, cartan = decomposed("su2-4")
+    psi, func = highest_weight_state(cartan), PER_STATE[name]
+    with pytest.raises(ValueError, match=r"^state must have shape \(5,\), got \(1, 5\)$"):
+        func(psi[None], rep)
+    with pytest.raises(ValueError, match=r"^state is not normalized: \|psi\| = 2$"):
+        func(2.0 * psi, rep)
