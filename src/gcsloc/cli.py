@@ -22,9 +22,9 @@ configuration and seed reproduce identical bytes.  Each subcommand takes
 only the flags it reads.  A key=value config file (``--config``) can give any
 of them that takes a value: each line becomes a ``--key=value`` flag read
 before the explicit ones, so explicit flags win.  The
-GCSLOC_THREADS environment variable sets how many threads, the calling
-thread included, step an ensemble's blocks, in rounds of that many blocks
-(results are reduced in block order, so the value never changes output).
+GCSLOC_THREADS environment variable sets how many processes, the calling
+one and forked children (POSIX only), step an ensemble's blocks, in rounds
+of that many (results are reduced in block order: output never changes).
 """
 
 from __future__ import annotations
@@ -130,10 +130,10 @@ def _steps_from(args) -> int:
     if not np.isfinite(ratio):
         raise UsageError(f"--time {args.time} / --dt {args.dt} is not a finite step count")
     steps = round(ratio)
-    if steps < 1 or abs(ratio - steps) > 1e-9 * max(1.0, abs(ratio)):
-        raise UsageError(
-            f"--time {args.time} is not an integer multiple of --dt {args.dt}"
-        )
+    if abs(ratio - steps) > 1e-9 * max(1.0, abs(ratio)):
+        raise UsageError(f"--time {args.time} is not an integer multiple of --dt {args.dt}")
+    if steps < 1:
+        raise UsageError(f"--time {args.time} is shorter than one --dt {args.dt} step: the run has no step")
     return int(steps)
 
 

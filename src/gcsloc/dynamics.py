@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 from dataclasses import dataclass
 from functools import partial
 
@@ -552,15 +553,6 @@ def simulate_trajectory(
     )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("GCSLOC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as err:
-        raise ValueError(f"GCSLOC_THREADS must be an integer, got {raw!r}") from err
-    return _count("GCSLOC_THREADS", n)
-
-
 def _integrate(batch, prop, rep, cfg, lo, record_stride, record):
     """Evolve the rows of batch, an (n, d) complex array with contiguous
     rows, n <= DEFAULT_BLOCK, as trajectories lo, lo + 1, ..; trajectory i
@@ -633,29 +625,60 @@ def _integrate(batch, prop, rep, cfg, lo, record_stride, record):
             raise located(err, "step", step) from None
 
 
+def _fork_block(run_block, lo):
+    """Start run_block(lo) in a forked child; return its pid and the read
+    end of a pipe bringing back the pickled (True, result) or (False, error)."""
+    rd, wr = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child, which never returns
+        try:
+            try:
+                out = (True, run_block(lo))
+            except BaseException as err:  # raised again in the caller
+                out = (False, err)
+            with os.fdopen(wr, "wb") as fh:
+                pickle.dump(out, fh, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(wr)
+    return pid, os.fdopen(rd, "rb")
+
+
 def _in_block_order(run_block, starts):
     """Yield run_block(lo) for each block start lo, in block order, in
-    rounds of n = min(GCSLOC_THREADS, number of blocks) blocks.  Each round
-    gives every block but its first to a pool of n - 1 workers, runs the
-    first on the calling thread (blocks 0, n, 2n, ..) and yields the
-    round's results in block order before the next round starts, so at
-    most n results are held at a time.  Reading a result raises its
-    block's error."""
-    n = min(_thread_count(), len(starts))
-    pool = None
-    if n > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=n - 1)
+    rounds of n = min(GCSLOC_THREADS, number of blocks) blocks (n = 1
+    without os.fork).  A round forks a child for each block but its first,
+    runs the first in the calling process (blocks 0, n, 2n, ..), then reads
+    the children in block order, raising a child's error as it is read.  On
+    every way out of a round its children are reaped, unread ones killed."""
+    raw = os.environ.get("GCSLOC_THREADS", "1")
     try:
-        for r in range(0, len(starts), n):
-            others = [pool.submit(run_block, lo) for lo in starts[r + 1 : r + n]]
+        n = int(raw)
+    except ValueError as err:
+        raise ValueError(f"GCSLOC_THREADS must be an integer, got {raw!r}") from err
+    n = min(_count("GCSLOC_THREADS", n), len(starts) if hasattr(os, "fork") else 1)
+    for r in range(0, len(starts), n):
+        children = []
+        try:
+            for lo in starts[r + 1 : r + n]:
+                children.append(_fork_block(run_block, lo))
             yield run_block(starts[r])
-            while others:
-                yield others.pop(0).result()
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            for pid, fh in children:
+                with fh:
+                    try:
+                        ok, value = pickle.load(fh)
+                    except EOFError:  # the child died without a word, e.g. killed for memory
+                        ok, value = False, RuntimeError(f"block process {pid} ended without a result")
+                if not ok:
+                    raise value
+                yield value
+        finally:
+            for pid, fh in children:
+                if not fh.closed:  # not read
+                    import signal  # here, off the import path: it costs about 0.6 ms
+                    fh.close()
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, projector):
@@ -678,26 +701,27 @@ def _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, projector):
     if projector:
         total = np.zeros((n_rec, d, d), dtype=complex)
 
-        def observe(part, lo, k0, states):
+        def observe(part, k0, states):
             part[k0 : k0 + len(states)] += np.einsum("mna,mnb->mab", states, states.conj())
 
     else:
         rows = np.empty((n_traj, n_rec, 4 + rep.dim_algebra))
 
-        def observe(part, lo, k0, states):
-            obs = _observe_batch(states, rep, cfg.gamma)
-            rows[lo : lo + obs.shape[1], k0 : k0 + len(states)] = obs.transpose(1, 0, 2)
+        def observe(part, k0, states):
+            part[:, k0 : k0 + len(states)] = _observe_batch(states, rep, cfg.gamma).transpose(1, 0, 2)
 
     def run_block(lo):
-        """The block's sum of projectors at the record times, or None."""
-        part = np.zeros_like(total) if projector else None
+        """The block's sum of projectors at the record times, or its rows slab."""
+        part = np.zeros_like(total) if projector else rows[lo : lo + block]
         batch = initials[lo : lo + block].copy()
-        _integrate(batch, prop, rep, cfg, lo, record_stride, partial(observe, part, lo))
+        _integrate(batch, prop, rep, cfg, lo, record_stride, partial(observe, part))
         return part
 
-    for part in _in_block_order(run_block, range(0, n_traj, block)):
+    for b, part in enumerate(_in_block_order(run_block, range(0, n_traj, block))):
         if projector:
             total += part  # block sums added in block order, so deterministic
+        elif part.base is not rows:  # block b's slab, filled in a forked child
+            rows[b * block : (b + 1) * block] = part
     return times, (total / n_traj if projector else rows)
 
 
@@ -714,9 +738,9 @@ def ensemble_average(
     Trajectory i uses seed cfg.seed + i.  Returns (times, rho) with rho of
     shape (n_rec, d, d); each row is Hermitian with unit trace by
     construction.  Blocks of DEFAULT_BLOCK (256) trajectories are
-    integrated together and reduced in fixed order, so the result does not
-    depend on the thread count (GCSLOC_THREADS).
-    """
+    integrated together, GCSLOC_THREADS at once in as many processes (see
+    ``_in_block_order``), and reduced in fixed order, so the result does
+    not depend on that count."""
     return _run_ensemble(initial, h, rep, cfg, n_traj, record_stride, True)
 
 

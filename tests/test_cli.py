@@ -317,6 +317,36 @@ def test_nonpositive_time_exits_1(tmp_path, capsys, command, time):
 
 
 @pytest.mark.parametrize("command", ["simulate", "ensemble"])
+@pytest.mark.parametrize("time", ["1e-13", "5e-13"])
+def test_time_within_tolerance_of_no_step_exits_1(tmp_path, capsys, command, time):
+    # --time / --dt is within the 1e-9 tolerance of 0: a whole number of
+    # steps, but none
+    extra = ["--traj", "2"] if command == "ensemble" else []
+    rc = main([
+        command, "--algebra", "su2:two_j=2", "--gamma", "0.1", "--dt", "1e-3",
+        "--time", time, "--seed", "3", "--out", str(tmp_path / "x"), *extra,
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --time {float(time)} is shorter than one --dt 0.001 step: the run has no step\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "ensemble"])
+@pytest.mark.parametrize("time", ["3e-4", "1.5e-3"])
+def test_time_off_the_step_grid_exits_1(tmp_path, capsys, command, time):
+    extra = ["--traj", "2"] if command == "ensemble" else []
+    rc = main([
+        command, "--algebra", "su2:two_j=2", "--gamma", "0.1", "--dt", "1e-3",
+        "--time", time, "--seed", "3", "--out", str(tmp_path / "x"), *extra,
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --time {float(time)} is not an integer multiple of --dt 0.001\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "ensemble"])
 def test_step_count_overflowing_to_inf_exits_1(tmp_path, capsys, command):
     # 1e300 / 1e-300 overflows to inf, which round() cannot turn into a count
     extra = ["--traj", "2"] if command == "ensemble" else []

@@ -1,4 +1,4 @@
-import threading
+import os
 import time
 import tracemalloc
 from functools import lru_cache
@@ -632,7 +632,7 @@ def test_ensemble_noise_memory_is_bounded(su6, monkeypatch):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_ensemble_average_memory_does_not_grow_with_blocks(monkeypatch, threads):
     # each block's (51, 9, 9) partial, 66 KB, is added to the sum as it
-    # completes, and at most two rounds of blocks are queued on the workers;
+    # is read, and at most one round's partials are held at a time;
     # holding all 40 partials took 36 partials' worth more than 4 blocks did
     monkeypatch.setenv("GCSLOC_THREADS", threads)
     monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 8)
@@ -1229,7 +1229,7 @@ def test_ensemble_thread_count_invariance_su6(monkeypatch):
 @pytest.mark.parametrize("run", [ensemble_average, ensemble_observables])
 def test_ensemble_output_independent_of_threads(monkeypatch, run, blocks):
     # su(3) through the operator route in blocks of 4, shared between the
-    # calling thread and GCSLOC_THREADS - 1 workers
+    # calling process and GCSLOC_THREADS - 1 forked children a round
     monkeypatch.setattr(dynamics, "_STACK_LIMIT", 0)
     monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 4)
     rep = step_algebra("suN:3")
@@ -1243,32 +1243,186 @@ def test_ensemble_output_independent_of_threads(monkeypatch, run, blocks):
 
 
 @pytest.mark.parametrize("threads", [2, 3])
-def test_calling_thread_steps_every_nth_block(spin1, monkeypatch, threads):
-    # GCSLOC_THREADS counts the calling thread, which runs blocks 0, n, 2n,
-    # ..; the n - 1 workers run the rest.  Blocks run in rounds of n, the
-    # last one partial: every block of a round ends before any block of the
-    # next starts, even while the calling thread's block lags its round
-    ran, events = {}, []
+def test_calling_thread_steps_every_nth_block(spin1, monkeypatch, tmp_path, threads):
+    # GCSLOC_THREADS counts the calling process, which runs blocks 0, n, 2n,
+    # ..; each round forks n - 1 children for the rest.  Blocks run in
+    # rounds of n, the last one partial: every block of a round ends before
+    # any block of the next starts, even while the caller's block lags its
+    # round.  A child's memory never reaches the caller, so every block
+    # appends (lo, pid, start/end) to a log file
+    log = tmp_path / "blocks.log"
     integrate = dynamics._integrate
 
+    def note(lo, what):
+        with open(log, "a") as fh:
+            fh.write(f"{lo} {os.getpid()} {what}\n")
+
     def recorded(batch, prop, rep, cfg, lo, *rest):
-        ran[lo] = threading.get_ident()
-        events.append(lo)  # start
-        if ran[lo] == main:
+        note(lo, "start")
+        if os.getpid() == main:
             time.sleep(0.02)
         integrate(batch, prop, rep, cfg, lo, *rest)
-        events.append(lo)  # end
+        note(lo, "end")
 
     monkeypatch.setattr(dynamics, "_integrate", recorded)
     monkeypatch.setenv("GCSLOC_THREADS", str(threads))
     monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 2)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5, seed=65)
-    main = threading.get_ident()
+    main = os.getpid()
     ensemble_average(haar_state(3, 56), None, spin1, cfg, n_traj=14)
+    entries = [line.split() for line in log.read_text().splitlines()]
+    ran = {int(lo): int(pid) for lo, pid, _ in entries}
     assert [ran[lo] == main for lo in range(0, 14, 2)] == [i % threads == 0 for i in range(7)]
-    assert len(set(ran.values())) <= threads
-    rounds = [lo // 2 // threads for lo in events]
+    # a process per block of a round, so at most n at a time, as rounds
+    # do not overlap
+    for r in range(0, 7, threads):
+        blocks = range(r, min(r + threads, 7))
+        assert len({ran[2 * b] for b in blocks}) == len(blocks) <= threads
+    rounds = [int(lo) // 2 // threads for lo, _, _ in entries]
     assert rounds == sorted(rounds)
+    assert_no_children()
+
+
+def assert_no_children():
+    """Every child process of this one has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def spiked_rng(bad_seed, step):
+    """A stream_rng whose trajectory seeded bad_seed draws NaN at step."""
+    real_rng = dynamics.stream_rng
+
+    class Spiked:
+        def __init__(self, seed, stream):
+            self.seed, self.rng = seed, real_rng(seed, stream)
+
+        def standard_normal(self, shape, out=None):
+            z = self.rng.standard_normal(shape, out=out)
+            if self.seed == bad_seed:
+                z[step - 1, 0] = np.nan
+            return z
+
+    return Spiked
+
+
+@pytest.mark.parametrize("run", [ensemble_average, ensemble_observables])
+@pytest.mark.parametrize("threads", ["2", "3"])
+def test_forked_blocks_are_reaped_after_a_normal_run(spin1, monkeypatch, run, threads):
+    monkeypatch.setenv("GCSLOC_THREADS", threads)
+    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 2)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5, seed=66)
+    run(haar_state(3, 57), None, spin1, cfg, n_traj=9)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("bad_seed,threads,asleep", [(80, "2", 3), (83, "3", 6)])
+def test_fault_kills_and_reaps_the_running_children(spin1, monkeypatch, bad_seed, threads, asleep):
+    # trajectory 0 fails in the caller's block 0 while block 1 sleeps in
+    # its child; trajectory 3 fails in block 1, the first child of a round
+    # of three, while block 2 sleeps in the second.  The sleeping child is
+    # killed, not awaited
+    integrate = dynamics._integrate
+
+    def sleepy(batch, prop, rep, cfg, lo, *rest):
+        if lo == asleep:
+            time.sleep(60)
+        integrate(batch, prop, rep, cfg, lo, *rest)
+
+    monkeypatch.setattr(dynamics, "_integrate", sleepy)
+    monkeypatch.setattr(dynamics, "stream_rng", spiked_rng(bad_seed, 2))
+    monkeypatch.setenv("GCSLOC_THREADS", threads)
+    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 3)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=80)
+    where = rf"\(step 2, trajectory {bad_seed - 80}, seed {bad_seed}\)"
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match=rf"blow-up.*{where}"):
+        ensemble_average(haar_state(3, 58), None, spin1, cfg, n_traj=9)
+    assert time.perf_counter() - t0 < 30
+    assert_no_children()
+
+
+class BlockFault(Exception):
+    """A fault raised by one block, to be forwarded with its type."""
+
+
+@pytest.mark.parametrize("fault", [BlockFault, KeyboardInterrupt])
+def test_child_fault_reaches_the_caller_with_its_type(monkeypatch, fault):
+    monkeypatch.setenv("GCSLOC_THREADS", "2")
+    main = os.getpid()
+
+    def run_block(lo):
+        if os.getpid() != main:
+            raise fault(f"block {lo} failed")
+        return lo
+
+    blocks = dynamics._in_block_order(run_block, range(3))
+    assert next(blocks) == 0
+    with pytest.raises(fault, match="block 1 failed"):
+        next(blocks)
+    assert_no_children()
+
+
+def test_child_that_dies_without_a_result_is_a_runtime_error(monkeypatch):
+    monkeypatch.setenv("GCSLOC_THREADS", "2")
+    main = os.getpid()
+
+    def run_block(lo):
+        if os.getpid() != main:
+            os._exit(1)
+        return lo
+
+    with pytest.raises(RuntimeError, match=r"block process \d+ ended without a result"):
+        list(dynamics._in_block_order(run_block, range(2)))
+    assert_no_children()
+
+
+@pytest.mark.parametrize("fault", [BlockFault, KeyboardInterrupt])
+def test_caller_fault_kills_and_reaps_the_children(monkeypatch, fault):
+    monkeypatch.setenv("GCSLOC_THREADS", "3")
+    main = os.getpid()
+
+    def run_block(lo):
+        if os.getpid() == main:
+            raise fault(f"block {lo} failed")
+        time.sleep(60)
+
+    t0 = time.perf_counter()
+    with pytest.raises(fault, match="block 0 failed"):
+        list(dynamics._in_block_order(run_block, range(3)))
+    assert time.perf_counter() - t0 < 30
+    assert_no_children()
+
+
+def test_closing_the_blocks_early_kills_and_reaps_the_children(monkeypatch):
+    monkeypatch.setenv("GCSLOC_THREADS", "3")
+    main = os.getpid()
+
+    def run_block(lo):
+        if os.getpid() != main:
+            time.sleep(60)
+        return lo
+
+    blocks = dynamics._in_block_order(run_block, range(6))
+    t0 = time.perf_counter()
+    assert next(blocks) == 0
+    blocks.close()
+    assert time.perf_counter() - t0 < 30
+    assert_no_children()
+
+
+def test_blocks_run_in_the_caller_without_fork(spin1, monkeypatch):
+    monkeypatch.setenv("GCSLOC_THREADS", "3")
+    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 2)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5, seed=67)
+    psi = haar_state(3, 59)
+    _, forked = ensemble_observables(psi, None, spin1, cfg, n_traj=7)
+    monkeypatch.delattr(os, "fork")
+    pids = []
+    assert list(dynamics._in_block_order(lambda lo: pids.append(os.getpid()), range(4))) == [None] * 4
+    assert pids == [os.getpid()] * 4
+    _, alone = ensemble_observables(psi, None, spin1, cfg, n_traj=7)
+    assert np.array_equal(alone, forked)
 
 
 @pytest.mark.parametrize("bad_seed", [81, 84, 87])
@@ -1297,18 +1451,21 @@ def test_threaded_blow_up_names_step_trajectory_and_seed(spin1, monkeypatch, bad
             run(haar_state(3, 54), None, spin1, cfg, n_traj=9)
 
 
-def test_step_basis_is_chosen_once_per_block(monkeypatch):
-    calls = []
+def test_step_basis_is_chosen_once_per_block(monkeypatch, tmp_path):
+    # blocks may run in forked children, whose memory never reaches the
+    # caller, so every stepper build appends its batch size to a log file
+    log = tmp_path / "sizes.log"
     build = dynamics._batch_stepper
 
     def counted(rep, gamma, dt, n, prop=None):
-        calls.append(n)
+        with open(log, "a") as fh:
+            fh.write(f"{n}\n")
         return build(rep, gamma, dt, n, prop)
 
     monkeypatch.setattr(dynamics, "_batch_stepper", counted)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=20, seed=64)
     ensemble_average(haar_state(6, 55), None, step_algebra("suN:6"), cfg, 300)
-    assert sorted(calls) == [44, 256]  # blocks may run on two threads
+    assert sorted(int(n) for n in log.read_text().split()) == [44, 256]
 
 
 def test_operator_basis_rule(monkeypatch):
