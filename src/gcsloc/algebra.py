@@ -19,11 +19,12 @@ measurement step needs; a direct sum of irreps with one common c passes
 it, and ``cartan_decompose`` rejects such sums.
 
 ``algebra_from_generators`` is the one place a generator set is checked
-and its constants derived, in one pass over the stacked products
-X_i X_j: their traces are the gram matrix, their antisymmetric part the
-commutators that give f and the closure check, their diagonal sum the
-quadratic invariant c, and the commutators [X_j, X_1] cross-check the
-adjoint invariant c_adj against the contraction of f.  The builders for
+and its constants derived, in one pass over the K(K+1)/2 distinct products
+X_i X_j, i <= j (for Hermitian generators X_j X_i = (X_i X_j)^dagger):
+their traces are the gram matrix; for i < j, P - P^dagger of P = X_i X_j
+is the commutator [X_i, X_j], and these give f and the closure check; the
+squares sum to the quadratic invariant c; and the commutators [X_1, X_j]
+cross-check the adjoint invariant c_adj against the contraction of f.  The builders for
 the spin-j representations of su(2) and for the fundamental
 representation of su(N) in a generalized Gell-Mann basis go through it.
 """
@@ -211,12 +212,13 @@ def _uniform_norm(gram):
 
 def _structure_constants(gens, comm, lam):
     """f[i, j, k] = -1j tr([X_i, X_j] X_k) / lam from the stacked
-    commutators comm[i, j] = [X_i, X_j], checked real, closing and
-    totally antisymmetric."""
+    commutators comm[p] = [X_i, X_j] of the pairs i < j in
+    ``np.triu_indices(K, 1)`` order, checked real and closing; f[j, i] =
+    -f[i, j] is filled in and the whole f checked totally antisymmetric."""
     K, d = gens.shape[0], gens.shape[1]
-    # one (K^2, d^2) @ (d^2, K) product
+    # one (K(K-1)/2, d^2) @ (d^2, K) product
     gens_t = gens.transpose(0, 2, 1).reshape(K, d * d)
-    f_complex = (comm.reshape(K * K, d * d) @ gens_t.T).reshape(K, K, K)
+    f_complex = comm.reshape(-1, d * d) @ gens_t.T
     f_complex *= -1j / lam
 
     imag_resid = _max_abs(f_complex.imag)
@@ -225,11 +227,11 @@ def _structure_constants(gens, comm, lam):
         raise ValueError(
             f"structure constants are not real: max imaginary part {imag_resid:.3e}"
         )
-    f = np.ascontiguousarray(f_complex.real)
+    pairs = f_complex.real
 
     # Closure: the commutators must be reproduced by the extracted constants,
     # otherwise the generator span is not a closed algebra.
-    closure_resid = _closure_residual(f, gens, comm)
+    closure_resid = _closure_residual(pairs, gens, comm)
     comm_scale = max(_max_abs(comm), 1.0)
     if closure_resid > CLOSURE_TOL * comm_scale:
         raise ValueError(
@@ -237,6 +239,10 @@ def _structure_constants(gens, comm, lam):
             f"{closure_resid:.3e} exceeds {CLOSURE_TOL:.0e} of scale {comm_scale:.3g}"
         )
 
+    iu, ju = np.triu_indices(K, 1)
+    f = np.zeros((K, K, K))
+    f[iu, ju] = pairs
+    f[ju, iu] = 0.0 - pairs  # an exact negation with no -0.0, as P^dagger - P gives
     anti = max(
         _max_abs(f + f.transpose(1, 0, 2)),
         _max_abs(f + f.transpose(0, 2, 1)),
@@ -249,22 +255,24 @@ def _structure_constants(gens, comm, lam):
 
 
 def _closure_residual(f, gens, comm):
-    """max |[X_i, X_j] - 1j sum_k f[i, j, k] X_k| over i, j and entries.
-    The sum is one real (K^2, K) @ (K, 2 d^2) product on the generators'
-    real view, read back as complex, and the residual is formed in that
-    product's buffer."""
+    """max |[X_i, X_j] - 1j sum_k f[i, j, k] X_k| over the pairs (i, j) that
+    f and comm stack alike: f holds K constants per pair ((K, K, K), or
+    (pairs, K)) and comm the pairs' (d, d) commutators.  The sum is one real
+    (pairs, K) @ (K, 2 d^2) product on the generators' real view, read back
+    as complex, and the residual is formed in that product's buffer."""
     K, d = gens.shape[0], gens.shape[1]
-    recon = (f.reshape(K * K, K) @ gens.view(np.float64).reshape(K, 2 * d * d)).view(complex)
+    recon = (f.reshape(-1, K) @ gens.view(np.float64).reshape(K, 2 * d * d)).view(complex)
     recon *= 1j
     return _max_abs(np.subtract(comm.reshape(recon.shape), recon, out=recon))
 
 
-def _casimirs(prod, comm, f, lam):
+def _casimirs(squares, comm, f, lam):
     """(c, c_adj) with sum_j X_j^2 = c I and sum_j [X_j, [X_j, X_i]] =
-    c_adj X_i, from the stacked products prod[i, j] = X_i X_j, their
-    commutators and f; ValueError when either proportionality fails."""
-    K, d = prod.shape[0], prod.shape[2]
-    cas = np.einsum("jjab->ab", prod)
+    c_adj X_i, from the stacked squares X_j^2, the commutators comm of
+    ``_structure_constants`` and f; ValueError when either proportionality
+    fails."""
+    K, d = squares.shape[0], squares.shape[2]
+    cas = np.einsum("jab->ab", squares)
     c = float(np.real(np.trace(cas)) / d)
     resid = _max_abs(cas - c * np.eye(d))
     if resid > PROPORTIONALITY_TOL * max(abs(c), 1.0):
@@ -286,9 +294,9 @@ def _casimirs(prod, comm, f, lam):
         )
 
     # The double-commutator route on X_1: for Hermitian X_j,
-    # tr(sum_j [X_j, [X_j, X_1]] X_1) = sum_j |[X_j, X_1]|_F^2, with the
-    # commutators [X_j, X_1] a slice of comm.
-    inner = comm[:, 0]
+    # tr(sum_j [X_j, [X_j, X_1]] X_1) = sum_j |[X_1, X_j]|_F^2, with the
+    # commutators [X_1, X_j], j > 1, the first K - 1 pairs of comm.
+    inner = comm[: K - 1]
     direct = float(np.vdot(inner, inner).real / lam)
     if abs(direct - c_adj) > ADJOINT_CONSISTENCY_TOL * max(abs(c_adj), 1.0):
         raise ValueError(
@@ -304,11 +312,11 @@ def algebra_from_generators(generators) -> AlgebraRep:
     The generators must be finite, Hermitian to 1e-12, trace-orthogonal
     with a uniform positive norm, closed under commutation, and satisfy
     sum_j X_j^2 = c I, which direct sums of irreps with one common c pass.
-    Everything is read from one stacked product prod[i, j] = X_i X_j: the
-    gram matrix tr(prod[i, j]), the commutators prod[i, j] - prod[j, i]
-    (which give f and the closure check), the quadratic invariant
-    sum_j prod[j, j], and the commutators [X_j, X_1] of the
-    double-commutator cross-check of c_adj.
+    Everything is read from the K(K+1)/2 distinct products, the squares
+    X_i^2 and the products P = X_i X_j for i < j (X_j X_i = P^dagger): the
+    gram matrix from their traces, the commutators P - P^dagger (which give
+    f and the closure check), the quadratic invariant sum_j X_j^2, and the
+    commutators [X_1, X_j] of the double-commutator cross-check of c_adj.
     """
     gens = np.asarray(generators, dtype=complex)
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
@@ -324,13 +332,16 @@ def algebra_from_generators(generators) -> AlgebraRep:
             f"exceeds {HERMITICITY_TOL:.0e}"
         )
     gens = np.ascontiguousarray(gens)
-    prod = np.matmul(gens[:, None], gens[None, :])
-    lam = _uniform_norm(np.einsum("ijaa->ij", prod).real)
-    comm = prod - prod.transpose(1, 0, 2, 3)
+    K, d = gens.shape[:2]
+    iu, ju = np.triu_indices(K, 1)
+    squares, prod = gens @ gens, gens[iu] @ gens[ju]
+    gram = np.diag(np.einsum("iaa->i", squares).real)
+    gram[iu, ju] = gram[ju, iu] = np.einsum("paa->p", prod).real
+    lam = _uniform_norm(gram)
+    comm = prod - prod.conj().swapaxes(1, 2)
     f = _structure_constants(gens, comm, lam)
-    c, c_adj = _casimirs(prod, comm, f, lam)
+    c, c_adj = _casimirs(squares, comm, f, lam)
 
-    d = gens.shape[1]
     stack = _real_form(gens.transpose(2, 0, 1).reshape(d, -1))
     for arr in (gens, f, stack):
         arr.flags.writeable = False

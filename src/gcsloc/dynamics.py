@@ -60,8 +60,9 @@ trajectory noise, stream 1 initial-state sampling, stream 2 scan sampling.
 Trajectory i of an ensemble uses seed + i on stream 0, so any subset of
 trajectories is reproducible in isolation.  Ensembles step blocks of
 DEFAULT_BLOCK (256) trajectories, each trajectory's noise drawn in order,
-in chunks of steps sized so one block's noise holds at most 2^19 doubles
-(4 MiB); the numbers are those of one draw of the whole history.
+in chunks of at most DEFAULT_BLOCK steps sized so one block's noise holds
+at most 2^19 doubles (4 MiB); the numbers are those of one draw of the
+whole history.
 """
 
 from __future__ import annotations
@@ -557,22 +558,24 @@ def _integrate(batch, prop, rep, cfg, lo, record_stride, record):
     """Evolve the rows of batch, an (n, d) complex array with contiguous
     rows, n <= DEFAULT_BLOCK, as trajectories lo, lo + 1, ..; trajectory i
     draws its noise from the Philox stream (cfg.seed + i, stream 0), in
-    order, a chunk of steps at a time into one reused (n, chunk, K) slab of
-    at most max(2^19, n K) doubles; the chunking changes no number.  One
-    loop runs the step built once per block with prop (the ``_real_form``
-    of exp(-1j H dt)^T, or None): ``_batch_stepper``'s on the batch's
-    (n, 2d) real view, or, when n = 1, ``_one_stepper``'s on its (2d,) row
-    and (K,) increments, squeezed once before the loop; all under one
-    np.errstate(over="ignore"), so an overflowing norm reaches the step's
-    blow-up check silently.  The states of each record time (0 is the
-    initial batch) go to their slot of a complex buffer of DEFAULT_BLOCK //
-    n record times: the initial states are copied there through a float
-    view, and a record step divides its state straight into its slot,
-    which is then the state the next step reads.  record(k0, states) gets
-    each full buffer, and the last, as the (m, n, d) states of record times
-    k0 .. k0 + m - 1, to be read before it returns: the buffer is written
-    over afterwards.  A ``_RowFault`` of the step or of record is raised
-    again naming its step or record time, trajectory and seed.
+    order, a chunk of at most DEFAULT_BLOCK steps at a time into one reused
+    (n, chunk, K) slab of at most max(2^19, n K) doubles, so a block holds
+    no noise more than DEFAULT_BLOCK steps ahead of the step that reads it;
+    the chunking changes no number.  One loop runs the step built once per
+    block with prop (the ``_real_form`` of exp(-1j H dt)^T, or None):
+    ``_batch_stepper``'s on the batch's (n, 2d) real view, or, when n = 1,
+    ``_one_stepper``'s on its (2d,) row and (K,) increments, squeezed once
+    before the loop; all under one np.errstate(over="ignore"), so an
+    overflowing norm reaches the step's blow-up check silently.  The states
+    of each record time (0 is the initial batch) go to their slot of a
+    complex buffer of DEFAULT_BLOCK // n record times: the initial states
+    are copied there through a float view, and a record step divides its
+    state straight into its slot, which is then the state the next step
+    reads.  record(k0, states) gets each full buffer, and the last, as the
+    (m, n, d) states of record times k0 .. k0 + m - 1, to be read before it
+    returns: the buffer is written over afterwards.  A ``_RowFault`` of the
+    step or of record is raised again naming its step or record time,
+    trajectory and seed.
     """
     n, K = len(batch), rep.dim_algebra
     amp = np.sqrt(2.0 * cfg.gamma * cfg.dt)
@@ -598,7 +601,7 @@ def _integrate(batch, prop, rep, cfg, lo, record_stride, record):
     pf = batch.view(np.float64)
     buf_f[0] = pf
     filled(0, 0)
-    time_chunk = max(1, min(cfg.steps, (1 << 19) // (n * K)))
+    time_chunk = max(1, min(cfg.steps, DEFAULT_BLOCK, (1 << 19) // (n * K)))
     slab = np.empty((n, time_chunk, K))  # reused by every chunk of steps
     if n == 1:  # one state steps as its (2d,) row
         advance = _one_stepper(rep, cfg.gamma, cfg.dt, prop)

@@ -453,21 +453,30 @@ def test_step_blow_up_detected(spin1):
         snlse_step(psi, None, spin1, 0.1, 1e-3, np.array([1e200, 1e200, 1e200]))
 
 
-def test_blow_up_names_step_trajectory_and_seed(spin1, monkeypatch):
-    # the noise of the trajectory seeded 72 is spiked at its fourth step
+def spike_noise(monkeypatch, bad_seed, row, value, col=slice(None)):
+    """Patch ``dynamics.stream_rng`` so that the noise stream of bad_seed
+    draws value at [row, col] of its history, rows counted across the
+    chunks of steps ``_integrate`` draws at a time."""
     real_rng = dynamics.stream_rng
 
     class Spiked:
         def __init__(self, seed, stream):
-            self.seed, self.rng = seed, real_rng(seed, stream)
+            self.rng, self.rows = real_rng(seed, stream), 0
+            self.bad = seed == bad_seed and stream == dynamics.NOISE_STREAM
 
         def standard_normal(self, shape, out=None):
             z = self.rng.standard_normal(shape, out=out)
-            if self.seed == 72:
-                z[3] = 1e200
+            if self.bad and self.rows <= row < self.rows + len(z):
+                z[row - self.rows, col] = value
+            self.rows += len(z)
             return z
 
     monkeypatch.setattr(dynamics, "stream_rng", Spiked)
+
+
+def test_blow_up_names_step_trajectory_and_seed(spin1, monkeypatch):
+    # the noise of the trajectory seeded 72 is spiked at its fourth step
+    spike_noise(monkeypatch, 72, 3, 1e200)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=72)
     with pytest.raises(RuntimeError, match="step 4, trajectory 0, seed 72"):
         simulate_trajectory(haar_state(3, 26), None, spin1, cfg)
@@ -511,19 +520,7 @@ def test_step_blow_up_names_every_failing_row(spin1):
 
 def test_nan_noise_names_step_trajectory_and_seed(spin1, monkeypatch):
     # the noise of the trajectory seeded 83 is NaN at its sixth step
-    real_rng = dynamics.stream_rng
-
-    class Spiked:
-        def __init__(self, seed, stream):
-            self.seed, self.rng = seed, real_rng(seed, stream)
-
-        def standard_normal(self, shape, out=None):
-            z = self.rng.standard_normal(shape, out=out)
-            if self.seed == 83:
-                z[5, 1] = np.nan
-            return z
-
-    monkeypatch.setattr(dynamics, "stream_rng", Spiked)
+    spike_noise(monkeypatch, 83, 5, np.nan, 1)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=83)
     with pytest.raises(RuntimeError, match=r"blow-up.*\(step 6, trajectory 0, seed 83\)"):
         simulate_trajectory(haar_state(3, 29), None, spin1, cfg)
@@ -573,45 +570,43 @@ def reference_record_states(initials, h, rep, cfg, stride):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_chunked_noise_matches_one_draw_per_trajectory(su6, monkeypatch, threads):
+    # su(6): two blocks of 256 draw 58 steps at a time, the 2^19-double cap;
+    # spin 2: blocks of 256 and 128 draw 256 steps at a time, the step
+    # bound, over 301 steps; stride 7 divides no chunk length
     monkeypatch.setenv("GCSLOC_THREADS", threads)
-    cfg, stride, n_traj = chunked_cfg(311), 7, 2 * dynamics.DEFAULT_BLOCK
-    h = np.linspace(-0.5, 0.5, su6.dim_algebra)
-    initials = haar_states(6, n_traj, seed=312)
-    states = reference_record_states(
-        np.stack([dynamics._validate_state(row, 6) for row in initials]), h, su6, cfg, stride
-    )
-    # the ensembles observe one record time of one block at a time
-    rows = dynamics._observe_batch(states, su6, cfg.gamma).transpose(1, 0, 2)
-    _, got = ensemble_observables(initials, h, su6, cfg, n_traj, stride)
-    assert np.array_equal(got, rows)
-    blocks = np.split(states, n_traj // dynamics.DEFAULT_BLOCK, axis=1)
-    acc = np.array(
-        [
-            [np.einsum("mna,mnb->mab", b[k : k + 1], b[k : k + 1].conj())[0] for k in range(len(b))]
-            for b in blocks
-        ]
-    )
-    _, rho = ensemble_average(initials, h, su6, cfg, n_traj, stride)
-    assert np.array_equal(rho, sum(acc) / n_traj)
+    block, stride = dynamics.DEFAULT_BLOCK, 7
+    spin2 = build_su2_irrep(4)
+    cases = [
+        (su6, chunked_cfg(311), 2 * block),
+        (spin2, NoiseConfig(gamma=0.1, dt=1e-3, steps=301, seed=311), block + 128),
+    ]
+    assert (1 << 19) // (block * spin2.dim_algebra) > block < cases[1][1].steps
+    for rep, cfg, n_traj in cases:
+        d = rep.dim_hilbert
+        h = np.linspace(-0.5, 0.5, rep.dim_algebra)
+        initials = haar_states(d, n_traj, seed=312)
+        states = reference_record_states(
+            np.stack([dynamics._validate_state(row, d) for row in initials]), h, rep, cfg, stride
+        )
+        # the ensembles observe one record time of one block at a time
+        rows = dynamics._observe_batch(states, rep, cfg.gamma).transpose(1, 0, 2)
+        _, got = ensemble_observables(initials, h, rep, cfg, n_traj, stride)
+        assert np.array_equal(got, rows)
+        blocks = np.split(states, range(block, n_traj, block), axis=1)
+        acc = np.array(
+            [
+                [np.einsum("mna,mnb->mab", b[k : k + 1], b[k : k + 1].conj())[0] for k in range(len(b))]
+                for b in blocks
+            ]
+        )
+        _, rho = ensemble_average(initials, h, rep, cfg, n_traj, stride)
+        assert np.array_equal(rho, sum(acc) / n_traj)
 
 
 def test_blow_up_past_the_first_chunk_names_its_step(su6, monkeypatch):
     # the trajectory seeded 500 gets a NaN draw at global step 70, in the
-    # second chunk, with the rows counted across the generator's calls
-    real_rng = dynamics.stream_rng
-
-    class Spiked:
-        def __init__(self, seed, stream):
-            self.seed, self.rng, self.rows = seed, real_rng(seed, stream), 0
-
-        def standard_normal(self, shape, out=None):
-            z = self.rng.standard_normal(shape, out=out)
-            if self.seed == 500 and self.rows <= 69 < self.rows + len(z):
-                z[69 - self.rows, 2] = np.nan
-            self.rows += len(z)
-            return z
-
-    monkeypatch.setattr(dynamics, "stream_rng", Spiked)
+    # second chunk
+    spike_noise(monkeypatch, 500, 69, np.nan, 2)
     with pytest.raises(RuntimeError, match=r"blow-up.*\(step 70, trajectory 200, seed 500\)"):
         ensemble_observables(haar_state(6, 31), None, su6, chunked_cfg(300), 256, 7)
 
@@ -888,14 +883,26 @@ def test_recorded_states_are_chained_steps_bit_for_bit(spin1, steps, stride, h):
     assert np.array_equal(got, replayed_states(got[0], h, spin1, cfg, stride))
 
 
-def test_lone_trajectory_crosses_a_noise_chunk_off_the_record_grid():
-    # one su(6) trajectory draws its noise 2^19 // 35 = 14979 steps at a
-    # time; stride 7 does not divide that, so the chunk ends between records
+def test_lone_trajectory_crosses_a_noise_chunk_off_the_record_grid(monkeypatch):
+    # one su(6) trajectory draws its noise at most DEFAULT_BLOCK = 256 steps
+    # at a time, though 2^19 doubles would hold 14979; stride 7 divides
+    # neither 256 nor 512, so both chunk ends fall between records
     rep = build_sun_fundamental(6)
-    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=15001, seed=23)
-    assert (1 << 19) // rep.dim_algebra == 14979 < cfg.steps
-    got = recorded_states(haar_state(6, 34), None, rep, cfg, 7)
-    assert got.shape == (2144, 6)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=602, seed=23)
+    psi, real_rng, draws = haar_state(6, 34), dynamics.stream_rng, []
+
+    class Counted:
+        def __init__(self, seed, stream):
+            self.rng = real_rng(seed, stream)
+
+        def standard_normal(self, shape, out=None):
+            draws.append(shape)
+            return self.rng.standard_normal(shape, out=out)
+
+    monkeypatch.setattr(dynamics, "stream_rng", Counted)
+    got = recorded_states(psi, None, rep, cfg, 7)
+    assert draws == [(256, 35), (256, 35), (90, 35)]
+    assert got.shape == (87, 6)
     assert np.array_equal(got, replayed_states(got[0], None, rep, cfg, 7))
 
 
@@ -1429,19 +1436,7 @@ def test_blocks_run_in_the_caller_without_fork(spin1, monkeypatch):
 def test_threaded_blow_up_names_step_trajectory_and_seed(spin1, monkeypatch, bad_seed):
     # trajectories 1 and 7 are in blocks 0 and 2, on the calling thread;
     # trajectory 4 is in block 1, on the worker
-    real_rng = dynamics.stream_rng
-
-    class Spiked:
-        def __init__(self, seed, stream):
-            self.seed, self.rng = seed, real_rng(seed, stream)
-
-        def standard_normal(self, shape, out=None):
-            z = self.rng.standard_normal(shape, out=out)
-            if self.seed == bad_seed:
-                z[3, 0] = np.nan
-            return z
-
-    monkeypatch.setattr(dynamics, "stream_rng", Spiked)
+    spike_noise(monkeypatch, bad_seed, 3, np.nan, 0)
     monkeypatch.setenv("GCSLOC_THREADS", "2")
     monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 3)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=80)
