@@ -42,7 +42,6 @@ __all__ = [
     "algebra_from_generators",
     "build_su2_irrep",
     "build_sun_fundamental",
-    "unitary_exp",
 ]
 
 # Construction-time tolerances.  Hermiticity and gram uniformity are

@@ -322,10 +322,11 @@ def _purity(v):
 
 
 def _centred(pf, z, v):
-    """(n, K, 2d) centred u_k = (X_k - v_k) psi.  v_k psi is formed in one
-    buffer and z - v_k psi is written over it, which keeps the bits of that
-    formula with one (n, K, 2d) stack beside z rather than two."""
-    u = np.multiply(v[:, :, None], pf[:, None, :])
+    """(..., K, 2d) centred u_k = (X_k - v_k) psi, of one (2d,) row or an
+    (n, 2d) batch.  v_k psi is formed in one buffer and z - v_k psi is
+    written over it, which keeps the bits of that formula with one stack
+    beside z rather than two."""
+    u = np.multiply(v[..., :, None], pf[..., None, :])
     return np.subtract(z, u, out=u)
 
 

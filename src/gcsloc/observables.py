@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraRep
-from .dynamics import _check_gamma, _drift, _validate_state
+from .dynamics import _centred, _check_gamma, _drift, _validate_state
 
 __all__ = [
     "CartanSplit",
@@ -70,14 +70,6 @@ def _row_moments(psi, rep):
     return pf, z, z.dot(pf)
 
 
-def _row_centred(psi, rep):
-    """(v, U) of one state: U the (K, 2d) stack of (X_k - v_k) psi,
-    ``dynamics._centred`` on a row."""
-    pf, z, v = _row_moments(psi, rep)
-    u = np.multiply.outer(v, pf)
-    return v, np.subtract(z, u, out=u)
-
-
 def _row_tnorm(u):
     """T = sum_kl M_kl^2 of one state, from the smaller Gram matrix of U
     as ``dynamics._tnorm`` takes it."""
@@ -104,13 +96,13 @@ def total_uncertainty(psi, rep: AlgebraRep) -> float:
 
 def covariance_matrix(psi, rep: AlgebraRep) -> np.ndarray:
     """Symmetrized covariance M_kl = <{X_k, X_l}> - 2 <X_k><X_l>."""
-    u = _row_centred(psi, rep)[1]
+    u = _centred(*_row_moments(psi, rep))
     return 2.0 * u.dot(u.T)
 
 
 def covariance_trace_norm(psi, rep: AlgebraRep) -> float:
     """Squared Frobenius norm sum_kl M_kl^2 of the covariance matrix."""
-    return float(_row_tnorm(_row_centred(psi, rep)[1]))
+    return float(_row_tnorm(_centred(*_row_moments(psi, rep))))
 
 
 def localization_drift(psi, rep: AlgebraRep, gamma: float) -> float:
@@ -120,8 +112,8 @@ def localization_drift(psi, rep: AlgebraRep, gamma: float) -> float:
     orbit.
     """
     _check_gamma(gamma)
-    v, u = _row_centred(psi, rep)
-    return float(_drift(rep, gamma, v.dot(v), _row_tnorm(u)))
+    pf, z, v = _row_moments(psi, rep)
+    return float(_drift(rep, gamma, v.dot(v), _row_tnorm(_centred(pf, z, v))))
 
 
 def uncertainty_bounds(rep: AlgebraRep, cartan):

@@ -1,13 +1,25 @@
-"""Shared pytest hooks and test-side builders.
+"""Shared pytest hooks, the registry of test irreps and the reference moments.
 
 The hooks collect acceptance-criterion verdicts and print one pass/fail
-line per criterion in the terminal summary of every run.  The builders
-give the irreps and states that several test modules use: Sym^p and the
-adjoint of su(n), a representation in a rotated basis, a Haar state from
-numpy's ``default_rng``, and minimisers of T = sum M^2 on Sym^3 su(3).
-``lindblad_superoperator`` is the dense master-equation generator that
-the exact flow is checked against, and ``kappa_loc`` the localisation
-rate's upper bound at the highest weight state."""
+line per criterion in the terminal summary of every run.
+
+Every irrep the suite uses comes from ``algebra(spec)``, and its Cartan
+data from ``decomposed(spec)``; both build once per session.  A spec is
+the CLI's ``su2:two_j=N`` or ``suN:n=N``, read by ``gcsloc.cli.parse_algebra``,
+or an su(n) irrep by its Dynkin labels: ``suN:n=N,dynkin=p,0,..,0`` is
+Sym^p of the defining irrep and ``suN:n=N,dynkin=1,0,..,0,1`` the adjoint,
+built by ``build_sun_symmetric`` and ``build_sun_adjoint``.  ``case_id``
+names a spec in a parametrized case's id.  ``conjugated`` rewrites a
+registry irrep in a rotated basis.
+
+``reference_moments`` gives v_k = <X_k> and M_kl = <{X_k, X_l}> - 2 v_k v_l
+of rows of states from explicit anticommutators, the one reference the
+library's moments are checked against.  ``lindblad_superoperator`` is the
+dense master-equation generator that the exact flow is checked against,
+``rng_haar_state`` a Haar state from numpy's ``default_rng``,
+``sym3_su3_trace_norm_minimizer`` a minimiser of T = sum M^2 on Sym^3
+su(3), and ``kappa_loc`` the localisation rate's upper bound at the
+highest weight state."""
 
 import itertools
 from functools import lru_cache, reduce
@@ -18,6 +30,7 @@ import scipy.optimize
 
 from gcsloc.algebra import algebra_from_generators, build_sun_fundamental
 from gcsloc.cartan import cartan_decompose, highest_weight_state
+from gcsloc.cli import parse_algebra
 from gcsloc.observables import (
     covariance_trace_norm,
     localization_drift,
@@ -75,6 +88,76 @@ def build_sun_symmetric(n, p):
     return algebra_from_generators(gens)
 
 
+def _dynkin(spec):
+    """(n, labels) of a ``suN:n=N,dynkin=...`` spec, or (None, None) for a
+    spec the CLI reads."""
+    head, _, labels = spec.partition(",dynkin=")
+    if not labels:
+        return None, None
+    return int(head.removeprefix("suN:n=")), [int(a) for a in labels.split(",")]
+
+
+@lru_cache(maxsize=None)
+def algebra(spec):
+    """The irrep named by spec (see the module docstring), built once."""
+    n, labels = _dynkin(spec)
+    if labels is None:
+        return parse_algebra(spec)
+    if labels == [1] + [0] * (n - 3) + [1]:
+        return build_sun_adjoint(n)
+    if len(labels) == n - 1 and labels[1:] == [0] * (n - 2):
+        return build_sun_symmetric(n, labels[0])
+    raise ValueError(f"no test builder for {spec!r}")
+
+
+@lru_cache(maxsize=None)
+def decomposed(spec):
+    """(rep, cartan_decompose(rep)) of ``algebra(spec)``, decomposed once."""
+    rep = algebra(spec)
+    return rep, cartan_decompose(rep)
+
+
+_CASE_IDS = {
+    # su(2) spin two_j/2, defining su(n), adjoint su(n), Sym^p su(n)
+    "short": ("su2-{n}", "su{n}", "su{n}-adjoint", "sym{p}-su{n}"),
+    "builder": ("build_su2_irrep-{n}", "build_sun_fundamental-{n}", "build_sun_adjoint-{n}",
+                "build_sun_symmetric-{n}-{p}"),
+    "step": ("su2:{n}", "suN:{n}", "adj:{n}", None),
+}
+
+
+def case_id(style):
+    """An ``ids`` function naming each registry spec in one of the suite's
+    id styles: "short" (su2-3, su3, su3-adjoint, sym2-su3), "builder"
+    (build_su2_irrep-3, build_sun_fundamental-3, build_sun_adjoint-3) or
+    "step" (su2:3, suN:3, adj:3); any other value keeps pytest's id."""
+
+    def name(spec):
+        if not isinstance(spec, str) or ":" not in spec:
+            return None
+        n, labels = _dynkin(spec)
+        if labels is None:
+            form = 0 if spec.startswith("su2:") else 1
+            n = int(spec.rpartition("=")[2])
+        else:
+            form = 2 if labels[-1] else 3
+        return _CASE_IDS[style][form].format(n=n, p=labels and labels[0])
+
+    return name
+
+
+def reference_moments(states, rep):
+    """(v, M) of the (n, d) rows of states: v_k = <X_k> and M_kl =
+    <X_k X_l + X_l X_k> - 2 v_k v_l, from the complex generators and their
+    explicit anticommutators, one einsum each."""
+    gens = rep.generators
+    anti = np.einsum("kab,lbc->klac", gens, gens)
+    anti = anti + anti.transpose(1, 0, 2, 3)
+    v = np.einsum("na,kab,nb->nk", states.conj(), gens, states).real
+    second = np.einsum("na,klab,nb->nkl", states.conj(), anti, states).real
+    return v, second - 2.0 * v[:, :, None] * v[:, None, :]
+
+
 def conjugated(base, seed=99):
     """base with every generator conjugated by one generic group element,
     so that no generator is diagonal."""
@@ -114,7 +197,7 @@ def sym3_su3_trace_norm_minimizer(seed):
     T = sum M^2.  There T lies below its orbit value, and <X> is
     non-regular to about 1e-6: ad_<X> has four singular values below 2e-6
     against rank 2."""
-    rep = build_sun_symmetric(3, 3)
+    rep = algebra("suN:n=3,dynkin=3,0")
     d = rep.dim_hilbert
 
     def state(x):

@@ -16,11 +16,10 @@ single pass/fail line (printed in the terminal summary, see conftest):
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import algebra, decomposed, record_criterion, reference_moments
 from gcsloc import dynamics
-from gcsloc.algebra import build_su2_irrep, build_sun_fundamental
+from gcsloc.algebra import build_su2_irrep
 from gcsloc.cartan import (
-    cartan_decompose,
     generate_gcs,
     highest_weight_state,
     weight_string,
@@ -58,40 +57,23 @@ IDENTITY_SEED = 73000
 DRIFT_SEED = 88200
 
 
+# the irreps of the scans and the identity checks
+ALGEBRAS = ("su2:two_j=2", "su2:two_j=3", "su2:two_j=4", "suN:n=3")
+
+
 def batch_moments(states, rep, gamma):
-    """Vectorized (purity, tnorm, drift) for rows of states; an independent
-    restatement of the per-state formulas used throughout the tests."""
-    y = np.einsum("kab,nb->nka", rep.generators, states)
-    v = np.real(np.einsum("na,nka->nk", states.conj(), y))
-    purity = np.einsum("nk,nk->n", v, v)
-    m = 2.0 * np.real(np.einsum("nka,nla->nkl", y.conj(), y)) - 2.0 * np.einsum(
-        "nk,nl->nkl", v, v
-    )
-    tnorm = np.einsum("nkl,nkl->n", m, m)
-    drift = 2.0 * gamma * (rep.adjoint_casimir * purity - tnorm)
-    return purity, tnorm, drift
+    """(purity, tnorm, drift) of rows of states, from ``reference_moments``."""
+    v, m = reference_moments(states, rep)
+    purity, tnorm = np.sum(v * v, axis=1), np.sum(m * m, axis=(1, 2))
+    return purity, tnorm, 2.0 * gamma * (rep.adjoint_casimir * purity - tnorm)
 
 
 @pytest.fixture(scope="module")
-def algebras():
-    return {
-        "su2:two_j=2": build_su2_irrep(2),
-        "su2:two_j=3": build_su2_irrep(3),
-        "su2:two_j=4": build_su2_irrep(4),
-        "suN:n=3": build_sun_fundamental(3),
-    }
-
-
-@pytest.fixture(scope="module")
-def cartans(algebras):
-    return {name: cartan_decompose(rep) for name, rep in algebras.items()}
-
-
-@pytest.fixture(scope="module")
-def haar_scans(algebras):
+def haar_scans():
     """10000 Haar states per algebra with their scan moments (gamma = 0.1)."""
     out = {}
-    for name, rep in algebras.items():
+    for name in ALGEBRAS:
+        rep = algebra(name)
         states = scan_states(rep.dim_hilbert, 10000, SCAN_SEED)
         out[name] = (states, batch_moments(states, rep, GAMMA))
     return out
@@ -155,8 +137,7 @@ def test_criterion_2_long_time_localization():
 
 
 def test_criterion_3_extremal_state_stays_extremal():
-    rep = build_su2_irrep(2)  # j = 1: delta_min = 1
-    cartan = cartan_decompose(rep)
+    rep, cartan = decomposed("su2:two_j=2")  # j = 1: delta_min = 1
     hw = highest_weight_state(cartan)
     steps = 5000  # T = 5
     z = stream_rng(REFINE_SEED, 0).standard_normal((steps, 3))
@@ -192,13 +173,13 @@ def test_criterion_3_extremal_state_stays_extremal():
     assert dev_fine < dev_coarse
 
 
-def test_criterion_4_covariance_norm_minimized_on_orbit(algebras, cartans, haar_scans):
+def test_criterion_4_covariance_norm_minimized_on_orbit(haar_scans):
     worst_margin = np.inf
     extremal_values = {}
-    for name, rep in algebras.items():
+    for name in ALGEBRAS:
+        rep, cartan = decomposed(name)
         states, (purity, tnorm, drift) = haar_scans[name]
-        hw = highest_weight_state(cartans[name])
-        extremal = covariance_trace_norm(hw, rep)
+        extremal = covariance_trace_norm(highest_weight_state(cartan), rep)
         extremal_values[name] = extremal
         worst_margin = min(worst_margin, float(np.min(tnorm) - extremal))
 
@@ -228,17 +209,18 @@ def test_criterion_4_covariance_norm_minimized_on_orbit(algebras, cartans, haar_
     assert const_dev <= 1e-10
 
 
-def test_criterion_5_drift_nonpositive_zero_on_orbit(algebras, cartans, haar_scans):
+def test_criterion_5_drift_nonpositive_zero_on_orbit(haar_scans):
     drift_max = -np.inf
-    for name in algebras:
+    for name in ALGEBRAS:
         _, (_, _, drift) = haar_scans[name]
         drift_max = max(drift_max, float(np.max(drift)))
 
     gcs_dev = 0.0
-    for name, rep in algebras.items():
+    for name in ALGEBRAS:
+        rep, cartan = decomposed(name)
         rng = np.random.default_rng(SCAN_SEED)
         for _ in range(100):
-            psi = generate_gcs(rep, cartans[name], rng.uniform(-3, 3, rep.dim_algebra))
+            psi = generate_gcs(rep, cartan, rng.uniform(-3, 3, rep.dim_algebra))
             gcs_dev = max(gcs_dev, abs(localization_drift(psi, rep, GAMMA)))
 
     ok = drift_max <= 1e-9 and gcs_dev <= 1e-9
@@ -274,11 +256,12 @@ def test_criterion_6_closed_system_conserves_uncertainty():
     assert dev < 1e-6
 
 
-def test_criterion_7_moment_identities_and_weight_formulas(algebras, cartans):
+def test_criterion_7_moment_identities_and_weight_formulas():
     sum_rule_dev = 0.0
     casimir_dev = 0.0
     split_dev = 0.0
-    for name, rep in algebras.items():
+    for name in ALGEBRAS:
+        rep, cartan = decomposed(name)
         states = haar_states(rep.dim_hilbert, 1000, IDENTITY_SEED)
         y = np.einsum("kab,nb->nka", rep.generators, states)
         second_sum = np.real(np.einsum("nka,nka->n", y.conj(), y))
@@ -291,7 +274,7 @@ def test_criterion_7_moment_identities_and_weight_formulas(algebras, cartans):
             sum_rule_dev = max(
                 sum_rule_dev, abs(total - rep.casimir_eigenvalue)
             )
-            split = cartan_split_sums(psi, rep, cartans[name])
+            split = cartan_split_sums(psi, rep, cartan)
             split_dev = max(
                 split_dev,
                 abs(split.total - covariance_trace_norm(psi, rep)),
@@ -306,13 +289,12 @@ def test_criterion_7_moment_identities_and_weight_formulas(algebras, cartans):
 
     weight_dev = 0.0
     for two_j in range(1, 7):  # spins up to j = 3
-        rep = build_su2_irrep(two_j)
-        cartan = cartan_decompose(rep)
+        cartan = decomposed(f"su2:two_j={two_j}")[1]
         j = two_j / 2.0
         for s in range(two_j + 1):
             jj, mm = weight_string(cartan, s, 0)
             weight_dev = max(weight_dev, abs(jj - j), abs(mm - (j - s)))
-    cartan3 = cartans["suN:n=3"]
+    cartan3 = decomposed("suN:n=3")[1]
     for root in range(cartan3.n_positive):
         for s in range(3):
             jj, mm = weight_string(cartan3, s, root)

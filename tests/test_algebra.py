@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import conjugated
-from gcsloc import algebra, cli
+from conftest import algebra, case_id, conjugated
+from gcsloc import algebra as algebra_module, cli
 from gcsloc.algebra import (
     algebra_from_generators,
     build_su2_irrep,
@@ -148,21 +148,17 @@ def complex_constants(gens):
     return comm, f, c, c_adj, closure
 
 
-CONSTANT_ALGEBRAS = {
-    **{f"su2-{two_j}": (build_su2_irrep, two_j) for two_j in range(1, 9)},
-    **{f"su{n}": (build_sun_fundamental, n) for n in (2, 3, 4, 6)},
-    "su3-adjoint": (lambda n: algebra_from_generators(-1j * build_sun_fundamental(n).structure_constants), 3),
-}
-
-
-@pytest.mark.parametrize("name", CONSTANT_ALGEBRAS)
-def test_constants_and_closure_residual_match_the_complex_reference(name):
-    builder, arg = CONSTANT_ALGEBRAS[name]
-    rep = builder(arg)
+@pytest.mark.parametrize(
+    "spec",
+    [f"su2:two_j={two_j}" for two_j in range(1, 9)] + [f"suN:n={n}" for n in (2, 3, 4, 6)] + ["suN:n=3,dynkin=1,1"],
+    ids=case_id("short"),
+)
+def test_constants_and_closure_residual_match_the_complex_reference(spec):
+    rep = algebra(spec)
     comm, f, c, c_adj, closure = complex_constants(rep.generators)
     assert np.array_equal(rep.structure_constants, f)
     assert rep.casimir_eigenvalue == c and rep.adjoint_casimir == c_adj
-    assert algebra._closure_residual(rep.structure_constants, rep.generators, comm) == closure
+    assert algebra_module._closure_residual(rep.structure_constants, rep.generators, comm) == closure
 
 
 @pytest.mark.parametrize("d", [2, 5, 9])
@@ -223,8 +219,8 @@ def test_adjoint_casimir_matches_double_commutator_loop(rep, monkeypatch):
     direct = np.trace(double @ probe).real / rep.normalization
     assert rep.adjoint_casimir == pytest.approx(direct, rel=1e-12)
     # constants off by 1% fail the double-commutator cross-check
-    step = algebra._structure_constants
-    monkeypatch.setattr(algebra, "_structure_constants", lambda *args: 1.01 * step(*args))
+    step = algebra_module._structure_constants
+    monkeypatch.setattr(algebra_module, "_structure_constants", lambda *args: 1.01 * step(*args))
     with pytest.raises(ValueError, match="adjoint invariant mismatch"):
         algebra_from_generators(rep.generators)
 
@@ -237,7 +233,7 @@ NAMES = st.sampled_from(["Hamiltonian coefficients", "params", "increments"])
 @given(st.lists(FINITE, min_size=1, max_size=8))
 def test_coefficients_return_k_finite_reals_as_floats(x):
     for given in (x, np.array(x, dtype=object)):
-        got = algebra._coefficients("params", given, len(x))
+        got = algebra_module._coefficients("params", given, len(x))
         assert got.dtype == np.float64 and np.array_equal(got, x)
 
 
@@ -258,7 +254,7 @@ def test_coefficients_refuse_wrong_shape_non_finite_or_complex(x, name, data):
         (np.array(with_imag, dtype=object), k, "must be real"),
     ):
         with pytest.raises(ValueError, match=f"^{name} {message}"):
-            algebra._coefficients(name, bad, kk)
+            algebra_module._coefficients(name, bad, kk)
 
 
 @settings(max_examples=20, deadline=None)

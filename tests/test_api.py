@@ -27,6 +27,11 @@ def test_every_exported_name_resolves():
     assert [name for name in gcsloc.__all__ if not hasattr(gcsloc, name)] == []
 
 
+def test_package_exports_exactly_its_modules_public_names():
+    modules = (gcsloc.algebra, gcsloc.cartan, gcsloc.dynamics, gcsloc.observables)
+    assert gcsloc.__all__ == sorted(name for module in modules for name in module.__all__)
+
+
 def _annotated(obj):
     """obj itself and, for a class, its methods and property getters."""
     yield obj

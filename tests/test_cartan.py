@@ -1,4 +1,3 @@
-import functools
 import json
 
 import numpy as np
@@ -7,18 +6,15 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    build_sun_adjoint,
-    build_sun_symmetric,
+    algebra,
+    case_id,
     conjugated,
+    decomposed,
     rng_haar_state,
     sym3_su3_trace_norm_minimizer,
 )
 from gcsloc import cartan as cartan_module, cli
-from gcsloc.algebra import (
-    algebra_from_generators,
-    build_su2_irrep,
-    build_sun_fundamental,
-)
+from gcsloc.algebra import algebra_from_generators
 from gcsloc.cartan import (
     align_expectation_to_cartan,
     cartan_decompose,
@@ -35,24 +31,12 @@ from gcsloc.observables import (
 )
 
 
-@pytest.fixture(scope="module")
-def su2_j1():
-    rep = build_su2_irrep(2)
-    return rep, cartan_decompose(rep)
-
-
-@pytest.fixture(scope="module")
-def su3():
-    rep = build_sun_fundamental(3)
-    return rep, cartan_decompose(rep)
-
-
 def comm(a, b):
     return a @ b - b @ a
 
 
-def test_su2_rank_and_roots(su2_j1):
-    rep, cartan = su2_j1
+def test_su2_rank_and_roots():
+    rep, cartan = decomposed("su2:two_j=2")
     assert cartan.rank == 1
     assert cartan.n_positive == 1
     assert np.allclose(cartan.positive_roots, [[1.0]], atol=1e-10)
@@ -65,8 +49,7 @@ def test_su2_rank_and_roots(su2_j1):
 
 @pytest.mark.parametrize("two_j", [1, 2, 3, 5])
 def test_su2_weights_are_m_ladder(two_j):
-    rep = build_su2_irrep(two_j)
-    cartan = cartan_decompose(rep)
+    rep, cartan = decomposed(f"su2:two_j={two_j}")
     j = two_j / 2.0
     expected = j - np.arange(two_j + 1)
     assert np.allclose(cartan.weights[:, 0], expected, atol=1e-10)
@@ -77,8 +60,8 @@ def test_su2_weights_are_m_ladder(two_j):
     assert np.max(np.abs(overlap)) < 1e-10
 
 
-def test_su2_raising_op_is_jplus(su2_j1):
-    rep, cartan = su2_j1
+def test_su2_raising_op_is_jplus():
+    rep, cartan = decomposed("su2:two_j=2")
     jp = rep.generators[0] + 1j * rep.generators[1]
     e = cartan.raising_ops[0]
     # proportional with |ratio| fixed by tr(E^dag E) = lam
@@ -87,8 +70,8 @@ def test_su2_raising_op_is_jplus(su2_j1):
     assert abs(abs(ratio) - np.sqrt(rep.normalization / np.trace(jp.conj().T @ jp).real)) < 1e-10
 
 
-def test_su3_rank_roots_weights(su3):
-    rep, cartan = su3
+def test_su3_rank_roots_weights():
+    rep, cartan = decomposed("suN:n=3")
     assert cartan.roots.shape == (6, 2)
 
     # weight set of the defining representation, order-insensitive
@@ -108,8 +91,7 @@ def rounded_set(rows):
 
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_sun_rank_roots_weights(n):
-    rep = build_sun_fundamental(n)
-    cartan = cartan_decompose(rep)
+    rep, cartan = decomposed(f"suN:n={n}")
     assert cartan.rank == n - 1
     assert cartan.n_positive == n * (n - 1) // 2
     assert cartan.weights.shape == (n, n - 1)
@@ -130,8 +112,7 @@ def test_sun_rank_roots_weights(n):
 def test_adjoint_weights_are_roots_and_zeros():
     # the su(3) adjoint: d = 8 weights, the 6 roots and a doubly degenerate
     # zero weight, whose common eigenspace the weight basis must still split
-    rep = build_sun_adjoint(3)
-    cartan = cartan_decompose(rep)
+    rep, cartan = decomposed("suN:n=3,dynkin=1,1")
     assert cartan.rank == 2
     zero = np.all(np.abs(cartan.weights) < 1e-9, axis=1)
     assert int(np.sum(zero)) == cartan.rank
@@ -152,14 +133,9 @@ def test_joint_eigenbasis_rejects_non_commuting_pair():
         cartan_module._joint_eigenbasis(np.array([sx, sz]), rng, cartan_module.WEIGHT_TOL)
 
 
-@pytest.mark.parametrize("builder,arg", [
-    (build_su2_irrep, 3),
-    (build_sun_fundamental, 3),
-    (build_sun_fundamental, 4),
-])
-def test_ladder_relations(builder, arg):
-    rep = builder(arg)
-    cartan = cartan_decompose(rep)
+@pytest.mark.parametrize("spec", ["su2:two_j=3", "suN:n=3", "suN:n=4"], ids=case_id("builder"))
+def test_ladder_relations(spec):
+    rep, cartan = decomposed(spec)
     lam = rep.normalization
     for m, alpha in enumerate(cartan.positive_roots):
         e = cartan.raising_ops[m]
@@ -174,8 +150,8 @@ def test_ladder_relations(builder, arg):
         assert np.trace(e.conj().T @ e).real == pytest.approx(lam, rel=1e-9)
 
 
-def test_highest_weight_state_annihilated(su3):
-    rep, cartan = su3
+def test_highest_weight_state_annihilated():
+    rep, cartan = decomposed("suN:n=3")
     hw = highest_weight_state(cartan)
     assert np.linalg.norm(hw) == pytest.approx(1.0, abs=1e-12)
     for e in cartan.raising_ops:
@@ -185,15 +161,15 @@ def test_highest_weight_state_annihilated(su3):
         assert np.linalg.norm(h @ hw - cartan.highest_weight[i] * hw) < 1e-9
 
 
-def test_gcs_zero_params_is_highest_weight(su2_j1):
-    rep, cartan = su2_j1
+def test_gcs_zero_params_is_highest_weight():
+    rep, cartan = decomposed("su2:two_j=2")
     psi = generate_gcs(rep, cartan, np.zeros(3))
     hw = highest_weight_state(cartan)
     assert np.abs(np.vdot(hw, psi)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_gcs_pi_rotation_flips_spin(su2_j1):
-    rep, cartan = su2_j1
+def test_gcs_pi_rotation_flips_spin():
+    rep, cartan = decomposed("su2:two_j=2")
     # exp(i pi J_x) maps |j, j> to |j, -j> up to phase
     psi = generate_gcs(rep, cartan, [np.pi, 0.0, 0.0])
     bottom = np.zeros(3, dtype=complex)
@@ -204,23 +180,22 @@ def test_gcs_pi_rotation_flips_spin(su2_j1):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_gcs_orbit_saturates_uncertainty_bound(seed):
-    rep = build_su2_irrep(3)
-    cartan = cartan_decompose(rep)
+    rep, cartan = decomposed("su2:two_j=3")
     delta_min, _ = uncertainty_bounds(rep, cartan)
     rng = np.random.default_rng(seed)
     psi = generate_gcs(rep, cartan, rng.uniform(-3, 3, rep.dim_algebra))
     assert total_uncertainty(psi, rep) == pytest.approx(delta_min, abs=1e-9)
 
 
-def test_gcs_bad_params_shape(su2_j1):
-    rep, cartan = su2_j1
+def test_gcs_bad_params_shape():
+    rep, cartan = decomposed("su2:two_j=2")
     with pytest.raises(ValueError, match="shape"):
         generate_gcs(rep, cartan, [0.1, 0.2])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_gcs_rejects_non_finite_params(su2_j1, bad):
-    rep, cartan = su2_j1
+def test_gcs_rejects_non_finite_params(bad):
+    rep, cartan = decomposed("su2:two_j=2")
     with pytest.raises(ValueError, match="params must be finite"):
         generate_gcs(rep, cartan, [0.1, bad, 0.0])
 
@@ -230,19 +205,15 @@ def test_gcs_rejects_non_finite_params(su2_j1, bad):
     [np.array([0.1, 0.2j, 0.0]), [0.1, 0.2j, 0.0], np.array([0.1 + 0j, 0.2, 0.0], dtype=object)],
     ids=["array", "list", "object"],
 )
-def test_gcs_rejects_complex_params(su2_j1, params):
-    rep, cartan = su2_j1
+def test_gcs_rejects_complex_params(params):
+    rep, cartan = decomposed("su2:two_j=2")
     with pytest.raises(ValueError, match="^params must be real"):
         generate_gcs(rep, cartan, params)
 
 
-@pytest.mark.parametrize("builder,arg", [
-    (build_su2_irrep, 4),
-    (build_sun_fundamental, 3),
-])
-def test_su2_triples(builder, arg):
-    rep = builder(arg)
-    cartan = cartan_decompose(rep)
+@pytest.mark.parametrize("spec", ["su2:two_j=4", "suN:n=3"], ids=case_id("builder"))
+def test_su2_triples(spec):
+    rep, cartan = decomposed(spec)
     for a, e in zip(cartan.positive_roots, cartan.raising_ops):
         norm2 = float(a @ a)
         e3 = np.tensordot(a, cartan.cartan_generators, axes=(0, 0)) / norm2
@@ -256,8 +227,7 @@ def test_su2_triples(builder, arg):
 
 @pytest.mark.parametrize("two_j", [1, 2, 3, 4, 5, 6])
 def test_weight_strings_su2(two_j):
-    rep = build_su2_irrep(two_j)
-    cartan = cartan_decompose(rep)
+    rep, cartan = decomposed(f"su2:two_j={two_j}")
     j = two_j / 2.0
     for s in range(two_j + 1):
         jj, mm = weight_string(cartan, s, 0)
@@ -265,8 +235,8 @@ def test_weight_strings_su2(two_j):
         assert mm == pytest.approx(j - s, abs=1e-12)
 
 
-def test_weight_strings_su3(su3):
-    rep, cartan = su3
+def test_weight_strings_su3():
+    rep, cartan = decomposed("suN:n=3")
     for m in range(cartan.n_positive):
         alpha = cartan.positive_roots[m]
         content = []
@@ -285,28 +255,31 @@ def root_component_norm(psi, rep, cartan):
     return float(np.linalg.norm((cartan.basis_rotation @ v)[cartan.rank:]))
 
 
-def build_su2_reflected(two_j):
-    """The spin two_j/2 irrep in the orientation-reversing order (Jx, Jz, Jy)."""
-    return algebra_from_generators(build_su2_irrep(two_j).generators[[0, 2, 1]])
+def build_su2_reflected(rep):
+    """An su(2) irrep in the orientation-reversing order (Jx, Jz, Jy)."""
+    return algebra_from_generators(rep.generators[[0, 2, 1]])
 
 
-def build_sun_conjugated(n):
-    """The defining su(n) irrep in a basis where its Cartan is not diagonal."""
-    return conjugated(build_sun_fundamental(n))
+def changed(spec, change):
+    """decomposed(spec), or change applied to its irrep and decomposed."""
+    if change is None:
+        return decomposed(spec)
+    rep = change(algebra(spec))
+    return rep, cartan_decompose(rep)
 
 
-@pytest.mark.parametrize("builder,arg,path", [
-    pytest.param(build_su2_irrep, 1, "_root_triple_sweep", id="build_su2_irrep-1-auto"),  # K = 3 = d^2 - 1
-    pytest.param(build_su2_irrep, 3, "_root_triple_sweep", id="build_su2_irrep-3-auto"),  # K = 3
-    pytest.param(build_su2_reflected, 3, "_root_triple_sweep", id="build_su2_reflected-3-auto"),
-    pytest.param(build_sun_fundamental, 3, "_align_eigenbasis", id="build_sun_fundamental-3-auto"),  # K = d^2 - 1
-    pytest.param(build_sun_adjoint, 3, "_root_triple_sweep", id="build_sun_adjoint-3-auto"),  # rank 2, d = K = 8
-    pytest.param(build_sun_conjugated, 3, "_align_eigenbasis", id="build_sun_conjugated-3-auto"),
-    pytest.param(build_sun_conjugated, 4, "_align_eigenbasis", id="build_sun_conjugated-4-auto"),
+# conjugated: the defining su(n) irrep in a basis where its Cartan is not diagonal
+@pytest.mark.parametrize("spec,change,path", [
+    pytest.param("su2:two_j=1", None, "_root_triple_sweep", id="build_su2_irrep-1-auto"),  # K = 3 = d^2 - 1
+    pytest.param("su2:two_j=3", None, "_root_triple_sweep", id="build_su2_irrep-3-auto"),  # K = 3
+    pytest.param("su2:two_j=3", build_su2_reflected, "_root_triple_sweep", id="build_su2_reflected-3-auto"),
+    pytest.param("suN:n=3", None, "_align_eigenbasis", id="build_sun_fundamental-3-auto"),  # K = d^2 - 1
+    pytest.param("suN:n=3,dynkin=1,1", None, "_root_triple_sweep", id="build_sun_adjoint-3-auto"),  # d = K = 8
+    pytest.param("suN:n=3", conjugated, "_align_eigenbasis", id="build_sun_conjugated-3-auto"),
+    pytest.param("suN:n=4", conjugated, "_align_eigenbasis", id="build_sun_conjugated-4-auto"),
 ])
-def test_alignment_paths(builder, arg, path, monkeypatch):
-    rep = builder(arg)
-    cartan = cartan_decompose(rep)
+def test_alignment_paths(spec, change, path, monkeypatch):
+    rep, cartan = changed(spec, change)
     taken = set()
 
     def spy(name):
@@ -349,12 +322,14 @@ def axis_angle_aligned(psi, rep, cartan):
     return scipy.linalg.expm(-1j * theta / rep.structure_constants[0, 1, 2] * gen) @ psi
 
 
-@pytest.mark.parametrize("builder,two_j", [(build_su2_irrep, two_j) for two_j in range(1, 9)]
-                         + [(build_su2_reflected, 3)])
-def test_su2_alignment_is_the_axis_angle_rotation(builder, two_j):
+@pytest.mark.parametrize(
+    "spec,change",
+    [pytest.param(f"su2:two_j={two_j}", None, id=f"build_su2_irrep-{two_j}") for two_j in range(1, 9)]
+    + [pytest.param("su2:two_j=3", build_su2_reflected, id="build_su2_reflected-3")],
+)
+def test_su2_alignment_is_the_axis_angle_rotation(spec, change):
     # on K = 3 one sweep is one step, the rotation of <X> onto +H
-    rep = builder(two_j)
-    cartan = cartan_decompose(rep)
+    rep, cartan = changed(spec, change)
     for seed in range(10):
         psi = rng_haar_state(rep.dim_hilbert, 3000 + seed)
         out = align_expectation_to_cartan(psi, rep, cartan)
@@ -366,23 +341,22 @@ def test_su2_alignment_is_the_axis_angle_rotation(builder, two_j):
 def test_su2_alignment_close_to_the_cartan_gauge(two_j, eps):
     # a root component just above ALIGNMENT_TOL: the angle comes from
     # atan2, not from the arccosine of a cosine within 1e-16 of 1
-    rep = build_su2_irrep(two_j)
-    cartan = cartan_decompose(rep)
+    rep, cartan = decomposed(f"su2:two_j={two_j}")
     out = align_expectation_to_cartan(generate_gcs(rep, cartan, [eps, 0.0, 0.0]), rep, cartan)
     assert root_component_norm(out, rep, cartan) <= cartan_module.ALIGNMENT_TOL
     assert abs(np.vdot(highest_weight_state(cartan), out)) == pytest.approx(1.0, abs=1e-14)
 
 
-def sym2_haar(n, seed):
-    rep = build_sun_symmetric(n, 2)
+def haar(spec, seed):
+    rep = algebra(spec)
     return rep, rng_haar_state(rep.dim_hilbert, seed)
 
 
 @pytest.mark.parametrize("make", [
-    pytest.param(lambda: sym2_haar(3, 170), id="sym2-su3-haar-170"),
-    pytest.param(lambda: sym2_haar(4, 19), id="sym2-su4-haar-19"),
-    pytest.param(lambda: sym2_haar(4, 111), id="sym2-su4-haar-111"),
-    pytest.param(lambda: sym2_haar(4, 165), id="sym2-su4-haar-165"),
+    pytest.param(lambda: haar("suN:n=3,dynkin=2,0", 170), id="sym2-su3-haar-170"),
+    pytest.param(lambda: haar("suN:n=4,dynkin=2,0,0", 19), id="sym2-su4-haar-19"),
+    pytest.param(lambda: haar("suN:n=4,dynkin=2,0,0", 111), id="sym2-su4-haar-111"),
+    pytest.param(lambda: haar("suN:n=4,dynkin=2,0,0", 165), id="sym2-su4-haar-165"),
     pytest.param(lambda: sym3_su3_trace_norm_minimizer(0), id="sym3-su3-t-minimizer-0"),
     pytest.param(lambda: sym3_su3_trace_norm_minimizer(1), id="sym3-su3-t-minimizer-1"),
 ])
@@ -400,35 +374,24 @@ def test_alignment_near_a_weyl_wall(make):
 
 
 def test_alignment_raises_with_the_residual_when_the_sweeps_run_out(monkeypatch):
-    rep = build_sun_adjoint(3)
-    cartan = cartan_decompose(rep)
+    rep, cartan = decomposed("suN:n=3,dynkin=1,1")
     monkeypatch.setattr(cartan_module, "ALIGNMENT_SWEEPS", 1)
     with pytest.raises(RuntimeError, match=r"^Cartan alignment failed: residual root component \d"):
         align_expectation_to_cartan(rng_haar_state(rep.dim_hilbert, 1000), rep, cartan)
 
 
-ORBIT_ALGEBRAS = {
-    "su2-2": (build_su2_irrep, 2),
-    "su2-8": (build_su2_irrep, 8),
-    "su2-3-reflected": (build_su2_reflected, 3),
-    "su3": (build_sun_fundamental, 3),
-    "su6": (build_sun_fundamental, 6),
-    "su3-adjoint": (build_sun_adjoint, 3),
-}
-
-
-@functools.lru_cache(maxsize=None)
-def orbit_algebra(name):
-    builder, arg = ORBIT_ALGEBRAS[name]
-    rep = builder(arg)
-    return rep, cartan_decompose(rep)
-
-
-@pytest.mark.parametrize("name", ORBIT_ALGEBRAS)
+@pytest.mark.parametrize("spec,change", [
+    pytest.param("su2:two_j=2", None, id="su2-2"),
+    pytest.param("su2:two_j=8", None, id="su2-8"),
+    pytest.param("su2:two_j=3", build_su2_reflected, id="su2-3-reflected"),
+    pytest.param("suN:n=3", None, id="su3"),
+    pytest.param("suN:n=6", None, id="su6"),
+    pytest.param("suN:n=3,dynkin=1,1", None, id="su3-adjoint"),
+])
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_gcs_matches_expm_and_alignment_keeps_invariants(name, seed):
-    rep, cartan = orbit_algebra(name)
+def test_gcs_matches_expm_and_alignment_keeps_invariants(spec, change, seed):
+    rep, cartan = changed(spec, change)
     rng = np.random.default_rng(seed)
     params = rng.uniform(-3, 3, rep.dim_algebra)
     ref = scipy.linalg.expm(1j * np.tensordot(params, rep.generators, axes=1)) @ highest_weight_state(cartan)
@@ -441,8 +404,8 @@ def test_gcs_matches_expm_and_alignment_keeps_invariants(name, seed):
         assert abs(invariant(out, rep) - before) <= 1e-13 * max(1.0, abs(before))
 
 
-def test_alignment_noop_when_already_aligned(su2_j1):
-    rep, cartan = su2_j1
+def test_alignment_noop_when_already_aligned():
+    rep, cartan = decomposed("su2:two_j=2")
     # <X> along the Cartan axis, and antiparallel to it
     for psi in (highest_weight_state(cartan), cartan.weight_basis[:, -1]):
         out = align_expectation_to_cartan(psi, rep, cartan)
@@ -453,10 +416,9 @@ def test_alignment_noop_when_already_aligned(su2_j1):
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-15
 
 
-@pytest.mark.parametrize("builder,arg", [(build_su2_irrep, 2), (build_sun_fundamental, 3)])
-def test_alignment_rejects_unnormalized_and_nonfinite_states(builder, arg):
-    rep = builder(arg)
-    cartan = cartan_decompose(rep)
+@pytest.mark.parametrize("spec", ["su2:two_j=2", "suN:n=3"], ids=case_id("builder"))
+def test_alignment_rejects_unnormalized_and_nonfinite_states(spec):
+    rep, cartan = decomposed(spec)
     psi = rng_haar_state(rep.dim_hilbert, 7)
     with pytest.raises(ValueError, match="not normalized"):
         align_expectation_to_cartan(2.0 * psi, rep, cartan)
@@ -479,8 +441,7 @@ def rephased_eigh(seed):
 
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_eigenbasis_alignment_ignores_eigenvector_phases(n, monkeypatch):
-    rep = build_sun_fundamental(n)
-    cartan = cartan_decompose(rep)
+    rep, cartan = decomposed(f"suN:n={n}")
     states = [rng_haar_state(n, 2000 + seed) for seed in range(20)]
     plain = [align_expectation_to_cartan(psi, rep, cartan) for psi in states]
     monkeypatch.setattr(np.linalg, "eigh", rephased_eigh(n))
@@ -489,39 +450,34 @@ def test_eigenbasis_alignment_ignores_eigenvector_phases(n, monkeypatch):
         assert np.max(np.abs(out - ref)) < 1e-12
 
 
-@pytest.mark.parametrize("builder,arg", [
-    (build_su2_irrep, 4),
-    (build_sun_fundamental, 3),
-    (build_sun_fundamental, 6),
-    (build_sun_adjoint, 3),
+@pytest.mark.parametrize("spec,seed", [
+    pytest.param("su2:two_j=4", 4, id="build_su2_irrep-4"),
+    pytest.param("suN:n=3", 3, id="build_sun_fundamental-3"),
+    pytest.param("suN:n=6", 6, id="build_sun_fundamental-6"),
+    pytest.param("suN:n=3,dynkin=1,1", 3, id="build_sun_adjoint-3"),
 ])
-def test_decomposition_ignores_eigenvector_phases(builder, arg, monkeypatch):
-    rep = builder(arg)
-    ref = cartan_decompose(rep)
-    monkeypatch.setattr(np.linalg, "eigh", rephased_eigh(arg))
+def test_decomposition_ignores_eigenvector_phases(spec, seed, monkeypatch):
+    rep, ref = decomposed(spec)
+    monkeypatch.setattr(np.linalg, "eigh", rephased_eigh(seed))
     got = cartan_decompose(rep)
     for field in ("weight_basis", "raising_ops", "basis_rotation"):
         assert np.max(np.abs(getattr(got, field) - getattr(ref, field))) < 1e-12, field
 
 
-@pytest.mark.parametrize("builder,arg", [
-    (build_su2_irrep, 1),
-    (build_su2_irrep, 2),
-    (build_sun_fundamental, 3),
-])
-def test_equal_irrep_sum_rejected_by_decomposition(builder, arg):
+@pytest.mark.parametrize("spec", ["su2:two_j=1", "su2:two_j=2", "suN:n=3"], ids=case_id("builder"))
+def test_equal_irrep_sum_rejected_by_decomposition(spec):
     # two copies of one irrep keep sum X^2 = c 1, so construction accepts
     # the sum; its highest weight appears twice
-    gens = builder(arg).generators
+    gens = algebra(spec).generators
     rep = algebra_from_generators([scipy.linalg.block_diag(g, g) for g in gens])
     with pytest.raises(ValueError, match="highest weight not unique"):
         cartan_decompose(rep)
 
 
-def check_conjugated_decomposition(base):
+def check_conjugated_decomposition(spec):
     # no generator is diagonal after a generic rotation, which forces the
     # random-probe path; the invariant data must not change
-    ref = cartan_decompose(base)
+    base, ref = decomposed(spec)
     rep = conjugated(base)
     assert not cartan_module._diagonal_generator_indices(rep.generators)
     cartan = cartan_decompose(rep)
@@ -543,20 +499,16 @@ def check_conjugated_decomposition(base):
 
 
 def test_decompose_in_conjugated_basis():
-    check_conjugated_decomposition(build_sun_fundamental(3))
+    check_conjugated_decomposition("suN:n=3")
 
 
-@pytest.mark.parametrize("builder,arg", [
-    (build_sun_fundamental, 4),
-    (build_su2_irrep, 3),
-    (build_sun_adjoint, 3),
-])
-def test_decompose_in_other_conjugated_bases(builder, arg):
-    check_conjugated_decomposition(builder(arg))
+@pytest.mark.parametrize("spec", ["suN:n=4", "su2:two_j=3", "suN:n=3,dynkin=1,1"], ids=case_id("builder"))
+def test_decompose_in_other_conjugated_bases(spec):
+    check_conjugated_decomposition(spec)
 
 
-def test_debug_dict_keys(su3, tmp_path):
-    rep, cartan = su3
+def test_debug_dict_keys(tmp_path):
+    cartan = decomposed("suN:n=3")[1]
     out = tmp_path / "bounds.json"
     assert cli.main(["bounds", "--algebra", "suN:n=3", "--out", str(out)]) == 0
     dump = json.loads(out.read_text())
@@ -594,43 +546,46 @@ def mix_with_next(v, m):
 
 @pytest.mark.parametrize("n,cols,named", [(3, (2,), 2), (3, (1, 2), 1), (6, (9, 4), 4)])
 def test_broken_ladder_relation_names_lowest_root(n, cols, named, monkeypatch):
+    rep = algebra(f"suN:n={n}")
     corrupt_root_vectors(monkeypatch, cols, mix_with_next)
     with pytest.raises(
         RuntimeError,
         match=rf"^Cartan extraction failed: ladder relation fails for root {named}: residual",
     ):
-        cartan_decompose(build_sun_fundamental(n))
+        cartan_decompose(rep)
 
 
-@pytest.mark.parametrize("builder,arg,cols,named", [
-    (build_su2_irrep, 2, (0,), 0),
-    (build_sun_fundamental, 3, (1, 2), 1),
-    (build_sun_fundamental, 6, (14, 7), 7),
-])
-def test_broken_ladder_normalization_names_lowest_root(builder, arg, cols, named, monkeypatch):
+@pytest.mark.parametrize("spec,cols,named", [
+    ("su2:two_j=2", (0,), 0),
+    ("suN:n=3", (1, 2), 1),
+    ("suN:n=6", (14, 7), 7),
+], ids=case_id("builder"))
+def test_broken_ladder_normalization_names_lowest_root(spec, cols, named, monkeypatch):
     # twice a root vector keeps [H_i, E_a] = a_i E_a and quadruples [E, E^dag]
+    rep = algebra(spec)
     corrupt_root_vectors(monkeypatch, cols, lambda v, m: 2.0 * v[:, m])
     with pytest.raises(
         RuntimeError,
         match=rf"^Cartan extraction failed: \[E, E\^dag\] != root \. H for root {named}: residual",
     ):
-        cartan_decompose(builder(arg))
+        cartan_decompose(rep)
 
 
 def test_non_commuting_kernel_rows_are_rejected(monkeypatch):
     # lambda_1 and lambda_2 of su(3) span two dimensions but do not commute
+    rep = algebra("suN:n=3")
     monkeypatch.setattr(cartan_module, "_cartan_candidates", lambda rep, rng: iter([np.eye(8)[[0, 1]]]))
     with pytest.raises(
         RuntimeError, match=r"^Cartan extraction failed: extracted Cartan set does not commute: "
     ):
-        cartan_decompose(build_sun_fundamental(3))
+        cartan_decompose(rep)
 
 
-@pytest.mark.parametrize("builder,arg", [(build_su2_irrep, 2), (build_sun_fundamental, 3)])
-def test_mixed_weight_basis_has_no_annihilated_state(builder, arg, monkeypatch):
+@pytest.mark.parametrize("spec", ["su2:two_j=2", "suN:n=3"], ids=case_id("builder"))
+def test_mixed_weight_basis_has_no_annihilated_state(spec, monkeypatch):
     # a generic rotation of the weight basis leaves no column that every
     # raising operator kills
-    real = cartan_module._joint_eigenbasis
+    rep, real = algebra(spec), cartan_module._joint_eigenbasis
 
     def mixed(mats, rng, tol):
         vecs, vals = real(mats, rng, tol)
@@ -644,8 +599,8 @@ def test_mixed_weight_basis_has_no_annihilated_state(builder, arg, monkeypatch):
         RuntimeError,
         match=r"^Cartan extraction failed: no weight state is annihilated by all raising operators$",
     ):
-        cartan_decompose(builder(arg))
+        cartan_decompose(rep)
 
 
 def test_diagonal_generator_indices_of_defining_su4():
-    assert cartan_module._diagonal_generator_indices(build_sun_fundamental(4).generators) == [2, 7, 14]
+    assert cartan_module._diagonal_generator_indices(algebra("suN:n=4").generators) == [2, 7, 14]

@@ -634,6 +634,7 @@ def test_runtime_does_not_import_scipy(tmp_path):
     script = f"""
 import sys
 import gcsloc, gcsloc.cli
+assert "numpy.random" not in sys.modules  # drawn on first use, not on import
 runs = [
     ["bounds", "--algebra", "suN:n=3"],
     ["theorem-scan", "--algebra", "su2:two_j=4", "--samples", "50", "--seed", "1"],

@@ -1,7 +1,6 @@
 import os
 import time
 import tracemalloc
-from functools import lru_cache
 from types import SimpleNamespace
 from unittest import mock
 
@@ -10,9 +9,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_sun_adjoint, build_sun_symmetric, lindblad_superoperator
+from conftest import algebra, case_id, decomposed, lindblad_superoperator, reference_moments
 from gcsloc import dynamics
-from gcsloc.algebra import algebra_from_generators, build_su2_irrep, build_sun_fundamental
+from gcsloc.algebra import build_su2_irrep, build_sun_fundamental
 from gcsloc.cartan import cartan_decompose, highest_weight_state
 from gcsloc.dynamics import (
     NoiseConfig,
@@ -41,7 +40,7 @@ from gcsloc.observables import (
 
 @pytest.fixture(scope="module")
 def spin1():
-    return build_su2_irrep(2)
+    return algebra("su2:two_j=2")
 
 
 # the limit the library steps with; some tests patch dynamics._STACK_LIMIT
@@ -138,7 +137,7 @@ def test_streams_and_probes_draw_no_os_entropy(spin1, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(dynamics, "stream_rng", keyed_philox)
         ens_ref = ensemble_average(haar_state(3, 2), None, spin1, cfg, 5)
-    decomposed = cartan_decompose(rep)
+    cartan = cartan_decompose(rep)
 
     def no_entropy(*args):
         raise AssertionError("OS entropy drawn")
@@ -151,7 +150,7 @@ def test_streams_and_probes_draw_no_os_entropy(spin1, monkeypatch):
     assert np.array_equal(haar_states(3, 4, 8), haar_ref)
     assert np.array_equal(cartan_module._probe_rng().random(5), probe_ref)
     again = cartan_decompose(rep)
-    assert all(np.array_equal(a, b) for a, b in zip(vars(again).values(), vars(decomposed).values()))
+    assert all(np.array_equal(a, b) for a, b in zip(vars(again).values(), vars(cartan).values()))
     assert np.array_equal(ensemble_average(haar_state(3, 2), None, spin1, cfg, 5)[1], ens_ref[1])
 
 
@@ -533,7 +532,7 @@ def test_nan_noise_names_step_trajectory_and_seed(spin1, monkeypatch):
 
 @pytest.fixture(scope="module")
 def su6():
-    return build_sun_fundamental(6)
+    return algebra("suN:n=6")
 
 
 def chunked_cfg(seed):
@@ -649,17 +648,6 @@ def test_ensemble_average_memory_does_not_grow_with_blocks(monkeypatch, threads)
     assert many < few + 8 * size
 
 
-@lru_cache(maxsize=None)
-def step_algebra(name):
-    kind, arg = name.split(":")
-    if kind == "su2":
-        return build_su2_irrep(int(arg))
-    if kind == "suN":
-        return build_sun_fundamental(int(arg))
-    # the su(N) adjoint irrep from the structure constants: d = K = N^2 - 1
-    return algebra_from_generators(-1j * build_sun_fundamental(int(arg)).structure_constants)
-
-
 def reference_step(psi, rep, gamma, dt, noise, prop):
     """The split step with the d x d Casimir matrix C = sum_k X_k^2, written
     as the update
@@ -686,8 +674,8 @@ def reference_step(psi, rep, gamma, dt, noise, prop):
     return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
-def check_step_against_reference(name, n, with_h, seed, dt, frac):
-    rep = step_algebra(name)
+def check_step_against_reference(spec, n, with_h, seed, dt, frac):
+    rep = algebra(spec)
     gamma = frac * dynamics.STABILITY_LIMIT / dt
     rng = np.random.default_rng(seed)
     psi = haar_states(rep.dim_hilbert, n, seed)
@@ -712,7 +700,9 @@ def check_step_against_reference(name, n, with_h, seed, dt, frac):
 @pytest.mark.parametrize("with_h", [False, True])
 @pytest.mark.parametrize("n", [1, 257])
 @pytest.mark.parametrize(
-    "name", ["su2:1", "su2:2", "su2:4", "su2:8", "suN:3", "suN:4", "suN:6", "adj:3"]
+    "spec",
+    [f"su2:two_j={two_j}" for two_j in (1, 2, 4, 8)] + [f"suN:n={n}" for n in (3, 4, 6)] + ["suN:n=3,dynkin=1,1"],
+    ids=case_id("step"),
 )
 @settings(max_examples=8, deadline=None)
 @given(
@@ -720,56 +710,37 @@ def check_step_against_reference(name, n, with_h, seed, dt, frac):
     dt=st.floats(1e-5, 1e-2),
     frac=st.floats(0.0, 1.0),
 )
-def test_step_matches_casimir_matrix_reference(name, n, with_h, seed, dt, frac):
-    check_step_against_reference(name, n, with_h, seed, dt, frac)
+def test_step_matches_casimir_matrix_reference(spec, n, with_h, seed, dt, frac):
+    check_step_against_reference(spec, n, with_h, seed, dt, frac)
 
 
 # a stack limit of 0 sends every K > d algebra through the operator route,
 # at any batch size
 @pytest.mark.parametrize("with_h", [False, True])
 @pytest.mark.parametrize("n", [1, 257])
-@pytest.mark.parametrize("name", ["su2:1", "suN:2", "suN:3", "suN:4", "suN:6"])
+@pytest.mark.parametrize("spec", ["su2:two_j=1"] + [f"suN:n={n}" for n in (2, 3, 4, 6)], ids=case_id("step"))
 @settings(max_examples=8, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     dt=st.floats(1e-5, 1e-2),
     frac=st.floats(0.0, 1.0),
 )
-def test_operator_route_matches_casimir_matrix_reference(name, n, with_h, seed, dt, frac):
+def test_operator_route_matches_casimir_matrix_reference(spec, n, with_h, seed, dt, frac):
     with mock.patch.object(dynamics, "_STACK_LIMIT", 0):
-        check_step_against_reference(name, n, with_h, seed, dt, frac)
-
-
-def brute_moments(psi, rep):
-    """Per-state reference: v_k = <X_k> and <X_k X_l + X_l X_k> - 2 v_k v_l
-    from explicit anticommutators, one state at a time."""
-    gens = rep.generators
-    anti = np.einsum("kab,lbc->klac", gens, gens)
-    anti = anti + anti.transpose(1, 0, 2, 3)
-    vs, ms = [], []
-    for row in psi:
-        v = np.array([np.vdot(row, x @ row).real for x in gens])
-        second = np.einsum("a,klab,b->kl", row.conj(), anti, row).real
-        vs.append(v)
-        ms.append(second - 2.0 * np.outer(v, v))
-    return np.array(vs), np.array(ms)
+        check_step_against_reference(spec, n, with_h, seed, dt, frac)
 
 
 @pytest.mark.parametrize("n", [1, 257])
-@pytest.mark.parametrize("builder,arg", [
-    (build_su2_irrep, 1),
-    (build_su2_irrep, 2),
-    (build_su2_irrep, 4),
-    (build_su2_irrep, 8),
-    (build_sun_fundamental, 3),
-    (build_sun_fundamental, 6),
-])
-def test_moment_kernel_matches_brute_force(builder, arg, n):
-    rep = builder(arg)
-    psi = haar_states(rep.dim_hilbert, n, seed=arg + n)
+@pytest.mark.parametrize(
+    "spec", [f"su2:two_j={two_j}" for two_j in (1, 2, 4, 8)] + ["suN:n=3", "suN:n=6"], ids=case_id("builder")
+)
+def test_moment_kernel_matches_brute_force(spec, n):
+    rep = algebra(spec)
+    # seeded by two_j or n of the spec, plus the batch size
+    psi = haar_states(rep.dim_hilbert, n, seed=int(spec.rpartition("=")[2]) + n)
     pf, z, got = dynamics._moments(psi, rep)
     u = dynamics._centred(pf, z, got)
-    v, m = brute_moments(psi, rep)
+    v, m = reference_moments(psi, rep)
     c = rep.casimir_eigenvalue
     tol = 1e-12
     assert np.max(np.abs(got - v)) <= tol * c
@@ -784,8 +755,7 @@ def test_coherent_state_one_step_deviation_scales_quadratically():
     # at an extremal state the drift vanishes and the noise moves the state
     # along the coherent orbit to first order, so the one-step excess
     # uncertainty scales like dt^2 under shared unit noise
-    rep = build_su2_irrep(2)
-    cartan = cartan_decompose(rep)
+    rep, cartan = decomposed("su2:two_j=2")
     hw = highest_weight_state(cartan)
     gamma = 0.1
     z = stream_rng(123, 0).standard_normal(3)
@@ -835,12 +805,8 @@ def test_trajectory_snapshots_follow_steps(spin1):
     _, rhos = ensemble_average(psi, None, spin1, cfg, n_traj=1)
     assert rhos.shape == (5, 3, 3)
     # replay the recorded noise through the public single-step API
-    amp = np.sqrt(2 * cfg.gamma * cfg.dt)
-    noise = amp * stream_rng(cfg.seed, 0).standard_normal((4, 3))
-    cur = psi
-    for s in range(4):
-        cur = snlse_step(cur, None, spin1, cfg.gamma, cfg.dt, noise[s])
-        assert np.max(np.abs(rhos[s + 1] - projector(cur))) < 1e-12
+    for rho, cur in zip(rhos, replayed_states(psi, None, spin1, cfg, 1)):
+        assert np.max(np.abs(rho - projector(cur))) < 1e-12
 
 
 def recorded_states(initial, h, rep, cfg, stride):
@@ -927,13 +893,14 @@ def batch_of_one_rows(initial, h, rep, cfg, stride):
 # the benchmark's run (1001 records, so the 256-record buffer flushes three
 # times before the last), and su(3) with H off the unit stride
 @pytest.mark.parametrize(
-    "name, steps, stride, h",
-    [("su2:4", 1000, 1, None), ("suN:3", 2100, 7, [0.2, 0.1, -0.3, 0.0, 0.4, 0.0, -0.1, 0.2])],
+    "spec, steps, stride, h",
+    [("su2:two_j=4", 1000, 1, None), ("suN:n=3", 2100, 7, [0.2, 0.1, -0.3, 0.0, 0.4, 0.0, -0.1, 0.2])],
+    ids=case_id("step"),
 )
-def test_trajectory_records_are_the_batch_of_one_route_bit_for_bit(name, steps, stride, h):
-    rep = step_algebra(name)
-    if name == "su2:4":
-        initial = highest_weight_state(cartan_decompose(rep))
+def test_trajectory_records_are_the_batch_of_one_route_bit_for_bit(spec, steps, stride, h):
+    rep = algebra(spec)
+    if spec == "su2:two_j=4":
+        initial = highest_weight_state(decomposed(spec)[1])
     else:
         initial = haar_state(rep.dim_hilbert, 36)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=steps, seed=7)
@@ -951,13 +918,13 @@ def test_trajectory_records_are_the_batch_of_one_route_bit_for_bit(name, steps, 
 # operator route
 @pytest.mark.parametrize("stride", [1, 3])
 @pytest.mark.parametrize("with_h", [False, True])
-@pytest.mark.parametrize("name", ["su2:2", "suN:3"])
+@pytest.mark.parametrize("spec", ["su2:two_j=2", "suN:n=3"], ids=case_id("step"))
 @pytest.mark.parametrize("block", [4, 8])
-def test_block_records_are_chained_batch_steps_bit_for_bit(monkeypatch, block, name, with_h, stride):
+def test_block_records_are_chained_batch_steps_bit_for_bit(monkeypatch, block, spec, with_h, stride):
     monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", block)
-    if name == "suN:3":
+    if spec == "suN:n=3":
         monkeypatch.setattr(dynamics, "_STACK_LIMIT", 0)
-    rep = step_algebra(name)
+    rep = algebra(spec)
     h = np.linspace(-0.4, 0.7, rep.dim_algebra) if with_h else None
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=30, seed=41)
     initials = haar_states(rep.dim_hilbert, 4, seed=38)
@@ -970,10 +937,10 @@ def test_block_records_are_chained_batch_steps_bit_for_bit(monkeypatch, block, n
     assert np.array_equal(got, dynamics._observe_batch(states, rep, cfg.gamma).transpose(1, 0, 2))
 
 
-@pytest.mark.parametrize("name", ["su2:2", "suN:3"])
-def test_batch_step_divided_into_its_input_returns_it(monkeypatch, name):
+@pytest.mark.parametrize("spec", ["su2:two_j=2", "suN:n=3"], ids=case_id("step"))
+def test_batch_step_divided_into_its_input_returns_it(monkeypatch, spec):
     monkeypatch.setattr(dynamics, "_STACK_LIMIT", 0)  # su(3) takes the operator route
-    rep = step_algebra(name)
+    rep = algebra(spec)
     h = np.linspace(-0.4, 0.7, rep.dim_algebra)
     step = dynamics._batch_stepper(rep, 0.1, 1e-3, 4, dynamics._step_propagator(h, rep, 1e-3))
     pf = haar_states(rep.dim_hilbert, 4, seed=38).view(np.float64)
@@ -1213,10 +1180,7 @@ def test_hamiltonian_trajectory_matches_ensemble_rows(spin1):
         assert np.max(np.abs(rows[i] - ref)) < 1e-12
     # replay trajectory 0 through the public single-step API
     _, rhos = ensemble_average(initials[0], h, spin1, cfg, n_traj=1, record_stride=1)
-    noise = np.sqrt(2 * cfg.gamma * cfg.dt) * stream_rng(cfg.seed, 0).standard_normal((50, 3))
-    cur = initials[0]
-    for s in range(50):
-        cur = snlse_step(cur, h, spin1, cfg.gamma, cfg.dt, noise[s])
+    cur = replayed_states(initials[0], h, spin1, cfg, cfg.steps)[-1]
     assert np.max(np.abs(rhos[-1] - projector(cur))) < 1e-12
 
 
@@ -1239,7 +1203,7 @@ def test_ensemble_output_independent_of_threads(monkeypatch, run, blocks):
     # calling process and GCSLOC_THREADS - 1 forked children a round
     monkeypatch.setattr(dynamics, "_STACK_LIMIT", 0)
     monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 4)
-    rep = step_algebra("suN:3")
+    rep = algebra("suN:n=3")
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=30, seed=63)
     psi = haar_state(3, 53)
     outs = []
@@ -1459,7 +1423,7 @@ def test_step_basis_is_chosen_once_per_block(monkeypatch, tmp_path):
 
     monkeypatch.setattr(dynamics, "_batch_stepper", counted)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=20, seed=64)
-    ensemble_average(haar_state(6, 55), None, step_algebra("suN:6"), cfg, 300)
+    ensemble_average(haar_state(6, 55), None, algebra("suN:n=6"), cfg, 300)
     assert sorted(int(n) for n in log.read_text().split()) == [44, 256]
 
 
@@ -1497,7 +1461,7 @@ def test_operator_basis_rule(monkeypatch):
             return False
         return True
 
-    su6, spin20 = step_algebra("suN:6"), build_su2_irrep(40)
+    su6, spin20 = algebra("suN:n=6"), build_su2_irrep(40)
     # K = 35 > d = 6: the operator route once the stack of X_k psi, n K 2d
     # doubles, passes the limit
     assert 2 * 35 * 12 <= dynamics._STACK_LIMIT < 256 * 35 * 12
@@ -1546,13 +1510,13 @@ def test_per_trajectory_initials_errors_name_the_trajectory(spin1, run):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("run", [ensemble_average, ensemble_observables])
-@pytest.mark.parametrize("name", ["su2:2", "suN:3"])
-def test_lone_start_runs_as_that_start_given_per_trajectory(monkeypatch, name, run, threads):
+@pytest.mark.parametrize("spec", ["su2:two_j=2", "suN:n=3"], ids=case_id("step"))
+def test_lone_start_runs_as_that_start_given_per_trajectory(monkeypatch, spec, run, threads):
     # a start takes one check, lone or as a row: a lone start is the ensemble
     # of its tiled rows bit for bit; its norm is off 1 by 4e-12, so both paths
     # divide it, and 300 trajectories span two blocks
     monkeypatch.setenv("GCSLOC_THREADS", threads)
-    rep = step_algebra(name)
+    rep = algebra(spec)
     start = (1 + 4e-12) * haar_state(rep.dim_hilbert, 44)
     assert abs(np.linalg.norm(start) - 1.0) > 1e-12
     h = np.linspace(-0.4, 0.7, rep.dim_algebra)
@@ -1691,14 +1655,14 @@ def test_exact_flow_eigh_calls_do_not_grow_with_records(spin1, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "rep",
-    [build_su2_irrep(1), build_su2_irrep(4), build_su2_irrep(8), build_su2_irrep(16),
-     build_sun_fundamental(3), build_sun_fundamental(6), build_sun_adjoint(3),
-     build_sun_adjoint(4), build_sun_symmetric(3, 3)],
+    "spec",
+    [f"su2:two_j={two_j}" for two_j in (1, 4, 8, 16)]
+    + ["suN:n=3", "suN:n=6", "suN:n=3,dynkin=1,1", "suN:n=4,dynkin=1,0,1", "suN:n=3,dynkin=3,0"],
     ids=["su2-1", "su2-4", "su2-8", "su2-16", "su3", "su6", "su3-adjoint", "su4-adjoint",
          "su3-sym3"],
 )
-def test_spectral_flow_matches_scipy_expm(rep):
+def test_spectral_flow_matches_scipy_expm(spec):
+    rep = algebra(spec)
     # the adjoints have repeated weights: the grading element has a
     # repeated eigenvalue there
     rng = np.random.default_rng(80)

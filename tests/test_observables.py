@@ -1,22 +1,22 @@
 import tracemalloc
-from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    build_sun_adjoint,
-    build_sun_symmetric,
+    algebra,
+    case_id,
     conjugated,
+    decomposed,
     kappa_loc,
+    reference_moments,
     rng_haar_state,
     sym3_su3_trace_norm_minimizer,
 )
-from gcsloc.algebra import algebra_from_generators, build_su2_irrep, build_sun_fundamental, unitary_exp
+from gcsloc.algebra import algebra_from_generators, build_su2_irrep, unitary_exp
 from gcsloc.cartan import (
     align_expectation_to_cartan,
-    cartan_decompose,
     generate_gcs,
     highest_weight_state,
 )
@@ -41,18 +41,6 @@ from gcsloc.observables import (
     total_uncertainty,
     uncertainty_bounds,
 )
-
-
-def brute_covariance(psi, gens):
-    """Reference evaluation with explicit scalar loops."""
-    k = gens.shape[0]
-    v = np.array([np.vdot(psi, g @ psi).real for g in gens])
-    m = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            anti = gens[i] @ gens[j] + gens[j] @ gens[i]
-            m[i, j] = np.vdot(psi, anti @ psi).real - 2.0 * v[i] * v[j]
-    return m
 
 
 @pytest.mark.parametrize("two_j", [2, 3, 4])
@@ -85,19 +73,16 @@ def test_entangled_state_brute_force():
     assert total_uncertainty(psi, rep) == pytest.approx(2.0, rel=1e-12)
     assert covariance_trace_norm(psi, rep) == pytest.approx(8.0, rel=1e-12)
 
-    assert np.max(np.abs(m - brute_covariance(psi, rep.generators))) < 1e-12
+    assert np.max(np.abs(m - reference_moments(psi[None], rep)[1][0])) < 1e-12
 
 
-@pytest.mark.parametrize("builder,arg", [
-    (build_su2_irrep, 3),
-    (build_sun_fundamental, 3),
-])
-def test_covariance_matches_brute_force(builder, arg):
-    rep = builder(arg)
+@pytest.mark.parametrize("spec", ["su2:two_j=3", "suN:n=3"], ids=case_id("builder"))
+def test_covariance_matches_brute_force(spec):
+    rep = algebra(spec)
     for seed in range(4):
         psi = rng_haar_state(rep.dim_hilbert, 40 + seed)
         m = covariance_matrix(psi, rep)
-        assert np.max(np.abs(m - brute_covariance(psi, rep.generators))) < 1e-11
+        assert np.max(np.abs(m - reference_moments(psi[None], rep)[1][0])) < 1e-11
         assert np.max(np.abs(m - m.T)) < 1e-12
         # diagonal entries are variances (scaled by 2), hence nonnegative
         assert np.min(np.diag(m)) > -1e-12
@@ -125,21 +110,16 @@ def test_uncertainty_purity_sum_rule(seed):
     assert delta > 0.0
 
 
-@pytest.mark.parametrize("builder,arg", [
-    (build_su2_irrep, 2),
-    (build_su2_irrep, 4),
-    (build_sun_fundamental, 3),
-])
-def test_drift_never_positive(builder, arg):
-    rep = builder(arg)
+@pytest.mark.parametrize("spec", ["su2:two_j=2", "su2:two_j=4", "suN:n=3"], ids=case_id("builder"))
+def test_drift_never_positive(spec):
+    rep = algebra(spec)
     for seed in range(200):
         psi = rng_haar_state(rep.dim_hilbert, seed)
         assert localization_drift(psi, rep, gamma=0.25) <= 1e-12
 
 
 def test_drift_zero_on_coherent_orbit():
-    rep = build_su2_irrep(4)
-    cartan = cartan_decompose(rep)
+    rep, cartan = decomposed("su2:two_j=4")
     rng = np.random.default_rng(7)
     for _ in range(25):
         psi = generate_gcs(rep, cartan, rng.uniform(-2, 2, 3))
@@ -158,25 +138,29 @@ def test_drift_non_finite_gamma_rejected():
         localization_drift(rng_haar_state(3, 0), build_su2_irrep(2), gamma=float("nan"))
 
 
-@pytest.mark.parametrize("builder,arg,expected", [
-    (build_su2_irrep, 2, (1.0, 2.0)),
-    (build_su2_irrep, 3, (1.5, 3.75)),
-    (build_su2_irrep, 4, (2.0, 6.0)),
-    (build_sun_fundamental, 2, (0.5, 0.75)),
-    (build_sun_fundamental, 3, (1.0, 4.0 / 3.0)),
-    (build_sun_fundamental, 4, (1.5, 15.0 / 8.0)),
-])
-def test_uncertainty_bounds_values(builder, arg, expected):
-    rep = builder(arg)
-    cartan = cartan_decompose(rep)
-    delta_min, c = uncertainty_bounds(rep, cartan)
+# Sym^p su(N), spin p/2 and the defining su(N) among them: delta_min =
+# p(N - 1)/2 and c = p(p + N)(N - 1)/(2N); the su(N) adjoint: N - 1 and N
+@pytest.mark.parametrize("spec,expected", [
+    ("su2:two_j=2", (1.0, 2.0)),
+    ("su2:two_j=3", (1.5, 3.75)),
+    ("su2:two_j=4", (2.0, 6.0)),
+    ("suN:n=2", (0.5, 0.75)),
+    ("suN:n=3", (1.0, 4.0 / 3.0)),
+    ("suN:n=4", (1.5, 15.0 / 8.0)),
+    ("suN:n=3,dynkin=2,0", (2.0, 10.0 / 3.0)),
+    ("suN:n=3,dynkin=3,0", (3.0, 6.0)),
+    ("suN:n=4,dynkin=2,0,0", (3.0, 4.5)),
+    ("suN:n=3,dynkin=1,1", (2.0, 3.0)),
+    ("suN:n=4,dynkin=1,0,1", (3.0, 4.0)),
+], ids=case_id("builder"))
+def test_uncertainty_bounds_values(spec, expected):
+    delta_min, c = uncertainty_bounds(*decomposed(spec))
     assert delta_min == pytest.approx(expected[0], abs=1e-10)
     assert c == pytest.approx(expected[1], abs=1e-10)
 
 
 def test_uncertainty_range_on_haar_states():
-    rep = build_su2_irrep(3)
-    cartan = cartan_decompose(rep)
+    rep, cartan = decomposed("su2:two_j=3")
     delta_min, c = uncertainty_bounds(rep, cartan)
     for seed in range(300):
         d = total_uncertainty(rng_haar_state(4, seed), rep)
@@ -184,14 +168,14 @@ def test_uncertainty_range_on_haar_states():
 
 
 @pytest.mark.parametrize("make,expected", [
-    pytest.param(lambda: build_su2_irrep(2), (4, 4, 1), id="spin1"),
-    pytest.param(lambda: build_su2_irrep(3), (2, 8, 2), id="spin3half"),
-    pytest.param(lambda: build_su2_irrep(4), (2, 12, 3), id="spin2"),
-    pytest.param(lambda: conjugated(build_su2_irrep(4)), (2, 12, 3), id="spin2-conjugated"),
-    pytest.param(lambda: build_su2_irrep(6), (2, 20, 5), id="spin3"),
-    pytest.param(lambda: build_sun_symmetric(3, 2), (4, 4, 3), id="su3-sym2"),
-    pytest.param(lambda: build_sun_adjoint(3), (4, 6, 4), id="su3-adjoint"),
-    pytest.param(lambda: build_sun_symmetric(3, 3), (2, 8, 7), id="su3-sym3"),
+    pytest.param(lambda: algebra("su2:two_j=2"), (4, 4, 1), id="spin1"),
+    pytest.param(lambda: algebra("su2:two_j=3"), (2, 8, 2), id="spin3half"),
+    pytest.param(lambda: algebra("su2:two_j=4"), (2, 12, 3), id="spin2"),
+    pytest.param(lambda: conjugated(algebra("su2:two_j=4")), (2, 12, 3), id="spin2-conjugated"),
+    pytest.param(lambda: algebra("su2:two_j=6"), (2, 20, 5), id="spin3"),
+    pytest.param(lambda: algebra("suN:n=3,dynkin=2,0"), (4, 4, 3), id="su3-sym2"),
+    pytest.param(lambda: algebra("suN:n=3,dynkin=1,1"), (4, 6, 4), id="su3-adjoint"),
+    pytest.param(lambda: algebra("suN:n=3,dynkin=3,0"), (2, 8, 7), id="su3-sym3"),
 ])
 def test_kappa_loc_at_highest_weight(make, expected):
     # the rate bound's extremes on the complement N of the orbit's tangent
@@ -202,22 +186,18 @@ def test_kappa_loc_at_highest_weight(make, expected):
     assert hi == pytest.approx(expected[1], abs=1e-4)
 
 
-@pytest.mark.parametrize("builder,arg", [(build_su2_irrep, 2), (build_sun_fundamental, 3)])
-def test_uncertainty_bounds_reject_root_data_of_another_normalization(builder, arg):
-    rep = builder(arg)
+@pytest.mark.parametrize("spec", ["su2:two_j=2", "suN:n=3"], ids=case_id("builder"))
+def test_uncertainty_bounds_reject_root_data_of_another_normalization(spec):
+    rep, cartan = decomposed(spec)
     with pytest.raises(ValueError, match="normalization inconsistency"):
-        uncertainty_bounds(algebra_from_generators(2.0 * rep.generators), cartan_decompose(rep))
+        uncertainty_bounds(algebra_from_generators(2.0 * rep.generators), cartan)
 
 
-@pytest.mark.parametrize("builder,arg", [
-    (build_su2_irrep, 4),
-    (build_sun_fundamental, 3),
-])
-def test_split_partition_sums_to_total(builder, arg):
+@pytest.mark.parametrize("spec", ["su2:two_j=4", "suN:n=3"], ids=case_id("builder"))
+def test_split_partition_sums_to_total(spec):
     # the four-sector partition is an exact rewriting for any state,
     # aligned or not
-    rep = builder(arg)
-    cartan = cartan_decompose(rep)
+    rep, cartan = decomposed(spec)
     for seed in range(10):
         psi = rng_haar_state(rep.dim_hilbert, 600 + seed)
         split = cartan_split_sums(psi, rep, cartan)
@@ -234,16 +214,9 @@ def test_split_partition_sums_to_total(builder, arg):
                    split.same_line_block, split.cross_line_block) > -1e-12
 
 
-@pytest.mark.parametrize("builder,arg", [
-    (build_su2_irrep, 3),
-    (build_su2_irrep, 4),
-    (build_sun_fundamental, 3),
-])
-def test_ladder_closed_form_in_cartan_gauge(builder, arg):
-    from gcsloc.observables import root_pair_closed_form
-
-    rep = builder(arg)
-    cartan = cartan_decompose(rep)
+@pytest.mark.parametrize("spec", ["su2:two_j=3", "su2:two_j=4", "suN:n=3"], ids=case_id("builder"))
+def test_ladder_closed_form_in_cartan_gauge(spec):
+    rep, cartan = decomposed(spec)
     for seed in range(6):
         psi = align_expectation_to_cartan(
             rng_haar_state(rep.dim_hilbert, 700 + seed), rep, cartan
@@ -257,8 +230,7 @@ def test_ladder_closed_form_in_cartan_gauge(builder, arg):
 def test_extremal_split_is_pure_cartan():
     # at |j, j> the covariance matrix is diagonal in the adapted basis with
     # no mixed or cross sectors
-    rep = build_su2_irrep(4)
-    cartan = cartan_decompose(rep)
+    rep, cartan = decomposed("su2:two_j=4")
     split = cartan_split_sums(highest_weight_state(cartan), rep, cartan)
     j = 2.0
     assert split.cartan_block == pytest.approx(0.0, abs=1e-12)
@@ -291,7 +263,7 @@ def test_orbit_minimizes_trace_norm_not_squared_norm_on_sym3_su3(seed):
     # T = sum M^2, while tr M = 2 Delta >= 2 delta_min and the drift <= 0
     # still hold there, as the paper claims
     rep, psi = sym3_su3_trace_norm_minimizer(seed)
-    cartan = cartan_decompose(rep)
+    cartan = decomposed("suN:n=3,dynkin=3,0")[1]
     delta_min, _ = uncertainty_bounds(rep, cartan)
     t_hw = covariance_trace_norm(highest_weight_state(cartan), rep)
     assert covariance_trace_norm(psi, rep) < t_hw - 0.05
@@ -302,30 +274,13 @@ def test_orbit_minimizes_trace_norm_not_squared_norm_on_sym3_su3(seed):
 # ------------------------------------ stacked kernels against per-root loops
 
 
+SPIN = ["su2:two_j=1", "su2:two_j=2", "su2:two_j=4", "su2:two_j=8"]
+SU3_ADJOINT, SU3_SYM2 = "suN:n=3,dynkin=1,1", "suN:n=3,dynkin=2,0"
 # K < 2d on su(2), Sym^2 su(3) and the su(3) adjoint; K > 2d on defining su(N >= 3)
-STACKED_ALGEBRAS = {
-    "su2-1": lambda: build_su2_irrep(1),
-    "su2-2": lambda: build_su2_irrep(2),
-    "su2-4": lambda: build_su2_irrep(4),
-    "su2-8": lambda: build_su2_irrep(8),
-    "su3": lambda: build_sun_fundamental(3),
-    "su4": lambda: build_sun_fundamental(4),
-    "su6": lambda: build_sun_fundamental(6),
-    "su3-adjoint": lambda: build_sun_adjoint(3),
-    "sym2-su3": lambda: build_sun_symmetric(3, 2),
-}
-
-
+STACKED = SPIN + ["suN:n=3", "suN:n=4", "suN:n=6", SU3_ADJOINT, SU3_SYM2]
 # one state as a row against the batch kernel: K <= 2d on su(2), Sym^2 su(3)
 # and the su(3) adjoint, K > 2d on su(3) and su(6), so both Gram sides run
-ROW_ALGEBRAS = ["su2-1", "su2-2", "su2-4", "su2-16", "su3", "su6", "sym2-su3", "su3-adjoint"]
-ALGEBRAS = {**STACKED_ALGEBRAS, "su2-16": lambda: build_su2_irrep(16)}
-
-
-@lru_cache(maxsize=None)
-def decomposed(name):
-    rep = ALGEBRAS[name]()
-    return rep, cartan_decompose(rep)
+ROWS = SPIN[:3] + ["su2:two_j=16", "suN:n=3", "suN:n=6", SU3_SYM2, SU3_ADJOINT]
 
 
 def loop_closed_form(psi, cartan):
@@ -355,11 +310,11 @@ def loop_split(psi, rep, cartan):
     )
 
 
-@pytest.mark.parametrize("name", STACKED_ALGEBRAS)
+@pytest.mark.parametrize("spec", STACKED, ids=case_id("short"))
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_stacked_root_sums_match_per_root_loops(name, seed):
-    rep, cartan = decomposed(name)
+def test_stacked_root_sums_match_per_root_loops(spec, seed):
+    rep, cartan = decomposed(spec)
     psi = align_expectation_to_cartan(rng_haar_state(rep.dim_hilbert, seed), rep, cartan)
     assert root_pair_closed_form(psi, cartan) == pytest.approx(loop_closed_form(psi, cartan), rel=1e-12)
     split = cartan_split_sums(psi, rep, cartan)
@@ -368,11 +323,11 @@ def test_stacked_root_sums_match_per_root_loops(name, seed):
     assert np.max(np.abs(np.subtract(got, loop_split(psi, rep, cartan)))) <= 1e-12 * split.total
 
 
-@pytest.mark.parametrize("name", STACKED_ALGEBRAS)
+@pytest.mark.parametrize("spec", STACKED, ids=case_id("short"))
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(min_value=1, max_value=40))
-def test_gram_form_t_is_the_squared_covariance_norm(name, seed, n):
-    rep, _ = decomposed(name)
+def test_gram_form_t_is_the_squared_covariance_norm(spec, seed, n):
+    rep = algebra(spec)
     states = haar_states(rep.dim_hilbert, n, seed)
     ref = np.array([np.sum(covariance_matrix(psi, rep) ** 2) for psi in states])
     assert np.max(np.abs(_tnorm(_centred(*_moments(states, rep))) - ref) / ref) <= 1e-12
@@ -400,13 +355,13 @@ def covariance_formula_rows(states, rep, gamma):
     return np.concatenate(rows)
 
 
-@pytest.mark.parametrize("name", ["su2-1", "su2-2", "su2-4", "su2-8"])
+@pytest.mark.parametrize("spec", SPIN, ids=case_id("short"))
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(min_value=1, max_value=600))
-def test_su2_record_rows_keep_the_covariance_formula_bit_for_bit(name, seed, n):
+def test_su2_record_rows_keep_the_covariance_formula_bit_for_bit(spec, seed, n):
     # K = 3 <= 2d: T still comes from the K x K Gram matrix, so simulate's
     # CSV bytes do not move
-    rep, _ = decomposed(name)
+    rep = algebra(spec)
     states = haar_states(rep.dim_hilbert, n, seed)
     assert np.array_equal(_observe_batch(states, rep, 0.1), covariance_formula_rows(states, rep, 0.1))
 
@@ -424,12 +379,12 @@ def two_temporary_moments(states, rep):
     return v, np.einsum("nkj,nkj->n", z, z), np.einsum("nk,nk->n", v, v), u, tnorm
 
 
-@pytest.mark.parametrize("name", ["su3", "su6"])
+@pytest.mark.parametrize("spec", ["suN:n=3", "suN:n=6"], ids=case_id("short"))
 @pytest.mark.parametrize("n", [1, DEFAULT_BLOCK])
-def test_moments_keep_the_two_temporary_formula_bit_for_bit(name, n):
+def test_moments_keep_the_two_temporary_formula_bit_for_bit(spec, n):
     # K > 2d: T from the 2d x 2d Gram matrix; su(2) is covered by the
     # record-row test above
-    rep, _ = decomposed(name)
+    rep = algebra(spec)
     states = haar_states(rep.dim_hilbert, n, 17 + n)
     pf, z, v = _moments(states, rep)
     u = _centred(pf, z, v)
@@ -441,7 +396,7 @@ def test_moments_keep_the_two_temporary_formula_bit_for_bit(name, n):
 def test_moments_hold_two_centred_stacks_at_peak():
     # 256 su(6) states: z, the centred stack and the 2d x 2d Gram matrices
     # (0.34 of a stack), not a third (n, K, 2d) temporary
-    rep, _ = decomposed("su6")
+    rep = algebra("suN:n=6")
     states = haar_states(rep.dim_hilbert, DEFAULT_BLOCK, 5)
     stack = states.shape[0] * rep.dim_algebra * 2 * rep.dim_hilbert * 8
 
@@ -465,11 +420,11 @@ PER_STATE = {
 } | {"localization_drift": lambda psi, rep: localization_drift(psi, rep, 0.3)}
 
 
-@pytest.mark.parametrize("name", ROW_ALGEBRAS)
-def test_one_state_row_matches_its_batch_row(name):
+@pytest.mark.parametrize("spec", ROWS, ids=case_id("short"))
+def test_one_state_row_matches_its_batch_row(spec):
     # each per-state function against the row _observe_batch records for the
     # same state, relative to the size of what it sums
-    rep, _ = decomposed(name)
+    rep = algebra(spec)
     states, gamma = haar_states(rep.dim_hilbert, 8, 23), 0.3
     c, c_adj = rep.casimir_eigenvalue, rep.adjoint_casimir
     for psi, (unc, pur, tnorm, drift, *v) in zip(states, _observe_batch(states, rep, gamma)):
@@ -482,9 +437,9 @@ def test_one_state_row_matches_its_batch_row(name):
         assert abs(localization_drift(psi, rep, gamma) - drift) <= 1e-12 * 2 * gamma * (c_adj * pur + tnorm)
 
 
-@pytest.mark.parametrize("name", ROW_ALGEBRAS)
-def test_coherent_state_matches_the_unitary_on_the_highest_weight(name):
-    rep, cartan = decomposed(name)
+@pytest.mark.parametrize("spec", ROWS, ids=case_id("short"))
+def test_coherent_state_matches_the_unitary_on_the_highest_weight(spec):
+    rep, cartan = decomposed(spec)
     hw = highest_weight_state(cartan)
     for params in np.random.default_rng(7).normal(size=(8, rep.dim_algebra)):
         ref = unitary_exp(np.tensordot(params, rep.generators, 1)) @ hw
@@ -493,7 +448,7 @@ def test_coherent_state_matches_the_unitary_on_the_highest_weight(name):
 
 @pytest.mark.parametrize("name", PER_STATE)
 def test_per_state_functions_refuse_a_batch_and_an_unnormalized_state(name):
-    rep, cartan = decomposed("su2-4")
+    rep, cartan = decomposed("su2:two_j=4")
     psi, func = highest_weight_state(cartan), PER_STATE[name]
     with pytest.raises(ValueError, match=r"^state must have shape \(5,\), got \(1, 5\)$"):
         func(psi[None], rep)
