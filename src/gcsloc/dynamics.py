@@ -24,19 +24,20 @@ and one real product with the real generator stack
 <X_k> and the rest are real contractions.  Batches go through
 ``_generator_action`` and ``_moments``; one state is observed as a (2d,)
 row by ``observables``, with ``ndarray.dot``.  The step keeps its
-batch in that real form from one record to the next, needs only <X_k> and
-the update sum_k coef_k X_k psi + keep psi, and takes C = sum_k X_k^2 as
+batch in that real form from one record to the next, needs at most <X_k>
+and the update sum_k coef_k X_k psi + keep psi, and takes C = sum_k X_k^2 as
 the scalar c.  Every step has one contract: a stepper, built once per
 run or block with its constants, propagator and route bound, returns
 step(pf, xi, dest=None), which divides the normalized state into dest
 (a record's buffer slot) or in place.  One state (a trajectory,
 ``snlse_step``) is stepped as a (2d,) row through the stacked X_k psi by
-``_one_stepper``'s step.  ``_batch_stepper``'s step associates the update
-for a batch of n >= 2 in one of two orders, fixed from K, d and n: through
-the stacked X_k psi of ``_generator_action`` (n K 2d doubles), or, when
-K > d and that stack would exceed _STACK_LIMIT doubles, through the d x d
-operator A = sum_k coef_k X_k + keep 1 applied to psi, with <X_k> =
-Re tr(X_k psi psi^dagger) (n 2d^2 doubles each).  Records
+``_one_stepper``'s step.  ``_batch_stepper``'s step takes a batch of
+n >= 2 on the defining su(d) (K = d^2 - 1) by its completeness relation:
+there every pure state is coherent, sum_k <X_k> X_k psi is a fixed
+multiple of psi, and the update needs only the d x d operator
+B = sum_k dxi_k X_k applied to psi, with no <X_k>.  Every other irrep,
+and a batch of one, goes through the stacked X_k psi of
+``_generator_action`` (n K 2d doubles).  Records
 are buffered as complex states and observed DEFAULT_BLOCK at a time from
 ``_moments``' real rows, X_k psi and <X_k> by one stateless function per
 moment: ``_second``, ``_purity``, ``_centred`` (U), ``_tnorm`` (the
@@ -98,16 +99,6 @@ SCAN_STREAM = 2
 
 STABILITY_LIMIT = 0.01  # max allowed gamma * dt
 DEFAULT_BLOCK = 256
-# Doubles of the stacked X_k psi of a batch of n >= 2 states above which an
-# algebra with K > d is stepped through the d x d operator (see
-# ``_batch_stepper``); a lone state always takes the stack.  The operator
-# route's time per trajectory-step over the stack's (best of 7 x 200 steps,
-# one thread, median of four runs) is 1.17-1.28 at n = 2 on spin 1/2 and
-# su(3) to su(8); at n = 256, 1.02-1.06 on spin 1/2 to su(4), 0.95 on
-# su(5), 0.76 on su(6) and 0.69-0.71 on su(7) and su(8).  It drops below 1
-# at n = 64-128 on su(5) and su(6) and at n = 8-32 on su(7) and su(8); the
-# limit sends n >= 137, 79, 49 and 33 to the operator route.
-_STACK_LIMIT = 1 << 15
 
 _UINT64_MASK = (1 << 64) - 1
 _GRADING_KEY = 0x646973  # fixed Philox key: the flow's grading is deterministic
@@ -376,63 +367,66 @@ def _observe_batch(states, rep, gamma):
 
 def _batch_stepper(rep, gamma, dt, n, prop=None):
     """The split step for a batch of n >= 2 states (``_one_stepper``'s
-    advances one), with gamma dt, 1 - gamma dt c, the propagator prop (the
-    ``_real_form`` of exp(-1j H dt)^T, or None) and the route bound once
-    per block.  Returns step(pf, xi, dest=None), which advances the rows of
-    the (n, 2d) real array pf of interleaved real and imaginary parts with
-    the (n, K) increments xi: exact Hamiltonian flow, then the
-    Euler-Maruyama measurement update
+    advances one), with gamma dt, the propagator prop (the ``_real_form``
+    of exp(-1j H dt)^T, or None) and the route bound once per block.
+    Returns step(pf, xi, dest=None), which advances the rows of the (n, 2d)
+    real array pf of interleaved real and imaginary parts with the (n, K)
+    increments xi: exact Hamiltonian flow, then the Euler-Maruyama
+    measurement update
 
         sum_k coef_k X_k psi + keep psi,   coef_k = 2 gamma dt v_k + dxi_k,
         keep = 1 - gamma dt c - gamma dt P - sum_k dxi_k v_k,
 
     since C = sum_k X_k^2 = c 1 on an irreducible representation (checked
     by ``algebra_from_generators``), then renormalization.  The route is
-    one of two association orders of the same formula:
+    fixed by K, d and n:
 
-    - for K <= d, or at most _STACK_LIMIT doubles of stacked X_k psi:
-      ``_generator_action`` stacks every X_k psi (n K 2d doubles) and gives
-      <X_k>, and the update is coef contracted with the stack plus keep psi;
-    - else, through the generators' (K, 2d^2) real view G, bound with a
-      contiguous copy of its transpose (OpenBLAS multiplies by the
-      transposed view of this shape up to 1.5x slower): <X_k> = Re tr(X_k
-      rho) is rho = psi psi^dagger times G^T, and the update is the batched
-      d x d product A psi, with A = sum_k coef_k X_k + keep 1 formed as
-      coef times G, so rho and A hold n 2d^2 doubles.
+    - the defining su(d), K = d^2 - 1, for n >= 2: d^2 - 1 trace-orthogonal
+      Hermitian generators closed under commutation span su(d), so they are
+      complete, sum_k X_k (x) X_k = lam (SWAP - 1 (x) 1 / d), and for a
+      normalized psi sum_k v_k X_k psi = lam (1 - 1/d) psi = P psi: every
+      pure state is coherent.  With c = lam (d - 1/d), the update is then
+      exactly
 
-    The two differ only in rounding.  The normalized batch is divided into
-    dest, an (n, 2d) float array, if given, else in place, and returned.
-    Callers run it under np.errstate(over="ignore"), so a norm that
-    overflows to inf reaches the blow-up check without a warning; a blow-up
-    raises ``_RowFault`` naming every failing row."""
+          B psi + (1 - gamma dt lam (d - 1) - <psi|B psi>) psi,
+          B = sum_k dxi_k X_k,
+
+      with B formed as xi times the generators' (K, 2d^2) real view, one
+      batched complex d x d product B psi and one real dot product;
+      no <X_k> is formed;
+    - every other irrep, and a batch of one (which so stays bit for bit
+      the lone step of ``_one_stepper``): ``_generator_action`` stacks
+      every X_k psi (n K 2d doubles) and gives <X_k>, and the update is
+      coef contracted with the stack plus keep psi.
+
+    The two agree to rounding on the defining su(d).  The normalized batch
+    is divided into dest, an (n, 2d) float array, if given, else in place,
+    and returned.  Callers run it under np.errstate(over="ignore"), so a
+    norm that overflows to inf reaches the blow-up check without a warning;
+    a blow-up raises ``_RowFault`` naming every failing row."""
     K, d = rep.dim_algebra, rep.dim_hilbert
     gdt = gamma * dt
-    base = 1.0 - gdt * rep.casimir_eigenvalue
-    stacked = K <= d or n * K * 2 * d <= _STACK_LIMIT
-    if not stacked:
+    if n >= 2 and K == d * d - 1:
         basis = rep.generators.view(np.float64).reshape(K, 2 * d * d)
-        basis_t = np.ascontiguousarray(basis.T)
+        base = 1.0 - gdt * rep.normalization * (d - 1)
+    else:
+        basis, base = None, 1.0 - gdt * rep.casimir_eigenvalue
 
     def step(pf, xi, dest=None):
         if prop is not None:
             pf = pf @ prop
-        if stacked:
+        if basis is None:
             z, v = _generator_action(pf, rep)
-        else:
-            psi = pf.view(complex)
-            rho = psi[:, :, None] * psi[:, None, :].conj()
-            v = rho.view(np.float64).reshape(n, -1) @ basis_t
-        gv = gdt * v
-        coef = gv + xi
-        keep = base - np.vecdot(coef, v)
-        coef += gv
-        if stacked:
+            gv = gdt * v
+            coef = gv + xi
+            keep = base - np.vecdot(coef, v)
+            coef += gv
             out = np.vecmat(coef, z)
-            out += keep[:, None] * pf
         else:
-            a = coef @ basis
-            a[:, :: 2 * d + 2] += keep[:, None]  # the real parts of A's diagonal
-            out = np.matvec(a.view(complex).reshape(n, d, d), psi).view(np.float64)
+            b = (xi @ basis).view(complex).reshape(n, d, d)
+            out = np.matvec(b, pf.view(complex)).view(np.float64)
+            keep = base - np.vecdot(pf, out)
+        out += keep[:, None] * pf
         nrm2 = np.vecdot(out, out)
         if not (nrm2.min() > 0 and nrm2.max() < np.inf):  # NaN fails the first test
             bad = np.flatnonzero(~(np.isfinite(nrm2) & (nrm2 > 0)))
@@ -449,9 +443,11 @@ def _one_stepper(rep, gamma, dt, prop=None):
     Returns step(pf, xi, dest=None) with the batch step's contract: it
     advances the (2d,) real row pf with (K,) increments xi by the same
     formula in the same order, each contraction an ``ndarray.dot``: the
-    BLAS kernels the batch gufuncs run, without their dispatch.  The tests'
+    BLAS kernels the batch gufuncs run, without their dispatch.  One state
+    takes the stack on every irrep, the defining su(d) too (its
+    completeness route is for batches of n >= 2), and the tests'
     ``check_step_against_reference`` at n == 1 holds its bits equal to a
-    batch of one, which always takes the stack.  The normalized state is
+    batch of one, which takes the stack as well.  The normalized state is
     divided into dest, a (2d,) float row, if given, else in place, and
     returned.  A blow-up raises ``_RowFault`` with rows [0]."""
     stack, K = rep.moment_stack, rep.dim_algebra

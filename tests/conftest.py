@@ -122,7 +122,7 @@ _CASE_IDS = {
     "short": ("su2-{n}", "su{n}", "su{n}-adjoint", "sym{p}-su{n}"),
     "builder": ("build_su2_irrep-{n}", "build_sun_fundamental-{n}", "build_sun_adjoint-{n}",
                 "build_sun_symmetric-{n}-{p}"),
-    "step": ("su2:{n}", "suN:{n}", "adj:{n}", None),
+    "step": ("su2:{n}", "suN:{n}", "adj:{n}", "sym{p}:{n}"),
 }
 
 
@@ -130,7 +130,8 @@ def case_id(style):
     """An ``ids`` function naming each registry spec in one of the suite's
     id styles: "short" (su2-3, su3, su3-adjoint, sym2-su3), "builder"
     (build_su2_irrep-3, build_sun_fundamental-3, build_sun_adjoint-3) or
-    "step" (su2:3, suN:3, adj:3); any other value keeps pytest's id."""
+    "step" (su2:3, suN:3, adj:3, sym2:3); any other value keeps pytest's
+    id."""
 
     def name(spec):
         if not isinstance(spec, str) or ":" not in spec:

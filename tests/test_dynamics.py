@@ -43,10 +43,6 @@ def spin1():
     return algebra("su2:two_j=2")
 
 
-# the limit the library steps with; some tests patch dynamics._STACK_LIMIT
-STACK_LIMIT = dynamics._STACK_LIMIT
-
-
 def complex_step(psi, rep, gamma, dt, noise, prop=None):
     """One split step on complex rows, with the complex propagator prop,
     called the way ``_integrate`` calls it: on the rows' real view, with
@@ -689,19 +685,19 @@ def check_step_against_reference(spec, n, with_h, seed, dt, frac):
     if n == 1:  # the lone-state step, bit for bit a batch of one
         one = complex_step(psi[0], rep, gamma, dt, noise[0], prop)
         assert np.max(np.abs(one - ref[0])) <= 1e-13
-        # a batch of one always takes the stack: its K 2d doubles are within the limit
-        assert rep.dim_algebra * 2 * rep.dim_hilbert <= STACK_LIMIT
-        with mock.patch.object(dynamics, "_STACK_LIMIT", STACK_LIMIT):
-            assert np.array_equal(one, complex_step(psi, rep, gamma, dt, noise, prop)[0])
+        assert np.array_equal(one, got[0])
 
 
-# at n = 257 only suN:6 takes the operator route; the rest, and every
-# algebra at n = 1, step through the stacked X_k psi
+# at n = 257 the defining su(2), su(3), su(4) and su(6) take the
+# completeness route; the other irreps, Sym^2 su(4) with K = 15 > d = 10
+# among them, and every algebra at n = 1, step through the stacked X_k psi
 @pytest.mark.parametrize("with_h", [False, True])
 @pytest.mark.parametrize("n", [1, 257])
 @pytest.mark.parametrize(
     "spec",
-    [f"su2:two_j={two_j}" for two_j in (1, 2, 4, 8)] + [f"suN:n={n}" for n in (3, 4, 6)] + ["suN:n=3,dynkin=1,1"],
+    [f"su2:two_j={two_j}" for two_j in (1, 2, 4, 8)]
+    + [f"suN:n={n}" for n in (3, 4, 6)]
+    + ["suN:n=3,dynkin=1,1", "suN:n=4,dynkin=2,0,0"],
     ids=case_id("step"),
 )
 @settings(max_examples=8, deadline=None)
@@ -714,8 +710,9 @@ def test_step_matches_casimir_matrix_reference(spec, n, with_h, seed, dt, frac):
     check_step_against_reference(spec, n, with_h, seed, dt, frac)
 
 
-# a stack limit of 0 sends every K > d algebra through the operator route,
-# at any batch size
+# the defining su(d), K = d^2 - 1: a batch of 257 applies the d x d
+# operator B = sum_k dxi_k X_k by the completeness relation, a batch of one
+# takes the stack; su(2) both as spin 1/2 and in the su(N) basis
 @pytest.mark.parametrize("with_h", [False, True])
 @pytest.mark.parametrize("n", [1, 257])
 @pytest.mark.parametrize("spec", ["su2:two_j=1"] + [f"suN:n={n}" for n in (2, 3, 4, 6)], ids=case_id("step"))
@@ -726,8 +723,33 @@ def test_step_matches_casimir_matrix_reference(spec, n, with_h, seed, dt, frac):
     frac=st.floats(0.0, 1.0),
 )
 def test_operator_route_matches_casimir_matrix_reference(spec, n, with_h, seed, dt, frac):
-    with mock.patch.object(dynamics, "_STACK_LIMIT", 0):
-        check_step_against_reference(spec, n, with_h, seed, dt, frac)
+    check_step_against_reference(spec, n, with_h, seed, dt, frac)
+
+
+@pytest.mark.parametrize(
+    "spec, defining",
+    [("su2:two_j=1", True)]
+    + [(f"suN:n={n}", True) for n in range(2, 7)]
+    + [("suN:n=3,dynkin=2,0", False), ("suN:n=3,dynkin=1,1", False)],
+    ids=case_id("step"),
+)
+def test_every_defining_state_is_coherent(spec, defining):
+    # the completeness route's premise: on the defining su(d) the generators
+    # span every traceless Hermitian matrix, so sum_k v_k X_k = lam (rho -
+    # 1/d) and, for every normalized psi, sum_k v_k X_k psi = lam (1 - 1/d)
+    # psi and P = lam (1 - 1/d); on Sym^2 su(3) and the su(3) adjoint a
+    # Haar state misses both by O(c)
+    rep = algebra(spec)
+    d, c = rep.dim_hilbert, rep.casimir_eigenvalue
+    psi = haar_states(d, 64, seed=d)
+    v, _ = reference_moments(psi, rep)
+    p = rep.normalization * (1.0 - 1.0 / d)
+    drift = np.einsum("nk,kab,nb->na", v, rep.generators, psi) - p * psi
+    resid = max(np.max(np.abs(drift)), np.max(np.abs(np.sum(v * v, axis=1) - p)))
+    if defining:
+        assert resid <= 1e-14 * c
+    else:
+        assert resid > 0.1 * c
 
 
 @pytest.mark.parametrize("n", [1, 257])
@@ -914,16 +936,14 @@ def test_trajectory_records_are_the_batch_of_one_route_bit_for_bit(spec, steps, 
 
 # a 4-trajectory block with a buffer of one record time (DEFAULT_BLOCK 4),
 # where each record step divides into the slot the next step reads, or of
-# two (DEFAULT_BLOCK 8); spin 1 takes the stack, su(3) at a limit of 0 the
-# operator route
+# two (DEFAULT_BLOCK 8); spin 1 takes the stack, su(3) the completeness
+# route of the defining su(d)
 @pytest.mark.parametrize("stride", [1, 3])
 @pytest.mark.parametrize("with_h", [False, True])
 @pytest.mark.parametrize("spec", ["su2:two_j=2", "suN:n=3"], ids=case_id("step"))
 @pytest.mark.parametrize("block", [4, 8])
 def test_block_records_are_chained_batch_steps_bit_for_bit(monkeypatch, block, spec, with_h, stride):
     monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", block)
-    if spec == "suN:n=3":
-        monkeypatch.setattr(dynamics, "_STACK_LIMIT", 0)
     rep = algebra(spec)
     h = np.linspace(-0.4, 0.7, rep.dim_algebra) if with_h else None
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=30, seed=41)
@@ -938,8 +958,8 @@ def test_block_records_are_chained_batch_steps_bit_for_bit(monkeypatch, block, s
 
 
 @pytest.mark.parametrize("spec", ["su2:two_j=2", "suN:n=3"], ids=case_id("step"))
-def test_batch_step_divided_into_its_input_returns_it(monkeypatch, spec):
-    monkeypatch.setattr(dynamics, "_STACK_LIMIT", 0)  # su(3) takes the operator route
+def test_batch_step_divided_into_its_input_returns_it(spec):
+    # spin 1 takes the stack, su(3) the completeness route
     rep = algebra(spec)
     h = np.linspace(-0.4, 0.7, rep.dim_algebra)
     step = dynamics._batch_stepper(rep, 0.1, 1e-3, 4, dynamics._step_propagator(h, rep, 1e-3))
@@ -1199,9 +1219,8 @@ def test_ensemble_thread_count_invariance_su6(monkeypatch):
 @pytest.mark.parametrize("blocks", [1, 2, 3, 7])
 @pytest.mark.parametrize("run", [ensemble_average, ensemble_observables])
 def test_ensemble_output_independent_of_threads(monkeypatch, run, blocks):
-    # su(3) through the operator route in blocks of 4, shared between the
-    # calling process and GCSLOC_THREADS - 1 forked children a round
-    monkeypatch.setattr(dynamics, "_STACK_LIMIT", 0)
+    # su(3) through the completeness route in blocks of 4, shared between
+    # the calling process and GCSLOC_THREADS - 1 forked children a round
     monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 4)
     rep = algebra("suN:n=3")
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=30, seed=63)
@@ -1428,6 +1447,10 @@ def test_step_basis_is_chosen_once_per_block(monkeypatch, tmp_path):
 
 
 def test_operator_basis_rule(monkeypatch):
+    # the defining su(d), K = d^2 - 1, steps a batch of n >= 2 by applying
+    # B = sum_k dxi_k X_k, formed from the generators' real view, and never
+    # stacks X_k psi; a batch of one, and every other irrep at any batch
+    # size, stacks X_k psi once per step and binds no basis
     calls = []
     action = dynamics._generator_action
 
@@ -1437,48 +1460,32 @@ def test_operator_basis_rule(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_generator_action", counted)
 
-    def stacks(rep, n):
-        """Whether a step of n states of rep forms the stacked X_k psi."""
+    def stacked(rep, n):
+        """The batch sizes of the ``_generator_action`` calls one step of n
+        states of rep makes."""
         calls.clear()
         step = dynamics._batch_stepper(rep, 0.1, 1e-3, n)
         pf = haar_states(rep.dim_hilbert, n, seed=57).view(np.float64)
         out = step(pf, np.full((n, rep.dim_algebra), 1e-3))
         assert np.allclose(np.vecdot(out, out), 1.0, rtol=0, atol=1e-14)
-        return calls == [n]
+        return calls
 
-    def bound(rep, n):
-        """The values a step of n states of rep binds from its block, by
-        name; a name the route never assigns has an empty cell and is left
-        out."""
+    def basis(rep, n):
+        """The generator basis a step of n states of rep binds, or None."""
         step = dynamics._batch_stepper(rep, 0.1, 1e-3, n)
-        cells = zip(step.__code__.co_freevars, step.__closure__)
-        return {name: cell.cell_contents for name, cell in cells if cell_filled(cell)}
+        return dict(zip(step.__code__.co_freevars, step.__closure__))["basis"].cell_contents
 
-    def cell_filled(cell):
-        try:
-            cell.cell_contents
-        except ValueError:
-            return False
-        return True
-
-    su6, spin20 = algebra("suN:n=6"), build_su2_irrep(40)
-    # K = 35 > d = 6: the operator route once the stack of X_k psi, n K 2d
-    # doubles, passes the limit
-    assert 2 * 35 * 12 <= dynamics._STACK_LIMIT < 256 * 35 * 12
-    assert stacks(su6, 2) and not stacks(su6, 256)
-    assert "basis" not in bound(su6, 2) and "basis_t" not in bound(su6, 2)
-    # the operator route binds the generators' real view and a contiguous
-    # copy of its transpose
-    nl = bound(su6, 256)
+    su6 = algebra("suN:n=6")
     ref = np.concatenate(
         [su6.generators.real[..., None], su6.generators.imag[..., None]], axis=-1
     ).reshape(35, 72)
-    assert np.array_equal(nl["basis"], ref) and np.array_equal(nl["basis_t"], ref.T)
-    assert nl["basis_t"].flags.c_contiguous
-    # K = 3 < d = 41: the stack, however large the batch
-    assert 256 * 3 * 82 > dynamics._STACK_LIMIT
-    assert stacks(spin20, 256)
-    assert "basis" not in bound(spin20, 256) and "basis_t" not in bound(spin20, 256)
+    for n in (2, 256):
+        assert stacked(su6, n) == []
+        assert np.array_equal(basis(su6, n), ref)
+    assert stacked(su6, 1) == [1] and basis(su6, 1) is None
+    # spin 20 (K = 3 < d = 41) and Sym^2 su(4) (K = 15 > d = 10, not d^2 - 1)
+    for rep in (build_su2_irrep(40), algebra("suN:n=4,dynkin=2,0,0")):
+        assert stacked(rep, 256) == [256] and basis(rep, 256) is None
 
 
 def test_ensemble_initial_shape_errors(spin1):

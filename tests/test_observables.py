@@ -167,19 +167,29 @@ def test_uncertainty_range_on_haar_states():
         assert delta_min - 1e-10 <= d <= c + 1e-10
 
 
+def spin_kappa_loc(two_j):
+    """kappa_loc's extremes and dim_C N at spin j = two_j / 2 in closed form:
+    (4 if j = 1 else 2, 4 (2j - 1), 2j - 1)."""
+    return (4 if two_j == 2 else 2, 4 * (two_j - 1), two_j - 1)
+
+
 @pytest.mark.parametrize("make,expected", [
-    pytest.param(lambda: algebra("su2:two_j=2"), (4, 4, 1), id="spin1"),
-    pytest.param(lambda: algebra("su2:two_j=3"), (2, 8, 2), id="spin3half"),
-    pytest.param(lambda: algebra("su2:two_j=4"), (2, 12, 3), id="spin2"),
-    pytest.param(lambda: conjugated(algebra("su2:two_j=4")), (2, 12, 3), id="spin2-conjugated"),
-    pytest.param(lambda: algebra("su2:two_j=6"), (2, 20, 5), id="spin3"),
+    *(
+        pytest.param(
+            lambda two_j=two_j: algebra(f"su2:two_j={two_j}"),
+            spin_kappa_loc(two_j),
+            id=f"spin{two_j // 2}" if two_j % 2 == 0 else f"spin{two_j}half",
+        )
+        for two_j in range(2, 9)
+    ),
+    pytest.param(lambda: conjugated(algebra("su2:two_j=4")), spin_kappa_loc(4), id="spin2-conjugated"),
     pytest.param(lambda: algebra("suN:n=3,dynkin=2,0"), (4, 4, 3), id="su3-sym2"),
     pytest.param(lambda: algebra("suN:n=3,dynkin=1,1"), (4, 6, 4), id="su3-adjoint"),
     pytest.param(lambda: algebra("suN:n=3,dynkin=3,0"), (2, 8, 7), id="su3-sym3"),
 ])
 def test_kappa_loc_at_highest_weight(make, expected):
     # the rate bound's extremes on the complement N of the orbit's tangent
-    # space, and dim_C N; spin j reads kappa_loc = 2 for every j >= 3/2
+    # space, and dim_C N; spin j, j = 1 .. 4, against its closed form
     lo, hi, dim_n = kappa_loc(make())
     assert dim_n == expected[2]
     assert lo == pytest.approx(expected[0], abs=1e-4)
