@@ -26,17 +26,16 @@ and one real product with the real generator stack
 row by ``observables``, with ``ndarray.dot``.  The step keeps its
 batch in that real form from one record to the next, needs at most <X_k>
 and the update sum_k coef_k X_k psi + keep psi, and takes C = sum_k X_k^2 as
-the scalar c.  Every step has one contract: a stepper, built once per
-run or block with its constants, propagator and route bound, returns
-step(pf, xi, dest=None), which divides the normalized state into dest
-(a record's buffer slot) or in place.  One state (a trajectory,
-``snlse_step``) is stepped as a (2d,) row through the stacked X_k psi by
-``_one_stepper``'s step.  ``_batch_stepper``'s step takes a batch of
-n >= 2 on the defining su(d) (K = d^2 - 1) by its completeness relation:
-there every pure state is coherent, sum_k <X_k> X_k psi is a fixed
-multiple of psi, and the update needs only the d x d operator
-B = sum_k dxi_k X_k applied to psi, with no <X_k>.  Every other irrep,
-and a batch of one, goes through the stacked X_k psi of
+the scalar c.  One factory, ``_stepper``, builds every step once per
+run or block, with its constants, propagator and route bound, and
+returns step(pf, xi, dest=None), which divides the normalized states
+into dest (a record's buffer slot) or in place.  It picks one of three
+routes from n, K and d: one state (a trajectory, ``snlse_step``) as a
+(2d,) row through the stacked X_k psi, with ``ndarray.dot``; a batch of
+n >= 2 on the defining su(d) (K = d^2 - 1) by its completeness relation,
+under which every pure state is coherent and the update needs only the
+d x d operator B = sum_k dxi_k X_k applied to psi, with no <X_k>; and a
+batch on every other irrep through the stacked X_k psi of
 ``_generator_action`` (n K 2d doubles).  Records
 are buffered as complex states and observed DEFAULT_BLOCK at a time from
 ``_moments``' real rows, X_k psi and <X_k> by one stateless function per
@@ -179,7 +178,7 @@ def _hamiltonian_matrix(h, rep: AlgebraRep):
 
 def _step_propagator(h, rep, dt):
     """The ``_real_form`` of exp(-1j H dt)^T, or None without an H term:
-    the prop that ``_one_stepper`` and ``_batch_stepper`` bind."""
+    the prop that ``_stepper`` binds."""
     ham = _hamiltonian_matrix(h, rep)
     return None if ham is None else _real_form(unitary_exp(ham, -dt).T)
 
@@ -365,22 +364,25 @@ def _observe_batch(states, rep, gamma):
     return out.reshape(states.shape[:-1] + out.shape[-1:])
 
 
-def _batch_stepper(rep, gamma, dt, n, prop=None):
-    """The split step for a batch of n >= 2 states (``_one_stepper``'s
-    advances one), with gamma dt, the propagator prop (the ``_real_form``
-    of exp(-1j H dt)^T, or None) and the route bound once per block.
-    Returns step(pf, xi, dest=None), which advances the rows of the (n, 2d)
-    real array pf of interleaved real and imaginary parts with the (n, K)
-    increments xi: exact Hamiltonian flow, then the Euler-Maruyama
-    measurement update
+def _stepper(rep, gamma, dt, n, prop=None):
+    """The split step for n states, with gamma dt, 1 - gamma dt c, the
+    propagator prop (the ``_real_form`` of exp(-1j H dt)^T, or None) and
+    the route bound once per run or block.  Returns step(pf, xi,
+    dest=None), which advances pf, the states as interleaved real and
+    imaginary parts, with the increments xi: exact Hamiltonian flow, then
+    the Euler-Maruyama measurement update
 
         sum_k coef_k X_k psi + keep psi,   coef_k = 2 gamma dt v_k + dxi_k,
         keep = 1 - gamma dt c - gamma dt P - sum_k dxi_k v_k,
 
     since C = sum_k X_k^2 = c 1 on an irreducible representation (checked
     by ``algebra_from_generators``), then renormalization.  The route is
-    fixed by K, d and n:
+    fixed here by n, K and d, and no step chooses it again:
 
+    - one state, n = 1: pf is a (2d,) row and xi (K,); ``moment_stack``
+      stacks every X_k psi and gives <X_k>, and each contraction is an
+      ``ndarray.dot``, the BLAS kernels of the batch gufuncs without their
+      dispatch.  A blow-up raises ``_RowFault`` with rows [0];
     - the defining su(d), K = d^2 - 1, for n >= 2: d^2 - 1 trace-orthogonal
       Hermitian generators closed under commutation span su(d), so they are
       complete, sum_k X_k (x) X_k = lam (SWAP - 1 (x) 1 / d), and for a
@@ -394,38 +396,42 @@ def _batch_stepper(rep, gamma, dt, n, prop=None):
       with B formed as xi times the generators' (K, 2d^2) real view, one
       batched complex d x d product B psi and one real dot product;
       no <X_k> is formed;
-    - every other irrep, and a batch of one (which so stays bit for bit
-      the lone step of ``_one_stepper``): ``_generator_action`` stacks
-      every X_k psi (n K 2d doubles) and gives <X_k>, and the update is
-      coef contracted with the stack plus keep psi.
+    - every other irrep, for n >= 2: ``_generator_action`` stacks every
+      X_k psi (n K 2d doubles) and gives <X_k>, and the update is coef
+      contracted with the stack plus keep psi.
 
-    The two agree to rounding on the defining su(d).  The normalized batch
-    is divided into dest, an (n, 2d) float array, if given, else in place,
-    and returned.  Callers run it under np.errstate(over="ignore"), so a
-    norm that overflows to inf reaches the blow-up check without a warning;
-    a blow-up raises ``_RowFault`` naming every failing row."""
+    The routes agree to rounding on the defining su(d).  A batch, pf
+    (n, 2d) and xi (n, K), raises ``_RowFault`` naming every row whose norm
+    left (0, inf).  The normalized states are divided into dest, a float
+    array of pf's shape, if given, else in place, and returned.  Callers
+    run the step under np.errstate(over="ignore"), so a norm that
+    overflows to inf reaches the blow-up check without a warning."""
     K, d = rep.dim_algebra, rep.dim_hilbert
     gdt = gamma * dt
-    if n >= 2 and K == d * d - 1:
-        basis = rep.generators.view(np.float64).reshape(K, 2 * d * d)
-        base = 1.0 - gdt * rep.normalization * (d - 1)
-    else:
-        basis, base = None, 1.0 - gdt * rep.casimir_eigenvalue
+    base = 1.0 - gdt * rep.casimir_eigenvalue
+    if n == 1:
+        stack = rep.moment_stack
+        divide, sqrt = np.divide, math.sqrt
 
-    def step(pf, xi, dest=None):
-        if prop is not None:
-            pf = pf @ prop
-        if basis is None:
-            z, v = _generator_action(pf, rep)
+        def step(pf, xi, dest=None):
+            if prop is not None:
+                pf = pf.dot(prop)
+            z = pf.dot(stack).reshape(K, -1)
+            v = z.dot(pf)
             gv = gdt * v
             coef = gv + xi
-            keep = base - np.vecdot(coef, v)
+            keep = base - coef.dot(v)
             coef += gv
-            out = np.vecmat(coef, z)
-        else:
-            b = (xi @ basis).view(complex).reshape(n, d, d)
-            out = np.matvec(b, pf.view(complex)).view(np.float64)
-            keep = base - np.vecdot(pf, out)
+            out = coef.dot(z)
+            out += keep * pf
+            nrm2 = out.dot(out)
+            if not 0.0 < nrm2 < math.inf:  # NaN fails the test too
+                raise _RowFault("integration blow-up: state norm left (0, inf); reduce dt", [0])
+            return divide(out, sqrt(nrm2), out=out if dest is None else dest)
+
+        return step
+
+    def renormalized(out, keep, pf, dest):
         out += keep[:, None] * pf
         nrm2 = np.vecdot(out, out)
         if not (nrm2.min() > 0 and nrm2.max() < np.inf):  # NaN fails the first test
@@ -433,43 +439,28 @@ def _batch_stepper(rep, gamma, dt, n, prop=None):
             raise _RowFault("integration blow-up: state norm left (0, inf); reduce dt", bad)
         return np.divide(out, np.sqrt(nrm2)[:, None], out=out if dest is None else dest)
 
-    return step
+    if K == d * d - 1:
+        basis = rep.generators.view(np.float64).reshape(K, 2 * d * d)
+        base = 1.0 - gdt * rep.normalization * (d - 1)
 
+        def step(pf, xi, dest=None):
+            if prop is not None:
+                pf = pf @ prop
+            b = (xi @ basis).view(complex).reshape(n, d, d)
+            out = np.matvec(b, pf.view(complex)).view(np.float64)
+            return renormalized(out, base - np.vecdot(pf, out), pf, dest)
 
-def _one_stepper(rep, gamma, dt, prop=None):
-    """``_batch_stepper``'s step for one state, on its stacked route, with
-    the moment stack, K, gamma dt, 1 - gamma dt c and the propagator prop
-    (the ``_real_form`` of exp(-1j H dt)^T, or None) bound once per run.
-    Returns step(pf, xi, dest=None) with the batch step's contract: it
-    advances the (2d,) real row pf with (K,) increments xi by the same
-    formula in the same order, each contraction an ``ndarray.dot``: the
-    BLAS kernels the batch gufuncs run, without their dispatch.  One state
-    takes the stack on every irrep, the defining su(d) too (its
-    completeness route is for batches of n >= 2), and the tests'
-    ``check_step_against_reference`` at n == 1 holds its bits equal to a
-    batch of one, which takes the stack as well.  The normalized state is
-    divided into dest, a (2d,) float row, if given, else in place, and
-    returned.  A blow-up raises ``_RowFault`` with rows [0]."""
-    stack, K = rep.moment_stack, rep.dim_algebra
-    gdt = gamma * dt
-    base = 1.0 - gdt * rep.casimir_eigenvalue
-    divide, sqrt = np.divide, math.sqrt
+    else:
 
-    def step(pf, xi, dest=None):
-        if prop is not None:
-            pf = pf.dot(prop)
-        z = pf.dot(stack).reshape(K, -1)
-        v = z.dot(pf)
-        gv = gdt * v
-        coef = gv + xi
-        keep = base - coef.dot(v)
-        coef += gv
-        out = coef.dot(z)
-        out += keep * pf
-        nrm2 = out.dot(out)
-        if not 0.0 < nrm2 < math.inf:  # NaN fails the test too
-            raise _RowFault("integration blow-up: state norm left (0, inf); reduce dt", [0])
-        return divide(out, sqrt(nrm2), out=out if dest is None else dest)
+        def step(pf, xi, dest=None):
+            if prop is not None:
+                pf = pf @ prop
+            z, v = _generator_action(pf, rep)
+            gv = gdt * v
+            coef = gv + xi
+            keep = base - np.vecdot(coef, v)
+            coef += gv
+            return renormalized(np.vecmat(coef, z), keep, pf, dest)
 
     return step
 
@@ -512,7 +503,7 @@ def snlse_step(psi, h, rep: AlgebraRep, gamma: float, dt: float, increments):
     increments = _coefficients("increments", increments, rep.dim_algebra)
     prop = _step_propagator(h, rep, dt)
     with np.errstate(over="ignore"):
-        out = _one_stepper(rep, gamma, dt, prop)(psi.view(np.float64), increments)
+        out = _stepper(rep, gamma, dt, 1, prop)(psi.view(np.float64), increments)
     return out.view(complex)
 
 
@@ -558,12 +549,12 @@ def _integrate(batch, prop, rep, cfg, lo, record_stride, record):
     order, a chunk of at most DEFAULT_BLOCK steps at a time into one reused
     (n, chunk, K) slab of at most max(2^19, n K) doubles, so a block holds
     no noise more than DEFAULT_BLOCK steps ahead of the step that reads it;
-    the chunking changes no number.  One loop runs the step built once per
-    block with prop (the ``_real_form`` of exp(-1j H dt)^T, or None):
-    ``_batch_stepper``'s on the batch's (n, 2d) real view, or, when n = 1,
-    ``_one_stepper``'s on its (2d,) row and (K,) increments, squeezed once
-    before the loop; all under one np.errstate(over="ignore"), so an
-    overflowing norm reaches the step's blow-up check silently.  The states
+    the chunking changes no number.  One loop runs the step ``_stepper``
+    builds once per block for n states with prop (the ``_real_form`` of
+    exp(-1j H dt)^T, or None), on the batch's (n, 2d) real view, or, when
+    n = 1, on its (2d,) row and (K,) increments, squeezed once before the
+    loop; all under one np.errstate(over="ignore"), so an overflowing norm
+    reaches the step's blow-up check silently.  The states
     of each record time (0 is the initial batch) go to their slot of a
     complex buffer of DEFAULT_BLOCK // n record times: the initial states
     are copied there through a float view, and a record step divides its
@@ -600,11 +591,10 @@ def _integrate(batch, prop, rep, cfg, lo, record_stride, record):
     filled(0, 0)
     time_chunk = max(1, min(cfg.steps, DEFAULT_BLOCK, (1 << 19) // (n * K)))
     slab = np.empty((n, time_chunk, K))  # reused by every chunk of steps
+    advance = _stepper(rep, cfg.gamma, cfg.dt, n, prop)
     if n == 1:  # one state steps as its (2d,) row
-        advance = _one_stepper(rep, cfg.gamma, cfg.dt, prop)
         pf, slots, rows = pf[0], list(buf_f[:, 0]), slab[0]
     else:
-        advance = _batch_stepper(rep, cfg.gamma, cfg.dt, n, prop)
         slots, rows = list(buf_f), slab.swapaxes(0, 1)
     with np.errstate(over="ignore"):
         try:

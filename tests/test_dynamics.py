@@ -44,24 +44,31 @@ def spin1():
 
 
 def complex_step(psi, rep, gamma, dt, noise, prop=None):
-    """One split step on complex rows, with the complex propagator prop,
-    called the way ``_integrate`` calls it: on the rows' real view, with
-    the propagator's real form, overflow left to the norm check.  An (n, d)
-    psi with (n, K) noise is stepped by the step ``dynamics._batch_stepper``
-    builds for n states, a (d,) psi with (K,) noise by the step
-    ``dynamics._one_stepper`` builds."""
-    pf = np.ascontiguousarray(psi, dtype=complex).view(np.float64)
+    """One split step on complex states, with the complex propagator prop,
+    called the way ``_integrate`` calls the step ``dynamics._stepper``
+    builds for them: on the states' real view, a (d,) or (1, d) psi as its
+    (2d,) row, with the propagator's real form, overflow left to the norm
+    check."""
+    psi = np.asarray(psi, dtype=complex)
+    rows = np.ascontiguousarray(psi.reshape(-1, psi.shape[-1]))
+    n = len(rows)
+    pf, xi = rows.view(np.float64), np.reshape(noise, (n, -1))
+    if n == 1:
+        pf, xi = pf[0], xi[0]
     rprop = None if prop is None else dynamics._real_form(prop.T)
     with np.errstate(over="ignore"):
-        if pf.ndim == 1:
-            step = dynamics._one_stepper(rep, gamma, dt, rprop)
-        else:
-            step = dynamics._batch_stepper(rep, gamma, dt, len(pf), rprop)
-        return step(pf, noise).view(complex)
+        out = dynamics._stepper(rep, gamma, dt, n, rprop)(pf, xi)
+    return out.view(complex).reshape(psi.shape)
 
 
 def projector(psi):
     return np.outer(psi, psi.conj())
+
+
+def record_rows(rec):
+    """The (n_rec, 4 + K) rows of a ``TrajectoryRecord``, in the column
+    order of ``ensemble_observables``."""
+    return np.column_stack([rec.uncertainty, rec.purity, rec.cov_trace_norm, rec.drift, rec.expectations])
 
 
 def hmatrix(rep, h):
@@ -338,7 +345,7 @@ def test_step_output_normalized(spin1):
 def test_step_divides_only_a_norm_off_1_beyond_rounding(spin1):
     psi = dynamics._validate_state(haar_state(3, 27), 3)
     inc = np.array([0.05, -0.08, 0.1])
-    ref = dynamics._one_stepper(spin1, 0.1, 1e-3)(psi.view(np.float64), inc).view(complex)
+    ref = dynamics._stepper(spin1, 0.1, 1e-3, 1)(psi.view(np.float64), inc).view(complex)
     assert np.array_equal(snlse_step(psi, None, spin1, 0.1, 1e-3, inc), ref)
     # a norm 1e-9 off 1 is divided out first; stepped as given, it would move the result by ~5e-12
     off = snlse_step((1 + 1e-9) * psi, None, spin1, 0.1, 1e-3, inc)
@@ -682,15 +689,12 @@ def check_step_against_reference(spec, n, with_h, seed, dt, frac):
     got = complex_step(psi, rep, gamma, dt, noise, prop)
     ref = reference_step(psi, rep, gamma, dt, noise, prop)
     assert np.max(np.abs(got - ref)) <= 1e-13
-    if n == 1:  # the lone-state step, bit for bit a batch of one
-        one = complex_step(psi[0], rep, gamma, dt, noise[0], prop)
-        assert np.max(np.abs(one - ref[0])) <= 1e-13
-        assert np.array_equal(one, got[0])
 
 
 # at n = 257 the defining su(2), su(3), su(4) and su(6) take the
 # completeness route; the other irreps, Sym^2 su(4) with K = 15 > d = 10
-# among them, and every algebra at n = 1, step through the stacked X_k psi
+# among them, and every algebra at n = 1 (a lone row), step through the
+# stacked X_k psi
 @pytest.mark.parametrize("with_h", [False, True])
 @pytest.mark.parametrize("n", [1, 257])
 @pytest.mark.parametrize(
@@ -711,8 +715,9 @@ def test_step_matches_casimir_matrix_reference(spec, n, with_h, seed, dt, frac):
 
 
 # the defining su(d), K = d^2 - 1: a batch of 257 applies the d x d
-# operator B = sum_k dxi_k X_k by the completeness relation, a batch of one
-# takes the stack; su(2) both as spin 1/2 and in the su(N) basis
+# operator B = sum_k dxi_k X_k by the completeness relation, a lone state
+# steps as its row through the stack; su(2) both as spin 1/2 and in the
+# su(N) basis
 @pytest.mark.parametrize("with_h", [False, True])
 @pytest.mark.parametrize("n", [1, 257])
 @pytest.mark.parametrize("spec", ["su2:two_j=1"] + [f"suN:n={n}" for n in (2, 3, 4, 6)], ids=case_id("step"))
@@ -894,44 +899,25 @@ def test_lone_trajectory_crosses_a_noise_chunk_off_the_record_grid(monkeypatch):
     assert np.array_equal(got, replayed_states(got[0], None, rep, cfg, 7))
 
 
-def batch_of_one_rows(initial, h, rep, cfg, stride):
-    """The (n_rec, 4 + K) record rows of one trajectory stepped as a (1, 2d)
-    batch by the step ``_batch_stepper`` builds for one state (the stack)
-    on its noise stream, observed by ``_observe_batch``."""
-    amp = np.sqrt(2.0 * cfg.gamma * cfg.dt)
-    noise = amp * stream_rng(cfg.seed, 0).standard_normal((cfg.steps, rep.dim_algebra))
-    prop = dynamics._step_propagator(h, rep, cfg.dt)
-    step = dynamics._batch_stepper(rep, cfg.gamma, cfg.dt, 1, prop)
-    pf = dynamics._validate_state(initial, rep.dim_hilbert)[None].view(np.float64)
-    states = [pf]
-    with np.errstate(over="ignore"):
-        for s, xi in enumerate(noise, 1):
-            pf = step(pf, xi[None])
-            if s % stride == 0:
-                states.append(pf)
-    return dynamics._observe_batch(np.array(states).view(complex), rep, cfg.gamma)[:, 0]
-
-
 # the benchmark's run (1001 records, so the 256-record buffer flushes three
-# times before the last), and su(3) with H off the unit stride
+# times before the last), and su(3) with H off the unit stride; the chained
+# steps start from the initial state as simulate_trajectory normalizes it
 @pytest.mark.parametrize(
     "spec, steps, stride, h",
     [("su2:two_j=4", 1000, 1, None), ("suN:n=3", 2100, 7, [0.2, 0.1, -0.3, 0.0, 0.4, 0.0, -0.1, 0.2])],
     ids=case_id("step"),
 )
-def test_trajectory_records_are_the_batch_of_one_route_bit_for_bit(spec, steps, stride, h):
+def test_trajectory_rows_are_observed_chained_steps_bit_for_bit(spec, steps, stride, h):
     rep = algebra(spec)
     if spec == "su2:two_j=4":
         initial = highest_weight_state(decomposed(spec)[1])
     else:
         initial = haar_state(rep.dim_hilbert, 36)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=steps, seed=7)
-    rec = simulate_trajectory(initial, h, rep, cfg, record_stride=stride)
-    got = np.column_stack(
-        [rec.uncertainty, rec.purity, rec.cov_trace_norm, rec.drift, rec.expectations]
-    )
+    got = record_rows(simulate_trajectory(initial, h, rep, cfg, record_stride=stride))
     assert got.shape == (steps // stride + 1, 4 + rep.dim_algebra)
-    assert np.array_equal(got, batch_of_one_rows(initial, h, rep, cfg, stride))
+    states = replayed_states(dynamics._validate_state(initial, rep.dim_hilbert), h, rep, cfg, stride)
+    assert np.array_equal(got, dynamics._observe_batch(states, rep, cfg.gamma))
 
 
 # a 4-trajectory block with a buffer of one record time (DEFAULT_BLOCK 4),
@@ -950,7 +936,7 @@ def test_block_records_are_chained_batch_steps_bit_for_bit(monkeypatch, block, s
     initials = haar_states(rep.dim_hilbert, 4, seed=38)
     _, got = ensemble_observables(initials, h, rep, cfg, 4, stride)
     assert got.shape == (4, 30 // stride + 1, 4 + rep.dim_algebra)
-    # complex_step replays the block through _batch_stepper with no dest
+    # complex_step replays the block through its _stepper step with no dest
     states = reference_record_states(
         np.stack([dynamics._validate_state(row, rep.dim_hilbert) for row in initials]), h, rep, cfg, stride
     )
@@ -962,7 +948,7 @@ def test_batch_step_divided_into_its_input_returns_it(spec):
     # spin 1 takes the stack, su(3) the completeness route
     rep = algebra(spec)
     h = np.linspace(-0.4, 0.7, rep.dim_algebra)
-    step = dynamics._batch_stepper(rep, 0.1, 1e-3, 4, dynamics._step_propagator(h, rep, 1e-3))
+    step = dynamics._stepper(rep, 0.1, 1e-3, 4, dynamics._step_propagator(h, rep, 1e-3))
     pf = haar_states(rep.dim_hilbert, 4, seed=38).view(np.float64)
     xi = np.full((4, rep.dim_algebra), 0.01)
     ref = step(pf.copy(), xi)
@@ -1156,79 +1142,67 @@ def test_thread_count_must_be_a_positive_integer(spin1, monkeypatch, raw, messag
         ensemble_average(haar_state(3, 52), None, spin1, cfg, n_traj=4)
 
 
-def test_ensemble_thread_count_invariance(spin1, monkeypatch):
-    psi = haar_state(3, 51)
-    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=50, seed=61)
-    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 2)
-    _, ref = ensemble_average(psi, None, spin1, cfg, n_traj=8)
-    monkeypatch.setenv("GCSLOC_THREADS", "2")
-    _, par = ensemble_average(psi, None, spin1, cfg, n_traj=8)
-    assert np.array_equal(ref, par)
-
-
-def test_ensemble_observables_match_single_runs(spin1):
-    initials = haar_states(3, 3, seed=800)
+@pytest.mark.parametrize("h, seed, init", [(None, 90, 800), ([0.4, -0.2, 0.7], 91, 801)], ids=["free", "h"])
+def test_ensemble_observables_match_single_runs(spin1, h, seed, init):
+    initials = haar_states(3, 3, seed=init)
     # at stride 1 the 301 records of the 3-row block flush every 85 record
     # times, those of each single run every 256
-    for steps, stride in [(50, 50), (300, 1)]:
-        cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=steps, seed=90)
-        times, rows = ensemble_observables(
-            initials, None, spin1, cfg, n_traj=3, record_stride=stride
-        )
+    for steps, stride in [(50, 50), (50, 1), (300, 1)]:
+        cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=steps, seed=seed)
+        times, rows = ensemble_observables(initials, h, spin1, cfg, n_traj=3, record_stride=stride)
         assert rows.shape == (3, steps // stride + 1, 7)
         for i in range(3):
-            cfg_i = NoiseConfig(gamma=0.1, dt=1e-3, steps=steps, seed=90 + i)
-            rec = simulate_trajectory(initials[i], None, spin1, cfg_i, record_stride=stride)
-            ref = np.column_stack(
-                [rec.uncertainty, rec.purity, rec.cov_trace_norm, rec.drift, rec.expectations]
-            )
-            assert np.max(np.abs(rows[i] - ref)) < 1e-12
-
-
-def test_hamiltonian_trajectory_matches_ensemble_rows(spin1):
-    # with a propagator, the buffered records of a 3-row block against single runs
-    h = [0.4, -0.2, 0.7]
-    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=50, seed=91)
-    initials = haar_states(3, 3, seed=801)
-    _, rows = ensemble_observables(initials, h, spin1, cfg, n_traj=3, record_stride=1)
-    for i in range(3):
-        cfg_i = NoiseConfig(gamma=0.1, dt=1e-3, steps=50, seed=91 + i)
-        rec = simulate_trajectory(initials[i], h, spin1, cfg_i, record_stride=1)
-        ref = np.column_stack(
-            [rec.uncertainty, rec.purity, rec.cov_trace_norm, rec.drift, rec.expectations]
-        )
-        assert np.max(np.abs(rows[i] - ref)) < 1e-12
-    # replay trajectory 0 through the public single-step API
+            cfg_i = NoiseConfig(gamma=0.1, dt=1e-3, steps=steps, seed=seed + i)
+            rec = simulate_trajectory(initials[i], h, spin1, cfg_i, record_stride=stride)
+            assert np.max(np.abs(rows[i] - record_rows(rec))) < 1e-12
+    # replay trajectory 0 of the last run through the public single-step API
     _, rhos = ensemble_average(initials[0], h, spin1, cfg, n_traj=1, record_stride=1)
     cur = replayed_states(initials[0], h, spin1, cfg, cfg.steps)[-1]
     assert np.max(np.abs(rhos[-1] - projector(cur))) < 1e-12
 
 
-def test_ensemble_thread_count_invariance_su6(monkeypatch):
-    # three default-size blocks (256, 256, 88) through the GEMM kernel
-    rep = build_sun_fundamental(6)
-    psi = haar_state(6, 52)
-    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=20, seed=62)
-    monkeypatch.setenv("GCSLOC_THREADS", "1")
-    _, ref = ensemble_average(psi, None, rep, cfg, n_traj=600, record_stride=5)
-    monkeypatch.setenv("GCSLOC_THREADS", "2")
-    _, par = ensemble_average(psi, None, rep, cfg, n_traj=600, record_stride=5)
-    assert np.array_equal(ref, par)
+@pytest.mark.parametrize("spec", ["su2:two_j=4", "suN:n=6"], ids=case_id("step"))
+def test_last_block_of_one_is_the_lone_trajectory_bit_for_bit(spec):
+    # 257 trajectories: the second block is trajectory 256 alone, which
+    # steps as one row, as simulate_trajectory does
+    rep = algebra(spec)
+    psi = haar_state(rep.dim_hilbert, 46)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=300, seed=47)
+    _, rows = ensemble_observables(psi, None, rep, cfg, 257, 3)
+    lone = NoiseConfig(gamma=0.1, dt=1e-3, steps=300, seed=cfg.seed + 256)
+    assert np.array_equal(rows[256], record_rows(simulate_trajectory(psi, None, rep, lone, 3)))
 
 
-@pytest.mark.parametrize("blocks", [1, 2, 3, 7])
-@pytest.mark.parametrize("run", [ensemble_average, ensemble_observables])
-def test_ensemble_output_independent_of_threads(monkeypatch, run, blocks):
-    # su(3) through the completeness route in blocks of 4, shared between
-    # the calling process and GCSLOC_THREADS - 1 forked children a round
-    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 4)
-    rep = algebra("suN:n=3")
-    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=30, seed=63)
-    psi = haar_state(3, 53)
+# each ensemble shared between the calling process and GCSLOC_THREADS - 1
+# forked children a round: su(3) through the completeness route in blocks
+# of 4, spin 1 through the stack in blocks of 2, and su(6) in default
+# blocks of 256, 256 and 88
+@pytest.mark.parametrize(
+    "run, spec, block, n_traj, steps, stride, h, seed, init",
+    [
+        pytest.param(
+            run, "suN:n=3", 4, 4 * blocks - 1, 30, 3, [0.3, 0, 0, 0, 0, 0, 0, -0.2], 63, 53,
+            id=f"{run.__name__}-{blocks}",
+        )
+        for run in (ensemble_average, ensemble_observables)
+        for blocks in (1, 2, 3, 7)
+    ]
+    + [
+        pytest.param(ensemble_average, "su2:two_j=2", 2, 8, 50, 1, None, 61, 51, id="spin1-blocks-of-2"),
+        pytest.param(ensemble_average, "suN:n=6", 256, 600, 20, 5, None, 62, 52, id="su6-blocks-of-256"),
+    ],
+)
+def test_ensemble_output_independent_of_threads(
+    monkeypatch, run, spec, block, n_traj, steps, stride, h, seed, init
+):
+    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", block)
+    rep = algebra(spec)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=steps, seed=seed)
+    psi = haar_state(rep.dim_hilbert, init)
     outs = []
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("GCSLOC_THREADS", threads)
-        outs.append(run(psi, [0.3, 0, 0, 0, 0, 0, 0, -0.2], rep, cfg, 4 * blocks - 1, 3)[1])
+        outs.append(run(psi, h, rep, cfg, n_traj, stride)[1])
     assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
 
 
@@ -1433,24 +1407,25 @@ def test_step_basis_is_chosen_once_per_block(monkeypatch, tmp_path):
     # blocks may run in forked children, whose memory never reaches the
     # caller, so every stepper build appends its batch size to a log file
     log = tmp_path / "sizes.log"
-    build = dynamics._batch_stepper
+    build = dynamics._stepper
 
     def counted(rep, gamma, dt, n, prop=None):
         with open(log, "a") as fh:
             fh.write(f"{n}\n")
         return build(rep, gamma, dt, n, prop)
 
-    monkeypatch.setattr(dynamics, "_batch_stepper", counted)
+    monkeypatch.setattr(dynamics, "_stepper", counted)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=20, seed=64)
     ensemble_average(haar_state(6, 55), None, algebra("suN:n=6"), cfg, 300)
     assert sorted(int(n) for n in log.read_text().split()) == [44, 256]
 
 
 def test_operator_basis_rule(monkeypatch):
-    # the defining su(d), K = d^2 - 1, steps a batch of n >= 2 by applying
-    # B = sum_k dxi_k X_k, formed from the generators' real view, and never
-    # stacks X_k psi; a batch of one, and every other irrep at any batch
-    # size, stacks X_k psi once per step and binds no basis
+    # the route table of _stepper: one state steps as its row on every
+    # irrep, with neither _generator_action nor a basis; a batch of n >= 2
+    # on the defining su(d), K = d^2 - 1, applies B = sum_k dxi_k X_k,
+    # formed from the generators' real view, and never stacks X_k psi;
+    # a batch on any other irrep stacks X_k psi once per step
     calls = []
     action = dynamics._generator_action
 
@@ -1464,27 +1439,31 @@ def test_operator_basis_rule(monkeypatch):
         """The batch sizes of the ``_generator_action`` calls one step of n
         states of rep makes."""
         calls.clear()
-        step = dynamics._batch_stepper(rep, 0.1, 1e-3, n)
+        step = dynamics._stepper(rep, 0.1, 1e-3, n)
         pf = haar_states(rep.dim_hilbert, n, seed=57).view(np.float64)
-        out = step(pf, np.full((n, rep.dim_algebra), 1e-3))
+        xi = np.full((n, rep.dim_algebra), 1e-3)
+        out = step(pf[0], xi[0]) if n == 1 else step(pf, xi)
         assert np.allclose(np.vecdot(out, out), 1.0, rtol=0, atol=1e-14)
         return calls
 
     def basis(rep, n):
         """The generator basis a step of n states of rep binds, or None."""
-        step = dynamics._batch_stepper(rep, 0.1, 1e-3, n)
-        return dict(zip(step.__code__.co_freevars, step.__closure__))["basis"].cell_contents
+        step = dynamics._stepper(rep, 0.1, 1e-3, n)
+        cells = dict(zip(step.__code__.co_freevars, step.__closure__))
+        return cells["basis"].cell_contents if "basis" in cells else None
 
     su6 = algebra("suN:n=6")
+    others = (build_su2_irrep(2), build_su2_irrep(40), algebra("suN:n=4,dynkin=2,0,0"))
+    for rep in (su6,) + others:
+        assert stacked(rep, 1) == [] and basis(rep, 1) is None
     ref = np.concatenate(
         [su6.generators.real[..., None], su6.generators.imag[..., None]], axis=-1
     ).reshape(35, 72)
     for n in (2, 256):
         assert stacked(su6, n) == []
         assert np.array_equal(basis(su6, n), ref)
-    assert stacked(su6, 1) == [1] and basis(su6, 1) is None
     # spin 20 (K = 3 < d = 41) and Sym^2 su(4) (K = 15 > d = 10, not d^2 - 1)
-    for rep in (build_su2_irrep(40), algebra("suN:n=4,dynkin=2,0,0")):
+    for rep in others[1:]:
         assert stacked(rep, 256) == [256] and basis(rep, 256) is None
 
 
