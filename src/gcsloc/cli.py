@@ -203,15 +203,12 @@ def _write_csv(path, cols, table):
 
 def cmd_simulate(args) -> int:
     rep, cfg, ham, psi0 = _run_inputs(args)
-    rec = simulate_trajectory(psi0, ham, rep, cfg, record_stride=args.stride)
+    times, rows = simulate_trajectory(psi0, ham, rep, cfg, record_stride=args.stride)
 
     cols = ["t", "uncertainty", "purity", "cov_trace_norm", "drift"] + [
         f"x{k + 1}" for k in range(rep.dim_algebra)
     ]
-    table = np.column_stack(
-        [rec.times, rec.uncertainty, rec.purity, rec.cov_trace_norm, rec.drift, rec.expectations]
-    )
-    _write_csv(args.out, cols, table)
+    _write_csv(args.out, cols, np.column_stack([times, rows]))
     return 0
 
 

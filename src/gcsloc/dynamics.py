@@ -79,7 +79,6 @@ from .algebra import AlgebraRep, _coefficients, _combination, _max_abs, _philox,
 
 __all__ = [
     "NoiseConfig",
-    "TrajectoryRecord",
     "ensemble_average",
     "ensemble_observables",
     "haar_state",
@@ -221,35 +220,6 @@ class NoiseConfig:
         object.__setattr__(self, "steps", _count("steps", self.steps))
         object.__setattr__(self, "seed", _integral("seed", self.seed))
         _check_stability(self.gamma, self.dt)
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Observables of one unraveled trajectory on a uniform record grid.
-
-    times are k * stride * dt for k = 0..n_rec-1 (the initial state is row
-    zero); expectations has one row per record time and one column per
-    generator.
-    """
-
-    times: np.ndarray
-    uncertainty: np.ndarray
-    purity: np.ndarray
-    cov_trace_norm: np.ndarray
-    drift: np.ndarray
-    expectations: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        grid = self.times.shape if isinstance(self.times, np.ndarray) else ()
-        if len(grid) != 1 or grid[0] < 1:
-            raise ValueError("record grid must be a nonempty 1d array")
-        series = (self.uncertainty, self.purity, self.cov_trace_norm, self.drift, self.expectations)
-        if any(np.shape(x)[:1] != grid for x in series):
-            raise ValueError(f"each series must have {grid[0]} rows, one per record time")
-        dt = np.diff(self.times)
-        if dt.size and (np.any(dt <= 0) or _max_abs(dt - dt[0]) > 1e-9 * dt[0]):
-            raise ValueError("record times must increase uniformly")
 
 
 def _validate_state(psi, dim, slack=0.0, where=""):
@@ -515,31 +485,20 @@ def _record_grid(steps, stride, dt):
     return stride, np.arange(steps // stride + 1) * (stride * dt)
 
 
-def simulate_trajectory(
-    initial,
-    h,
-    rep: AlgebraRep,
-    cfg: NoiseConfig,
-    record_stride: int = 1,
-) -> TrajectoryRecord:
+def simulate_trajectory(initial, h, rep: AlgebraRep, cfg: NoiseConfig, record_stride: int = 1):
     """Integrate one measurement trajectory and record its functionals.
 
-    The trajectory is a deterministic function of (initial, h, rep,
-    cfg.seed): noise comes from the Philox stream (cfg.seed, stream 0).
-    It is the one-trajectory ``ensemble_observables``; its states, up to a
-    global phase, are the projectors of the one-trajectory
-    ``ensemble_average``.
+    Returns (times, rows): times are k * stride * dt for k = 0..n_rec-1
+    (the initial state is row zero), and rows is the (n_rec, 4 + K) table
+    of the one-trajectory ``ensemble_observables``, not copied: uncertainty,
+    purity, squared covariance norm, drift, then the K generator
+    expectations.  The trajectory is a deterministic function of (initial,
+    h, rep, cfg.seed): noise comes from the Philox stream (cfg.seed, stream
+    0).  Its states, up to a global phase, are the projectors of the
+    one-trajectory ``ensemble_average``.
     """
-    times, (table,) = ensemble_observables(initial, h, rep, cfg, 1, record_stride)
-    return TrajectoryRecord(
-        times=times,
-        uncertainty=table[:, 0].copy(),
-        purity=table[:, 1].copy(),
-        cov_trace_norm=table[:, 2].copy(),
-        drift=table[:, 3].copy(),
-        expectations=table[:, 4:].copy(),
-        seed=cfg.seed,
-    )
+    times, (rows,) = ensemble_observables(initial, h, rep, cfg, 1, record_stride)
+    return times, rows
 
 
 def _integrate(batch, prop, rep, cfg, lo, record_stride, record):

@@ -241,10 +241,8 @@ def test_criterion_6_closed_system_conserves_uncertainty():
     rng = np.random.default_rng(CLOSED_SEED)
     ham = rng.uniform(-1.0, 1.0, 3)
     cfg = NoiseConfig(gamma=0.0, dt=DT, steps=10000, seed=CLOSED_SEED)  # T = 10
-    rec = simulate_trajectory(
-        haar_state(5, CLOSED_SEED), ham, rep, cfg, record_stride=10
-    )
-    dev = float(np.max(np.abs(rec.uncertainty - rec.uncertainty[0])))
+    _, rows = simulate_trajectory(haar_state(5, CLOSED_SEED), ham, rep, cfg, record_stride=10)
+    dev = float(np.max(np.abs(rows[:, 0] - rows[0, 0])))
     ok = dev < 1e-6
     line = record_criterion(
         6,

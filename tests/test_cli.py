@@ -134,12 +134,31 @@ def test_simulate_csv_formats_the_record(tmp_path, ham):
     rep = parse_algebra("su2:two_j=2")
     coeffs = None if ham is None else [float(x) for x in ham.split(",")]
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=300, seed=3)
-    rec = simulate_trajectory(haar_state(3, 3), coeffs, rep, cfg)
+    times, rows = simulate_trajectory(haar_state(3, 3), coeffs, rep, cfg)
     lines = ["t,uncertainty,purity,cov_trace_norm,drift,x1,x2,x3"]
-    for i, t in enumerate(rec.times):
-        row = [t, rec.uncertainty[i], rec.purity[i], rec.cov_trace_norm[i], rec.drift[i]]
-        lines.append(",".join(FLOAT_FMT % float(x) for x in row + list(rec.expectations[i])))
+    for t, row in zip(times, rows):
+        lines.append(",".join(FLOAT_FMT % float(x) for x in [t, *row]))
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_simulate_to_stdout_writes_the_file_bytes(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    assert main(SIM_ARGS + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(SIM_ARGS + ["--out", "-"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--ham", "1,2"], "--ham needs 3 comma-separated values, got 2"),
+    (["--ham", "1,x,3"], "bad --ham list '1,x,3'"),
+    (["--ham="], "bad --ham list ''"),
+], ids=["two-values", "not-a-number", "empty"])
+def test_simulate_bad_ham_exits_1(tmp_path, capsys, flags, message):
+    out = tmp_path / "x.csv"
+    assert main(SIM_ARGS + flags + ["--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_stride(tmp_path):
@@ -476,6 +495,25 @@ def test_config_file_fills_missing_flags(tmp_path):
     ref = tmp_path / "ref.csv"
     assert main(SIM_ARGS + ["--out", str(ref)]) == 0
     assert out.read_bytes() == ref.read_bytes()
+
+
+def test_config_equals_form_is_the_spaced_form(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma = 0.1\ndt = 1e-3\ntime = 0.05\nseed = 3\n")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    head = ["simulate", "--algebra", "su2:two_j=2"]
+    assert main(head + [f"--config={cfg}", "--out", str(a)]) == 0
+    assert main(head + ["--config", str(cfg), "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_config_line_without_equals_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma = 0.1\nseed 3\n")
+    out = tmp_path / "x.csv"
+    assert main(SIM_ARGS + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert f"{cfg}:2: expected key=value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_explicit_flag_beats_config(tmp_path):

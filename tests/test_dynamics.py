@@ -15,7 +15,6 @@ from gcsloc.algebra import build_su2_irrep, build_sun_fundamental
 from gcsloc.cartan import cartan_decompose, highest_weight_state
 from gcsloc.dynamics import (
     NoiseConfig,
-    TrajectoryRecord,
     ensemble_average,
     ensemble_observables,
     haar_state,
@@ -63,12 +62,6 @@ def complex_step(psi, rep, gamma, dt, noise, prop=None):
 
 def projector(psi):
     return np.outer(psi, psi.conj())
-
-
-def record_rows(rec):
-    """The (n_rec, 4 + K) rows of a ``TrajectoryRecord``, in the column
-    order of ``ensemble_observables``."""
-    return np.column_stack([rec.uncertainty, rec.purity, rec.cov_trace_norm, rec.drift, rec.expectations])
 
 
 def hmatrix(rep, h):
@@ -212,8 +205,7 @@ def test_float_steps_and_seed_run_as_their_integers(spin1):
     psi = haar_state(3, 14)
     got = simulate_trajectory(psi, None, spin1, NoiseConfig(0.1, 1e-3, 20.0, 7.0), 4)
     ref = simulate_trajectory(psi, None, spin1, NoiseConfig(0.1, 1e-3, 20, 7), 4)
-    assert type(got.seed) is int and got.seed == 7
-    assert np.array_equal(got.expectations, ref.expectations)
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
 def integral_or_not():
@@ -301,8 +293,7 @@ def test_integral_float_stride_is_the_int_stride(spin1):
     psi = haar_state(3, 0)
     a = simulate_trajectory(psi, None, spin1, cfg, record_stride=2)
     b = simulate_trajectory(psi, None, spin1, cfg, record_stride=2.0)
-    for field in ("times", "uncertainty", "purity", "cov_trace_norm", "drift", "expectations"):
-        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+    assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
     ta, rho_a = ensemble_average(psi, None, spin1, cfg, 3, record_stride=2)
     tb, rho_b = ensemble_average(psi, None, spin1, cfg, 3, record_stride=2.0)
     assert ta.tobytes() == tb.tobytes() and rho_a.tobytes() == rho_b.tobytes()
@@ -426,7 +417,7 @@ def test_zero_hamiltonian_is_no_hamiltonian(spin1):
     inc = np.full(3, 1e-2)
     for run in (
         lambda h: snlse_step(psi, h, spin1, 0.1, 1e-3, inc),
-        lambda h: simulate_trajectory(psi, h, spin1, cfg, 5).expectations,
+        lambda h: simulate_trajectory(psi, h, spin1, cfg, 5)[1][:, 4:],
         lambda h: ensemble_average(psi, h, spin1, cfg, 3, 5)[1],
         lambda h: lindblad_expm_evolve(rho0, h, spin1, 0.1, [0.0, 0.3, 0.1]),
     ):
@@ -804,25 +795,22 @@ def test_coherent_state_one_step_deviation_scales_quadratically():
 def test_trajectory_determinism(spin1):
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=100, seed=77)
     psi = haar_state(3, 7)
-    a = simulate_trajectory(psi, None, spin1, cfg, record_stride=10)
-    b = simulate_trajectory(psi, None, spin1, cfg, record_stride=10)
-    assert np.array_equal(a.uncertainty, b.uncertainty)
-    assert np.array_equal(a.expectations, b.expectations)
-    assert a.seed == 77
-    assert len(a.times) == 11
-    assert a.times[-1] == pytest.approx(0.1, rel=1e-12)
+    times, a = simulate_trajectory(psi, None, spin1, cfg, record_stride=10)
+    _, b = simulate_trajectory(psi, None, spin1, cfg, record_stride=10)
+    assert np.array_equal(a[:, 0], b[:, 0])
+    assert np.array_equal(a[:, 4:], b[:, 4:])
+    assert len(times) == 11
+    assert times[-1] == pytest.approx(0.1, rel=1e-12)
 
 
 def test_trajectory_initial_row_matches_state_functionals(spin1):
     cfg = NoiseConfig(gamma=0.2, dt=1e-3, steps=10, seed=3)
     psi = haar_state(3, 30)
-    rec = simulate_trajectory(psi, None, spin1, cfg)
-    assert rec.uncertainty[0] == pytest.approx(total_uncertainty(psi, spin1), rel=1e-12)
-    assert rec.purity[0] == pytest.approx(generalized_purity(psi, spin1), rel=1e-12)
-    assert rec.cov_trace_norm[0] == pytest.approx(
-        covariance_trace_norm(psi, spin1), rel=1e-12
-    )
-    assert np.allclose(rec.expectations[0], expectation_vector(psi, spin1), atol=1e-12)
+    _, rows = simulate_trajectory(psi, None, spin1, cfg)
+    assert rows[0, 0] == pytest.approx(total_uncertainty(psi, spin1), rel=1e-12)
+    assert rows[0, 1] == pytest.approx(generalized_purity(psi, spin1), rel=1e-12)
+    assert rows[0, 2] == pytest.approx(covariance_trace_norm(psi, spin1), rel=1e-12)
+    assert np.allclose(rows[0, 4:], expectation_vector(psi, spin1), atol=1e-12)
 
 
 def test_trajectory_snapshots_follow_steps(spin1):
@@ -914,7 +902,7 @@ def test_trajectory_rows_are_observed_chained_steps_bit_for_bit(spec, steps, str
     else:
         initial = haar_state(rep.dim_hilbert, 36)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=steps, seed=7)
-    got = record_rows(simulate_trajectory(initial, h, rep, cfg, record_stride=stride))
+    _, got = simulate_trajectory(initial, h, rep, cfg, record_stride=stride)
     assert got.shape == (steps // stride + 1, 4 + rep.dim_algebra)
     states = replayed_states(dynamics._validate_state(initial, rep.dim_hilbert), h, rep, cfg, stride)
     assert np.array_equal(got, dynamics._observe_batch(states, rep, cfg.gamma))
@@ -969,20 +957,18 @@ def test_step_and_trajectory_write_only_their_own_arrays(spin1, h):
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=300, seed=21)
     inputs = [exact] if h is None else [exact, h]
     before = [x.tobytes() for x in inputs]
-    rec = simulate_trajectory(exact, h, spin1, cfg)
+    times, rows = simulate_trajectory(exact, h, spin1, cfg)
     assert [x.tobytes() for x in inputs] == before
-    arrays = [rec.times, rec.uncertainty, rec.purity, rec.cov_trace_norm, rec.drift]
-    arrays.append(rec.expectations)
-    assert not any(np.shares_memory(a, x) for a in arrays for x in inputs)
+    assert not any(np.shares_memory(a, x) for a in (times, rows) for x in inputs)
 
 
 @pytest.mark.parametrize("steps, stride", [(600, 1), (2100, 7)])
 def test_buffered_records_match_state_functionals(spin1, steps, stride):
     # 601 or 301 records: buffer flushes of 256 + 256 + 89, or 256 + 45
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=steps, seed=17)
-    rec = simulate_trajectory(haar_state(3, 32), None, spin1, cfg, record_stride=stride)
+    times, rows = simulate_trajectory(haar_state(3, 32), None, spin1, cfg, record_stride=stride)
     _, rhos = ensemble_average(haar_state(3, 32), None, spin1, cfg, 1, record_stride=stride)
-    assert len(rec.times) == len(rhos) == steps // stride + 1
+    assert len(times) == len(rhos) == steps // stride + 1
     for k, rho in enumerate(rhos):
         psi = np.linalg.eigh(rho)[1][:, -1]  # the state up to a global phase
         ref = [
@@ -991,9 +977,8 @@ def test_buffered_records_match_state_functionals(spin1, steps, stride):
             covariance_trace_norm(psi, spin1),
             localization_drift(psi, spin1, cfg.gamma),
         ]
-        got = [rec.uncertainty[k], rec.purity[k], rec.cov_trace_norm[k], rec.drift[k]]
-        assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12
-        assert np.max(np.abs(rec.expectations[k] - expectation_vector(psi, spin1))) <= 1e-12
+        assert np.max(np.abs(rows[k, :4] - ref)) <= 1e-12
+        assert np.max(np.abs(rows[k, 4:] - expectation_vector(psi, spin1))) <= 1e-12
 
 
 def test_records_take_covariance_moments_once_per_block(spin1, monkeypatch):
@@ -1042,42 +1027,23 @@ def test_invariant_drift_names_record_trajectory_and_seed(spin1, monkeypatch):
         ensemble_observables(haar_state(3, 34), None, spin1, cfg, n_traj=5)
 
 
-def test_trajectory_record_rejects_malformed_grids_and_series():
-    times = np.array([0.0, 0.1])
-    series = {
-        "uncertainty": np.zeros(2),
-        "purity": np.zeros(2),
-        "cov_trace_norm": np.zeros(2),
-        "drift": np.zeros(2),
-        "expectations": np.zeros((2, 3)),
-    }
-    TrajectoryRecord(times=times, seed=0, **series)
-    for bad in ([0.0, 0.1], np.zeros(0), np.zeros((2, 1))):
-        with pytest.raises(ValueError, match="record grid must be a nonempty 1d array"):
-            TrajectoryRecord(times=bad, seed=0, **series)
-    for name, good in series.items():
-        for bad in (good[:1], np.concatenate([good, good]), np.float64(0.0)):
-            with pytest.raises(ValueError, match="each series must have 2 rows"):
-                TrajectoryRecord(times=times, seed=0, **{**series, name: bad})
-
-
 def test_gamma_zero_conserves_invariants(spin1):
     rng = np.random.default_rng(41)
     h = rng.uniform(-1, 1, 3)
     cfg = NoiseConfig(gamma=0.0, dt=1e-3, steps=1000, seed=0)
-    rec = simulate_trajectory(haar_state(3, 8), h, spin1, cfg, record_stride=100)
-    assert np.max(np.abs(rec.uncertainty - rec.uncertainty[0])) < 1e-10
-    assert np.max(np.abs(rec.purity - rec.purity[0])) < 1e-10
-    assert np.max(np.abs(rec.cov_trace_norm - rec.cov_trace_norm[0])) < 1e-9
+    _, rows = simulate_trajectory(haar_state(3, 8), h, spin1, cfg, record_stride=100)
+    assert np.max(np.abs(rows[:, 0] - rows[0, 0])) < 1e-10
+    assert np.max(np.abs(rows[:, 1] - rows[0, 1])) < 1e-10
+    assert np.max(np.abs(rows[:, 2] - rows[0, 2])) < 1e-9
 
 
 def test_localization_under_pure_measurement(spin1):
     # free measurement contracts the uncertainty toward its orbit minimum
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5000, seed=6)
-    rec = simulate_trajectory(haar_state(3, 9), None, spin1, cfg, record_stride=500)
-    assert rec.uncertainty[-1] < rec.uncertainty[0]
-    assert abs(rec.uncertainty[-1] - 1.0) < 0.05
-    assert np.all(rec.drift <= 1e-12)
+    _, rows = simulate_trajectory(haar_state(3, 9), None, spin1, cfg, record_stride=500)
+    assert rows[-1, 0] < rows[0, 0]
+    assert abs(rows[-1, 0] - 1.0) < 0.05
+    assert np.all(rows[:, 3] <= 1e-12)
 
 
 # -------------------------------------------------------------- ensembles
@@ -1153,8 +1119,8 @@ def test_ensemble_observables_match_single_runs(spin1, h, seed, init):
         assert rows.shape == (3, steps // stride + 1, 7)
         for i in range(3):
             cfg_i = NoiseConfig(gamma=0.1, dt=1e-3, steps=steps, seed=seed + i)
-            rec = simulate_trajectory(initials[i], h, spin1, cfg_i, record_stride=stride)
-            assert np.max(np.abs(rows[i] - record_rows(rec))) < 1e-12
+            _, lone = simulate_trajectory(initials[i], h, spin1, cfg_i, record_stride=stride)
+            assert np.max(np.abs(rows[i] - lone)) < 1e-12
     # replay trajectory 0 of the last run through the public single-step API
     _, rhos = ensemble_average(initials[0], h, spin1, cfg, n_traj=1, record_stride=1)
     cur = replayed_states(initials[0], h, spin1, cfg, cfg.steps)[-1]
@@ -1170,7 +1136,7 @@ def test_last_block_of_one_is_the_lone_trajectory_bit_for_bit(spec):
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=300, seed=47)
     _, rows = ensemble_observables(psi, None, rep, cfg, 257, 3)
     lone = NoiseConfig(gamma=0.1, dt=1e-3, steps=300, seed=cfg.seed + 256)
-    assert np.array_equal(rows[256], record_rows(simulate_trajectory(psi, None, rep, lone, 3)))
+    assert np.array_equal(rows[256], simulate_trajectory(psi, None, rep, lone, 3)[1])
 
 
 # each ensemble shared between the calling process and GCSLOC_THREADS - 1

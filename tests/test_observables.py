@@ -346,20 +346,25 @@ def test_gram_form_t_is_the_squared_covariance_norm(spec, seed, n):
     assert covariance_trace_norm(psi, rep) == pytest.approx(t, rel=1e-12)
 
 
+def two_temporary_moments(states, rep):
+    """(v, <C>, P, U, T) with the centred stack formed as z - v psi, two
+    temporaries of the (n, K, 2d) shape."""
+    pf = np.ascontiguousarray(states).view(np.float64)
+    z = (pf @ rep.moment_stack).reshape(len(pf), rep.dim_algebra, pf.shape[1])
+    v = np.matvec(z, pf)
+    u = z - v[:, :, None] * pf[:, None, :]
+    ut = u.transpose(0, 2, 1)
+    gram = u @ ut if u.shape[1] <= u.shape[2] else ut @ u
+    tnorm = 4.0 * np.einsum("nkl,nkl->n", gram, gram)
+    return v, np.einsum("nkj,nkj->n", z, z), np.einsum("nk,nk->n", v, v), u, tnorm
+
+
 def covariance_formula_rows(states, rep, gamma):
-    """Record rows with T = sum M^2 from the K x K covariance matrix, in
-    blocks of DEFAULT_BLOCK states as ``_observe_batch`` takes them."""
+    """Record rows from ``two_temporary_moments``, in blocks of
+    DEFAULT_BLOCK states as ``_observe_batch`` takes them."""
     rows = []
     for lo in range(0, len(states), DEFAULT_BLOCK):
-        pf = np.ascontiguousarray(states[lo : lo + DEFAULT_BLOCK]).view(np.float64)
-        z = (pf @ rep.moment_stack).reshape(len(pf), rep.dim_algebra, pf.shape[1])
-        v = np.matvec(z, pf)
-        second = np.einsum("nkj,nkj->n", z, z)
-        purity = np.einsum("nk,nk->n", v, v)
-        u = z - v[:, :, None] * pf[:, None, :]
-        m = np.matmul(u, u.transpose(0, 2, 1))
-        m *= 2.0
-        tnorm = np.einsum("nkl,nkl->n", m, m)
+        v, second, purity, _, tnorm = two_temporary_moments(states[lo : lo + DEFAULT_BLOCK], rep)
         drift = 2.0 * gamma * (rep.adjoint_casimir * purity - tnorm)
         rows.append(np.column_stack([second - purity, purity, tnorm, drift, v]))
     return np.concatenate(rows)
@@ -374,19 +379,6 @@ def test_su2_record_rows_keep_the_covariance_formula_bit_for_bit(spec, seed, n):
     rep = algebra(spec)
     states = haar_states(rep.dim_hilbert, n, seed)
     assert np.array_equal(_observe_batch(states, rep, 0.1), covariance_formula_rows(states, rep, 0.1))
-
-
-def two_temporary_moments(states, rep):
-    """(v, <C>, P, U, T) with the centred stack formed as z - v psi, two
-    temporaries of the (n, K, 2d) shape."""
-    pf = np.ascontiguousarray(states).view(np.float64)
-    z = (pf @ rep.moment_stack).reshape(len(pf), rep.dim_algebra, pf.shape[1])
-    v = np.matvec(z, pf)
-    u = z - v[:, :, None] * pf[:, None, :]
-    ut = u.transpose(0, 2, 1)
-    gram = u @ ut if u.shape[1] <= u.shape[2] else ut @ u
-    tnorm = 4.0 * np.einsum("nkl,nkl->n", gram, gram)
-    return v, np.einsum("nkj,nkj->n", z, z), np.einsum("nk,nk->n", v, v), u, tnorm
 
 
 @pytest.mark.parametrize("spec", ["suN:n=3", "suN:n=6"], ids=case_id("short"))
