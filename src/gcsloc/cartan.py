@@ -15,13 +15,13 @@ highest-weight state, exp(1j * sum_k params_k X_k) |hw>; the exponential
 is applied to |hw> from one eigendecomposition without forming the
 unitary (``algebra._apply_unitary_exp``), as is each rotation of an
 alignment sweep.  A state is rotated into the Cartan gauge (<X> in the
-Cartan span) on one of two paths: one eigenbasis rotation for the
-defining su(N), N > 2, and otherwise cyclic Jacobi sweeps, each step an
-exact rotation in one positive root's su(2) triple, at most
-ALIGNMENT_SWEEPS sweeps.  <X> and the check of the root data against
-the states (``uncertainty_bounds``) come from ``observables``, which
-observes one state as a row; batches (records, theorem scans) go through
-``dynamics._moments``.
+Cartan span) by cyclic Jacobi sweeps, each step an exact rotation in one
+positive root's su(2) triple, at most ALIGNMENT_SWEEPS sweeps.  On the
+defining su(N), N > 2, every pure state is coherent, so the gauge state
+is named, not computed: the lowest-weight vector.  <X> and the check of
+the root data against the states (``uncertainty_bounds``) come from
+``observables``, which observes one state as a row; batches (records,
+theorem scans) go through ``dynamics._moments``.
 
 Conventions
 -----------
@@ -401,13 +401,15 @@ def align_expectation_to_cartan(psi, rep: AlgebraRep, cartan: CartanData):
     unchanged; only the decomposition of <X> into Cartan and root
     components is gauged away.
 
-    Two paths: an exact eigenbasis rotation for the defining su(N), N > 2
-    (d^2 - 1 generators), and cyclic Jacobi sweeps over the su(2) triples
-    of the positive roots otherwise, at most ALIGNMENT_SWEEPS of them; on
-    su(2) one sweep is one exact axis-angle rotation.  The residual root
-    component is held to ALIGNMENT_TOL * max(1, |<X>|), and RuntimeError
-    names it when it is not met.  An unnormalized or non-finite psi raises
-    ValueError.
+    A state already in the gauge comes back normalized.  Otherwise, on the
+    defining su(N), N > 2 (d^2 - 1 generators), the result is the
+    lowest-weight vector ``cartan.weight_basis[:, -1]``, whatever psi was;
+    on every other irrep it comes from cyclic Jacobi sweeps over the su(2)
+    triples of the positive roots, at most ALIGNMENT_SWEEPS of them, and
+    on su(2) one sweep is one exact axis-angle rotation.  The residual
+    root component is held to ALIGNMENT_TOL * max(1, |<X>|), and
+    RuntimeError names it when it is not met.  An unnormalized or
+    non-finite psi raises ValueError.
     """
     psi = np.asarray(psi, dtype=complex)
     v = expectation_vector(psi, rep)
@@ -415,7 +417,9 @@ def align_expectation_to_cartan(psi, rep: AlgebraRep, cartan: CartanData):
     out, resid = psi / _norm(psi), _root_component_norm(v, cartan)
     d = rep.dim_hilbert
     if resid > tol and rep.dim_algebra == d * d - 1 and d > 2:
-        out = _align_eigenbasis(psi, v, rep, cartan)
+        # SU(d) is transitive on unit vectors: a group element takes psi to
+        # the lowest-weight vector, and a weight vector has no root component
+        out = cartan.weight_basis[:, -1].copy()
         resid = _root_component_norm(expectation_vector(out, rep), cartan)
     else:
         for _ in range(ALIGNMENT_SWEEPS):
@@ -428,25 +432,6 @@ def align_expectation_to_cartan(psi, rep: AlgebraRep, cartan: CartanData):
             f"Cartan alignment failed: residual root component {resid:.3e}"
         )
     return out
-
-
-def _align_eigenbasis(psi, v, rep, cartan):
-    """Exact rotation for fundamental representations: diagonalize <X>.X.
-
-    In the fundamental representation every special unitary is a group
-    element, up to a global phase.  With A = sum v_k X_k = V D V^dagger,
-    V^dagger takes the traceless part of |psi><psi|, which is A / lam, to
-    a diagonal matrix, and the weight basis W then takes it to one
-    diagonal in W, that is into the Cartan span: the state W V^dagger psi
-    has <X> in the Cartan span in any basis of the representation.  Each
-    column of V gets ``_canonical_phase``'s phase, so the result does not
-    depend on the phases ``eigh`` happens to return.
-    """
-    a = _combination(v, rep.generators)
-    _, vecs = np.linalg.eigh(a)
-    vecs = _canonical_phase(vecs)
-    out = cartan.weight_basis @ (vecs.conj().T @ psi)
-    return out / _norm(out)
 
 
 def _root_triple_sweep(psi, v, rep, cartan):

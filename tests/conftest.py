@@ -18,8 +18,9 @@ library's moments are checked against.  ``lindblad_superoperator`` is the
 dense master-equation generator that the exact flow is checked against,
 ``rng_haar_state`` a Haar state from numpy's ``default_rng``,
 ``sym3_su3_trace_norm_minimizer`` a minimiser of T = sum M^2 on Sym^3
-su(3), and ``kappa_loc`` the localisation rate's upper bound at the
-highest weight state."""
+su(3), ``reduced_mean`` the exact mean of Delta - delta_min on irreps
+whose orbit space is one dimensional, and ``kappa_loc`` the localisation
+rate's upper bound at the highest weight state."""
 
 import itertools
 from functools import lru_cache, reduce
@@ -210,6 +211,37 @@ def sym3_su3_trace_norm_minimizer(seed):
     psi = state(res.x)
     psi.flags.writeable = False
     return rep, psi
+
+
+def reduced_mean(a, b, x_max, gamma, x0, times, n=48):
+    """E[x_t | x_0 = x0] at each t of times for the Ito diffusion on
+    [0, x_max]
+
+        dx = -2 gamma (a x + 4 x^2) dt + sqrt(8 gamma b x^2 (1 - x / x_max)) dW,
+
+    the law of x = Delta - delta_min on an irrep whose orbit space is one
+    dimensional (spin 1: a = b = 4, x_max = 1).  u(t, x) = E[x_t | x_0 = x]
+    solves the backward equation u_t = mu u_x + sigma^2 u_xx / 2 with
+    u(0, x) = x; sigma vanishes at both ends, so no boundary condition is
+    needed.  The generator is collocated on the n + 1 Chebyshev-Lobatto
+    nodes, u(t) at the nodes is ``scipy.linalg.expm`` of it times t applied
+    to the nodes, and its barycentric interpolant is read at x0.  On spin 1
+    from x0 = 0.444, n = 48 agrees with n = 96 to 8e-9 for t <= 0.3."""
+    k = np.arange(n + 1)
+    x = 0.5 * x_max * (1.0 + np.cos(np.pi * k / n))
+    w = (-1.0) ** k * np.where((k == 0) | (k == n), 0.5, 1.0)
+    gap = np.subtract.outer(x, x) + np.eye(n + 1)
+    dmat = np.outer(1.0 / w, w) / gap
+    np.fill_diagonal(dmat, 0.0)
+    np.fill_diagonal(dmat, -dmat.sum(axis=1))
+    drift = -2.0 * gamma * (a * x + 4.0 * x * x)
+    var = 8.0 * gamma * b * x * x * (1.0 - x / x_max)
+    gen = drift[:, None] * dmat + 0.5 * var[:, None] * (dmat @ dmat)
+    u = np.array([scipy.linalg.expm(t * gen) @ x for t in times])
+    if np.any(x == x0):
+        return u[:, np.argmax(x == x0)]
+    c = w / (x0 - x)
+    return u @ c / c.sum()
 
 
 def kappa_loc(rep):

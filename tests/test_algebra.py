@@ -314,6 +314,17 @@ def test_reducible_rejected():
         algebra_from_generators(gens)
 
 
+@pytest.mark.parametrize("gens,message", [
+    pytest.param(np.zeros((2, 2)), r"expected shape \(K, d, d\)", id="2-d"),
+    pytest.param(np.zeros((3, 2, 3)), r"expected shape \(K, d, d\)", id="not-square"),
+    pytest.param(np.zeros((0, 2, 2)), "need at least one generator", id="empty"),
+    pytest.param(np.zeros((3, 2, 2)), "generator trace norm must be positive, got 0", id="zero"),
+])
+def test_malformed_generator_sets_rejected(gens, message):
+    with pytest.raises(ValueError, match=message):
+        algebra_from_generators(gens)
+
+
 def test_non_hermitian_rejected():
     gens = build_su2_irrep(1).generators.copy()
     gens[0] = gens[0] + 1e-6j * np.eye(2)
@@ -338,6 +349,11 @@ def test_su2_bad_spin_rejected(bad):
 def test_sun_bad_dim_rejected(bad):
     with pytest.raises(ValueError):
         build_sun_fundamental(bad)
+
+
+def test_sun_non_integral_dim_rejected():
+    with pytest.raises(ValueError, match="n must be an integer"):
+        build_sun_fundamental(3.0)
 
 
 def test_generators_read_only():

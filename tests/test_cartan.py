@@ -268,35 +268,34 @@ def changed(spec, change):
     return rep, cartan_decompose(rep)
 
 
-# conjugated: the defining su(n) irrep in a basis where its Cartan is not diagonal
-@pytest.mark.parametrize("spec,change,path", [
-    pytest.param("su2:two_j=1", None, "_root_triple_sweep", id="build_su2_irrep-1-auto"),  # K = 3 = d^2 - 1
-    pytest.param("su2:two_j=3", None, "_root_triple_sweep", id="build_su2_irrep-3-auto"),  # K = 3
-    pytest.param("su2:two_j=3", build_su2_reflected, "_root_triple_sweep", id="build_su2_reflected-3-auto"),
-    pytest.param("suN:n=3", None, "_align_eigenbasis", id="build_sun_fundamental-3-auto"),  # K = d^2 - 1
-    pytest.param("suN:n=3,dynkin=1,1", None, "_root_triple_sweep", id="build_sun_adjoint-3-auto"),  # d = K = 8
-    pytest.param("suN:n=3", conjugated, "_align_eigenbasis", id="build_sun_conjugated-3-auto"),
-    pytest.param("suN:n=4", conjugated, "_align_eigenbasis", id="build_sun_conjugated-4-auto"),
+# conjugated: the defining su(n) irrep in a basis where its Cartan is not diagonal;
+# sweeps: whether alignment runs root-triple sweeps, or (the defining su(n),
+# n > 2) returns the lowest-weight vector
+@pytest.mark.parametrize("spec,change,sweeps", [
+    pytest.param("su2:two_j=1", None, True, id="build_su2_irrep-1-auto"),  # K = 3 = d^2 - 1
+    pytest.param("su2:two_j=3", None, True, id="build_su2_irrep-3-auto"),  # K = 3
+    pytest.param("su2:two_j=3", build_su2_reflected, True, id="build_su2_reflected-3-auto"),
+    pytest.param("suN:n=3", None, False, id="build_sun_fundamental-3-auto"),  # K = d^2 - 1
+    pytest.param("suN:n=3,dynkin=1,1", None, True, id="build_sun_adjoint-3-auto"),  # d = K = 8
+    pytest.param("suN:n=3", conjugated, False, id="build_sun_conjugated-3-auto"),
+    pytest.param("suN:n=4", conjugated, False, id="build_sun_conjugated-4-auto"),
 ])
-def test_alignment_paths(spec, change, path, monkeypatch):
+def test_alignment_paths(spec, change, sweeps, monkeypatch):
     rep, cartan = changed(spec, change)
-    taken = set()
+    taken = []
+    real = cartan_module._root_triple_sweep
 
-    def spy(name):
-        real = getattr(cartan_module, name)
+    def spy(*args):
+        taken.append(1)
+        return real(*args)
 
-        def wrapper(*args):
-            taken.add(name)
-            return real(*args)
-
-        return wrapper
-
-    for name in ("_align_eigenbasis", "_root_triple_sweep"):
-        monkeypatch.setattr(cartan_module, name, spy(name))
+    monkeypatch.setattr(cartan_module, "_root_triple_sweep", spy)
     for seed in range(6):
         psi = rng_haar_state(rep.dim_hilbert, 1000 + seed)
         out = align_expectation_to_cartan(psi, rep, cartan)
         assert root_component_norm(out, rep, cartan) < 1e-8
+        if not sweeps:
+            assert np.array_equal(out, cartan.weight_basis[:, -1])
         # group rotations preserve the uncertainty and the expectation norm
         assert total_uncertainty(out, rep) == pytest.approx(
             total_uncertainty(psi, rep), abs=1e-9
@@ -306,7 +305,32 @@ def test_alignment_paths(spec, change, path, monkeypatch):
         assert np.linalg.norm(v_out) == pytest.approx(
             np.linalg.norm(v_in), abs=1e-9
         )
-    assert taken == {path}
+    assert bool(taken) == sweeps
+
+
+def eigenbasis_aligned(psi, rep, cartan):
+    """The defining su(n) rotation W V^dagger psi, V the eigenvectors of
+    A = sum_k <X_k> X_k = lam (|psi><psi| - 1/n): V^dagger takes A to a
+    diagonal matrix and the weight basis W takes that into the Cartan span,
+    and since psi is A's top eigenvector, V^dagger psi is the last unit
+    vector up to a phase."""
+    v = np.real(np.einsum("a,kab,b->k", psi.conj(), rep.generators, psi))
+    _, vecs = np.linalg.eigh(np.tensordot(v, rep.generators, axes=1))
+    return cartan.weight_basis @ (vecs.conj().T @ psi)
+
+
+@pytest.mark.parametrize("spec,change", [
+    pytest.param("suN:n=3", None, id="su3"),
+    pytest.param("suN:n=4", None, id="su4"),
+    pytest.param("suN:n=6", None, id="su6"),
+    pytest.param("suN:n=4", conjugated, id="su4-conjugated"),
+])
+def test_defining_alignment_is_the_eigenbasis_rotation_up_to_phase(spec, change):
+    rep, cartan = changed(spec, change)
+    for seed in range(64):
+        psi = rng_haar_state(rep.dim_hilbert, 5000 + seed)
+        out = align_expectation_to_cartan(psi, rep, cartan)
+        assert abs(abs(np.vdot(out, eigenbasis_aligned(psi, rep, cartan))) - 1.0) <= 1e-12
 
 
 def axis_angle_aligned(psi, rep, cartan):

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import algebra, case_id, decomposed, lindblad_superoperator, reference_moments
+from conftest import algebra, case_id, decomposed, lindblad_superoperator, reduced_mean, reference_moments
 from gcsloc import dynamics
 from gcsloc.algebra import build_su2_irrep, build_sun_fundamental
 from gcsloc.cartan import cartan_decompose, highest_weight_state
@@ -34,6 +34,7 @@ from gcsloc.observables import (
     generalized_purity,
     localization_drift,
     total_uncertainty,
+    uncertainty_bounds,
 )
 
 
@@ -1083,6 +1084,45 @@ def test_unraveling_mean_projector(spin1):
     assert np.linalg.norm(rho_mean[-1] - rho_exact[-1]) < 0.05
 
 
+def test_spin1_uncertainty_is_a_one_dimensional_diffusion():
+    # on spin 1, x = Delta - delta_min has drift D = -2 gamma (a x + 4 x^2)
+    # and noise dDelta = -2 (M v) . dxi of variance 8 gamma |M v|^2 dt with
+    # |M v|^2 = b x^2 (1 - x / x_max), a = b = 4 and x_max = 1: the
+    # coefficients of conftest.reduced_mean, to rounding
+    rep, cartan = decomposed("su2:two_j=2")
+    delta_min, _ = uncertainty_bounds(rep, cartan)
+    for seed in range(5):
+        psi = haar_state(3, seed)
+        x = total_uncertainty(psi, rep) - delta_min
+        mv = covariance_matrix(psi, rep) @ expectation_vector(psi, rep)
+        drift = -2.0 * 0.7 * (4.0 * x + 4.0 * x * x)
+        assert localization_drift(psi, rep, 0.7) == pytest.approx(drift, rel=1e-12, abs=1e-14)
+        assert mv @ mv == pytest.approx(4.0 * x * x * (1.0 - x), rel=1e-12, abs=1e-14)
+
+
+def test_spin1_ensemble_mean_uncertainty_follows_the_exact_law():
+    # E[Delta(t)] - delta_min of 2000 trajectories from haar_state(3, 11)
+    # (x0 = 0.444), gamma = 1, against conftest.reduced_mean at the 10
+    # records of t in (0, 0.3].  At dt = 2.5e-4 Euler's floor (about
+    # gamma dt, ROADMAP item 17) is a tenth of the standard error: the
+    # mean z over records and runs was 0.09 +- 0.04, against 0.2 to 0.5
+    # per record at dt = 1e-3 (20 runs).  Trajectory i draws from
+    # seed + i, so seeds 2000 apart are disjoint runs.  Over 400 of them
+    # the largest |z| over the records had a median of 1.54, a 95%
+    # quantile of 2.58 and a maximum of 3.74: none exceeded the bound of
+    # 4 (a false-alarm rate below 1%), and 4 of 400 exceeded 3.5.  This
+    # seed reads 1.94.
+    rep, cartan = decomposed("su2:two_j=2")
+    delta_min, _ = uncertainty_bounds(rep, cartan)
+    psi = haar_state(3, 11)
+    cfg = NoiseConfig(gamma=1.0, dt=2.5e-4, steps=1200, seed=100)
+    times, rows = ensemble_observables(psi, None, rep, cfg, n_traj=2000, record_stride=120)
+    x = rows[:, 1:, 0] - delta_min
+    exact = reduced_mean(4.0, 4.0, 1.0, 1.0, total_uncertainty(psi, rep) - delta_min, times[1:])
+    z = (x.mean(axis=0) - exact) / (x.std(axis=0, ddof=1) / np.sqrt(len(x)))
+    assert np.max(np.abs(z)) <= 4.0
+
+
 def test_ensemble_block_size_independence(spin1, monkeypatch):
     psi = haar_state(3, 50)
     # 301 records: in blocks of 3, the full blocks flush every record time
@@ -1543,6 +1583,9 @@ def test_checked_flow_rejects_positivity_loss():
     rho = projector(haar_state(3, 73))
     with pytest.raises(RuntimeError, match="positivity"):
         dynamics._checked_flow(np.diag([1.1, -0.1, 0.0]), rho)
+    # the trace check before it: 0.6 I against 0.5 I moves the trace by 0.2
+    with pytest.raises(RuntimeError, match="trace drifted"):
+        dynamics._checked_flow(0.6 * np.eye(2), 0.5 * np.eye(2))
 
 
 def test_lindblad_fixed_point_is_maximally_mixed(spin1):
@@ -1674,6 +1717,8 @@ def test_flow_past_d_45_decays_in_closed_form(two_j, gamma):
 def test_validate_density_errors(spin1):
     with pytest.raises(ValueError, match="square"):
         validate_density(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="must be 3 x 3"):
+        validate_density(np.eye(2) / 2, dim=3)
     with pytest.raises(ValueError, match="Hermitian"):
         validate_density(np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex))
     with pytest.raises(ValueError, match="trace"):

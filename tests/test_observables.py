@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -201,6 +202,18 @@ def test_uncertainty_bounds_reject_root_data_of_another_normalization(spec):
     rep, cartan = decomposed(spec)
     with pytest.raises(ValueError, match="normalization inconsistency"):
         uncertainty_bounds(algebra_from_generators(2.0 * rep.generators), cartan)
+
+
+def test_uncertainty_bounds_reject_a_casimir_pairing_off_the_invariant():
+    # 2 hw and root sum / 2 keep (hw, root sum), so the extremal state's
+    # uncertainty passes and the second check, on c, is the one that fails
+    rep, cartan = decomposed("su2:two_j=2")
+    changed = dataclasses.replace(
+        cartan, highest_weight=2.0 * cartan.highest_weight,
+        positive_root_sum=cartan.positive_root_sum / 2.0,
+    )
+    with pytest.raises(ValueError, match=r"\(hw, hw \+ root sum\) = 5 but invariant = 2$"):
+        uncertainty_bounds(rep, changed)
 
 
 @pytest.mark.parametrize("spec", ["su2:two_j=4", "suN:n=3"], ids=case_id("builder"))
