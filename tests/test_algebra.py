@@ -62,6 +62,7 @@ def test_su2_matrices_spin_half():
 def test_su2_jz_ladder_order():
     rep = build_su2_irrep(4)
     assert np.allclose(np.diag(rep.generators[2]), [2, 1, 0, -1, -2])
+    assert repr(rep) == "AlgebraRep(K=3, d=5, lam=10, c=6, c_adj=2)"
 
 
 def test_sun_fundamental_pauli_agreement():
@@ -299,6 +300,17 @@ def test_non_finite_rejected():
     gens = build_su2_irrep(2).generators.copy()
     gens[2, 1, 1] = np.inf
     with pytest.raises(ValueError, match="generators must be finite"):
+        algebra_from_generators(gens)
+
+
+def test_anisotropic_adjoint_invariant_rejected():
+    # spin 1/2 (x) 1 and 1 (x) spin 1, each set scaled to unit trace norm:
+    # the gram, closure and Casimir checks pass with c = 1, but the two
+    # su(2) summands have different adjoint invariants
+    a, b = build_su2_irrep(1).generators, build_su2_irrep(2).generators
+    gens = [np.kron(x, np.eye(3)) for x in a] + [np.kron(np.eye(2), y) for y in b]
+    gens = [g / np.sqrt(np.trace(g @ g).real) for g in gens]
+    with pytest.raises(ValueError, match=r"^adjoint invariant is not isotropic: residual 4\.167e-01$"):
         algebra_from_generators(gens)
 
 

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,7 +11,7 @@ from conftest import (
     rng_haar_state,
     sym3_su3_trace_norm_minimizer,
 )
-from gcsloc import cartan as cartan_module, cli
+from gcsloc import cartan as cartan_module
 from gcsloc.algebra import algebra_from_generators
 from gcsloc.cartan import (
     align_expectation_to_cartan,
@@ -185,30 +183,6 @@ def test_gcs_orbit_saturates_uncertainty_bound(seed):
     rng = np.random.default_rng(seed)
     psi = generate_gcs(rep, cartan, rng.uniform(-3, 3, rep.dim_algebra))
     assert total_uncertainty(psi, rep) == pytest.approx(delta_min, abs=1e-9)
-
-
-def test_gcs_bad_params_shape():
-    rep, cartan = decomposed("su2:two_j=2")
-    with pytest.raises(ValueError, match="shape"):
-        generate_gcs(rep, cartan, [0.1, 0.2])
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_gcs_rejects_non_finite_params(bad):
-    rep, cartan = decomposed("su2:two_j=2")
-    with pytest.raises(ValueError, match="params must be finite"):
-        generate_gcs(rep, cartan, [0.1, bad, 0.0])
-
-
-@pytest.mark.parametrize(
-    "params",
-    [np.array([0.1, 0.2j, 0.0]), [0.1, 0.2j, 0.0], np.array([0.1 + 0j, 0.2, 0.0], dtype=object)],
-    ids=["array", "list", "object"],
-)
-def test_gcs_rejects_complex_params(params):
-    rep, cartan = decomposed("su2:two_j=2")
-    with pytest.raises(ValueError, match="^params must be real"):
-        generate_gcs(rep, cartan, params)
 
 
 @pytest.mark.parametrize("spec", ["su2:two_j=4", "suN:n=3"], ids=case_id("builder"))
@@ -440,38 +414,33 @@ def test_alignment_noop_when_already_aligned():
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-15
 
 
-@pytest.mark.parametrize("spec", ["su2:two_j=2", "suN:n=3"], ids=case_id("builder"))
-def test_alignment_rejects_unnormalized_and_nonfinite_states(spec):
-    rep, cartan = decomposed(spec)
-    psi = rng_haar_state(rep.dim_hilbert, 7)
-    with pytest.raises(ValueError, match="not normalized"):
-        align_expectation_to_cartan(2.0 * psi, rep, cartan)
-    with pytest.raises(ValueError, match="not finite"):
-        align_expectation_to_cartan(np.full(rep.dim_hilbert, np.nan + 0j), rep, cartan)
-
-
 def rephased_eigh(seed):
     """np.linalg.eigh returning each eigenvector times a random unit phase,
-    which eigh is free to do."""
+    which eigh is free to do; its calls attribute counts the calls."""
     real_eigh = np.linalg.eigh
     rng = np.random.default_rng(seed)
 
     def eigh(a):
+        eigh.calls += 1
         vals, vecs = real_eigh(a)
         return vals, vecs * np.exp(2j * np.pi * rng.uniform(size=vecs.shape[1]))
 
+    eigh.calls = 0
     return eigh
 
 
-@pytest.mark.parametrize("n", [3, 4, 6])
-def test_eigenbasis_alignment_ignores_eigenvector_phases(n, monkeypatch):
-    rep, cartan = decomposed(f"suN:n={n}")
-    states = [rng_haar_state(n, 2000 + seed) for seed in range(20)]
+# irreps whose alignment sweeps: each root rotation takes one eigh
+@pytest.mark.parametrize("spec", ["su2:two_j=4", "suN:n=3,dynkin=1,1", "suN:n=3,dynkin=2,0"], ids=case_id("builder"))
+def test_sweep_alignment_ignores_eigenvector_phases(spec, monkeypatch):
+    rep, cartan = decomposed(spec)
+    states = [rng_haar_state(rep.dim_hilbert, 2000 + seed) for seed in range(20)]
     plain = [align_expectation_to_cartan(psi, rep, cartan) for psi in states]
-    monkeypatch.setattr(np.linalg, "eigh", rephased_eigh(n))
+    eigh = rephased_eigh(rep.dim_hilbert)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     for psi, ref in zip(states, plain):
         out = align_expectation_to_cartan(psi, rep, cartan)
         assert np.max(np.abs(out - ref)) < 1e-12
+    assert eigh.calls >= 1
 
 
 @pytest.mark.parametrize("spec,seed", [
@@ -482,10 +451,12 @@ def test_eigenbasis_alignment_ignores_eigenvector_phases(n, monkeypatch):
 ])
 def test_decomposition_ignores_eigenvector_phases(spec, seed, monkeypatch):
     rep, ref = decomposed(spec)
-    monkeypatch.setattr(np.linalg, "eigh", rephased_eigh(seed))
+    eigh = rephased_eigh(seed)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     got = cartan_decompose(rep)
     for field in ("weight_basis", "raising_ops", "basis_rotation"):
         assert np.max(np.abs(getattr(got, field) - getattr(ref, field))) < 1e-12, field
+    assert eigh.calls >= 1
 
 
 @pytest.mark.parametrize("spec", ["su2:two_j=1", "su2:two_j=2", "suN:n=3"], ids=case_id("builder"))
@@ -498,7 +469,10 @@ def test_equal_irrep_sum_rejected_by_decomposition(spec):
         cartan_decompose(rep)
 
 
-def check_conjugated_decomposition(spec):
+@pytest.mark.parametrize(
+    "spec", ["suN:n=3", "suN:n=4", "su2:two_j=3", "suN:n=3,dynkin=1,1"], ids=case_id("builder")
+)
+def test_decompose_in_conjugated_basis(spec):
     # no generator is diagonal after a generic rotation, which forces the
     # random-probe path; the invariant data must not change
     base, ref = decomposed(spec)
@@ -520,26 +494,6 @@ def check_conjugated_decomposition(spec):
     got_min, got_c = uncertainty_bounds(rep, cartan)
     assert got_min == pytest.approx(ref_min, abs=1e-8)
     assert got_c == pytest.approx(ref_c, abs=1e-8)
-
-
-def test_decompose_in_conjugated_basis():
-    check_conjugated_decomposition("suN:n=3")
-
-
-@pytest.mark.parametrize("spec", ["suN:n=4", "su2:two_j=3", "suN:n=3,dynkin=1,1"], ids=case_id("builder"))
-def test_decompose_in_other_conjugated_bases(spec):
-    check_conjugated_decomposition(spec)
-
-
-def test_debug_dict_keys(tmp_path):
-    cartan = decomposed("suN:n=3")[1]
-    out = tmp_path / "bounds.json"
-    assert cli.main(["bounds", "--algebra", "suN:n=3", "--out", str(out)]) == 0
-    dump = json.loads(out.read_text())
-    assert dump["rank"] == 2
-    assert len(dump["positive_roots"]) == 3
-    assert len(dump["weights"]) == 3
-    assert np.allclose(dump["highest_weight"], cartan.highest_weight, atol=1e-15)
 
 
 # ------------------------------------------------ stacked-check fault paths

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import decomposed
 from gcsloc import cli, dynamics
 from gcsloc.cli import FLOAT_FMT, main, parse_algebra
 from gcsloc.dynamics import (
@@ -40,19 +41,22 @@ def run_bounds(tmp_path, spec, extra=()):
     return json.loads(out.read_text())
 
 
-def test_bounds_spin1(tmp_path):
-    payload = run_bounds(tmp_path, "su2:two_j=2")
-    assert payload["delta_min"] == pytest.approx(1.0, abs=1e-12)
-    assert payload["casimir_eigenvalue"] == pytest.approx(2.0, abs=1e-12)
-    assert payload["rank"] == 1
-    assert payload["dim_algebra"] == 3
-    assert payload["dim_hilbert"] == 3
-
-
-def test_bounds_spin_half(tmp_path):
-    payload = run_bounds(tmp_path, "su2:two_j=1")
-    assert payload["delta_min"] == pytest.approx(0.5, abs=1e-12)
-    assert payload["casimir_eigenvalue"] == pytest.approx(0.75, abs=1e-12)
+# delta_min and c, as in test_observables; the rank, positive roots and
+# weights, K = rank + 2 n_positive and d = n_weights; the highest weight is
+# the decomposition's
+@pytest.mark.parametrize("spec, delta_min, c, rank, n_positive, n_weights", [
+    ("su2:two_j=1", 0.5, 0.75, 1, 1, 2),
+    ("su2:two_j=2", 1.0, 2.0, 1, 1, 3),
+    ("suN:n=3", 1.0, 4.0 / 3.0, 2, 3, 3),
+], ids=["spin-half", "spin1", "su3"])
+def test_bounds_report(tmp_path, spec, delta_min, c, rank, n_positive, n_weights):
+    payload = run_bounds(tmp_path, spec)
+    assert payload["delta_min"] == pytest.approx(delta_min, abs=1e-12)
+    assert payload["casimir_eigenvalue"] == pytest.approx(c, abs=1e-12)
+    assert payload["rank"] == rank
+    assert len(payload["positive_roots"]) == n_positive and len(payload["weights"]) == n_weights
+    assert payload["dim_algebra"] == rank + 2 * n_positive and payload["dim_hilbert"] == n_weights
+    assert np.allclose(payload["highest_weight"], decomposed(spec)[1].highest_weight, atol=1e-15)
 
 
 def test_bounds_sun2_equals_su2(tmp_path):
@@ -63,23 +67,20 @@ def test_bounds_sun2_equals_su2(tmp_path):
         assert a[key] == pytest.approx(b[key], abs=1e-12), key
 
 
-def test_bounds_su3(tmp_path):
-    payload = run_bounds(tmp_path, "suN:n=3")
-    assert payload["delta_min"] == pytest.approx(1.0, abs=1e-10)
-    assert payload["casimir_eigenvalue"] == pytest.approx(4.0 / 3.0, abs=1e-10)
-    assert payload["rank"] == 2
-    assert len(payload["positive_roots"]) == 3
-
-
-def test_bounds_dump_algebra(tmp_path):
-    payload = run_bounds(tmp_path, "su2:two_j=1", extra=["--dump-algebra"])
-    assert "algebra_debug" in payload
-    assert payload["algebra_debug"]["dim_algebra"] == 3
+def test_jsonable_refuses_what_is_not_an_array():
+    with pytest.raises(TypeError, match="^object is not JSON serializable$"):
+        cli._jsonable(object())
 
 
 def test_parse_algebra_rejects_garbage():
-    for bad in ("su5:q=1", "su2", "su2:two_j=x", "suN:n=", ""):
-        with pytest.raises(Exception):
+    for bad, message in (
+        ("su5:q=1", "unsupported algebra spec"),
+        ("su2", "unsupported algebra spec"),
+        ("su2:two_j=x", "bad algebra spec"),
+        ("suN:n=", "bad algebra spec"),
+        ("", "unsupported algebra spec"),
+    ):
+        with pytest.raises(cli.UsageError, match=f"^{message} {bad!r}"):
             parse_algebra(bad)
 
 
@@ -665,30 +666,11 @@ def test_installed_entry_point(tmp_path):
     assert payload["delta_min"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_runtime_does_not_import_scipy(tmp_path):
-    # pytest itself has scipy loaded, so the check runs in a fresh interpreter
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = str(tmp_path / "o")
-    script = f"""
-import sys
-import gcsloc, gcsloc.cli
-assert "numpy.random" not in sys.modules  # drawn on first use, not on import
-runs = [
-    ["bounds", "--algebra", "suN:n=3"],
-    ["theorem-scan", "--algebra", "su2:two_j=4", "--samples", "50", "--seed", "1"],
-    ["simulate", "--algebra", "su2:two_j=2", "--gamma", "0.1", "--dt", "1e-3",
-     "--time", "0.01", "--seed", "2", "--ham", "0.3,-0.2,0.5"],
-    ["ensemble", "--algebra", "suN:n=3", "--gamma", "0.1", "--dt", "1e-3",
-     "--time", "0.01", "--seed", "3", "--traj", "20", "--stride", "10",
-     "--ham", "0.1,0,0,0,0,0,0,0.2"],
-]
-for argv in runs:
-    assert gcsloc.cli.main(argv + ["--out", {out!r}]) == 0, argv
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert not loaded, loaded
-"""
+def test_runtime_does_not_import_scipy():
+    # pytest itself has scipy loaded, so the script runs in a fresh interpreter
+    root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        [sys.executable, "-W", "error", str(root / "tests" / "numpy_only.py")], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
     )
     assert proc.returncode == 0, proc.stderr

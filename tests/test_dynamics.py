@@ -9,10 +9,18 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import algebra, case_id, decomposed, lindblad_superoperator, reduced_mean, reference_moments
+from conftest import (
+    algebra,
+    case_id,
+    decomposed,
+    lindblad_superoperator,
+    reduced_mean,
+    reference_moments,
+    rng_haar_state,
+)
 from gcsloc import dynamics
 from gcsloc.algebra import build_su2_irrep, build_sun_fundamental
-from gcsloc.cartan import cartan_decompose, highest_weight_state
+from gcsloc.cartan import align_expectation_to_cartan, cartan_decompose, generate_gcs, highest_weight_state
 from gcsloc.dynamics import (
     NoiseConfig,
     ensemble_average,
@@ -259,28 +267,39 @@ def test_hamiltonian_validation(spin1):
         dynamics._hamiltonian_matrix(h, scaled)
 
 
-@pytest.mark.parametrize("coeffs", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]])
-def test_hamiltonian_rejects_non_finite_coefficients(spin1, coeffs):
-    # NaN passes the Hermiticity and project-back comparisons, so it needs its own check
+@pytest.mark.parametrize(
+    "coeffs, params", [([np.nan, 0.0, 0.0], [0.1, np.nan, 0.0]), ([0.0, np.inf, 0.0], [0.1, np.inf, 0.0])],
+    ids=["coeffs0", "coeffs1"],
+)
+def test_hamiltonian_rejects_non_finite_coefficients(spin1, coeffs, params):
+    # NaN passes the Hermiticity and project-back comparisons, so it needs
+    # its own check; a coherent state's orbit parameters take the same one
     with pytest.raises(ValueError, match="finite"):
         snlse_step(haar_state(3, 20), coeffs, spin1, 0.1, 1e-3, np.zeros(3))
     with pytest.raises(ValueError, match="finite"):
         lindblad_expm_evolve(projector(haar_state(3, 20)), coeffs, spin1, 0.1, [0.0, 0.1])
+    with pytest.raises(ValueError, match="params must be finite"):
+        generate_gcs(spin1, decomposed("su2:two_j=2")[1], params)
 
 
-def test_simulate_rejects_unnormalized(spin1):
+def test_entry_points_refuse_unnormalized_and_non_finite_states():
+    # a trajectory's start, one step's state and the state alignment
+    # rotates each pass _validate_state; the per-state observables are
+    # checked in test_observables, an ensemble's rows below
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5, seed=0)
-    with pytest.raises(ValueError, match="normalized"):
-        simulate_trajectory(np.array([1.0, 1.0, 0.0]), None, spin1, cfg)
-
-
-def test_non_finite_state_rejected(spin1):
-    bad = np.array([np.nan, 0.0, 0.0], dtype=complex)
-    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5, seed=0)
-    with pytest.raises(ValueError, match="not finite"):
-        simulate_trajectory(bad, None, spin1, cfg)
-    with pytest.raises(ValueError, match="not finite"):
-        snlse_step(bad, None, spin1, 0.1, 1e-3, np.zeros(3))
+    (spin1, cartan1), (su3, cartan3) = decomposed("su2:two_j=2"), decomposed("suN:n=3")
+    lone_nan, all_nan, doubled = [np.nan, 0.0, 0.0], np.full(3, np.nan + 0j), 2.0 * rng_haar_state(3, 7)
+    for call, psi, message in (
+        (lambda psi: simulate_trajectory(psi, None, spin1, cfg), [1.0, 1.0, 0.0], "normalized"),
+        (lambda psi: simulate_trajectory(psi, None, spin1, cfg), lone_nan, "not finite"),
+        (lambda psi: snlse_step(psi, None, spin1, 0.1, 1e-3, np.zeros(3)), lone_nan, "not finite"),
+        (lambda psi: align_expectation_to_cartan(psi, spin1, cartan1), doubled, "not normalized"),
+        (lambda psi: align_expectation_to_cartan(psi, spin1, cartan1), all_nan, "not finite"),
+        (lambda psi: align_expectation_to_cartan(psi, su3, cartan3), doubled, "not normalized"),
+        (lambda psi: align_expectation_to_cartan(psi, su3, cartan3), all_nan, "not finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call(psi)
 
 
 def test_record_stride_must_divide(spin1):
@@ -382,6 +401,7 @@ def test_hamiltonian_of_another_length_is_rejected_everywhere(spin1):
         lambda: simulate_trajectory(psi, h, spin1, cfg),
         lambda: ensemble_average(psi, h, spin1, cfg, 2),
         lambda: lindblad_expm_evolve(rho0, h, spin1, 0.1, [0.0, 0.1]),
+        lambda: generate_gcs(spin1, decomposed("su2:two_j=2")[1], [0.1, 0.2]),
     ):
         with pytest.raises(ValueError, match="shape"):
             call()
@@ -397,6 +417,11 @@ def test_complex_coefficients_are_rejected_everywhere(spin1, kind):
         "list": [0.3 + 0j, -0.2j, 0.5],
         "object": np.array([0.3 + 0j, -0.2, 0.5], dtype=object),
     }[kind]
+    gcs_params = {
+        "array": np.array([0.1, 0.2j, 0.0]),
+        "list": [0.1, 0.2j, 0.0],
+        "object": np.array([0.1 + 0j, 0.2, 0.0], dtype=object),
+    }[kind]
     psi, cfg = haar_state(3, 30), NoiseConfig(gamma=0.1, dt=1e-3, steps=4, seed=0)
     rho0 = projector(psi)
     for call, name in (
@@ -407,6 +432,7 @@ def test_complex_coefficients_are_rejected_everywhere(spin1, kind):
         (lambda: ensemble_average(psi, z, spin1, cfg, 2), "Hamiltonian coefficients"),
         (lambda: ensemble_observables(psi, z, spin1, cfg, 2), "Hamiltonian coefficients"),
         (lambda: lindblad_expm_evolve(rho0, z, spin1, 0.1, [0.0, 0.1]), "Hamiltonian coefficients"),
+        (lambda: generate_gcs(spin1, decomposed("su2:two_j=2")[1], gcs_params), "params"),
     ):
         with pytest.raises(ValueError, match=f"^{name} must be real"):
             call()
@@ -441,13 +467,7 @@ def test_ensemble_builds_one_propagator_per_run(spin1, monkeypatch):
     assert calls == [-1e-3]
 
 
-def test_step_blow_up_detected(spin1):
-    psi = haar_state(3, 25)
-    with pytest.raises(RuntimeError, match="blow-up"):
-        snlse_step(psi, None, spin1, 0.1, 1e-3, np.array([1e200, 1e200, 1e200]))
-
-
-def spike_noise(monkeypatch, bad_seed, row, value, col=slice(None)):
+def spike_noise(monkeypatch, bad_seed, row, col, value):
     """Patch ``dynamics.stream_rng`` so that the noise stream of bad_seed
     draws value at [row, col] of its history, rows counted across the
     chunks of steps ``_integrate`` draws at a time."""
@@ -468,61 +488,79 @@ def spike_noise(monkeypatch, bad_seed, row, value, col=slice(None)):
     monkeypatch.setattr(dynamics, "stream_rng", Spiked)
 
 
-def test_blow_up_names_step_trajectory_and_seed(spin1, monkeypatch):
-    # the noise of the trajectory seeded 72 is spiked at its fourth step
-    spike_noise(monkeypatch, 72, 3, 1e200)
-    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=72)
-    with pytest.raises(RuntimeError, match="step 4, trajectory 0, seed 72"):
-        simulate_trajectory(haar_state(3, 26), None, spin1, cfg)
-    # trajectory 3 is row 1 of the second block of two
-    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 2)
-    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=69)
-    with pytest.raises(RuntimeError, match="step 4, trajectory 3, seed 72"):
-        ensemble_observables(haar_state(3, 26), None, spin1, cfg, n_traj=5)
+# the run and its algebra, DEFAULT_BLOCK and GCSLOC_THREADS (None: left as
+# they are), n_traj, steps, the run's seed, the start's haar_state seed and
+# the record stride; the noise spike (seed, row, column, value) and the
+# (step, trajectory, seed) the error names
+@pytest.mark.parametrize("run, spec, block, threads, n_traj, steps, seed, init, stride, spike, where", [
+    # a 1e200 draw at the fourth step; trajectory 3 is row 1 of the second block of two
+    pytest.param(simulate_trajectory, "su2:two_j=2", None, None, 1, 10, 72, 26, 1,
+                 (72, 3, slice(None), 1e200), (4, 0, 72), id="overflow-lone"),
+    pytest.param(ensemble_observables, "su2:two_j=2", 2, None, 5, 10, 69, 26, 1,
+                 (72, 3, slice(None), 1e200), (4, 3, 72), id="overflow-blocks-of-2"),
+    # a NaN draw at the sixth step; trajectory 4 is row 0 of the third block of two
+    pytest.param(simulate_trajectory, "su2:two_j=2", None, None, 1, 10, 83, 29, 1,
+                 (83, 5, 1, np.nan), (6, 0, 83), id="nan-lone"),
+    pytest.param(ensemble_observables, "su2:two_j=2", 2, None, 6, 10, 79, 29, 1,
+                 (83, 5, 1, np.nan), (6, 4, 83), id="nan-blocks-of-2"),
+    # on two processes, trajectories 1 and 7 are in blocks 0 and 2, in the
+    # calling process; trajectory 4 is in block 1, in a forked child
+    *(
+        pytest.param(run, "su2:two_j=2", 3, "2", 9, 10, 80, 54, 1,
+                     (bad, 3, 0, np.nan), (4, bad - 80, bad), id=f"{run.__name__}-{bad}")
+        for run in (ensemble_average, ensemble_observables)
+        for bad in (81, 84, 87)
+    ),
+    # a 256-trajectory su(6) block draws 58 steps at a time: step 70 is in the second chunk
+    pytest.param(ensemble_observables, "suN:n=6", None, None, 256, 126, 300, 31, 7,
+                 (500, 69, 2, np.nan), (70, 200, 500), id="su6-second-chunk"),
+])
+def test_blow_up_names_step_trajectory_and_seed(
+    monkeypatch, run, spec, block, threads, n_traj, steps, seed, init, stride, spike, where
+):
+    spike_noise(monkeypatch, *spike)
+    if block:
+        monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", block)
+    if threads:
+        monkeypatch.setenv("GCSLOC_THREADS", threads)
+    rep = algebra(spec)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=steps, seed=seed)
+    counts = (stride,) if run is simulate_trajectory else (n_traj, stride)
+    with pytest.raises(RuntimeError, match=r"blow-up.*\(step %d, trajectory %d, seed %d\)" % where):
+        run(haar_state(rep.dim_hilbert, init), None, rep, cfg, *counts)
 
 
-# row "one": a lone state, stepped as one row rather than a batch
-@pytest.mark.parametrize("row", [0, 1, 2, "one"])
-@pytest.mark.parametrize("fault", ["nan", "inf", "zero"])
-def test_step_blow_up_names_the_failing_row(spin1, fault, row):
-    psi = haar_states(3, 3, seed=27)
-    noise = np.full((3, 3), 1e-3)
-    at = 0 if row == "one" else row
-    if fault == "nan":
-        psi[at] = np.nan
-    elif fault == "inf":
-        noise[at] = 1e200  # the norm overflows to +inf
-    else:
-        psi[at] = 0.0
-    if row == "one":
+# each row: the step, the batch of n haar_states(3, n, seed), the fault
+# put in each row (nan: a NaN state; inf: a 1e200 increment, which
+# overflows the norm to +inf; zero: a zero state), and the rows the
+# _RowFault names.  A lone state, row 0 of the batch, steps as one row
+# rather than a batch; of the public snlse_step only its RuntimeError is
+# checked
+@pytest.mark.parametrize("step, n, seed, lone, faults, rows", [
+    *(
+        pytest.param("kernel", 3, 27, row == "one", {at: fault}, [at], id=f"{fault}-{row}")
+        for fault in ("nan", "inf", "zero")
+        for row, at in ((0, 0), (1, 1), (2, 2), ("one", 0))
+    ),
+    pytest.param("kernel", 4, 28, False, {0: "nan", 2: "inf", 3: "zero"}, [0, 2, 3], id="every"),
+    pytest.param("snlse_step", 1, 25, True, {0: "inf"}, None, id="snlse_step"),
+])
+def test_step_blow_up_names_the_failing_row(spin1, step, n, seed, lone, faults, rows):
+    psi = haar_states(3, n, seed=seed)
+    noise = np.full((n, 3), 1e-3)
+    for at, fault in faults.items():
+        if fault == "inf":
+            noise[at] = 1e200
+        else:
+            psi[at] = np.nan if fault == "nan" else 0.0
+    if lone:
         psi, noise = psi[0], noise[0]
-    with pytest.raises(dynamics._RowFault, match="blow-up") as err:
-        complex_step(psi, spin1, 0.1, 1e-3, noise)
-    assert list(err.value.rows) == [at]
-
-
-def test_step_blow_up_names_every_failing_row(spin1):
-    psi = haar_states(3, 4, seed=28)
-    noise = np.full((4, 3), 1e-3)
-    psi[0] = np.nan
-    noise[2] = 1e200
-    psi[3] = 0.0
-    with pytest.raises(dynamics._RowFault, match="blow-up") as err:
-        complex_step(psi, spin1, 0.1, 1e-3, noise)
-    assert list(err.value.rows) == [0, 2, 3]
-
-
-def test_nan_noise_names_step_trajectory_and_seed(spin1, monkeypatch):
-    # the noise of the trajectory seeded 83 is NaN at its sixth step
-    spike_noise(monkeypatch, 83, 5, np.nan, 1)
-    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=83)
-    with pytest.raises(RuntimeError, match=r"blow-up.*\(step 6, trajectory 0, seed 83\)"):
-        simulate_trajectory(haar_state(3, 29), None, spin1, cfg)
-    # trajectory 4 is row 0 of the third block of two
-    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 2)
-    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=79)
-    with pytest.raises(RuntimeError, match=r"blow-up.*\(step 6, trajectory 4, seed 83\)"):
-        ensemble_observables(haar_state(3, 29), None, spin1, cfg, n_traj=6)
+    with pytest.raises(RuntimeError, match="blow-up") as err:
+        if step == "snlse_step":
+            snlse_step(psi, None, spin1, 0.1, 1e-3, noise)
+        else:
+            complex_step(psi, spin1, 0.1, 1e-3, noise)
+    assert rows is None or list(err.value.rows) == rows
 
 
 @pytest.fixture(scope="module")
@@ -597,14 +635,6 @@ def test_chunked_noise_matches_one_draw_per_trajectory(su6, monkeypatch, threads
         assert np.array_equal(rho, sum(acc) / n_traj)
 
 
-def test_blow_up_past_the_first_chunk_names_its_step(su6, monkeypatch):
-    # the trajectory seeded 500 gets a NaN draw at global step 70, in the
-    # second chunk
-    spike_noise(monkeypatch, 500, 69, np.nan, 2)
-    with pytest.raises(RuntimeError, match=r"blow-up.*\(step 70, trajectory 200, seed 500\)"):
-        ensemble_observables(haar_state(6, 31), None, su6, chunked_cfg(300), 256, 7)
-
-
 def test_ensemble_noise_memory_is_bounded(su6, monkeypatch):
     # one history slab of this block would be 126 * 256 * 35 doubles, 8.6 MiB
     monkeypatch.setenv("GCSLOC_THREADS", "1")
@@ -669,7 +699,27 @@ def reference_step(psi, rep, gamma, dt, noise, prop):
     return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
-def check_step_against_reference(spec, n, with_h, seed, dt, frac):
+# at n = 257 the defining su(d), K = d^2 - 1, applies the d x d operator
+# B = sum_k dxi_k X_k by the completeness relation: su(2) both as spin 1/2
+# and in the su(N) basis, su(3), su(4) and su(6).  The other irreps, Sym^2
+# su(4) with K = 15 > d = 10 among them, and every algebra at n = 1 (a lone
+# row), step through the stacked X_k psi
+@pytest.mark.parametrize("with_h", [False, True])
+@pytest.mark.parametrize("n", [1, 257])
+@pytest.mark.parametrize(
+    "spec",
+    [f"su2:two_j={two_j}" for two_j in (1, 2, 4, 8)]
+    + [f"suN:n={n}" for n in (2, 3, 4, 6)]
+    + ["suN:n=3,dynkin=1,1", "suN:n=4,dynkin=2,0,0"],
+    ids=case_id("step"),
+)
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dt=st.floats(1e-5, 1e-2),
+    frac=st.floats(0.0, 1.0),
+)
+def test_step_matches_casimir_matrix_reference(spec, n, with_h, seed, dt, frac):
     rep = algebra(spec)
     gamma = frac * dynamics.STABILITY_LIMIT / dt
     rng = np.random.default_rng(seed)
@@ -681,46 +731,6 @@ def check_step_against_reference(spec, n, with_h, seed, dt, frac):
     got = complex_step(psi, rep, gamma, dt, noise, prop)
     ref = reference_step(psi, rep, gamma, dt, noise, prop)
     assert np.max(np.abs(got - ref)) <= 1e-13
-
-
-# at n = 257 the defining su(2), su(3), su(4) and su(6) take the
-# completeness route; the other irreps, Sym^2 su(4) with K = 15 > d = 10
-# among them, and every algebra at n = 1 (a lone row), step through the
-# stacked X_k psi
-@pytest.mark.parametrize("with_h", [False, True])
-@pytest.mark.parametrize("n", [1, 257])
-@pytest.mark.parametrize(
-    "spec",
-    [f"su2:two_j={two_j}" for two_j in (1, 2, 4, 8)]
-    + [f"suN:n={n}" for n in (3, 4, 6)]
-    + ["suN:n=3,dynkin=1,1", "suN:n=4,dynkin=2,0,0"],
-    ids=case_id("step"),
-)
-@settings(max_examples=8, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    dt=st.floats(1e-5, 1e-2),
-    frac=st.floats(0.0, 1.0),
-)
-def test_step_matches_casimir_matrix_reference(spec, n, with_h, seed, dt, frac):
-    check_step_against_reference(spec, n, with_h, seed, dt, frac)
-
-
-# the defining su(d), K = d^2 - 1: a batch of 257 applies the d x d
-# operator B = sum_k dxi_k X_k by the completeness relation, a lone state
-# steps as its row through the stack; su(2) both as spin 1/2 and in the
-# su(N) basis
-@pytest.mark.parametrize("with_h", [False, True])
-@pytest.mark.parametrize("n", [1, 257])
-@pytest.mark.parametrize("spec", ["su2:two_j=1"] + [f"suN:n={n}" for n in (2, 3, 4, 6)], ids=case_id("step"))
-@settings(max_examples=8, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    dt=st.floats(1e-5, 1e-2),
-    frac=st.floats(0.0, 1.0),
-)
-def test_operator_route_matches_casimir_matrix_reference(spec, n, with_h, seed, dt, frac):
-    check_step_against_reference(spec, n, with_h, seed, dt, frac)
 
 
 @pytest.mark.parametrize(
@@ -797,9 +807,8 @@ def test_trajectory_determinism(spin1):
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=100, seed=77)
     psi = haar_state(3, 7)
     times, a = simulate_trajectory(psi, None, spin1, cfg, record_stride=10)
-    _, b = simulate_trajectory(psi, None, spin1, cfg, record_stride=10)
-    assert np.array_equal(a[:, 0], b[:, 0])
-    assert np.array_equal(a[:, 4:], b[:, 4:])
+    times_b, b = simulate_trajectory(psi, None, spin1, cfg, record_stride=10)
+    assert np.array_equal(times, times_b) and np.array_equal(a, b)
     assert len(times) == 11
     assert times[-1] == pytest.approx(0.1, rel=1e-12)
 
@@ -1259,23 +1268,6 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def spiked_rng(bad_seed, step):
-    """A stream_rng whose trajectory seeded bad_seed draws NaN at step."""
-    real_rng = dynamics.stream_rng
-
-    class Spiked:
-        def __init__(self, seed, stream):
-            self.seed, self.rng = seed, real_rng(seed, stream)
-
-        def standard_normal(self, shape, out=None):
-            z = self.rng.standard_normal(shape, out=out)
-            if self.seed == bad_seed:
-                z[step - 1, 0] = np.nan
-            return z
-
-    return Spiked
-
-
 @pytest.mark.parametrize("run", [ensemble_average, ensemble_observables])
 @pytest.mark.parametrize("threads", ["2", "3"])
 def test_forked_blocks_are_reaped_after_a_normal_run(spin1, monkeypatch, run, threads):
@@ -1300,7 +1292,7 @@ def test_fault_kills_and_reaps_the_running_children(spin1, monkeypatch, bad_seed
         integrate(batch, prop, rep, cfg, lo, *rest)
 
     monkeypatch.setattr(dynamics, "_integrate", sleepy)
-    monkeypatch.setattr(dynamics, "stream_rng", spiked_rng(bad_seed, 2))
+    spike_noise(monkeypatch, bad_seed, 1, 0, np.nan)  # NaN at step 2
     monkeypatch.setenv("GCSLOC_THREADS", threads)
     monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 3)
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=80)
@@ -1393,20 +1385,6 @@ def test_blocks_run_in_the_caller_without_fork(spin1, monkeypatch):
     assert pids == [os.getpid()] * 4
     _, alone = ensemble_observables(psi, None, spin1, cfg, n_traj=7)
     assert np.array_equal(alone, forked)
-
-
-@pytest.mark.parametrize("bad_seed", [81, 84, 87])
-def test_threaded_blow_up_names_step_trajectory_and_seed(spin1, monkeypatch, bad_seed):
-    # trajectories 1 and 7 are in blocks 0 and 2, on the calling thread;
-    # trajectory 4 is in block 1, on the worker
-    spike_noise(monkeypatch, bad_seed, 3, np.nan, 0)
-    monkeypatch.setenv("GCSLOC_THREADS", "2")
-    monkeypatch.setattr(dynamics, "DEFAULT_BLOCK", 3)
-    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=10, seed=80)
-    where = rf"\(step 4, trajectory {bad_seed - 80}, seed {bad_seed}\)"
-    for run in (ensemble_average, ensemble_observables):
-        with pytest.raises(RuntimeError, match=rf"blow-up.*{where}"):
-            run(haar_state(3, 54), None, spin1, cfg, n_traj=9)
 
 
 def test_step_basis_is_chosen_once_per_block(monkeypatch, tmp_path):

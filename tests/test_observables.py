@@ -262,24 +262,6 @@ def test_extremal_split_is_pure_cartan():
     assert split.cross_line_block == pytest.approx(0.0, abs=1e-12)
 
 
-def test_rejects_unnormalized_state():
-    rep = build_su2_irrep(2)
-    bad = np.array([1.0, 1.0, 0.0], dtype=complex)
-    with pytest.raises(ValueError, match="normal"):
-        total_uncertainty(bad, rep)
-    with pytest.raises(ValueError, match="normal"):
-        covariance_matrix(bad, rep)
-
-
-def test_rejects_non_finite_state():
-    rep = build_su2_irrep(2)
-    bad = np.array([np.nan, 0.0, 0.0], dtype=complex)
-    with pytest.raises(ValueError, match="not finite"):
-        covariance_trace_norm(bad, rep)
-    with pytest.raises(ValueError, match="not finite"):
-        expectation_vector(bad, rep)
-
-
 @pytest.mark.parametrize("seed", [0, 1])
 def test_orbit_minimizes_trace_norm_not_squared_norm_on_sym3_su3(seed):
     # Sym^3 of su(3), d = 10: a pure state lies below the orbit value of
@@ -469,3 +451,5 @@ def test_per_state_functions_refuse_a_batch_and_an_unnormalized_state(name):
         func(psi[None], rep)
     with pytest.raises(ValueError, match=r"^state is not normalized: \|psi\| = 2$"):
         func(2.0 * psi, rep)
+    with pytest.raises(ValueError, match=r"^state norm is not finite: \|psi\| = nan$"):
+        func(np.array([np.nan, 0.0, 0.0, 0.0, 0.0], dtype=complex), rep)
