@@ -185,6 +185,30 @@ def test_gcs_orbit_saturates_uncertainty_bound(seed):
     assert total_uncertainty(psi, rep) == pytest.approx(delta_min, abs=1e-9)
 
 
+def test_gcs_bad_params_shape():
+    rep, cartan = decomposed("su2:two_j=2")
+    with pytest.raises(ValueError, match="shape"):
+        generate_gcs(rep, cartan, [0.1, 0.2])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gcs_rejects_non_finite_params(bad):
+    rep, cartan = decomposed("su2:two_j=2")
+    with pytest.raises(ValueError, match="params must be finite"):
+        generate_gcs(rep, cartan, [0.1, bad, 0.0])
+
+
+@pytest.mark.parametrize(
+    "params",
+    [np.array([0.1, 0.2j, 0.0]), [0.1, 0.2j, 0.0], np.array([0.1 + 0j, 0.2, 0.0], dtype=object)],
+    ids=["array", "list", "object"],
+)
+def test_gcs_rejects_complex_params(params):
+    rep, cartan = decomposed("su2:two_j=2")
+    with pytest.raises(ValueError, match="^params must be real"):
+        generate_gcs(rep, cartan, params)
+
+
 @pytest.mark.parametrize("spec", ["su2:two_j=4", "suN:n=3"], ids=case_id("builder"))
 def test_su2_triples(spec):
     rep, cartan = decomposed(spec)
@@ -412,6 +436,16 @@ def test_alignment_noop_when_already_aligned():
         out = align_expectation_to_cartan((1 + 5e-9) * psi, rep, cartan)
         assert np.allclose(out, psi, atol=1e-12)
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("spec", ["su2:two_j=2", "suN:n=3"], ids=case_id("builder"))
+def test_alignment_rejects_unnormalized_and_nonfinite_states(spec):
+    rep, cartan = decomposed(spec)
+    psi = rng_haar_state(rep.dim_hilbert, 7)
+    with pytest.raises(ValueError, match="not normalized"):
+        align_expectation_to_cartan(2.0 * psi, rep, cartan)
+    with pytest.raises(ValueError, match="not finite"):
+        align_expectation_to_cartan(np.full(rep.dim_hilbert, np.nan + 0j), rep, cartan)
 
 
 def rephased_eigh(seed):

@@ -67,6 +67,12 @@ def test_bounds_sun2_equals_su2(tmp_path):
         assert a[key] == pytest.approx(b[key], abs=1e-12), key
 
 
+def test_bounds_dump_algebra(tmp_path):
+    payload = run_bounds(tmp_path, "su2:two_j=1", extra=["--dump-algebra"])
+    assert "algebra_debug" in payload
+    assert payload["algebra_debug"]["dim_algebra"] == 3
+
+
 def test_jsonable_refuses_what_is_not_an_array():
     with pytest.raises(TypeError, match="^object is not JSON serializable$"):
         cli._jsonable(object())

@@ -9,18 +9,10 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import (
-    algebra,
-    case_id,
-    decomposed,
-    lindblad_superoperator,
-    reduced_mean,
-    reference_moments,
-    rng_haar_state,
-)
+from conftest import algebra, case_id, decomposed, lindblad_superoperator, reduced_mean, reference_moments
 from gcsloc import dynamics
 from gcsloc.algebra import build_su2_irrep, build_sun_fundamental
-from gcsloc.cartan import align_expectation_to_cartan, cartan_decompose, generate_gcs, highest_weight_state
+from gcsloc.cartan import cartan_decompose, highest_weight_state
 from gcsloc.dynamics import (
     NoiseConfig,
     ensemble_average,
@@ -267,39 +259,28 @@ def test_hamiltonian_validation(spin1):
         dynamics._hamiltonian_matrix(h, scaled)
 
 
-@pytest.mark.parametrize(
-    "coeffs, params", [([np.nan, 0.0, 0.0], [0.1, np.nan, 0.0]), ([0.0, np.inf, 0.0], [0.1, np.inf, 0.0])],
-    ids=["coeffs0", "coeffs1"],
-)
-def test_hamiltonian_rejects_non_finite_coefficients(spin1, coeffs, params):
-    # NaN passes the Hermiticity and project-back comparisons, so it needs
-    # its own check; a coherent state's orbit parameters take the same one
+@pytest.mark.parametrize("coeffs", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]])
+def test_hamiltonian_rejects_non_finite_coefficients(spin1, coeffs):
+    # NaN passes the Hermiticity and project-back comparisons, so it needs its own check
     with pytest.raises(ValueError, match="finite"):
         snlse_step(haar_state(3, 20), coeffs, spin1, 0.1, 1e-3, np.zeros(3))
     with pytest.raises(ValueError, match="finite"):
         lindblad_expm_evolve(projector(haar_state(3, 20)), coeffs, spin1, 0.1, [0.0, 0.1])
-    with pytest.raises(ValueError, match="params must be finite"):
-        generate_gcs(spin1, decomposed("su2:two_j=2")[1], params)
 
 
-def test_entry_points_refuse_unnormalized_and_non_finite_states():
-    # a trajectory's start, one step's state and the state alignment
-    # rotates each pass _validate_state; the per-state observables are
-    # checked in test_observables, an ensemble's rows below
+def test_simulate_rejects_unnormalized(spin1):
     cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5, seed=0)
-    (spin1, cartan1), (su3, cartan3) = decomposed("su2:two_j=2"), decomposed("suN:n=3")
-    lone_nan, all_nan, doubled = [np.nan, 0.0, 0.0], np.full(3, np.nan + 0j), 2.0 * rng_haar_state(3, 7)
-    for call, psi, message in (
-        (lambda psi: simulate_trajectory(psi, None, spin1, cfg), [1.0, 1.0, 0.0], "normalized"),
-        (lambda psi: simulate_trajectory(psi, None, spin1, cfg), lone_nan, "not finite"),
-        (lambda psi: snlse_step(psi, None, spin1, 0.1, 1e-3, np.zeros(3)), lone_nan, "not finite"),
-        (lambda psi: align_expectation_to_cartan(psi, spin1, cartan1), doubled, "not normalized"),
-        (lambda psi: align_expectation_to_cartan(psi, spin1, cartan1), all_nan, "not finite"),
-        (lambda psi: align_expectation_to_cartan(psi, su3, cartan3), doubled, "not normalized"),
-        (lambda psi: align_expectation_to_cartan(psi, su3, cartan3), all_nan, "not finite"),
-    ):
-        with pytest.raises(ValueError, match=message):
-            call(psi)
+    with pytest.raises(ValueError, match="normalized"):
+        simulate_trajectory(np.array([1.0, 1.0, 0.0]), None, spin1, cfg)
+
+
+def test_non_finite_state_rejected(spin1):
+    bad = np.array([np.nan, 0.0, 0.0], dtype=complex)
+    cfg = NoiseConfig(gamma=0.1, dt=1e-3, steps=5, seed=0)
+    with pytest.raises(ValueError, match="not finite"):
+        simulate_trajectory(bad, None, spin1, cfg)
+    with pytest.raises(ValueError, match="not finite"):
+        snlse_step(bad, None, spin1, 0.1, 1e-3, np.zeros(3))
 
 
 def test_record_stride_must_divide(spin1):
@@ -401,7 +382,6 @@ def test_hamiltonian_of_another_length_is_rejected_everywhere(spin1):
         lambda: simulate_trajectory(psi, h, spin1, cfg),
         lambda: ensemble_average(psi, h, spin1, cfg, 2),
         lambda: lindblad_expm_evolve(rho0, h, spin1, 0.1, [0.0, 0.1]),
-        lambda: generate_gcs(spin1, decomposed("su2:two_j=2")[1], [0.1, 0.2]),
     ):
         with pytest.raises(ValueError, match="shape"):
             call()
@@ -417,11 +397,6 @@ def test_complex_coefficients_are_rejected_everywhere(spin1, kind):
         "list": [0.3 + 0j, -0.2j, 0.5],
         "object": np.array([0.3 + 0j, -0.2, 0.5], dtype=object),
     }[kind]
-    gcs_params = {
-        "array": np.array([0.1, 0.2j, 0.0]),
-        "list": [0.1, 0.2j, 0.0],
-        "object": np.array([0.1 + 0j, 0.2, 0.0], dtype=object),
-    }[kind]
     psi, cfg = haar_state(3, 30), NoiseConfig(gamma=0.1, dt=1e-3, steps=4, seed=0)
     rho0 = projector(psi)
     for call, name in (
@@ -432,7 +407,6 @@ def test_complex_coefficients_are_rejected_everywhere(spin1, kind):
         (lambda: ensemble_average(psi, z, spin1, cfg, 2), "Hamiltonian coefficients"),
         (lambda: ensemble_observables(psi, z, spin1, cfg, 2), "Hamiltonian coefficients"),
         (lambda: lindblad_expm_evolve(rho0, z, spin1, 0.1, [0.0, 0.1]), "Hamiltonian coefficients"),
-        (lambda: generate_gcs(spin1, decomposed("su2:two_j=2")[1], gcs_params), "params"),
     ):
         with pytest.raises(ValueError, match=f"^{name} must be real"):
             call()
@@ -699,27 +673,7 @@ def reference_step(psi, rep, gamma, dt, noise, prop):
     return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
-# at n = 257 the defining su(d), K = d^2 - 1, applies the d x d operator
-# B = sum_k dxi_k X_k by the completeness relation: su(2) both as spin 1/2
-# and in the su(N) basis, su(3), su(4) and su(6).  The other irreps, Sym^2
-# su(4) with K = 15 > d = 10 among them, and every algebra at n = 1 (a lone
-# row), step through the stacked X_k psi
-@pytest.mark.parametrize("with_h", [False, True])
-@pytest.mark.parametrize("n", [1, 257])
-@pytest.mark.parametrize(
-    "spec",
-    [f"su2:two_j={two_j}" for two_j in (1, 2, 4, 8)]
-    + [f"suN:n={n}" for n in (2, 3, 4, 6)]
-    + ["suN:n=3,dynkin=1,1", "suN:n=4,dynkin=2,0,0"],
-    ids=case_id("step"),
-)
-@settings(max_examples=8, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    dt=st.floats(1e-5, 1e-2),
-    frac=st.floats(0.0, 1.0),
-)
-def test_step_matches_casimir_matrix_reference(spec, n, with_h, seed, dt, frac):
+def check_step_against_reference(spec, n, with_h, seed, dt, frac):
     rep = algebra(spec)
     gamma = frac * dynamics.STABILITY_LIMIT / dt
     rng = np.random.default_rng(seed)
@@ -731,6 +685,46 @@ def test_step_matches_casimir_matrix_reference(spec, n, with_h, seed, dt, frac):
     got = complex_step(psi, rep, gamma, dt, noise, prop)
     ref = reference_step(psi, rep, gamma, dt, noise, prop)
     assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+# at n = 257 the defining su(2), su(3), su(4) and su(6) take the
+# completeness route; the other irreps, Sym^2 su(4) with K = 15 > d = 10
+# among them, and every algebra at n = 1 (a lone row), step through the
+# stacked X_k psi
+@pytest.mark.parametrize("with_h", [False, True])
+@pytest.mark.parametrize("n", [1, 257])
+@pytest.mark.parametrize(
+    "spec",
+    [f"su2:two_j={two_j}" for two_j in (1, 2, 4, 8)]
+    + [f"suN:n={n}" for n in (3, 4, 6)]
+    + ["suN:n=3,dynkin=1,1", "suN:n=4,dynkin=2,0,0"],
+    ids=case_id("step"),
+)
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dt=st.floats(1e-5, 1e-2),
+    frac=st.floats(0.0, 1.0),
+)
+def test_step_matches_casimir_matrix_reference(spec, n, with_h, seed, dt, frac):
+    check_step_against_reference(spec, n, with_h, seed, dt, frac)
+
+
+# the defining su(d), K = d^2 - 1: a batch of 257 applies the d x d
+# operator B = sum_k dxi_k X_k by the completeness relation, a lone state
+# steps as its row through the stack; su(2) both as spin 1/2 and in the
+# su(N) basis
+@pytest.mark.parametrize("with_h", [False, True])
+@pytest.mark.parametrize("n", [1, 257])
+@pytest.mark.parametrize("spec", ["su2:two_j=1"] + [f"suN:n={n}" for n in (2, 3, 4, 6)], ids=case_id("step"))
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dt=st.floats(1e-5, 1e-2),
+    frac=st.floats(0.0, 1.0),
+)
+def test_operator_route_matches_casimir_matrix_reference(spec, n, with_h, seed, dt, frac):
+    check_step_against_reference(spec, n, with_h, seed, dt, frac)
 
 
 @pytest.mark.parametrize(
